@@ -22,11 +22,10 @@ be a permutation of 1..size outright; anything else is schema drift.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import get_context
-
-from scipy.stats import chi2
 
 from .cards import HEART, RandomSource, Transcript, decode, encode
 from .protocol import ProverInput, run_protocol
@@ -205,6 +204,27 @@ class FamilyCounts:
         self.trials += other.trials
 
 
+def chi2_sf(x: float, dof: int) -> float:
+    """Survival function P(X >= x) of the chi-squared law with ``dof`` >= 1.
+
+    The finite series for integer degrees of freedom (Abramowitz & Stegun
+    26.4.4 for odd dof, 26.4.5 for even): dof // 2 positive terms, so deep
+    tails keep their relative accuracy.
+    """
+    if dof < 1 or dof % 1:
+        raise ValueError(f"dof must be a positive integer, got {dof}")
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    odd = dof % 2 == 1
+    total = math.erfc(math.sqrt(half)) if odd else 0.0
+    term = math.exp(-half) * (math.sqrt(2 * x / math.pi) if odd else 1.0)
+    for i in range(1, dof // 2 + 1):
+        total += term
+        term *= x / (2 * i + 1) if odd else half / i
+    return total
+
+
 def _uniform_fit(family: RevealFamily, counter: Counter, n: int):
     """Chi-squared GOF statistic and p-value against the uniform law."""
     if n == 0 or family.domain <= 1:
@@ -217,7 +237,7 @@ def _uniform_fit(family: RevealFamily, counter: Counter, n: int):
         (counter.get(b, 0) - expected) ** 2 / expected
         for b in range(1, family.domain + 1)
     )
-    p = float(chi2.sf(stat, family.domain - 1))
+    p = chi2_sf(stat, family.domain - 1)
     return stat, p
 
 

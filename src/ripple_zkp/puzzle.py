@@ -302,29 +302,33 @@ def solve(puzzle: Puzzle, limit: int | None = 1) -> list[Assignment]:
                 return False
         return True
 
-    def place(idx: int) -> bool:
-        if idx == len(cells):
-            found.append(
-                Assignment.from_rows(
-                    [grid[r][1:] for r in range(1, puzzle.rows + 1)]
-                )
-            )
-            return limit is not None and len(found) >= limit
-        r, c = cells[idx]
-        room = puzzle.room_of[(r, c)]
-        fixed = puzzle.fixed.get((r, c))
-        candidates = (fixed,) if fixed is not None else range(1, sizes[room] + 1)
-        used = room_used[room]
-        for v in candidates:
-            if v in used or not consistent(r, c, v):
-                continue
-            grid[r][c] = v
-            used.add(v)
-            if place(idx + 1):
-                return True
-            grid[r][c] = 0
-            used.discard(v)
-        return False
-
-    place(0)
+    # Per cell in fill order: its coordinates, its room's used values, and its
+    # candidates. The search keeps one candidate iterator per filled cell on
+    # an explicit stack, so its depth is not bounded by the recursion limit.
+    plan = []
+    for cell in cells:
+        room = puzzle.room_of[cell]
+        fixed = puzzle.fixed.get(cell)
+        values = (fixed,) if fixed is not None else range(1, sizes[room] + 1)
+        plan.append((*cell, room_used[room], values))
+    stack = [iter(plan[0][3])]
+    while stack:
+        r, c, used, _ = plan[len(stack) - 1]
+        # Take back this cell's last value; a cell visited first holds 0.
+        used.discard(grid[r][c])
+        grid[r][c] = 0
+        for v in stack[-1]:
+            if v not in used and consistent(r, c, v):
+                grid[r][c] = v
+                used.add(v)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(plan):
+            stack.append(iter(plan[len(stack)][3]))
+            continue
+        found.append(Assignment.from_rows([row[1:] for row in grid[1:]]))
+        if limit is not None and len(found) >= limit:
+            break
     return found

@@ -5,6 +5,7 @@ from ripple_zkp.audit import (
     AuditError,
     FamilyCounts,
     _uniformity_report,
+    chi2_sf,
     full_audit,
     gather_real_counts,
     gather_simulated_counts,
@@ -40,6 +41,103 @@ def sim_transcripts(puzzle, trials, base_seed=0):
         simulate_transcript(puzzle, RandomSource(seed))
         for seed in range(base_seed, base_seed + trials)
     ]
+
+
+# (dof, x, P(X >= x)) from scipy.stats.chi2.sf, scipy 1.17.1. dof 1..10 are
+# the degrees of freedom of reveal families over domains 2..11; x is chosen
+# so that p runs from about 0.9 down to about 1e-50.
+CHI2_SF_REFERENCE = [
+    (1, 0.01579, 0.9000024382499352),
+    (1, 0.4549, 0.5000171607517765),
+    (1, 10.83, 0.0009986863791802592),
+    (1, 41.82, 1.0007451242596191e-10),
+    (1, 110.0, 9.799073841979352e-26),
+    (1, 224.4, 9.923697307995505e-51),
+    (2, 0.2107, 0.9000094641418044),
+    (2, 1.386, 0.5000735956957677),
+    (2, 13.82, 0.0009977577964843118),
+    (2, 46.05, 1.000851292084052e-10),
+    (2, 115.1, 1.0147348276873878e-25),
+    (2, 230.3, 9.794683541393966e-51),
+    (3, 0.5844, 0.8999941650043719),
+    (3, 2.366, 0.4999950903659851),
+    (3, 16.27, 0.0009982232399054186),
+    (3, 49.54, 1.0010575930190157e-10),
+    (3, 119.5, 9.888227013494289e-26),
+    (3, 235.3, 9.881873957937042e-51),
+    (4, 1.064, 0.89994113020405),
+    (4, 3.357, 0.4999520607477308),
+    (4, 18.47, 0.0009985695222055114),
+    (4, 52.67, 9.990193434456516e-11),
+    (4, 123.4, 1.002993243323508e-25),
+    (4, 239.8, 1.0245140548289537e-50),
+    (5, 1.61, 0.900037409488132),
+    (5, 4.351, 0.5000630648673225),
+    (5, 20.52, 0.0009978366077119374),
+    (5, 55.56, 1.0011374391000186e-10),
+    (5, 127.1, 9.813698987857969e-26),
+    (5, 244.1, 1.0135739454021483e-50),
+    (6, 2.204, 0.9000131781138029),
+    (6, 5.348, 0.50001487312423),
+    (6, 22.46, 0.0009990558966627102),
+    (6, 58.29, 1.00084209031553e-10),
+    (6, 130.5, 1.0086157912701585e-25),
+    (6, 248.2, 9.944138605957674e-51),
+    (7, 2.833, 0.9000093178575107),
+    (7, 6.346, 0.4999786661506235),
+    (7, 24.32, 0.0010007658891631787),
+    (7, 60.9, 9.977908031800638e-11),
+    (7, 133.8, 1.0091944053158691e-25),
+    (7, 252.1, 9.89900621876517e-51),
+    (8, 3.49, 0.8999643624594803),
+    (8, 7.344, 0.5000127456821193),
+    (8, 26.12, 0.001001769361809457),
+    (8, 63.4, 9.990758304795161e-11),
+    (8, 137.0, 9.974781455800933e-26),
+    (8, 255.8, 1.0148972594285365e-50),
+    (9, 4.168, 0.9000111129447862),
+    (9, 8.343, 0.4999835483991859),
+    (9, 27.88, 0.0009989111107288188),
+    (9, 65.82, 9.990107908319831e-11),
+    (9, 140.1, 9.837463544460416e-26),
+    (9, 259.5, 9.824368481026984e-51),
+    (10, 4.865, 0.9000116615651871),
+    (10, 9.342, 0.49998307838034095),
+    (10, 29.59, 0.0009993620119330144),
+    (10, 68.17, 9.989450562540484e-11),
+    (10, 143.0, 1.0223274927343388e-25),
+    (10, 263.0, 9.978788212816251e-51),
+    (20, 12.44, 0.9000996883616948),
+    (20, 19.34, 0.4998346134279531),
+    (20, 45.31, 0.0010014887294542928),
+    (20, 89.26, 9.982794554548895e-11),
+    (20, 169.7, 9.914100646748408e-26),
+    (20, 294.6, 1.022501228054543e-50),
+    (40, 29.05, 0.9000127179237314),
+    (40, 39.34, 0.4997903296814792),
+    (40, 73.4, 0.0010004960513112717),
+    (40, 125.3, 1.001699193663428e-10),
+    (40, 214.5, 9.954584033945669e-26),
+    (40, 347.8, 1.0155382844063004e-50),
+]
+
+
+class TestChi2Sf:
+    def test_matches_reference(self):
+        off = [
+            (dof, x, chi2_sf(x, dof), expected)
+            for dof, x, expected in CHI2_SF_REFERENCE
+            if abs(chi2_sf(x, dof) - expected) > 1e-12 * expected
+        ]
+        assert off == []
+
+    def test_zero_statistic(self):
+        assert [chi2_sf(0, dof) for dof in (1, 2, 3, 10, 40)] == [1.0] * 5
+
+    @pytest.mark.parametrize("dof", [0, -1, 2.5])
+    def test_rejects_bad_dof(self, dof):
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, dof)
 
 
 class TestSimulator:

@@ -1,10 +1,12 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ripple_zkp import cli
 from ripple_zkp.audit import AuditReport
+from ripple_zkp.puzzle import parse_puzzle, parse_solution, validate
 
 UNSAT = "1 2\na a\n1 1\n"
 RAGGED = "2 2\na a\na\n. .\n. .\n"
@@ -235,3 +237,34 @@ def test_console_script_installed(sample7x7_path):
     )
     assert proc.returncode == 0
     assert "total=388" in proc.stdout
+
+
+def imported_modules(argv) -> set[str]:
+    """Top-level packages a fresh interpreter imports while running ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+    return {ln.rsplit("|", 1)[1].strip().split(".")[0] for ln in lines[1:]}
+
+
+def test_runtime_is_stdlib_only(sample7x7_path):
+    for argv in (
+        ["-c", "import ripple_zkp"],
+        ["-m", "ripple_zkp.cli", "count", "--puzzle", sample7x7_path],
+    ):
+        modules = imported_modules(argv)
+        assert "ripple_zkp" in modules
+        assert not modules & {"scipy", "numpy"}, argv
+
+
+def test_solve_long_grid(tmp_path):
+    # Rooms of sizes 1 and 3 alternate along one row of 1,100 cells: far
+    # deeper than the interpreter's recursion limit, and solvable.
+    labels = " ".join(f"r{i // 4}" if i % 4 == 0 else f"t{i // 4}" for i in range(1100))
+    path = write(tmp_path, "long.txt", f"1 1100\n{labels}\n{'. ' * 1100}\n")
+    out = tmp_path / "long_solution.txt"
+    assert cli.main(["solve", "--puzzle", path, "--out", str(out)]) == 0
+    puzzle = parse_puzzle(Path(path).read_text())
+    assert validate(puzzle, parse_solution(out.read_text(), puzzle)) == []

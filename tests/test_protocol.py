@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -389,3 +390,37 @@ class TestCardStats:
     def test_breakdown_identity(self, sample7x7):
         k = max_room_size(sample7x7)
         assert 3 * k + (k - 1) * (k + 2) + k * k == 2 * k * k + 4 * k - 2
+
+
+# sha256 of run_protocol(...).transcript.serialize() for fixed seeds. Any
+# change to the engine's representation must reproduce these bytes, which
+# also pins the order and number of random draws.
+GOLDEN_7X7 = {
+    (False, 0): "35d2789e1dd18fabb60680b9d4487bba9422c3de2b0eb6c2663f04f605b2a959",
+    (False, 1): "105c1adb0f81adea445d7b4719fef774afad95f1f30b88693729557ee2264a84",
+    (False, 2): "77b550b0747b52e1cd50fbceb6766955695b92c4682ad68f83e226b376b190bc",
+    (False, 3): "82272174be5091c4f250462d40ebd183a5a4b0ff3edcbb0ac20e0066de38ea31",
+    (True, 0): "2f51cd0e506d34066774862818c3d521e667ef06c21b6043738dc9af5f56bc3e",
+    (True, 1): "ca1d50a6549063b5f183915709c5267931758c49e7bfcc4c0228a64df82ae469",
+    (True, 2): "9af49628134bb3e0e6d87dec3887e0640dedf3e71782fd078f5f28f2aa031cdc",
+    (True, 3): "d3c6cd8f5fc4c87c3200ffc80f90cbc1c6ab905da48edca2e62407113ec05e69",
+}
+GOLDEN_K1 = "e8a668d3747a803634b8bceee80865a4c5b091bba4677d281547c0401561d88b"
+
+
+def transcript_sha256(puzzle, solution, seed, dedupe=False):
+    result = run_protocol(
+        puzzle, ProverInput(solution), RandomSource(seed), dedupe_directions=dedupe
+    )
+    return hashlib.sha256(result.transcript.serialize().encode()).hexdigest()
+
+
+class TestGoldenTranscripts:
+    @pytest.mark.parametrize(("dedupe", "seed"), sorted(GOLDEN_7X7))
+    def test_sample7x7(self, sample7x7, sample7x7_solution, dedupe, seed):
+        digest = transcript_sha256(sample7x7, sample7x7_solution, seed, dedupe)
+        assert digest == GOLDEN_7X7[(dedupe, seed)]
+
+    def test_single_cell_k1(self):
+        puzzle = make_puzzle(["a"])
+        assert transcript_sha256(puzzle, Assignment.from_rows([[1]]), 0) == GOLDEN_K1
