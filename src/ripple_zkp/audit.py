@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .cards import HEART, RandomSource, Transcript, decode, encode
-from .protocol import ProverInput, run_protocol
+from .protocol import CHECKED_DIRECTIONS, ProverInput, run_protocol
 from .puzzle import Assignment, Puzzle, max_room_size, validate
 
 
@@ -189,14 +189,6 @@ class FamilyCounts:
         seen[key] = seen.get(key, 0) + 1
 
     def merge(self, other: "FamilyCounts") -> None:
-        if self.per_transcript is None:
-            self.counts = {k: Counter(v) for k, v in other.counts.items()}
-            self.widths = dict(other.widths)
-            self.kinds = dict(other.kinds)
-            self.per_transcript = other.per_transcript
-            self.first_skeleton = other.first_skeleton
-            self.trials = other.trials
-            return
         if other.per_transcript != self.per_transcript:
             raise AuditError("cannot merge counts with different skeletons")
         for key, counter in other.counts.items():
@@ -256,41 +248,7 @@ def uniformity_audit(transcripts, alpha: float = 0.001) -> AuditReport:
     counts = FamilyCounts()
     for t in transcripts:
         counts.add(t)
-    return _uniformity_report(counts, alpha)
-
-
-def _uniformity_report(counts: FamilyCounts, alpha: float) -> AuditReport:
-    warnings = []
-    gated = counts.trials >= UNDERPOWERED_TRIALS
-    if not gated:
-        warnings.append(
-            f"under-powered: {counts.trials} transcripts"
-            f" (want >= {UNDERPOWERED_TRIALS}); statistics reported but not gating"
-        )
-    results = []
-    for family in counts.families():
-        counter = counts.counts[family.key]
-        n = sum(counter.values())
-        if family.kind == "segment":
-            clean = set(counter) <= {0}
-            results.append(
-                FamilyResult(
-                    family, n, None, None, None, clean,
-                    note="" if clean else "heart seen in accept-path segment",
-                )
-            )
-            continue
-        stat, p = _uniform_fit(family, counter, n)
-        if p is None:
-            results.append(
-                FamilyResult(family, n, None, None, None, True, note="degenerate domain")
-            )
-        else:
-            ok = p >= alpha if gated else True
-            note = "" if gated else "not gated: under-powered"
-            results.append(FamilyResult(family, n, stat, p, None, ok, note=note))
-    passed = all(r.passed for r in results)
-    return AuditReport(counts.trials, tuple(results), passed, tuple(warnings))
+    return _audit_report(counts, None, alpha, None)
 
 
 def indistinguishability_audit(
@@ -307,49 +265,73 @@ def indistinguishability_audit(
     sim_counts = FamilyCounts()
     for t in simulated:
         sim_counts.add(t)
-    return _indistinguishability_report(real_counts, sim_counts, max_tvd)
+    return _audit_report(real_counts, sim_counts, None, max_tvd)
 
 
-def _indistinguishability_report(
-    real_counts: FamilyCounts, sim_counts: FamilyCounts, max_tvd: float
+def _audit_report(
+    real: FamilyCounts,
+    sim: FamilyCounts | None,
+    alpha: float | None,
+    max_tvd: float | None,
 ) -> AuditReport:
+    """Per-family report over the honest counts ``real``.
+
+    Runs chi-squared uniformity when ``alpha`` is given and the TVD against
+    ``sim`` when that is given. A family passes when every check run on it
+    passes; a family seen only in ``sim`` fails.
+    """
+    gated = real.trials >= UNDERPOWERED_TRIALS
     warnings = []
-    gated = real_counts.trials >= UNDERPOWERED_TRIALS
     if not gated:
         warnings.append(
-            f"under-powered: {real_counts.trials} transcripts"
+            f"under-powered: {real.trials} transcripts"
             f" (want >= {UNDERPOWERED_TRIALS}); statistics reported but not gating"
         )
-    if real_counts.trials != sim_counts.trials:
-        warnings.append(
-            f"trial counts differ: {real_counts.trials} real vs {sim_counts.trials} simulated"
-        )
-    skeleton_ok = real_counts.first_skeleton == sim_counts.first_skeleton
+    skeleton_ok = sim is None or real.first_skeleton == sim.first_skeleton
+    if sim is not None and real.trials != sim.trials:
+        warnings.append(f"trial counts differ: {real.trials} real vs {sim.trials} simulated")
     if not skeleton_ok:
-        warnings.append(_skeleton_diff(real_counts.first_skeleton, sim_counts.first_skeleton))
+        warnings.append(_skeleton_diff(real.first_skeleton, sim.first_skeleton))
     results = []
-    for family in real_counts.families():
-        a = real_counts.counts[family.key]
-        b = sim_counts.counts.get(family.key, Counter())
-        na, nb = sum(a.values()), sum(b.values())
-        if na == 0 and nb == 0:
-            results.append(FamilyResult(family, 0, None, None, 0.0, True, note="empty family"))
-            continue
-        if nb == 0:
+    for family in real.families():
+        counter = real.counts[family.key]
+        n = sum(counter.values())
+        stat = p = tvd = None
+        ok, note = True, ""
+        if alpha is not None:
+            if family.kind == "segment":
+                ok = set(counter) <= {0}
+                note = "" if ok else "heart seen in accept-path segment"
+            else:
+                stat, p = _uniform_fit(family, counter, n)
+                if p is None:
+                    note = "degenerate domain"
+                elif gated:
+                    ok = p >= alpha
+                else:
+                    note = "not gated: under-powered"
+        if sim is not None:
+            b = sim.counts.get(family.key, Counter())
+            nb = sum(b.values())
+            if n == 0 and nb == 0:
+                tvd, tvd_note = 0.0, "empty family"
+            elif nb == 0:
+                tvd, tvd_note = 1.0, "family missing from simulation"
+                ok = False
+            else:
+                tvd = _tvd(counter, n, b, nb)
+                tvd_note = "" if gated else "not gated: under-powered"
+                ok = ok and (tvd <= max_tvd or not gated)
+            note = note or tvd_note
+        results.append(FamilyResult(family, n, stat, p, tvd, ok, note))
+    if sim is not None:
+        for key in sorted(set(sim.counts) - set(real.counts)):
+            fam = RevealFamily(key, sim.kinds[key], 0)
             results.append(
-                FamilyResult(family, na, None, None, 1.0, False, note="family missing from simulation")
+                FamilyResult(fam, 0, None, None, 1.0, False, note="family only in simulation")
             )
-            continue
-        tvd = _tvd(a, na, b, nb)
-        ok = tvd <= max_tvd if gated else True
-        note = "" if gated else "not gated: under-powered"
-        results.append(FamilyResult(family, na, None, None, tvd, ok, note=note))
-    missing = set(sim_counts.counts) - set(real_counts.counts)
-    for key in sorted(missing):
-        fam = RevealFamily(key, sim_counts.kinds[key], 0)
-        results.append(FamilyResult(fam, 0, None, None, 1.0, False, note="family only in simulation"))
     passed = skeleton_ok and all(r.passed for r in results)
-    return AuditReport(real_counts.trials, tuple(results), passed, tuple(warnings))
+    return AuditReport(real.trials, tuple(results), passed, tuple(warnings))
 
 
 def _skeleton_diff(a: str | None, b: str | None) -> str:
@@ -372,7 +354,7 @@ def simulate_transcript(
     """
     k = max_room_size(puzzle)
     t = Transcript()
-    directions = ("right", "down") if dedupe_directions else ("right", "left", "up", "down")
+    directions = CHECKED_DIRECTIONS[dedupe_directions]
     wide = 2 * k - 1 if k > 1 else 1
 
     def heart_row(mid: str, row: int, width: int) -> int:
@@ -381,39 +363,33 @@ def simulate_transcript(
         return j
 
     def sim_rearr(mid: str, width: int) -> None:
-        t.mark(f"rearr:{mid}", "enter")
-        j = heart_row(mid, 1, width)
-        t.shift(mid, (1 - j) % width)
-        t.mark(f"rearr:{mid}", "exit")
+        with t.span(f"rearr:{mid}"):
+            j = heart_row(mid, 1, width)
+            t.shift(mid, (1 - j) % width)
 
-    t.mark("distance_phase", "enter")
-    for cell in puzzle.cells:
-        for direction in directions:
-            t.mark(f"dist:{cell[0]},{cell[1]}:{direction}", "enter")
-            j1 = heart_row("M", 2, k)
-            t.shift("M", (k - j1) % k)
-            sim_rearr("M1", k)
-            heart_row("M2", 1, wide)
-            t.mark("unique:N", "enter")
-            j = heart_row("N", 2, k)
-            t.reveal_segment("N", j, 3, k + 2, (0,) * k)
-            t.mark("unique:N", "exit")
-            sim_rearr("N", k)
-            if k > 1:
-                j3 = heart_row("M2", 2, wide)
-                t.shift("M2", (k + 1 - j3) % wide)
-            sim_rearr("M2", k)
-            t.mark(f"dist:{cell[0]},{cell[1]}:{direction}", "exit")
-    t.mark("distance_phase", "exit")
+    with t.span("distance_phase"):
+        for cell in puzzle.cells:
+            for direction in directions:
+                with t.span(f"dist:{cell[0]},{cell[1]}:{direction}"):
+                    j1 = heart_row("M", 2, k)
+                    t.shift("M", (k - j1) % k)
+                    sim_rearr("M1", k)
+                    heart_row("M2", 1, wide)
+                    with t.span("unique:N"):
+                        j = heart_row("N", 2, k)
+                        t.reveal_segment("N", j, 3, k + 2, (0,) * k)
+                    sim_rearr("N", k)
+                    if k > 1:
+                        j3 = heart_row("M2", 2, wide)
+                        t.shift("M2", (k + 1 - j3) % wide)
+                    sim_rearr("M2", k)
 
-    t.mark("room_phase", "enter")
-    for room, cells in puzzle.room_cells.items():
-        t.mark(f"room:{room}", "enter")
-        perm = rng.permutation(len(cells))
-        cols = tuple(tuple(encode(v + 1, k)) for v in perm)
-        t.reveal_all(f"R:{room}", cols)
-        t.mark(f"room:{room}", "exit")
-    t.mark("room_phase", "exit")
+    with t.span("room_phase"):
+        for room, cells in puzzle.room_cells.items():
+            with t.span(f"room:{room}"):
+                perm = rng.permutation(len(cells))
+                cols = tuple(tuple(encode(v + 1, k)) for v in perm)
+                t.reveal_all(f"R:{room}", cols)
     t.verdict("accept", None, None)
     return t
 
@@ -460,15 +436,10 @@ def soundness_sweep(
             seeds = tuple(rng.offset(2**32) for _ in range(seeds_per_mutation))
             jobs.append((cell, value, seeds))
 
-    if workers and workers > 1 and len(jobs) > 1:
-        ctx = get_context("fork")
-        chunks = [jobs[i::workers] for i in range(workers)]
-        with ctx.Pool(workers) as pool:
-            parts = pool.starmap(
-                _sweep_chunk, [(puzzle, solution, chunk) for chunk in chunks]
-            )
-    else:
-        parts = [_sweep_chunk(puzzle, solution, jobs)]
+    n = workers if workers and workers > 1 and len(jobs) > 1 else 1
+    parts = _pool_starmap(
+        _sweep_chunk, [(puzzle, solution, jobs[i::n]) for i in range(n)], n
+    )
 
     reject_expected = sum(p[0] for p in parts)
     still_valid = sum(p[1] for p in parts)
@@ -528,22 +499,24 @@ def gather_simulated_counts(
 
 
 def _gather(puzzle, solution, trials, base_seed, dedupe, workers, real):
-    if workers and workers > 1 and trials >= 2 * workers:
-        ctx = get_context("fork")
-        bounds = [
-            (base_seed + (trials * w) // workers, base_seed + (trials * (w + 1)) // workers)
-            for w in range(workers)
-        ]
-        with ctx.Pool(workers) as pool:
-            parts = pool.starmap(
-                _gather_chunk,
-                [(puzzle, solution, lo, hi, dedupe, real) for lo, hi in bounds],
-            )
-        counts = FamilyCounts()
-        for part in parts:
-            counts.merge(part)
-        return counts
-    return _gather_chunk(puzzle, solution, base_seed, base_seed + trials, dedupe, real)
+    n = workers if workers and workers > 1 and trials >= 2 * workers else 1
+    bounds = [
+        (base_seed + (trials * w) // n, base_seed + (trials * (w + 1)) // n) for w in range(n)
+    ]
+    counts, *rest = _pool_starmap(
+        _gather_chunk, [(puzzle, solution, lo, hi, dedupe, real) for lo, hi in bounds], n
+    )
+    for part in rest:
+        counts.merge(part)
+    return counts
+
+
+def _pool_starmap(fn, chunks, workers):
+    """[fn(*chunk) for chunk in chunks], in order; on fork workers when there are several."""
+    if len(chunks) == 1:
+        return [fn(*chunks[0])]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.starmap(fn, chunks)
 
 
 def _gather_chunk(puzzle, solution, seed_lo, seed_hi, dedupe, real):
@@ -577,25 +550,9 @@ def full_audit(
 
     Runs ``trials`` honest sessions and ``trials`` simulations (seed ranges
     disjoint but deterministic), then merges the chi-squared and TVD
-    verdicts per family: a family passes when both do.
+    verdicts per family: a family passes when both do. A family seen only
+    in simulation is reported and fails.
     """
     real = gather_real_counts(puzzle, solution, trials, base_seed, dedupe_directions, workers)
     sim = gather_simulated_counts(puzzle, trials, base_seed + trials, dedupe_directions, workers)
-    uni = _uniformity_report(real, alpha)
-    ind = _indistinguishability_report(real, sim, max_tvd)
-    by_key = {fr.family.key: fr for fr in ind.families}
-    merged = []
-    for fr in uni.families:
-        other = by_key.get(fr.family.key)
-        tvd = other.tvd if other else None
-        ok = fr.passed and (other.passed if other else False)
-        note = fr.note or (other.note if other else "")
-        merged.append(
-            FamilyResult(fr.family, fr.observations, fr.chi_squared, fr.p_value, tvd, ok, note)
-        )
-    passed = all(r.passed for r in merged) and ind.passed and uni.passed
-    warnings = []
-    for w in uni.warnings + ind.warnings:
-        if w not in warnings:
-            warnings.append(w)
-    return AuditReport(trials, tuple(merged), passed, tuple(warnings))
+    return _audit_report(real, sim, alpha, max_tvd)

@@ -92,6 +92,60 @@ class HiddenLog:
         self.entries.append(entry)
 
 
+def _verdict_line(ev) -> str:
+    return f"verdict outcome={ev[1]} reason={ev[2] or 'none'} loc={ev[3] or 'none'}"
+
+
+def _mark_line(ev) -> str:
+    return f"mark name={ev[1]} kind={ev[2]}"
+
+
+def _reveal_all_shape(ev) -> str:
+    shape = f"{len(ev[2][0])}x{len(ev[2])}" if ev[2] else "0x0"
+    return f"reveal_all m={ev[1]} shape={shape}"
+
+
+# Event tag -> (serialize() line, skeleton() line).
+_EVENT_LINES = {
+    "reveal_row": (
+        lambda ev: f"reveal_row m={ev[1]} row={ev[2]} faces={faces_text(ev[3])}",
+        lambda ev: f"reveal_row m={ev[1]} row={ev[2]} width={len(ev[3])}",
+    ),
+    "reveal_segment": (
+        lambda ev: f"reveal_segment m={ev[1]} col={ev[2]} rows={ev[3]}..{ev[4]}"
+        f" faces={faces_text(ev[5])}",
+        lambda ev: f"reveal_segment m={ev[1]} rows={ev[3]}..{ev[4]}",
+    ),
+    "reveal_all": (
+        lambda ev: f"reveal_all m={ev[1]} cols={'|'.join(faces_text(col) for col in ev[2])}",
+        _reveal_all_shape,
+    ),
+    "shift": (lambda ev: f"shift m={ev[1]} offset={ev[2]}", lambda ev: f"shift m={ev[1]}"),
+    "mark": (_mark_line, _mark_line),
+    "verdict": (_verdict_line, _verdict_line),
+}
+
+
+class _Span:
+    """Context manager that brackets a protocol step with enter/exit marks.
+
+    The exit mark is written however the block ends, so reject paths that
+    return or raise early still close every step they opened.
+    """
+
+    __slots__ = ("events", "name")
+
+    def __init__(self, events: list, name: str):
+        self.events = events
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.events.append(("mark", self.name, "enter"))
+
+    def __exit__(self, *exc) -> None:
+        self.events.append(("mark", self.name, "exit"))
+
+
 class Transcript:
     """Append-only log of verifier-observable events."""
 
@@ -112,36 +166,22 @@ class Transcript:
     def shift(self, matrix_id: str, offset: int) -> None:
         self.events.append(("shift", matrix_id, offset))
 
-    def mark(self, name: str, kind: str) -> None:
-        self.events.append(("mark", name, kind))
+    def span(self, name: str) -> _Span:
+        """``with transcript.span(name):`` marks enter, then exit on any way out."""
+        return _Span(self.events, name)
 
     def verdict(self, outcome: str, reason: str | None, loc: str | None) -> None:
         self.events.append(("verdict", outcome, reason, loc))
 
-    def serialize(self) -> str:
-        lines = []
-        for ev in self.events:
-            tag = ev[0]
-            if tag == "reveal_row":
-                lines.append(f"reveal_row m={ev[1]} row={ev[2]} faces={faces_text(ev[3])}")
-            elif tag == "reveal_segment":
-                lines.append(
-                    f"reveal_segment m={ev[1]} col={ev[2]} rows={ev[3]}..{ev[4]} faces={faces_text(ev[5])}"
-                )
-            elif tag == "reveal_all":
-                cols = "|".join(faces_text(col) for col in ev[2])
-                lines.append(f"reveal_all m={ev[1]} cols={cols}")
-            elif tag == "shift":
-                lines.append(f"shift m={ev[1]} offset={ev[2]}")
-            elif tag == "mark":
-                lines.append(f"mark name={ev[1]} kind={ev[2]}")
-            elif tag == "verdict":
-                lines.append(
-                    f"verdict outcome={ev[1]} reason={ev[2] or 'none'} loc={ev[3] or 'none'}"
-                )
-            else:  # pragma: no cover - schema is closed
-                raise ValueError(f"unknown event {tag!r}")
+    def _lines(self, column: int) -> str:
+        try:
+            lines = [_EVENT_LINES[ev[0]][column](ev) for ev in self.events]
+        except KeyError as exc:
+            raise ValueError(f"unknown event {exc.args[0]!r}") from None
         return "\n".join(lines) + ("\n" if lines else "")
+
+    def serialize(self) -> str:
+        return self._lines(0)
 
     def skeleton(self) -> str:
         """Serialization with every chance-dependent field stripped.
@@ -150,25 +190,7 @@ class Transcript:
         derived from them are dropped; what remains is a pure function of
         the puzzle shape and must match between real and simulated runs.
         """
-        lines = []
-        for ev in self.events:
-            tag = ev[0]
-            if tag == "reveal_row":
-                lines.append(f"reveal_row m={ev[1]} row={ev[2]} width={len(ev[3])}")
-            elif tag == "reveal_segment":
-                lines.append(f"reveal_segment m={ev[1]} rows={ev[3]}..{ev[4]}")
-            elif tag == "reveal_all":
-                shape = f"{len(ev[2][0])}x{len(ev[2])}" if ev[2] else "0x0"
-                lines.append(f"reveal_all m={ev[1]} shape={shape}")
-            elif tag == "shift":
-                lines.append(f"shift m={ev[1]}")
-            elif tag == "mark":
-                lines.append(f"mark name={ev[1]} kind={ev[2]}")
-            elif tag == "verdict":
-                lines.append(
-                    f"verdict outcome={ev[1]} reason={ev[2] or 'none'} loc={ev[3] or 'none'}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return self._lines(1)
 
 
 class Matrix:
@@ -215,8 +237,7 @@ class Matrix:
         self._require_face_down()
         o = offset % len(self.cols)
         transcript.shift(self.id, o)
-        if o:
-            self.cols = self.cols[-o:] + self.cols[:-o]
+        self.rotate(o)
 
     def reveal_row(self, row: int, transcript: Transcript) -> tuple:
         faces = tuple(col[row - 1] for col in self.cols)
@@ -305,6 +326,18 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource, hidden: HiddenLog |
     matrix.cols = [matrix.cols[i] for i in perm]
 
 
+def single_heart(faces: tuple, matrix_id: str, row: int) -> int:
+    """1-based heart position, or raise when the count is not exactly one."""
+    count = faces.count(HEART)
+    if count != 1:
+        raise MalformedCommitmentError(
+            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {count}",
+            matrix_id=matrix_id,
+            row=row,
+        )
+    return faces.index(HEART) + 1
+
+
 def rearrangement(
     matrix: Matrix,
     rng: RandomSource,
@@ -316,16 +349,8 @@ def rearrangement(
     Shuffles first, so the revealed heart position carries no information
     about where the columns originally stood.
     """
-    transcript.mark(f"rearr:{matrix.id}", "enter")
-    pile_shift_shuffle(matrix, rng, hidden)
-    faces = matrix.reveal_row(1, transcript)
-    if faces.count(HEART) != 1:
-        raise MalformedCommitmentError(
-            f"matrix {matrix.id} row 1: expected exactly one heart, saw {faces.count(HEART)}",
-            matrix_id=matrix.id,
-            row=1,
-        )
-    j = faces.index(HEART) + 1
-    matrix.flip_down()
-    matrix.shift(-(j - 1), transcript)
-    transcript.mark(f"rearr:{matrix.id}", "exit")
+    with transcript.span(f"rearr:{matrix.id}"):
+        pile_shift_shuffle(matrix, rng, hidden)
+        j = single_heart(matrix.reveal_row(1, transcript), matrix.id, 1)
+        matrix.flip_down()
+        matrix.shift(-(j - 1), transcript)

@@ -27,6 +27,10 @@ EXIT_INPUT = 2
 EXIT_UNSAT = 3
 
 
+class Unsatisfiable(Exception):
+    """The puzzle has no solution."""
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -93,13 +97,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_solve(args) -> int:
-    puzzle = parse_puzzle(_read(args.puzzle))
+def _first_solution(puzzle):
     solutions = solve(puzzle, limit=1)
     if not solutions:
-        print("unsatisfiable", file=sys.stderr)
-        return EXIT_UNSAT
-    _emit(solutions[0].to_text(), args.out)
+        raise Unsatisfiable
+    return solutions[0]
+
+
+def cmd_solve(args) -> int:
+    puzzle = parse_puzzle(_read(args.puzzle))
+    _emit(_first_solution(puzzle).to_text(), args.out)
     return EXIT_OK
 
 
@@ -119,11 +126,7 @@ def cmd_validate(args) -> int:
 def cmd_prove(args) -> int:
     puzzle = parse_puzzle(_read(args.puzzle))
     if args.solve_first:
-        solutions = solve(puzzle, limit=1)
-        if not solutions:
-            print("unsatisfiable", file=sys.stderr)
-            return EXIT_UNSAT
-        assignment = solutions[0]
+        assignment = _first_solution(puzzle)
     elif args.solution:
         assignment = parse_solution(_read(args.solution), puzzle)
     else:
@@ -144,13 +147,9 @@ def cmd_prove(args) -> int:
 
 def cmd_audit(args) -> int:
     puzzle = parse_puzzle(_read(args.puzzle))
-    solutions = solve(puzzle, limit=1)
-    if not solutions:
-        print("unsatisfiable", file=sys.stderr)
-        return EXIT_UNSAT
     report = full_audit(
         puzzle,
-        solutions[0],
+        _first_solution(puzzle),
         trials=args.trials,
         base_seed=args.seed,
         dedupe_directions=args.dedupe_directions,
@@ -189,6 +188,9 @@ def main(argv=None) -> int:
     except PuzzleFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Unsatisfiable:
+        print("unsatisfiable", file=sys.stderr)
+        return EXIT_UNSAT
 
 
 if __name__ == "__main__":

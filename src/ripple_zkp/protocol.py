@@ -36,6 +36,7 @@ from .cards import (
     pile_scramble_shuffle,
     pile_shift_shuffle,
     rearrangement,
+    single_heart,
 )
 from .puzzle import (
     DIRECTION_STEPS,
@@ -51,6 +52,9 @@ from .puzzle import (
 DISTANCE_HEART_FOUND = "DistanceHeartFound"
 ROOM_MULTISET_MISMATCH = "RoomMultisetMismatch"
 MALFORMED_COMMITMENT = "MalformedCommitment"
+
+# Directions each cell is checked in, keyed by dedupe_directions.
+CHECKED_DIRECTIONS = {False: DIRECTIONS, True: ("right", "down")}
 
 
 @dataclass(frozen=True)
@@ -167,18 +171,6 @@ def setup(puzzle: Puzzle, prover: ProverInput) -> Board:
     return Board(puzzle=puzzle, k=k, cell_seq=cell_seq)
 
 
-def _single_heart(faces: tuple, matrix_id: str, row: int) -> int:
-    """1-based heart position, or raise when the count is not exactly one."""
-    count = faces.count(HEART)
-    if count != 1:
-        raise MalformedCommitmentError(
-            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {count}",
-            matrix_id=matrix_id,
-            row=row,
-        )
-    return faces.index(HEART) + 1
-
-
 def _uniqueness_on_matrix(
     matrix: Matrix,
     rng: RandomSource,
@@ -192,14 +184,11 @@ def _uniqueness_on_matrix(
     reference heart shows no heart below Row 2.
     """
     pile_shift_shuffle(matrix, rng, hidden)
-    transcript.mark(f"unique:{matrix.id}", "enter")
-    faces = matrix.reveal_row(2, transcript)
-    j = _single_heart(faces, matrix.id, 2)
-    segment = matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
-    ok = HEART not in segment
+    with transcript.span(f"unique:{matrix.id}"):
+        j = single_heart(matrix.reveal_row(2, transcript), matrix.id, 2)
+        ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
     if ok:
         matrix.flip_down()
-    transcript.mark(f"unique:{matrix.id}", "exit")
     return ok
 
 
@@ -242,7 +231,8 @@ def verify_distance_direction(
     on its cell, still face-down, and all auxiliary cards are retired.
     """
     try:
-        return _distance_direction(board, cell, direction, rng, transcript, audit)
+        with transcript.span(f"dist:{cell[0]},{cell[1]}:{direction}"):
+            return _distance_direction(board, cell, direction, rng, transcript, audit)
     except MalformedCommitmentError:
         return Verdict(False, MALFORMED_COMMITMENT, (cell, direction))
 
@@ -259,7 +249,6 @@ def _distance_direction(
     k = board.k
     hidden = audit.hidden if audit else None
     loc = (cell, direction)
-    transcript.mark(f"dist:{cell[0]},{cell[1]}:{direction}", "enter")
 
     # Gather the cell's sequence and its k neighbours that way, padding
     # with public all-club sequences where the grid ends.
@@ -292,8 +281,7 @@ def _distance_direction(
 
     # Steps 2-4: shuffle, find a0's heart, park its column at the right edge.
     pile_shift_shuffle(m, rng, hidden)
-    faces = m.reveal_row(2, transcript)
-    j1 = _single_heart(faces, "M", 2)
+    j1 = single_heart(m.reveal_row(2, transcript), m.id, 2)
     m.flip_down()
     m.shift(k - j1, transcript)
 
@@ -324,8 +312,7 @@ def _distance_direction(
 
     # Steps 8-9: shuffle, find the first neighbour's column.
     pile_shift_shuffle(m2, rng, hidden)
-    faces = m2.reveal_row(1, transcript)
-    j2 = _single_heart(faces, "M2", 1)
+    j2 = single_heart(m2.reveal_row(1, transcript), m2.id, 1)
     m2.flip_down()
 
     # Step 10: select the k consecutive piles starting there.
@@ -343,7 +330,6 @@ def _distance_direction(
     # none repeats its number.
     n = Matrix.from_rows("N", [m1.take_row(1), m1.take_row(2), *selected])
     if not _uniqueness_on_matrix(n, rng, transcript, hidden):
-        transcript.mark(f"dist:{cell[0]},{cell[1]}:{direction}", "exit")
         return Verdict(False, DISTANCE_HEART_FOUND, loc)
 
     # Step 12: realign, return a0 to its cell and the piles to the matrix.
@@ -355,8 +341,7 @@ def _distance_direction(
     # Steps 13-15: hide the seam again, then cut the appended columns off.
     if k > 1:
         pile_shift_shuffle(m2, rng, hidden)
-        faces = m2.reveal_row(2, transcript)
-        j3 = _single_heart(faces, "M2", 2)
+        j3 = single_heart(m2.reveal_row(2, transcript), m2.id, 2)
         m2.flip_down()
         m2.shift(k + 1 - j3, transcript)
         removed = m2.remove_columns(k + 1, 2 * k - 1)
@@ -376,7 +361,6 @@ def _distance_direction(
         audit.record("restore", cell, direction, before_values, after_values)
 
     board.aux_free(3 * k + pad_count * k)
-    transcript.mark(f"dist:{cell[0]},{cell[1]}:{direction}", "exit")
     return ACCEPT
 
 
@@ -393,16 +377,14 @@ def verify_distance_phase(
     ``dedupe_directions`` only right and down run, which still covers every
     pair once since the rule is symmetric.
     """
-    directions = ("right", "down") if dedupe_directions else DIRECTIONS
-    transcript.mark("distance_phase", "enter")
-    for cell in board.puzzle.cells:
-        for direction in directions:
-            verdict = verify_distance_direction(
-                board, cell, direction, rng, transcript, audit
-            )
-            if not verdict.accepted:
-                return verdict
-    transcript.mark("distance_phase", "exit")
+    with transcript.span("distance_phase"):
+        for cell in board.puzzle.cells:
+            for direction in CHECKED_DIRECTIONS[dedupe_directions]:
+                verdict = verify_distance_direction(
+                    board, cell, direction, rng, transcript, audit
+                )
+                if not verdict.accepted:
+                    return verdict
     return ACCEPT
 
 
@@ -420,16 +402,14 @@ def verify_room(
     """
     hidden = audit.hidden if audit else None
     cells = board.puzzle.room_cells[room]
-    transcript.mark(f"room:{room}", "enter")
-    matrix = Matrix(f"R:{room}", [board.cell_seq.pop(c) for c in cells])
-    pile_scramble_shuffle(matrix, rng, hidden)
-    revealed = matrix.reveal_all(transcript)
-    values = [decode(col) for col in revealed]
+    with transcript.span(f"room:{room}"):
+        matrix = Matrix(f"R:{room}", [board.cell_seq.pop(c) for c in cells])
+        pile_scramble_shuffle(matrix, rng, hidden)
+        values = [decode(col) for col in matrix.reveal_all(transcript)]
     if any(v is None for v in values):
         return Verdict(False, MALFORMED_COMMITMENT, room)
     if sorted(values) != list(range(1, len(cells) + 1)):
         return Verdict(False, ROOM_MULTISET_MISMATCH, room)
-    transcript.mark(f"room:{room}", "exit")
     return ACCEPT
 
 
@@ -453,13 +433,11 @@ def run_protocol(
 
     verdict = verify_distance_phase(board, rng, transcript, audit, dedupe_directions)
     if verdict.accepted:
-        transcript.mark("room_phase", "enter")
-        for room in board.puzzle.room_cells:
-            verdict = verify_room(board, room, rng, transcript, audit)
-            if not verdict.accepted:
-                break
-        else:
-            transcript.mark("room_phase", "exit")
+        with transcript.span("room_phase"):
+            for room in board.puzzle.room_cells:
+                verdict = verify_room(board, room, rng, transcript, audit)
+                if not verdict.accepted:
+                    break
 
     transcript.verdict(verdict.outcome, verdict.reason, verdict.loc_text())
     return ProtocolResult(verdict, transcript, CardStats(grid_cards, board.aux_peak))

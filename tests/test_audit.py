@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
 from helpers import make_puzzle
+from ripple_zkp import audit
 from ripple_zkp.audit import (
     AuditError,
     FamilyCounts,
-    _uniformity_report,
+    _audit_report,
     chi2_sf,
     full_audit,
     gather_real_counts,
@@ -206,7 +209,7 @@ class TestSimulator:
 
     def test_simulated_heart_positions_uniform(self, sample7x7):
         counts = gather_simulated_counts(sample7x7, trials=1000, base_seed=0)
-        rep = _uniformity_report(counts, alpha=0.001)
+        rep = _audit_report(counts, None, 0.001, None)
         wide = {f.family.key: f for f in rep.families}["dist.j2"]
         assert wide.family.domain == 11
         assert wide.p_value > 0.001
@@ -306,6 +309,14 @@ class TestIndistinguishability:
         assert report.passed
 
 
+# repr(soundness_sweep(...)) on the 7x7 sample at RandomSource(5), one seed
+# per mutation; pinned before the sweep's pool code was shared with _gather.
+GOLDEN_SWEEP_7X7 = (
+    "SweepReport(mutations_tested=245, reject_expected=215, still_valid=30,"
+    " runs=245, false_accepts=(), missed_rejects=())"
+)
+
+
 class TestSoundnessSweep:
     def test_domino_sweep(self):
         puzzle = tiny_puzzle()
@@ -351,7 +362,7 @@ class TestSoundnessSweep:
             sample7x7, sample7x7_solution, RandomSource(5), seeds_per_mutation=1, workers=2
         )
         assert serial == parallel
-        assert serial.mutations_tested == 245
+        assert repr(serial) == GOLDEN_SWEEP_7X7
 
 
 class TestGathering:
@@ -405,3 +416,54 @@ class TestFullAudit:
         b = full_audit(puzzle, TINY_SOLUTION, trials=40, base_seed=1, workers=2)
         assert a.serialize() == b.serialize()
         assert a.serialize().startswith("audit_report trials=40")
+
+    def test_family_only_in_simulation_reported(self, monkeypatch):
+        gather = audit.gather_simulated_counts
+
+        def with_extra_family(*args, **kwargs):
+            counts = gather(*args, **kwargs)
+            counts._observe("room.z.c1", "room", 2, 1, {})
+            return counts
+
+        monkeypatch.setattr(audit, "gather_simulated_counts", with_extra_family)
+        report = full_audit(tiny_puzzle(), TINY_SOLUTION, trials=10, base_seed=0)
+        assert not report.passed
+        row = {fr.family.key: fr for fr in report.families}["room.z.c1"]
+        assert not row.passed
+        assert row.note == "family only in simulation"
+        assert "pass=no" in report.serialize().splitlines()[-1]
+
+
+# sha256 of AuditReport.serialize() for honest inputs: the domino at 40
+# trials and the 7x7 sample at 4, honest seeds from 1 and simulated seeds
+# right after them, as full_audit draws them.
+GOLDEN_REPORTS = {
+    ("7x7", "full"): "6e1a1add6f27ff7effe2c709de69baf9f144ff4736e9eabe3f097195d86269a2",
+    ("7x7", "indistinguishability"): "83c36bdc485614e7850d7759a3442f98a4d7fce5c8bd39076abce96de8e54442",
+    ("7x7", "uniformity"): "c03e0bd291ce6f8f17e23e305b743cfe12de7da410a94c089dafe62f365d952a",
+    ("domino", "full"): "f7a855a80d13223d55a26f25bc1ba3e18d021d7fa4bc7e39e142ff6bc6f12d33",
+    ("domino", "indistinguishability"): "d8d10498d60dcb9da1969c9eceee283db977969ddcfc8f1db65feff78c78ef12",
+    ("domino", "uniformity"): "a76b2aac3acf38c7a16a9da85a3e88d3ad6cf38d0ffbb9029b49bda322e22670",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize(("shape", "kind"), sorted(GOLDEN_REPORTS))
+    def test_serialize_digest(self, request, shape, kind):
+        if shape == "domino":
+            puzzle, solution, trials = tiny_puzzle(), TINY_SOLUTION, 40
+        else:
+            puzzle = request.getfixturevalue("sample7x7")
+            solution = request.getfixturevalue("sample7x7_solution")
+            trials = 4
+        if kind == "full":
+            report = full_audit(puzzle, solution, trials, base_seed=1)
+        elif kind == "uniformity":
+            report = uniformity_audit(real_transcripts(puzzle, solution, trials, 1))
+        else:
+            report = indistinguishability_audit(
+                real_transcripts(puzzle, solution, trials, 1),
+                sim_transcripts(puzzle, trials, 1 + trials),
+            )
+        digest = hashlib.sha256(report.serialize().encode()).hexdigest()
+        assert digest == GOLDEN_REPORTS[(shape, kind)]

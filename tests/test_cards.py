@@ -338,14 +338,14 @@ class TestInvariants:
 class TestTranscript:
     def test_serialization_schema(self):
         t = Transcript()
-        t.mark("demo", "enter")
-        m = Matrix.from_rows("X", [[C, H], [H, C]])
-        m.reveal_row(1, t)
-        m.flip_down()
-        m.shift(-1, t)
-        m.reveal_segment(2, 1, 2, t)
-        m.flip_down()
-        m.reveal_all(t)
+        with t.span("demo"):
+            m = Matrix.from_rows("X", [[C, H], [H, C]])
+            m.reveal_row(1, t)
+            m.flip_down()
+            m.shift(-1, t)
+            m.reveal_segment(2, 1, 2, t)
+            m.flip_down()
+            m.reveal_all(t)
         t.verdict("accept", None, None)
         assert t.serialize() == (
             "mark name=demo kind=enter\n"
@@ -353,6 +353,7 @@ class TestTranscript:
             "shift m=X offset=1\n"
             "reveal_segment m=X col=2 rows=1..2 faces=CH\n"
             "reveal_all m=X cols=HC|CH\n"
+            "mark name=demo kind=exit\n"
             "verdict outcome=accept reason=none loc=none\n"
         )
 
@@ -368,3 +369,10 @@ class TestTranscript:
 
     def test_empty_serialize(self):
         assert Transcript().serialize() == ""
+
+    @pytest.mark.parametrize("render", ["serialize", "skeleton"])
+    def test_unknown_event_rejected(self, render):
+        t = Transcript()
+        t.events.append(("bogus", "X"))
+        with pytest.raises(ValueError, match="unknown event 'bogus'"):
+            getattr(t, render)()

@@ -406,6 +406,11 @@ GOLDEN_7X7 = {
     (True, 3): "d3c6cd8f5fc4c87c3200ffc80f90cbc1c6ab905da48edca2e62407113ec05e69",
 }
 GOLDEN_K1 = "e8a668d3747a803634b8bceee80865a4c5b091bba4677d281547c0401561d88b"
+# sha256 of skeleton() for seed 0, plain and in dedupe mode.
+GOLDEN_SKELETON_7X7 = {
+    False: "beabc00060a822bb11ba46e83b577d579401ae5ad8aa3814af388204828b17eb",
+    True: "cd29510315a731a9aaf02564f56c045d58325ffbccd3e06ceef292efaf712e11",
+}
 
 
 def transcript_sha256(puzzle, solution, seed, dedupe=False):
@@ -421,6 +426,68 @@ class TestGoldenTranscripts:
         digest = transcript_sha256(sample7x7, sample7x7_solution, seed, dedupe)
         assert digest == GOLDEN_7X7[(dedupe, seed)]
 
+    @pytest.mark.parametrize("dedupe", sorted(GOLDEN_SKELETON_7X7))
+    def test_skeleton_sample7x7(self, sample7x7, sample7x7_solution, dedupe):
+        result = run_protocol(
+            sample7x7, ProverInput(sample7x7_solution), RandomSource(0), dedupe_directions=dedupe
+        )
+        digest = hashlib.sha256(result.transcript.skeleton().encode()).hexdigest()
+        assert digest == GOLDEN_SKELETON_7X7[dedupe]
+
     def test_single_cell_k1(self):
         puzzle = make_puzzle(["a"])
         assert transcript_sha256(puzzle, Assignment.from_rows([[1]]), 0) == GOLDEN_K1
+
+
+# sha256 over the reject transcripts of every single-cell mutation, seed 0,
+# with their mark lines dropped: whatever marks a reject path emits, every
+# other event and its order is pinned.
+GOLDEN_REJECTS = {
+    "domino": "840a9c14e6c21a2d3486e89b7090efd85d6e4533cdea1b9e59def1e16e1aefd5",
+    "7x7": "7e76fc10428272a3dda8bedbc7c234fad209822b4e99a794ecd2169d6b1b8488",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN_REJECTS))
+def mutation_runs(request):
+    """(name, [(verdict, transcript)]) for every single-cell mutation of a solution."""
+    if request.param == "domino":
+        puzzle = make_puzzle(["a a"])
+        solution = Assignment.from_rows([[1, 2]])
+    else:
+        puzzle = request.getfixturevalue("sample7x7")
+        solution = request.getfixturevalue("sample7x7_solution")
+    runs = []
+    for cell in puzzle.cells:
+        for value in range(1, max_room_size(puzzle) + 1):
+            if value != solution[cell]:
+                prover = ProverInput(solution.with_value(cell, value), honest=False)
+                verdict, transcript, _ = run_protocol(puzzle, prover, RandomSource(0))
+                runs.append((verdict, transcript))
+    return request.param, runs
+
+
+class TestRejectPaths:
+    def test_events_pinned(self, mutation_runs):
+        name, runs = mutation_runs
+        digest = hashlib.sha256()
+        for verdict, transcript in runs:
+            if not verdict.accepted:
+                lines = transcript.serialize().splitlines(keepends=True)
+                digest.update("".join(l for l in lines if not l.startswith("mark ")).encode())
+        assert digest.hexdigest() == GOLDEN_REJECTS[name]
+
+    def test_marks_balanced(self, mutation_runs):
+        _, runs = mutation_runs
+        rejects = [t for verdict, t in runs if not verdict.accepted]
+        assert rejects
+        unbalanced = []
+        for transcript in rejects:
+            open_spans = []
+            for ev in transcript.events:
+                if ev[0] == "mark" and ev[2] == "enter":
+                    open_spans.append(ev[1])
+                elif ev[0] == "mark" and (not open_spans or open_spans.pop() != ev[1]):
+                    unbalanced.append(ev[1])
+            unbalanced.extend(open_spans)
+        assert unbalanced == []

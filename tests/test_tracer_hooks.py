@@ -1,0 +1,42 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package names from outside.
+
+Renaming a name it patches, such as ``Matrix.rotate``, makes ``install``
+fail here rather than only in a traced benchmark run.
+"""
+import importlib.util
+from pathlib import Path
+
+from ripple_zkp import protocol
+from ripple_zkp.cards import RandomSource
+from ripple_zkp.protocol import ProverInput
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_proof_bytes_match_untraced(sample7x7, sample7x7_solution):
+    prover = ProverInput(sample7x7_solution)
+
+    def prove() -> str:
+        return protocol.run_protocol(sample7x7, prover, RandomSource(0)).transcript.serialize()
+
+    plain = prove()
+    original = protocol.run_protocol
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        traced = prove()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert protocol.run_protocol is original
+    assert tracer.calls("protocol.run") == 1
+    assert tracer.calls("protocol.distance_direction") == 196
+    assert tracer.calls("cards.matrix_moves") > 0
+    assert tracer.calls("cards.serialize") == 1
