@@ -40,6 +40,10 @@ class AuditError(Exception):
 # gate the verdict; only structural failures (skeleton drift, a heart in an
 # accept-path segment, a missing family) can fail an under-powered audit.
 UNDERPOWERED_TRIALS = 1000
+# A gated family fails below this chi-squared p-value against uniform, or
+# above this total variation distance from the simulator.
+ALPHA = 0.001
+MAX_TVD = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,18 @@ def _num(v: float | None) -> str:
     return "na" if v is None else f"{v:.6g}"
 
 
-_REARR_KEYS = {"M1": "dist.rearr_m1", "N": "dist.rearr_n", "M2": "dist.rearr_m2"}
+# (open rearr:/unique: step or None, matrix id, revealed row) -> family key
+# for every distance-check reveal; a segment reveal has row None.
+_FAMILY_OF_STEP = {
+    (None, "M", 2): "dist.j1",
+    ("rearr:M1", "M1", 1): "dist.rearr_m1",
+    (None, "M2", 1): "dist.j2",
+    ("unique:N", "N", 2): "dist.unique_s0",
+    ("unique:N", "N", None): "dist.unique_seg",
+    ("rearr:N", "N", 1): "dist.rearr_n",
+    (None, "M2", 2): "dist.j3",
+    ("rearr:M2", "M2", 1): "dist.rearr_m2",
+}
 
 
 class FamilyCounts:
@@ -103,56 +118,39 @@ class FamilyCounts:
     def __init__(self):
         self.trials = 0
         self.counts: dict[str, Counter] = {}
-        self.widths: dict[str, int] = {}
-        self.kinds: dict[str, str] = {}
+        self.shapes: dict[str, tuple[str, int]] = {}  # family key -> (kind, width)
         self.per_transcript: dict[str, int] | None = None
         self.first_skeleton: str | None = None
 
     def families(self) -> list[RevealFamily]:
-        out = []
-        for key in self.counts:
-            kind = self.kinds[key]
-            domain = 1 if kind == "segment" else self.widths[key]
-            out.append(RevealFamily(key, kind, domain))
-        return out
+        return [
+            RevealFamily(key, kind, 1 if kind == "segment" else width)
+            for key, (kind, width) in self.shapes.items()
+        ]
 
     def add(self, transcript: Transcript) -> None:
         seen: dict[str, int] = {}
-        rearr_of: str | None = None
-        unique_of: str | None = None
+        step: str | None = None
         for ev in transcript.events:
             tag = ev[0]
             if tag == "mark":
-                name, kind = ev[1], ev[2]
-                if name.startswith("rearr:"):
-                    rearr_of = name[6:] if kind == "enter" else None
-                elif name.startswith("unique:"):
-                    unique_of = name[7:] if kind == "enter" else None
+                if ev[1].startswith(("rearr:", "unique:")):
+                    step = ev[1] if ev[2] == "enter" else None
                 continue
             if tag == "shift" or tag == "verdict":
                 continue
             if tag == "reveal_row":
                 mid, row, faces = ev[1], ev[2], ev[3]
-                if rearr_of == mid:
-                    key = _REARR_KEYS.get(mid, f"rearr.{mid}")
-                elif unique_of == mid:
-                    key = "dist.unique_s0" if mid == "N" else f"unique.{mid}.s0"
-                elif mid == "M" and row == 2:
-                    key = "dist.j1"
-                elif mid == "M2" and row == 1:
-                    key = "dist.j2"
-                elif mid == "M2" and row == 2:
-                    key = "dist.j3"
-                else:
+                key = _FAMILY_OF_STEP.get((step, mid, row))
+                if key is None:
                     raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
                 if faces.count(HEART) != 1:
                     raise AuditError(f"family {key}: reveal without a single heart")
                 self._observe(key, "heart", len(faces), faces.index(HEART) + 1, seen)
             elif tag == "reveal_segment":
-                mid = ev[1]
-                if unique_of != mid:
-                    raise AuditError(f"segment reveal outside uniqueness: m={mid}")
-                key = "dist.unique_seg" if mid == "N" else f"unique.{mid}.seg"
+                key = _FAMILY_OF_STEP.get((step, ev[1], None))
+                if key is None:
+                    raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
                 faces = ev[5]
                 self._observe(key, "segment", len(faces), faces.count(HEART), seen)
             elif tag == "reveal_all":
@@ -181,10 +179,9 @@ class FamilyCounts:
         counter = self.counts.get(key)
         if counter is None:
             self.counts[key] = counter = Counter()
-            self.widths[key] = width
-            self.kinds[key] = kind
-        elif self.widths[key] != width:
-            raise AuditError(f"family {key}: width changed {self.widths[key]} -> {width}")
+            self.shapes[key] = (kind, width)
+        elif self.shapes[key][1] != width:
+            raise AuditError(f"family {key}: width changed {self.shapes[key][1]} -> {width}")
         counter[obs] += 1
         seen[key] = seen.get(key, 0) + 1
 
@@ -238,26 +235,24 @@ def _tvd(a: Counter, na: int, b: Counter, nb: int) -> float:
     return 0.5 * sum(abs(a.get(k, 0) / na - b.get(k, 0) / nb) for k in keys)
 
 
-def uniformity_audit(transcripts, alpha: float = 0.001) -> AuditReport:
+def uniformity_audit(transcripts) -> AuditReport:
     """Chi-squared uniformity of every reveal family across honest transcripts.
 
-    Passes when every family's p-value is at least ``alpha``; segment
+    Passes when every family's p-value is at least ``ALPHA``; segment
     families instead require that no heart ever appeared. Fewer than 1,000
     transcripts yields an under-powered warning rather than a failure.
     """
     counts = FamilyCounts()
     for t in transcripts:
         counts.add(t)
-    return _audit_report(counts, None, alpha, None)
+    return _audit_report(counts, None, uniformity=True)
 
 
-def indistinguishability_audit(
-    real, simulated, max_tvd: float = 0.05
-) -> AuditReport:
+def indistinguishability_audit(real, simulated) -> AuditReport:
     """Real-versus-simulated comparison per reveal family.
 
     Checks byte-identical event skeletons and a total variation distance of
-    at most ``max_tvd`` between the empirical reveal distributions.
+    at most ``MAX_TVD`` between the empirical reveal distributions.
     """
     real_counts = FamilyCounts()
     for t in real:
@@ -265,20 +260,15 @@ def indistinguishability_audit(
     sim_counts = FamilyCounts()
     for t in simulated:
         sim_counts.add(t)
-    return _audit_report(real_counts, sim_counts, None, max_tvd)
+    return _audit_report(real_counts, sim_counts, uniformity=False)
 
 
-def _audit_report(
-    real: FamilyCounts,
-    sim: FamilyCounts | None,
-    alpha: float | None,
-    max_tvd: float | None,
-) -> AuditReport:
+def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool) -> AuditReport:
     """Per-family report over the honest counts ``real``.
 
-    Runs chi-squared uniformity when ``alpha`` is given and the TVD against
-    ``sim`` when that is given. A family passes when every check run on it
-    passes; a family seen only in ``sim`` fails.
+    Runs chi-squared uniformity when ``uniformity`` is set and the TVD
+    against ``sim`` when that is given. A family passes when every check
+    run on it passes; a family seen only in ``sim`` fails.
     """
     gated = real.trials >= UNDERPOWERED_TRIALS
     warnings = []
@@ -298,7 +288,7 @@ def _audit_report(
         n = sum(counter.values())
         stat = p = tvd = None
         ok, note = True, ""
-        if alpha is not None:
+        if uniformity:
             if family.kind == "segment":
                 ok = set(counter) <= {0}
                 note = "" if ok else "heart seen in accept-path segment"
@@ -307,26 +297,24 @@ def _audit_report(
                 if p is None:
                     note = "degenerate domain"
                 elif gated:
-                    ok = p >= alpha
+                    ok = p >= ALPHA
                 else:
                     note = "not gated: under-powered"
         if sim is not None:
             b = sim.counts.get(family.key, Counter())
             nb = sum(b.values())
-            if n == 0 and nb == 0:
-                tvd, tvd_note = 0.0, "empty family"
-            elif nb == 0:
+            if nb == 0:
                 tvd, tvd_note = 1.0, "family missing from simulation"
                 ok = False
             else:
                 tvd = _tvd(counter, n, b, nb)
                 tvd_note = "" if gated else "not gated: under-powered"
-                ok = ok and (tvd <= max_tvd or not gated)
+                ok = ok and (tvd <= MAX_TVD or not gated)
             note = note or tvd_note
         results.append(FamilyResult(family, n, stat, p, tvd, ok, note))
     if sim is not None:
         for key in sorted(set(sim.counts) - set(real.counts)):
-            fam = RevealFamily(key, sim.kinds[key], 0)
+            fam = RevealFamily(key, sim.shapes[key][0], 0)
             results.append(
                 FamilyResult(fam, 0, None, None, 1.0, False, note="family only in simulation")
             )
@@ -541,8 +529,6 @@ def full_audit(
     solution: Assignment,
     trials: int,
     base_seed: int,
-    alpha: float = 0.001,
-    max_tvd: float = 0.05,
     dedupe_directions: bool = False,
     workers: int | None = None,
 ) -> AuditReport:
@@ -555,4 +541,4 @@ def full_audit(
     """
     real = gather_real_counts(puzzle, solution, trials, base_seed, dedupe_directions, workers)
     sim = gather_simulated_counts(puzzle, trials, base_seed + trials, dedupe_directions, workers)
-    return _audit_report(real, sim, alpha, max_tvd)
+    return _audit_report(real, sim, uniformity=True)

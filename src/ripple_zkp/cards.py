@@ -5,7 +5,7 @@ y face-down cards, all clubs except a heart at position x (no heart for 0).
 Matrices of face-down piles support the two trusted shuffles (secret cyclic
 shift / secret full permutation of columns), deterministic public shifts,
 and reveal operations. Every verifier-observable action is appended to a
-Transcript; hidden shuffle draws go only to an optional HiddenLog so tests
+Transcript; hidden shuffle draws go only to an optional AuditTrail so tests
 can check secrecy on one side and correctness on the other.
 
 Transcript serialization is line-delimited text, one event per line, with a
@@ -33,11 +33,6 @@ Sequence = list[int]
 
 class MalformedCommitmentError(Exception):
     """A reveal exposed an impossible encoding (zero or several hearts)."""
-
-    def __init__(self, message: str, matrix_id: str | None = None, row: int | None = None):
-        super().__init__(message)
-        self.matrix_id = matrix_id
-        self.row = row
 
 
 def encode(x: int, y: int) -> Sequence:
@@ -68,7 +63,6 @@ class RandomSource:
     """Seedable uniform randomness driving the trusted shuffles."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def offset(self, n: int) -> int:
@@ -82,14 +76,25 @@ class RandomSource:
         return perm
 
 
-class HiddenLog:
-    """Private record of secret shuffle draws; never part of a Transcript."""
+class AuditTrail:
+    """Private instrumentation: hidden draws plus mid-protocol snapshots.
+
+    Never part of a Transcript. The shuffles record their secret draws as
+    ``pile_shift``/``pile_scramble`` records; the protocol adds snapshots
+    that let tests assert what the transcript must hide: that the column
+    reaching the rightmost slot really is the x-th neighbour, that the
+    selected sequences are exactly the first x neighbours plus blanks, and
+    that every sequence returns to its cell unchanged.
+    """
 
     def __init__(self):
-        self.entries: list[tuple] = []
+        self.records: list[tuple] = []
 
-    def record(self, *entry) -> None:
-        self.entries.append(entry)
+    def record(self, kind: str, *data) -> None:
+        self.records.append((kind, *data))
+
+    def of_kind(self, kind: str) -> list[tuple]:
+        return [rec for rec in self.records if rec[0] == kind]
 
 
 def _verdict_line(ev) -> str:
@@ -304,16 +309,16 @@ class Matrix:
         return tuple(tuple(col) for col in self.cols)
 
 
-def pile_shift_shuffle(matrix: Matrix, rng: RandomSource, hidden: HiddenLog | None = None) -> None:
+def pile_shift_shuffle(matrix: Matrix, rng: RandomSource, audit: AuditTrail | None = None) -> None:
     """Secretly rotate all columns by a uniform random amount."""
     matrix._require_face_down()
     r = rng.offset(matrix.n_cols)
-    if hidden is not None:
-        hidden.record("pile_shift", matrix.id, r)
+    if audit is not None:
+        audit.record("pile_shift", matrix.id, r)
     matrix.rotate(r)
 
 
-def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource, hidden: HiddenLog | None = None) -> None:
+def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource, audit: AuditTrail | None = None) -> None:
     """Secretly reorder all columns by a uniform random permutation.
 
     The drawn permutation lists the old column index now sitting at each
@@ -321,8 +326,8 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource, hidden: HiddenLog |
     """
     matrix._require_face_down()
     perm = rng.permutation(matrix.n_cols)
-    if hidden is not None:
-        hidden.record("pile_scramble", matrix.id, tuple(perm))
+    if audit is not None:
+        audit.record("pile_scramble", matrix.id, tuple(perm))
     matrix.cols = [matrix.cols[i] for i in perm]
 
 
@@ -331,9 +336,7 @@ def single_heart(faces: tuple, matrix_id: str, row: int) -> int:
     count = faces.count(HEART)
     if count != 1:
         raise MalformedCommitmentError(
-            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {count}",
-            matrix_id=matrix_id,
-            row=row,
+            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {count}"
         )
     return faces.index(HEART) + 1
 
@@ -342,7 +345,7 @@ def rearrangement(
     matrix: Matrix,
     rng: RandomSource,
     transcript: Transcript,
-    hidden: HiddenLog | None = None,
+    audit: AuditTrail | None = None,
 ) -> None:
     """Realign columns so the Row 1 heart returns to Column 1.
 
@@ -350,7 +353,7 @@ def rearrangement(
     about where the columns originally stood.
     """
     with transcript.span(f"rearr:{matrix.id}"):
-        pile_shift_shuffle(matrix, rng, hidden)
+        pile_shift_shuffle(matrix, rng, audit)
         j = single_heart(matrix.reveal_row(1, transcript), matrix.id, 1)
         matrix.flip_down()
         matrix.shift(-(j - 1), transcript)

@@ -86,13 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PuzzleFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PuzzleFormatError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

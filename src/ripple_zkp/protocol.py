@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .cards import (
     CLUB,
     HEART,
-    HiddenLog,
+    AuditTrail,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
@@ -120,26 +120,6 @@ class Board:
         self.aux_live -= n
 
 
-class AuditTrail:
-    """Private instrumentation: hidden draws plus mid-protocol snapshots.
-
-    Lets tests assert what the transcript must hide: that the column
-    reaching the rightmost slot really is the x-th neighbour, that the
-    selected sequences are exactly the first x neighbours plus blanks, and
-    that every sequence returns to its cell unchanged.
-    """
-
-    def __init__(self):
-        self.hidden = HiddenLog()
-        self.records: list[tuple] = []
-
-    def record(self, kind: str, *data) -> None:
-        self.records.append((kind, *data))
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        return [rec for rec in self.records if rec[0] == kind]
-
-
 class ProtocolResult(NamedTuple):
     verdict: Verdict
     transcript: Transcript
@@ -163,9 +143,7 @@ def setup(puzzle: Puzzle, prover: ProverInput) -> Board:
             value = prover.assignment[cell]
         if not 0 <= value <= k:
             raise MalformedCommitmentError(
-                f"value {value} at cell {cell} cannot be encoded with {k} cards",
-                matrix_id=None,
-                row=None,
+                f"value {value} at cell {cell} cannot be encoded with {k} cards"
             )
         cell_seq[cell] = encode(value, k)
     return Board(puzzle=puzzle, k=k, cell_seq=cell_seq)
@@ -175,7 +153,7 @@ def _uniqueness_on_matrix(
     matrix: Matrix,
     rng: RandomSource,
     transcript: Transcript,
-    hidden: HiddenLog | None,
+    audit: AuditTrail | None,
 ) -> bool:
     """Steps 2-5 of the uniqueness subprotocol on an already-built matrix.
 
@@ -183,7 +161,7 @@ def _uniqueness_on_matrix(
     that must not repeat its number. Returns True when the column under the
     reference heart shows no heart below Row 2.
     """
-    pile_shift_shuffle(matrix, rng, hidden)
+    pile_shift_shuffle(matrix, rng, audit)
     with transcript.span(f"unique:{matrix.id}"):
         j = single_heart(matrix.reveal_row(2, transcript), matrix.id, 2)
         ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
@@ -206,10 +184,9 @@ def uniqueness_verify(
     is left shuffled; inside the main protocol the caller realigns it.
     """
     b = len(s0)
-    hidden = audit.hidden if audit else None
     matrix = Matrix.from_rows("U", [encode(1, b), list(s0), *[list(s) for s in others]])
     try:
-        ok = _uniqueness_on_matrix(matrix, rng, transcript, hidden)
+        ok = _uniqueness_on_matrix(matrix, rng, transcript, audit)
     except MalformedCommitmentError:
         return Verdict(False, MALFORMED_COMMITMENT)
     if not ok:
@@ -247,7 +224,6 @@ def _distance_direction(
 ) -> Verdict:
     puzzle = board.puzzle
     k = board.k
-    hidden = audit.hidden if audit else None
     loc = (cell, direction)
 
     # Gather the cell's sequence and its k neighbours that way, padding
@@ -280,7 +256,7 @@ def _distance_direction(
     )
 
     # Steps 2-4: shuffle, find a0's heart, park its column at the right edge.
-    pile_shift_shuffle(m, rng, hidden)
+    pile_shift_shuffle(m, rng, audit)
     j1 = single_heart(m.reveal_row(2, transcript), m.id, 2)
     m.flip_down()
     m.shift(k - j1, transcript)
@@ -298,7 +274,7 @@ def _distance_direction(
 
     # Steps 5-6: split off the top two rows and realign them on their own.
     m1, m2 = m.split_rows(2, "M1", "M2")
-    rearrangement(m1, rng, transcript, hidden)
+    rearrangement(m1, rng, transcript, audit)
 
     # Step 7: append k-1 blank columns behind a fresh indicator pair.
     if k > 1:
@@ -311,7 +287,7 @@ def _distance_direction(
         appended = []
 
     # Steps 8-9: shuffle, find the first neighbour's column.
-    pile_shift_shuffle(m2, rng, hidden)
+    pile_shift_shuffle(m2, rng, audit)
     j2 = single_heart(m2.reveal_row(1, transcript), m2.id, 1)
     m2.flip_down()
 
@@ -329,18 +305,18 @@ def _distance_direction(
     # Steps 10-11: stack them under the cell's own sequence and check
     # none repeats its number.
     n = Matrix.from_rows("N", [m1.take_row(1), m1.take_row(2), *selected])
-    if not _uniqueness_on_matrix(n, rng, transcript, hidden):
+    if not _uniqueness_on_matrix(n, rng, transcript, audit):
         return Verdict(False, DISTANCE_HEART_FOUND, loc)
 
     # Step 12: realign, return a0 to its cell and the piles to the matrix.
-    rearrangement(n, rng, transcript, hidden)
+    rearrangement(n, rng, transcript, audit)
     board.cell_seq[cell] = n.take_row(2)
     for idx, c in enumerate(s_col):
         m2.put_segment(c, 3, n.take_row(3 + idx))
 
     # Steps 13-15: hide the seam again, then cut the appended columns off.
     if k > 1:
-        pile_shift_shuffle(m2, rng, hidden)
+        pile_shift_shuffle(m2, rng, audit)
         j3 = single_heart(m2.reveal_row(2, transcript), m2.id, 2)
         m2.flip_down()
         m2.shift(k + 1 - j3, transcript)
@@ -350,7 +326,7 @@ def _distance_direction(
             audit.record("removed_block", cell, direction, appended, removed)
 
     # Step 16: realign and put every neighbour back where it came from.
-    rearrangement(m2, rng, transcript, hidden)
+    rearrangement(m2, rng, transcript, audit)
     for i, ncell in enumerate(grid_cells):
         board.cell_seq[ncell] = m2.cols[i][2:]
 
@@ -400,11 +376,10 @@ def verify_room(
     The revealed cards are consumed: the room phase ends the protocol, so
     nothing returns to the grid.
     """
-    hidden = audit.hidden if audit else None
     cells = board.puzzle.room_cells[room]
     with transcript.span(f"room:{room}"):
         matrix = Matrix(f"R:{room}", [board.cell_seq.pop(c) for c in cells])
-        pile_scramble_shuffle(matrix, rng, hidden)
+        pile_scramble_shuffle(matrix, rng, audit)
         values = [decode(col) for col in matrix.reveal_all(transcript)]
     if any(v is None for v in values):
         return Verdict(False, MALFORMED_COMMITMENT, room)

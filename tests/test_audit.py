@@ -209,7 +209,7 @@ class TestSimulator:
 
     def test_simulated_heart_positions_uniform(self, sample7x7):
         counts = gather_simulated_counts(sample7x7, trials=1000, base_seed=0)
-        rep = _audit_report(counts, None, 0.001, None)
+        rep = _audit_report(counts, None, uniformity=True)
         wide = {f.family.key: f for f in rep.families}["dist.j2"]
         assert wide.family.domain == 11
         assert wide.p_value > 0.001
@@ -256,6 +256,85 @@ class TestUniformityAudit:
         t.events.append(("reveal_row", "Z", 9, (HEART,)))
         with pytest.raises(AuditError, match="unclassifiable"):
             uniformity_audit([t])
+
+
+def doctored(*event_lists):
+    """One Transcript per list of raw events."""
+    out = []
+    for events in event_lists:
+        t = Transcript()
+        t.events = list(events)
+        out.append(t)
+    return out
+
+
+H2 = (HEART, 0)  # a width-2 row with its heart in position 1
+
+# (events per transcript, AuditError message) for every schema guard in
+# FamilyCounts.add and FamilyCounts._observe.
+SCHEMA_GUARDS = {
+    "two_hearts": ([[("reveal_row", "M", 2, (HEART, HEART))]], "without a single heart"),
+    "segment_outside_unique": (
+        [[("reveal_segment", "N", 1, 3, 4, (0, 0))]],
+        "segment reveal outside uniqueness",
+    ),
+    "reveal_all_not_room": ([[("reveal_all", "M", ((HEART,),))]], "outside room phase"),
+    "room_not_permutation": ([[("reveal_all", "R:a", (H2, H2))]], "not a permutation"),
+    "unknown_tag": ([[("peek", "M")]], "unknown event type"),
+    "count_drift": (
+        [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, H2)] * 2],
+        "skeleton drifted",
+    ),
+    "width_change": (
+        [[("reveal_row", "M", 2, H2), ("reveal_row", "M", 2, (HEART, 0, 0))]],
+        "width changed",
+    ),
+    "other_matrix_in_rearr": (
+        [[("mark", "rearr:N", "enter"), ("reveal_row", "M1", 1, H2)]],
+        "unclassifiable",
+    ),
+    "rearr_of_unknown_matrix": (
+        [[("mark", "rearr:X", "enter"), ("reveal_row", "X", 1, H2), ("mark", "rearr:X", "exit")]],
+        "unclassifiable",
+    ),
+}
+
+
+class TestSchemaGuards:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_GUARDS))
+    def test_guard_raises(self, case):
+        event_lists, message = SCHEMA_GUARDS[case]
+        counts = FamilyCounts()
+        with pytest.raises(AuditError, match=message):
+            for t in doctored(*event_lists):
+                counts.add(t)
+
+    @pytest.mark.parametrize(
+        ("sim_trials", "sim_edit", "expected", "passed"),
+        [
+            (2, lambda events: events, "warning trial counts differ: 3 real vs 2 simulated", True),
+            (
+                3,
+                lambda events: [ev for ev in events if ev[0] != "reveal_all"],
+                "note=family missing from simulation",
+                False,
+            ),
+            (
+                3,
+                lambda events: [*events, ("mark", "extra", "exit")],
+                "warning skeleton length mismatch: real=",
+                False,
+            ),
+        ],
+        ids=["trial_counts", "missing_family", "skeleton_length"],
+    )
+    def test_report_notes(self, sim_trials, sim_edit, expected, passed):
+        puzzle = tiny_puzzle()
+        real = real_transcripts(puzzle, TINY_SOLUTION, 3)
+        sim = doctored(*(sim_edit(t.events) for t in sim_transcripts(puzzle, sim_trials, 100)))
+        report = indistinguishability_audit(real, sim)
+        assert expected in report.serialize()
+        assert report.passed is passed
 
 
 class TestIndistinguishability:

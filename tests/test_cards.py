@@ -8,7 +8,7 @@ from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     CLUB,
     HEART,
-    HiddenLog,
+    AuditTrail,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
@@ -72,9 +72,9 @@ class TestEncoding:
         assert decode(encode(x, y)) == x
 
 
-def labeled_matrix(rows: int, cols: int, matrix_id="X") -> Matrix:
+def labeled_matrix(rows: int, cols: int) -> Matrix:
     # Column j carries the label j in every row; lets snapshots trace moves.
-    return Matrix(matrix_id, [[j + 1] * rows for j in range(cols)])
+    return Matrix("X", [[j + 1] * rows for j in range(cols)])
 
 
 def column_labels(m: Matrix) -> list[int]:
@@ -126,9 +126,9 @@ class TestShuffles:
     def test_hidden_draws_logged_privately(self):
         m = labeled_matrix(2, 4)
         t = Transcript()
-        log = HiddenLog()
-        pile_shift_shuffle(m, StubRng(offsets=[3]), log)
-        assert log.entries == [("pile_shift", "X", 3)]
+        audit = AuditTrail()
+        pile_shift_shuffle(m, StubRng(offsets=[3]), audit)
+        assert audit.records == [("pile_shift", "X", 3)]
         assert t.events == []  # nothing observable happened
 
     def test_shuffle_requires_face_down(self):

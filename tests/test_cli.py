@@ -268,3 +268,43 @@ def test_solve_long_grid(tmp_path):
     assert cli.main(["solve", "--puzzle", path, "--out", str(out)]) == 0
     puzzle = parse_puzzle(Path(path).read_text())
     assert validate(puzzle, parse_solution(out.read_text(), puzzle)) == []
+
+
+
+# Each command with "{bad}" where a bad input path goes, and a good text
+# for that slot; only the commands that write a file take --out.
+COMMANDS = {
+    "solve": (["solve", "--puzzle", "{bad}"], TINY),
+    "validate": (["validate", "--puzzle", "{tiny}", "--solution", "{bad}"], "1 2\n"),
+    "prove": (["prove", "--puzzle", "{tiny}", "--solution", "{bad}"], "1 2\n"),
+    "audit": (["audit", "--puzzle", "{bad}", "--trials", "2"], TINY),
+    "count": (["count", "--puzzle", "{bad}"], TINY),
+}
+BAD_INPUTS = [
+    (command, bad)
+    for command in COMMANDS
+    for bad in ("non_utf8", "directory", "missing", "unwritable_out")
+    if bad != "unwritable_out" or command in ("solve", "prove", "audit")
+]
+
+
+@pytest.mark.parametrize(("command", "bad"), BAD_INPUTS)
+def test_bad_input_exits_2_without_traceback(tmp_path, command, bad):
+    template, good = COMMANDS[command]
+    paths = {
+        "non_utf8": tmp_path / "bytes.txt",
+        "directory": tmp_path,
+        "missing": tmp_path / "missing.txt",
+        "unwritable_out": write(tmp_path, "good.txt", good),
+    }
+    paths["non_utf8"].write_bytes(b"\xff\xfe1 1")
+    tiny = write(tmp_path, "tiny.txt", TINY)
+    argv = [arg.format(bad=paths[bad], tiny=tiny) for arg in template]
+    if bad == "unwritable_out":
+        argv += ["--out", str(tmp_path / "no_such_dir" / "out.txt")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ripple_zkp.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -189,7 +189,7 @@ class TestDistanceDirection:
         assert restore and all(rec[3] == rec[4] for rec in restore)
         removed = audit.of_kind("removed_block")
         assert removed and all(rec[3] == rec[4] for rec in removed)
-        assert audit.hidden.entries  # shuffle draws stay out of transcripts
+        assert audit.of_kind("pile_shift")  # shuffle draws stay out of transcripts
 
 
 class TestDistancePhase:

@@ -59,20 +59,34 @@ class TestParse:
         assert puzzle.fixed == {(1, 2): 2}
 
     def test_ragged_grid_rejected(self):
-        with pytest.raises(PuzzleFormatError, match="ragged"):
-            parse_puzzle("2 2\na a\na\n. .\n. .\n")
+        for text, message in (
+            ("2 2\na a\na\n. .\n. .\n", "room labels, got 1 \\(ragged"),
+            ("2 2\na a\na a\n. .\n.\n", "value tokens, got 1 \\(ragged"),
+        ):
+            with pytest.raises(PuzzleFormatError, match=message):
+                parse_puzzle(text)
 
     def test_fixed_value_beyond_room_size_rejected(self):
         with pytest.raises(PuzzleFormatError, match="exceeds room size"):
             parse_puzzle("1 2\na a\n3 .\n")
 
     def test_fixed_value_not_positive_rejected(self):
-        with pytest.raises(PuzzleFormatError, match="positive"):
-            parse_puzzle("1 2\na a\n0 .\n")
+        for token, message in (("0", "positive"), ("x", "expected '.' or integer")):
+            with pytest.raises(PuzzleFormatError, match=message):
+                parse_puzzle(f"1 2\na a\n{token} .\n")
 
     def test_bad_header(self):
-        with pytest.raises(PuzzleFormatError):
-            parse_puzzle("seven seven\na\n.\n")
+        for text, message in (
+            ("seven seven\na\n.\n", "integers"),
+            ("", "empty"),
+            ("# only a comment\n", "empty"),
+            ("1\na\n.\n", "expected 'm n'"),
+            ("1 1 1\na\n.\n", "expected 'm n'"),
+            ("0 1\n", "positive"),
+            ("1 0\na\n.\n", "positive"),
+        ):
+            with pytest.raises(PuzzleFormatError, match=message):
+                parse_puzzle(text)
 
     def test_missing_lines(self):
         with pytest.raises(PuzzleFormatError, match="content lines"):
@@ -96,11 +110,15 @@ class TestParseSolution:
     def test_wrong_shape(self, sample7x7):
         with pytest.raises(PuzzleFormatError):
             parse_solution("1 2 3\n", sample7x7)
+        ragged = "1 1 1 1 1 1 1\n" * 6 + "1 1 1 1 1 1\n"
+        with pytest.raises(PuzzleFormatError, match="line 7: expected 7 values, got 6"):
+            parse_solution(ragged, sample7x7)
 
     def test_nonpositive_rejected(self, sample7x7):
-        bad = "\n".join("1 1 1 1 1 1 1" for _ in range(6)) + "\n0 1 1 1 1 1 1\n"
-        with pytest.raises(PuzzleFormatError, match="positive"):
-            parse_solution(bad, sample7x7)
+        for token, message in (("0", "positive"), ("x", "integers")):
+            bad = "\n".join("1 1 1 1 1 1 1" for _ in range(6)) + f"\n{token} 1 1 1 1 1 1\n"
+            with pytest.raises(PuzzleFormatError, match=message):
+                parse_solution(bad, sample7x7)
 
 
 class TestValidate:
