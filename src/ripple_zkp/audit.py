@@ -23,8 +23,10 @@ be a permutation of 1..size outright; anything else is schema drift.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from multiprocessing import get_context
 
 from .cards import HEART, RandomSource, Transcript, decode, encode
@@ -115,12 +117,14 @@ _FAMILY_OF_STEP = {
 class FamilyCounts:
     """Streaming per-family histograms over many transcripts."""
 
-    def __init__(self):
+    def __init__(self, transcripts=()):
         self.trials = 0
         self.counts: dict[str, Counter] = {}
         self.shapes: dict[str, tuple[str, int]] = {}  # family key -> (kind, width)
         self.per_transcript: dict[str, int] | None = None
         self.first_skeleton: str | None = None
+        for _ in map(self.add, transcripts):  # frees each transcript before the next is built
+            pass
 
     def families(self) -> list[RevealFamily]:
         return [
@@ -185,12 +189,13 @@ class FamilyCounts:
         counter[obs] += 1
         seen[key] = seen.get(key, 0) + 1
 
-    def merge(self, other: "FamilyCounts") -> None:
+    def merge(self, other: "FamilyCounts") -> "FamilyCounts":
         if other.per_transcript != self.per_transcript:
             raise AuditError("cannot merge counts with different skeletons")
         for key, counter in other.counts.items():
             self.counts[key].update(counter)
         self.trials += other.trials
+        return self
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -242,10 +247,7 @@ def uniformity_audit(transcripts) -> AuditReport:
     families instead require that no heart ever appeared. Fewer than 1,000
     transcripts yields an under-powered warning rather than a failure.
     """
-    counts = FamilyCounts()
-    for t in transcripts:
-        counts.add(t)
-    return _audit_report(counts, None, uniformity=True)
+    return _audit_report(FamilyCounts(transcripts), None, uniformity=True)
 
 
 def indistinguishability_audit(real, simulated) -> AuditReport:
@@ -254,13 +256,7 @@ def indistinguishability_audit(real, simulated) -> AuditReport:
     Checks byte-identical event skeletons and a total variation distance of
     at most ``MAX_TVD`` between the empirical reveal distributions.
     """
-    real_counts = FamilyCounts()
-    for t in real:
-        real_counts.add(t)
-    sim_counts = FamilyCounts()
-    for t in simulated:
-        sim_counts.add(t)
-    return _audit_report(real_counts, sim_counts, uniformity=False)
+    return _audit_report(FamilyCounts(real), FamilyCounts(simulated), uniformity=False)
 
 
 def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool) -> AuditReport:
@@ -411,56 +407,49 @@ def soundness_sweep(
     tampered with: their placement is public) still satisfies the rules is
     excluded from the reject expectation; every other mutation must be
     rejected on every seed tried.
+
+    ``false_accepts`` and ``missed_rejects`` list ``(cell, value, seed)`` by
+    cell in row-major order, then by value, then in seed draw order, so the
+    report is the same for every worker count.
     """
     if validate(puzzle, solution):
         raise ValueError("soundness sweep needs a valid solution as its base")
     k = max_room_size(puzzle)
-    jobs = []
-    for cell in puzzle.cells:
-        current = solution[cell]
-        for value in range(1, k + 1):
-            if value == current:
-                continue
-            seeds = tuple(rng.offset(2**32) for _ in range(seeds_per_mutation))
-            jobs.append((cell, value, seeds))
-
-    n = workers if workers and workers > 1 and len(jobs) > 1 else 1
-    parts = _pool_starmap(
-        _sweep_chunk, [(puzzle, solution, jobs[i::n]) for i in range(n)], n
+    jobs = [
+        (cell, value, tuple(rng.offset(2**32) for _ in range(seeds_per_mutation)))
+        for cell in puzzle.cells
+        for value in range(1, k + 1)
+        if value != solution[cell]
+    ]
+    parts = _fork_map(_sweep_chunk, (puzzle, solution), jobs, workers)
+    outcomes = sorted((o for part in parts for o in part), key=lambda o: o[:2])
+    runs = [
+        (due, (cell, value, seed), accepted)
+        for cell, value, due, verdicts in outcomes
+        for seed, accepted in verdicts
+    ]
+    false_accepts = tuple(run for due, run, accepted in runs if due and accepted)
+    missed = tuple(run for due, run, accepted in runs if not due and not accepted)
+    reject_expected = sum(due for _, _, due, _ in outcomes)
+    return SweepReport(
+        len(jobs), reject_expected, len(jobs) - reject_expected, len(runs), false_accepts, missed
     )
 
-    reject_expected = sum(p[0] for p in parts)
-    still_valid = sum(p[1] for p in parts)
-    runs = sum(p[2] for p in parts)
-    false_accepts = tuple(x for p in parts for x in p[3])
-    missed = tuple(x for p in parts for x in p[4])
-    return SweepReport(len(jobs), reject_expected, still_valid, runs, false_accepts, missed)
 
-
-def _sweep_chunk(puzzle: Puzzle, solution: Assignment, jobs):
-    reject_expected = 0
-    still_valid = 0
-    runs = 0
-    false_accepts = []
-    missed_rejects = []
-    fixed = puzzle.fixed
+def _sweep_chunk(puzzle: Puzzle, solution: Assignment, jobs) -> list[tuple]:
+    """(cell, value, reject due, ((seed, accepted), ...)) per mutation job."""
+    outcomes = []
     for cell, value, seeds in jobs:
         mutated = solution.with_value(cell, value)
-        effective = mutated if cell not in fixed else solution
-        expect_reject = bool(validate(puzzle, effective))
-        if expect_reject:
-            reject_expected += 1
-        else:
-            still_valid += 1
+        effective = mutated if cell not in puzzle.fixed else solution
+        reject_due = bool(validate(puzzle, effective))
         prover = ProverInput(mutated, honest=False)
-        for seed in seeds:
-            runs += 1
-            verdict, _, _ = run_protocol(puzzle, prover, RandomSource(seed))
-            if verdict.accepted and expect_reject:
-                false_accepts.append((cell, value, seed))
-            if not verdict.accepted and not expect_reject:
-                missed_rejects.append((cell, value, seed))
-    return reject_expected, still_valid, runs, false_accepts, missed_rejects
+        verdicts = tuple(
+            (seed, run_protocol(puzzle, prover, RandomSource(seed))[0].accepted)
+            for seed in seeds
+        )
+        outcomes.append((cell, value, reject_due, verdicts))
+    return outcomes
 
 
 def gather_real_counts(
@@ -472,7 +461,9 @@ def gather_real_counts(
     workers: int | None = None,
 ) -> FamilyCounts:
     """Family histograms over ``trials`` honest protocol runs (streaming)."""
-    return _gather(puzzle, solution, trials, base_seed, dedupe_directions, workers, real=True)
+    seeds = range(base_seed, base_seed + trials)
+    parts = _fork_map(_honest_counts, (puzzle, solution, dedupe_directions), seeds, workers)
+    return reduce(FamilyCounts.merge, parts)
 
 
 def gather_simulated_counts(
@@ -483,45 +474,41 @@ def gather_simulated_counts(
     workers: int | None = None,
 ) -> FamilyCounts:
     """Family histograms over ``trials`` simulator transcripts (streaming)."""
-    return _gather(puzzle, None, trials, base_seed, dedupe_directions, workers, real=False)
+    seeds = range(base_seed, base_seed + trials)
+    parts = _fork_map(_simulated_counts, (puzzle, dedupe_directions), seeds, workers)
+    return reduce(FamilyCounts.merge, parts)
 
 
-def _gather(puzzle, solution, trials, base_seed, dedupe, workers, real):
-    n = workers if workers and workers > 1 and trials >= 2 * workers else 1
-    bounds = [
-        (base_seed + (trials * w) // n, base_seed + (trials * (w + 1)) // n) for w in range(n)
-    ]
-    counts, *rest = _pool_starmap(
-        _gather_chunk, [(puzzle, solution, lo, hi, dedupe, real) for lo, hi in bounds], n
-    )
-    for part in rest:
-        counts.merge(part)
-    return counts
+def _honest_counts(puzzle: Puzzle, solution: Assignment, dedupe: bool, seeds) -> FamilyCounts:
+    prover = ProverInput(solution)
+    return FamilyCounts(_honest_run(puzzle, prover, dedupe, seed) for seed in seeds)
 
 
-def _pool_starmap(fn, chunks, workers):
-    """[fn(*chunk) for chunk in chunks], in order; on fork workers when there are several."""
-    if len(chunks) == 1:
-        return [fn(*chunks[0])]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.starmap(fn, chunks)
+def _honest_run(puzzle: Puzzle, prover: ProverInput, dedupe: bool, seed: int) -> Transcript:
+    verdict, transcript, _ = run_protocol(puzzle, prover, RandomSource(seed), dedupe)
+    if not verdict.accepted:
+        raise AuditError(f"honest run rejected at seed {seed}: {verdict.reason}")
+    return transcript
 
 
-def _gather_chunk(puzzle, solution, seed_lo, seed_hi, dedupe, real):
-    counts = FamilyCounts()
-    if real:
-        prover = ProverInput(solution)
-        for seed in range(seed_lo, seed_hi):
-            verdict, transcript, _ = run_protocol(
-                puzzle, prover, RandomSource(seed), dedupe_directions=dedupe
-            )
-            if not verdict.accepted:
-                raise AuditError(f"honest run rejected at seed {seed}: {verdict.reason}")
-            counts.add(transcript)
-    else:
-        for seed in range(seed_lo, seed_hi):
-            counts.add(simulate_transcript(puzzle, RandomSource(seed), dedupe))
-    return counts
+def _simulated_counts(puzzle: Puzzle, dedupe: bool, seeds) -> FamilyCounts:
+    return FamilyCounts(simulate_transcript(puzzle, RandomSource(seed), dedupe) for seed in seeds)
+
+
+def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
+    """``chunk_fn(*args, chunk)`` per chunk, in chunk order; chunk i is ``jobs[i::n]``.
+
+    n is ``workers`` capped at the job count and the CPU count. Jobs are
+    dealt, not cut into runs, because their cost varies along the list (a
+    mutation caught by an early distance check stops early). One chunk runs
+    in this process; several run on fork workers, which inherit module state.
+    """
+    n = max(1, min(workers or 1, len(jobs), os.cpu_count() or 1))
+    chunks = [(*args, jobs[i::n]) for i in range(n)]
+    if n == 1:
+        return [chunk_fn(*chunks[0])]
+    with get_context("fork").Pool(n) as pool:
+        return pool.starmap(chunk_fn, chunks)
 
 
 def full_audit(

@@ -162,7 +162,9 @@ class Transcript:
     def reveal_row(self, matrix_id: str, row: int, faces: tuple) -> None:
         self.events.append(("reveal_row", matrix_id, row, faces))
 
-    def reveal_segment(self, matrix_id: str, col: int, row_lo: int, row_hi: int, faces: tuple) -> None:
+    def reveal_segment(
+        self, matrix_id: str, col: int, row_lo: int, row_hi: int, faces: tuple
+    ) -> None:
         self.events.append(("reveal_segment", matrix_id, col, row_lo, row_hi, faces))
 
     def reveal_all(self, matrix_id: str, cols: tuple) -> None:
@@ -318,7 +320,9 @@ def pile_shift_shuffle(matrix: Matrix, rng: RandomSource, audit: AuditTrail | No
     matrix.rotate(r)
 
 
-def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource, audit: AuditTrail | None = None) -> None:
+def pile_scramble_shuffle(
+    matrix: Matrix, rng: RandomSource, audit: AuditTrail | None = None
+) -> None:
     """Secretly reorder all columns by a uniform random permutation.
 
     The drawn permutation lists the old column index now sitting at each

@@ -6,6 +6,7 @@ failure, 2 input error, 3 unsatisfiable puzzle.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -73,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the transcript here instead of stdout")
 
     p = add("audit", "statistical zero-knowledge audit over many runs")
-    p.add_argument("--trials", type=_positive_int, default=1000, help="runs per side (default 1000)")
+    p.add_argument("--trials", type=_positive_int, default=1000,
+                   help="runs per side (default 1000)")
     p.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
     p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
     p.add_argument("--dedupe-directions", action="store_true")
@@ -88,6 +90,16 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise PuzzleFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_out(out: str | None) -> None:
+    """Fail before any work when ``out`` cannot be written; creates and truncates nothing."""
+    if not out:
+        return
+    path = Path(out)
+    writable = os.access(path if path.exists() else path.parent, os.W_OK)
+    if path.is_dir() or not path.parent.is_dir() or not writable:
+        raise PuzzleFormatError(f"cannot write {out}: not a writable file path")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -109,6 +121,7 @@ def _first_solution(puzzle):
 
 def cmd_solve(args) -> int:
     puzzle = parse_puzzle(_read(args.puzzle))
+    _check_out(args.out)
     _emit(_first_solution(puzzle).to_text(), args.out)
     return EXIT_OK
 
@@ -128,12 +141,12 @@ def cmd_validate(args) -> int:
 
 def cmd_prove(args) -> int:
     puzzle = parse_puzzle(_read(args.puzzle))
-    if args.solve_first:
-        assignment = _first_solution(puzzle)
-    elif args.solution:
-        assignment = parse_solution(_read(args.solution), puzzle)
-    else:
+    if not (args.solve_first or args.solution):
         raise PuzzleFormatError("prove needs --solution or --solve-first")
+    assignment = None if args.solve_first else parse_solution(_read(args.solution), puzzle)
+    _check_out(args.out)
+    if assignment is None:
+        assignment = _first_solution(puzzle)
     verdict, transcript, stats = run_protocol(
         puzzle,
         ProverInput(assignment, honest=False),
@@ -150,6 +163,7 @@ def cmd_prove(args) -> int:
 
 def cmd_audit(args) -> int:
     puzzle = parse_puzzle(_read(args.puzzle))
+    _check_out(args.out)
     report = full_audit(
         puzzle,
         _first_solution(puzzle),

@@ -242,22 +242,15 @@ def validate(puzzle: Puzzle, asg: Assignment) -> list[Violation]:
         x = asg[(r1, c1)]
         # Right along the row and down the column; each close pair found once.
         for d in range(1, x + 1):
-            if c1 + d <= puzzle.cols and asg[(r1, c1 + d)] == x:
-                out.append(
-                    Violation(
-                        DISTANCE,
-                        ((r1, c1), (r1, c1 + d)),
-                        f"value {x} repeats with {d - 1} cells between",
+            for r2, c2 in ((r1, c1 + d), (r1 + d, c1)):
+                if r2 <= puzzle.rows and c2 <= puzzle.cols and asg[(r2, c2)] == x:
+                    out.append(
+                        Violation(
+                            DISTANCE,
+                            ((r1, c1), (r2, c2)),
+                            f"value {x} repeats with {d - 1} cells between",
+                        )
                     )
-                )
-            if r1 + d <= puzzle.rows and asg[(r1 + d, c1)] == x:
-                out.append(
-                    Violation(
-                        DISTANCE,
-                        ((r1, c1), (r1 + d, c1)),
-                        f"value {x} repeats with {d - 1} cells between",
-                    )
-                )
 
     for cell, value in puzzle.fixed.items():
         if asg[cell] != value:

@@ -1,4 +1,6 @@
 import hashlib
+import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +21,7 @@ from ripple_zkp.audit import (
 )
 from ripple_zkp.cards import HEART, RandomSource, Transcript, encode
 from ripple_zkp.protocol import ProverInput, run_protocol
-from ripple_zkp.puzzle import Assignment
+from ripple_zkp.puzzle import Assignment, validate
 
 TINY = ["a a"]  # one domino room: k=2, eight direction checks per run
 TINY_SOLUTION = Assignment.from_rows([[1, 2]])
@@ -44,6 +46,41 @@ def sim_transcripts(puzzle, trials, base_seed=0):
         simulate_transcript(puzzle, RandomSource(seed))
         for seed in range(base_seed, base_seed + trials)
     ]
+
+
+def fixed_verdict(accepted):
+    """A run_protocol stand-in that returns one verdict; fork workers inherit it."""
+    verdict = SimpleNamespace(accepted=accepted, reason="forced")
+
+    def run(puzzle, prover, rng, dedupe_directions=False):
+        return verdict, Transcript(), None
+
+    return run
+
+
+class FakeForkContext:
+    """Stands in for multiprocessing.get_context: records each pool size and
+    runs no chunk, so a large worker count starts no process."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def __call__(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, chunks):
+        return [FamilyCounts() for _ in chunks]
 
 
 # (dof, x, P(X >= x)) from scipy.stats.chi2.sf, scipy 1.17.1. dof 1..10 are
@@ -304,10 +341,8 @@ class TestSchemaGuards:
     @pytest.mark.parametrize("case", sorted(SCHEMA_GUARDS))
     def test_guard_raises(self, case):
         event_lists, message = SCHEMA_GUARDS[case]
-        counts = FamilyCounts()
         with pytest.raises(AuditError, match=message):
-            for t in doctored(*event_lists):
-                counts.add(t)
+            FamilyCounts(doctored(*event_lists))
 
     @pytest.mark.parametrize(
         ("sim_trials", "sim_edit", "expected", "passed"),
@@ -443,6 +478,39 @@ class TestSoundnessSweep:
         assert serial == parallel
         assert repr(serial) == GOLDEN_SWEEP_7X7
 
+    @pytest.mark.parametrize("accepted", [True, False], ids=["always_accept", "always_reject"])
+    def test_failures_listed_in_mutation_order(
+        self, monkeypatch, sample7x7, sample7x7_solution, accepted
+    ):
+        # Every mutation whose expectation disagrees with the forced verdict
+        # is listed once, as (cell, value, seed), in the order the sweep
+        # draws the mutations, whatever the worker count.
+        monkeypatch.setattr(audit, "run_protocol", fixed_verdict(accepted))
+        serial, parallel = (
+            soundness_sweep(sample7x7, sample7x7_solution, RandomSource(5), workers=w)
+            for w in (1, 2)
+        )
+        assert serial == parallel
+        rng, expected = RandomSource(5), []
+        for cell in sample7x7.cells:
+            for value in range(1, 7):
+                if value == sample7x7_solution[cell]:
+                    continue
+                seed = rng.offset(2**32)
+                mutated = sample7x7_solution.with_value(cell, value)
+                effective = sample7x7_solution if cell in sample7x7.fixed else mutated
+                reject_due = bool(validate(sample7x7, effective))
+                if reject_due == accepted:
+                    expected.append((cell, value, seed))
+        listed, empty = (
+            (serial.false_accepts, serial.missed_rejects)
+            if accepted
+            else (serial.missed_rejects, serial.false_accepts)
+        )
+        assert listed == tuple(expected)
+        assert len(listed) == (215 if accepted else 30)
+        assert empty == ()
+
 
 class TestGathering:
     def test_worker_merge_deterministic(self):
@@ -451,6 +519,25 @@ class TestGathering:
         two = gather_real_counts(puzzle, TINY_SOLUTION, 60, base_seed=3, workers=2)
         assert one.counts == two.counts
         assert one.first_skeleton == two.first_skeleton
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_honest_run_is_loud(self, monkeypatch, workers):
+        monkeypatch.setattr(audit, "run_protocol", fixed_verdict(False))
+        # Both runs reject; on two workers either may be the one reported.
+        with pytest.raises(AuditError, match="honest run rejected at seed [78]: forced"):
+            gather_real_counts(tiny_puzzle(), TINY_SOLUTION, 2, base_seed=7, workers=workers)
+
+    @pytest.mark.parametrize(
+        ("workers", "trials", "pool_sizes"),
+        [(5000, 10_000, [4]), (3, 10_000, [3]), (8, 3, [3]), (1, 10, [])],
+    )
+    def test_worker_count_capped(self, monkeypatch, workers, trials, pool_sizes):
+        # At most one worker per CPU and per job; one worker runs in-process.
+        context = FakeForkContext()
+        monkeypatch.setattr(audit, "get_context", context)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        gather_simulated_counts(tiny_puzzle(), trials, base_seed=0, workers=workers)
+        assert context.pool_sizes == pool_sizes
 
     def test_invalid_solution_is_loud(self):
         # The honest-prover contract trips before any session runs.

@@ -308,3 +308,37 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, bad):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# Each command that writes --out, with the cli name of the work it must not
+# start when --out cannot be written.
+OUT_BEFORE_WORK = {
+    "audit": (["audit", "--trials", "10000"], "full_audit"),
+    "prove_solve_first": (["prove", "--solve-first"], "solve"),
+    "prove_solution": (["prove", "--solution", "{solution}"], "run_protocol"),
+    "solve": (["solve"], "solve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_BEFORE_WORK))
+def test_unwritable_out_checked_before_work(
+    monkeypatch, capsys, tmp_path, sample7x7_path, sample7x7_solution_path, case
+):
+    template, work = OUT_BEFORE_WORK[case]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, must_not_run)
+    argv = [arg.format(solution=sample7x7_solution_path) for arg in template]
+    out = tmp_path / "no_such_dir" / "x.txt"
+    assert cli.main([*argv, "--puzzle", sample7x7_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
+def test_out_check_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "solution.txt"
+    path = write(tmp_path, "unsat.txt", UNSAT)
+    assert cli.main(["solve", "--puzzle", path, "--out", str(out)]) == 3
+    assert not out.exists()

@@ -252,8 +252,13 @@ class TestRoom:
 
     def test_permutation_accepts(self):
         puzzle, board = self._board([2, 1, 3])
-        verdict = verify_room(board, "a", RandomSource(0), Transcript())
+        audit, transcript = AuditTrail(), Transcript()
+        verdict = verify_room(board, "a", RandomSource(0), transcript, audit)
         assert verdict.accepted
+        # The scramble's permutation is recorded privately, never revealed.
+        ((_, matrix_id, perm),) = audit.of_kind("pile_scramble")
+        assert matrix_id == "R:a" and sorted(perm) == [0, 1, 2]
+        assert all(ev[0] in ("mark", "reveal_all") for ev in transcript.events)
 
     def test_duplicate_rejects(self):
         puzzle, board = self._board([1, 2, 2])
