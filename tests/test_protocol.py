@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import all_assignments, make_puzzle
+from helpers import all_assignments, all_room_partitions, brute_force_solutions, make_puzzle
 from ripple_zkp.cards import (
     CLUB,
     HEART,
@@ -411,6 +411,25 @@ GOLDEN_7X7 = {
     (True, 3): "d3c6cd8f5fc4c87c3200ffc80f90cbc1c6ab905da48edca2e62407113ec05e69",
 }
 GOLDEN_K1 = "e8a668d3747a803634b8bceee80865a4c5b091bba4677d281547c0401561d88b"
+# sha256 over the honest transcripts at seeds 0..2 of the first brute-force
+# solution, for every solvable room partition of the 1x2, 1x3 and 2x2 grids
+# (k = 2..4), keyed by (shape, index into all_room_partitions(*shape)).
+GOLDEN_PARTITIONS = {
+    ((1, 2), 0): "68481d3cc246049b6bb806db78f291cb55e7628bec99a4bb67968519b65138be",
+    ((1, 3), 0): "96879463f2548267863a6342e030cbdcd71b0e44f176277070a512bb3e7f43c3",
+    ((1, 3), 1): "6a6aa7fb85379e3cba5c7558cd9b4a6a3762066efe55339d691028f3a30062ec",
+    ((1, 3), 2): "afe05d6758135582caa67d879cd3d9a0ceb62e16efefbd0c2d86da051c4bf265",
+    ((2, 2), 0): "550412c696f86fc70f29e7398ed1665be704bc641bb086980eda5f00eca18747",
+    ((2, 2), 1): "9faaf216d3a7e8e4b5af26ab75ccb4a525dc90be04db369c3cf312dfef318a2d",
+    ((2, 2), 2): "04ccbda313f904000338c220300d8ab79fe6f67105a7466e17405541cebed877",
+    ((2, 2), 3): "87cf04101a73b65fd50d358ba59989426fedfc2bc9ae1fb19231510c4b97afd1",
+    ((2, 2), 5): "04ccbda313f904000338c220300d8ab79fe6f67105a7466e17405541cebed877",
+    ((2, 2), 6): "87cf04101a73b65fd50d358ba59989426fedfc2bc9ae1fb19231510c4b97afd1",
+    ((2, 2), 8): "eccb0a96f96efdd9485a5c17c0649a1085647c727393ceee8a0f052e9a2c08ba",
+}
+# sha256 of repr() of the 7x7 seed-0 AuditTrail records, each card sequence
+# decoded to its integer (decoded_record), so it holds for any representation.
+GOLDEN_AUDIT_TRAIL_7X7 = "82b84e8d3b082e30df003f81924d718be96e4da773e6d50bcc6962a9ecb743d6"
 # sha256 of skeleton() for seed 0, plain and in dedupe mode.
 GOLDEN_SKELETON_7X7 = {
     False: "beabc00060a822bb11ba46e83b577d579401ae5ad8aa3814af388204828b17eb",
@@ -442,6 +461,73 @@ class TestGoldenTranscripts:
     def test_single_cell_k1(self):
         puzzle = make_puzzle(["a"])
         assert transcript_sha256(puzzle, Assignment.from_rows([[1]]), 0) == GOLDEN_K1
+
+    @pytest.mark.parametrize(("shape", "index"), sorted(GOLDEN_PARTITIONS))
+    def test_partition_boards(self, shape, index):
+        puzzle = all_room_partitions(*shape)[index]
+        solution = brute_force_solutions(puzzle)[0]
+        digest = hashlib.sha256()
+        for seed in range(3):
+            result = run_protocol(puzzle, ProverInput(solution), RandomSource(seed))
+            assert result.verdict.accepted
+            digest.update(result.transcript.serialize().encode())
+        assert digest.hexdigest() == GOLDEN_PARTITIONS[(shape, index)]
+
+    def test_audit_trail_sample7x7(self, sample7x7, sample7x7_solution):
+        audit = AuditTrail()
+        run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0), audit=audit)
+        records = [decoded_record(rec) for rec in audit.records]
+        assert len(records) == 2168
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == GOLDEN_AUDIT_TRAIL_7X7
+
+
+def decoded_record(rec: tuple) -> tuple:
+    """An AuditTrail record with every card sequence replaced by its decoded integer."""
+    kind = rec[0]
+    if kind == "align_rightmost":
+        return (*rec[:4], decode(rec[4]), decode(rec[5]))
+    if kind in ("selection", "removed_block"):
+        return (*rec[:-2], [decode(s) for s in rec[-2]], [decode(s) for s in rec[-1]])
+    return rec
+
+
+class RecordingSource(RandomSource):
+    """A RandomSource that logs (kind, n) for every draw it makes."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws: list[tuple[str, int]] = []
+
+    def offset(self, n: int) -> int:
+        self.draws.append(("offset", n))
+        return super().offset(n)
+
+    def permutation(self, n: int) -> list[int]:
+        self.draws.append(("permutation", n))
+        return super().permutation(n)
+
+
+class TestDrawSequence:
+    # Equal transcript bytes alone do not show that the secret draws are
+    # unchanged; these pin their kinds and widths as well.
+    def test_distance_check_widths(self, sample7x7, sample7x7_solution):
+        board = setup(sample7x7, ProverInput(sample7x7_solution))
+        rng = RecordingSource(0)
+        assert verify_distance_direction(board, (4, 4), "right", rng, Transcript()).accepted
+        k = 6
+        assert rng.draws == [("offset", w) for w in (k, k, 2 * k - 1, k, k, 2 * k - 1, k)]
+
+    def test_single_cell_k1(self):
+        rng = RecordingSource(0)
+        run_protocol(make_puzzle(["a"]), ProverInput(Assignment.from_rows([[1]])), rng)
+        assert rng.draws == [("offset", 1)] * 24 + [("permutation", 1)]
+
+    def test_sample7x7_total(self, sample7x7, sample7x7_solution):
+        rng = RecordingSource(0)
+        run_protocol(sample7x7, ProverInput(sample7x7_solution), rng)
+        assert len(rng.draws) == 1384  # 196 checks x 7 offsets, then 12 room permutations
+        assert rng.draws[:7] == [("offset", w) for w in (6, 6, 11, 6, 6, 11, 6)]
 
 
 # sha256 over the reject transcripts of every single-cell mutation, seed 0,
