@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import reduce
 from multiprocessing import get_context
 
-from .cards import HEART, RandomSource, Transcript, decode, encode
+from .cards import HEART, RandomSource, Transcript, faces_of, heart_position
 from .protocol import CHECKED_DIRECTIONS, ProverInput, run_protocol
 from .puzzle import Assignment, Puzzle, max_room_size, validate
 
@@ -148,9 +148,10 @@ class FamilyCounts:
                 key = _FAMILY_OF_STEP.get((step, mid, row))
                 if key is None:
                     raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
-                if faces.count(HEART) != 1:
+                j = heart_position(faces)
+                if j is None:
                     raise AuditError(f"family {key}: reveal without a single heart")
-                self._observe(key, "heart", len(faces), faces.index(HEART) + 1, seen)
+                self._observe(key, "heart", len(faces), j, seen)
             elif tag == "reveal_segment":
                 key = _FAMILY_OF_STEP.get((step, ev[1], None))
                 if key is None:
@@ -163,7 +164,7 @@ class FamilyCounts:
                     raise AuditError(f"full reveal outside room phase: m={mid}")
                 room = mid[2:]
                 size = len(cols)
-                values = [decode(col) for col in cols]
+                values = [heart_position(col) for col in cols]
                 if sorted(v for v in values if v is not None) != list(range(1, size + 1)):
                     raise AuditError(
                         f"room {room}: accept-path reveal is not a permutation of 1..{size}"
@@ -343,7 +344,7 @@ def simulate_transcript(
 
     def heart_row(mid: str, row: int, width: int) -> int:
         j = rng.offset(width) + 1
-        t.reveal_row(mid, row, tuple(encode(j, width)))
+        t.reveal_row(mid, row, faces_of(width, 1 << (j - 1)))
         return j
 
     def sim_rearr(mid: str, width: int) -> None:
@@ -361,7 +362,7 @@ def simulate_transcript(
                     heart_row("M2", 1, wide)
                     with t.span("unique:N"):
                         j = heart_row("N", 2, k)
-                        t.reveal_segment("N", j, 3, k + 2, (0,) * k)
+                        t.reveal_segment("N", j, 3, k + 2, faces_of(k, 0))
                     sim_rearr("N", k)
                     if k > 1:
                         j3 = heart_row("M2", 2, wide)
@@ -372,7 +373,7 @@ def simulate_transcript(
         for room, cells in puzzle.room_cells.items():
             with t.span(f"room:{room}"):
                 perm = rng.permutation(len(cells))
-                cols = tuple(tuple(encode(v + 1, k)) for v in perm)
+                cols = tuple(faces_of(k, 1 << v) for v in perm)
                 t.reveal_all(f"R:{room}", cols)
     t.verdict("accept", None, None)
     return t
@@ -460,9 +461,16 @@ def gather_real_counts(
     dedupe_directions: bool = False,
     workers: int | None = None,
 ) -> FamilyCounts:
-    """Family histograms over ``trials`` honest protocol runs (streaming)."""
+    """Family histograms over ``trials`` honest protocol runs (streaming).
+
+    A rejected run raises ``AuditError`` naming the lowest rejected seed, for
+    every worker count.
+    """
     seeds = range(base_seed, base_seed + trials)
     parts = _fork_map(_honest_counts, (puzzle, solution, dedupe_directions), seeds, workers)
+    rejected = sorted(part for part in parts if isinstance(part, tuple))
+    if rejected:
+        raise AuditError("honest run rejected at seed %d: %s" % rejected[0])
     return reduce(FamilyCounts.merge, parts)
 
 
@@ -479,15 +487,26 @@ def gather_simulated_counts(
     return reduce(FamilyCounts.merge, parts)
 
 
-def _honest_counts(puzzle: Puzzle, solution: Assignment, dedupe: bool, seeds) -> FamilyCounts:
+class _Rejected(Exception):
+    """An honest run rejected; args are (seed, reason)."""
+
+
+def _honest_counts(puzzle: Puzzle, solution: Assignment, dedupe: bool, seeds):
+    """Counts over the runs at ``seeds``, or (seed, reason) of the chunk's first reject.
+
+    Seeds ascend within a chunk, so its first reject is its lowest.
+    """
     prover = ProverInput(solution)
-    return FamilyCounts(_honest_run(puzzle, prover, dedupe, seed) for seed in seeds)
+    try:
+        return FamilyCounts(_honest_run(puzzle, prover, dedupe, seed) for seed in seeds)
+    except _Rejected as exc:
+        return exc.args
 
 
 def _honest_run(puzzle: Puzzle, prover: ProverInput, dedupe: bool, seed: int) -> Transcript:
     verdict, transcript, _ = run_protocol(puzzle, prover, RandomSource(seed), dedupe)
     if not verdict.accepted:
-        raise AuditError(f"honest run rejected at seed {seed}: {verdict.reason}")
+        raise _Rejected(seed, verdict.reason)
     return transcript
 
 

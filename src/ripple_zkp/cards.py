@@ -2,11 +2,26 @@
 
 A card shows a club or a heart; a number x in 0..y is committed as a row of
 y face-down cards, all clubs except a heart at position x (no heart for 0).
-Matrices of face-down piles support the two trusted shuffles (secret cyclic
-shift / secret full permutation of columns), deterministic public shifts,
-and reveal operations. Every verifier-observable action is appended to a
-Transcript; hidden shuffle draws go only to an optional AuditTrail so tests
-can check secrecy on one side and correctness on the other.
+A sequence of cards is held as an integer heart mask: bit i is set when card
+i+1 shows a heart, so ``encode(x, y)`` is ``1 << (x - 1)`` (0 for x = 0) and
+the sequence's length is kept by whoever holds it (a matrix's width or
+height, a board's k). A mask with two or more bits set is a malformed
+commitment, exactly as a face sequence with two hearts would be.
+
+A Matrix of face-down cards is a stack of row masks (sequences laid left to
+right) over piles (sequences stacked top to bottom, one mask per column),
+plus one rotation offset applied lazily: the pile-shifting shuffle of
+Nishimura et al. and the public shifts are a modular add to the offset, and a
+reveal rotates only the one mask it shows. Revealed faces are tuples of
+CLUB/HEART taken from one table keyed by (width, mask) and filled on first
+use (``faces_of``); the simulator builds its reveals from the same table,
+single-heart reads (``single_heart``, the audit's family counts) look the
+heart's position up in it, and ``serialize`` caches the two lines of each
+repeating event.
+
+Every verifier-observable action is appended to a Transcript; hidden shuffle
+draws go only to the AuditTrail a RandomSource may carry, so tests can check
+secrecy on one side and correctness on the other.
 
 Transcript serialization is line-delimited text, one event per line, with a
 stable field order:
@@ -28,7 +43,7 @@ CLUB = 0
 HEART = 1
 _FACE_CHARS = ("C", "H")
 
-Sequence = list[int]
+Sequence = int  # heart mask: bit i set when card i+1 shows a heart
 
 
 class MalformedCommitmentError(Exception):
@@ -39,41 +54,41 @@ def encode(x: int, y: int) -> Sequence:
     """The y-card sequence committing x: a heart at position x, clubs elsewhere."""
     if not 0 <= x <= y:
         raise ValueError(f"cannot encode {x} with {y} cards")
-    seq = [CLUB] * y
-    if x >= 1:
-        seq[x - 1] = HEART
-    return seq
+    return 1 << (x - 1) if x else 0
 
 
-def decode(seq) -> int | None:
+def decode(mask: Sequence) -> int | None:
     """Position of the unique heart (0 if none); None when the sequence is malformed."""
-    hearts = [i for i, face in enumerate(seq) if face == HEART]
-    if not hearts:
-        return 0
-    if len(hearts) > 1:
+    if mask & (mask - 1):
         return None
-    return hearts[0] + 1
+    return mask.bit_length()
+
+
+def mask_of(faces) -> Sequence:
+    """The heart mask of a sequence of faces; the inverse of ``faces_of``."""
+    return sum(1 << i for i, face in enumerate(faces) if face == HEART)
+
+
+# The face table: (width, mask) -> faces, plus the heart position of each
+# face tuple with exactly one heart. Both are filled on first use and hold
+# one entry per distinct pattern revealed (O(width^2) on honest runs, where
+# every revealed row has one heart).
+_FACES: dict[tuple[int, int], tuple[int, ...]] = {}
+_ONE_HEART: dict[tuple[int, ...], int] = {}
+
+
+def faces_of(width: int, mask: Sequence) -> tuple[int, ...]:
+    """The faces of a width-card sequence, left to right."""
+    faces = _FACES.get((width, mask))
+    if faces is None:
+        faces = _FACES[width, mask] = tuple(mask >> i & 1 for i in range(width))
+        if mask and not mask & (mask - 1):
+            _ONE_HEART[faces] = mask.bit_length()
+    return faces
 
 
 def faces_text(faces) -> str:
     return "".join(_FACE_CHARS[f] for f in faces)
-
-
-class RandomSource:
-    """Seedable uniform randomness driving the trusted shuffles."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def offset(self, n: int) -> int:
-        """Uniform draw from 0..n-1."""
-        return self._rng.randrange(n)
-
-    def permutation(self, n: int) -> list[int]:
-        """Uniform permutation of 0..n-1."""
-        perm = list(range(n))
-        self._rng.shuffle(perm)
-        return perm
 
 
 class AuditTrail:
@@ -84,7 +99,8 @@ class AuditTrail:
     that let tests assert what the transcript must hide: that the column
     reaching the rightmost slot really is the x-th neighbour, that the
     selected sequences are exactly the first x neighbours plus blanks, and
-    that every sequence returns to its cell unchanged.
+    that every sequence returns to its cell unchanged. Card sequences in
+    the records are heart masks.
     """
 
     def __init__(self):
@@ -95,6 +111,38 @@ class AuditTrail:
 
     def of_kind(self, kind: str) -> list[tuple]:
         return [rec for rec in self.records if rec[0] == kind]
+
+
+class RandomSource:
+    """Seedable uniform randomness driving the trusted shuffles.
+
+    ``trail``, when given, receives the secret draws and the protocol's
+    private snapshots; with none, each record site costs one ``is None``
+    test.
+    """
+
+    def __init__(self, seed: int, trail: AuditTrail | None = None):
+        self._rng = random.Random(seed)
+        self.trail = trail
+
+    def offset(self, n: int) -> int:
+        """Uniform draw from 0..n-1 (n >= 1).
+
+        The rejection sampling of ``random.Random.randrange(n)``, inlined:
+        the same draws from the same seed, without its argument checks.
+        """
+        getrandbits = self._rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def permutation(self, n: int) -> list[int]:
+        """Uniform permutation of 0..n-1."""
+        perm = list(range(n))
+        self._rng.shuffle(perm)
+        return perm
 
 
 def _verdict_line(ev) -> str:
@@ -129,35 +177,31 @@ _EVENT_LINES = {
     "mark": (_mark_line, _mark_line),
     "verdict": (_verdict_line, _verdict_line),
 }
+# Event -> its two lines, for every tag but reveal_all: a run repeats few
+# distinct marks, shifts and row/segment reveals thousands of times, while
+# room reveals are rare and vary with every permutation.
+_LINES: dict[tuple, tuple[str, str]] = {}
 
 
-class _Span:
-    """Context manager that brackets a protocol step with enter/exit marks.
-
-    The exit mark is written however the block ends, so reject paths that
-    return or raise early still close every step they opened.
-    """
-
-    __slots__ = ("events", "name")
-
-    def __init__(self, events: list, name: str):
-        self.events = events
-        self.name = name
-
-    def __enter__(self) -> None:
-        self.events.append(("mark", self.name, "enter"))
-
-    def __exit__(self, *exc) -> None:
-        self.events.append(("mark", self.name, "exit"))
+def _event_lines(ev: tuple) -> tuple[str, str]:
+    try:
+        full, skeleton = _EVENT_LINES[ev[0]]
+    except KeyError:
+        raise ValueError(f"unknown event {ev[0]!r}") from None
+    pair = (full(ev), skeleton(ev))
+    if ev[0] != "reveal_all":
+        _LINES[ev] = pair
+    return pair
 
 
 class Transcript:
     """Append-only log of verifier-observable events."""
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "_open")
 
     def __init__(self):
         self.events: list[tuple] = []
+        self._open: list[str] = []  # spans entered and not yet exited, innermost last
 
     def reveal_row(self, matrix_id: str, row: int, faces: tuple) -> None:
         self.events.append(("reveal_row", matrix_id, row, faces))
@@ -173,18 +217,29 @@ class Transcript:
     def shift(self, matrix_id: str, offset: int) -> None:
         self.events.append(("shift", matrix_id, offset))
 
-    def span(self, name: str) -> _Span:
-        """``with transcript.span(name):`` marks enter, then exit on any way out."""
-        return _Span(self.events, name)
+    def span(self, name: str) -> "Transcript":
+        """``with transcript.span(name):`` marks enter, then exit on any way out.
+
+        The exit mark is written however the block ends, so reject paths that
+        return or raise early still close every step they opened. Use it only
+        as a with-statement: each exit closes the innermost open span.
+        """
+        self._open.append(name)
+        self.events.append(("mark", name, "enter"))
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.events.append(("mark", self._open.pop(), "exit"))
 
     def verdict(self, outcome: str, reason: str | None, loc: str | None) -> None:
         self.events.append(("verdict", outcome, reason, loc))
 
     def _lines(self, column: int) -> str:
-        try:
-            lines = [_EVENT_LINES[ev[0]][column](ev) for ev in self.events]
-        except KeyError as exc:
-            raise ValueError(f"unknown event {exc.args[0]!r}") from None
+        get = _LINES.get
+        lines = [(get(ev) or _event_lines(ev))[column] for ev in self.events]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def serialize(self) -> str:
@@ -200,68 +255,129 @@ class Transcript:
         return self._lines(1)
 
 
+def _face_up_error(matrix: "Matrix") -> RuntimeError:
+    return RuntimeError(f"matrix {matrix.id}: cards are face-up")
+
+
 class Matrix:
     """Rectangular grid of face-down cards, addressed (row, column), 1-based.
 
-    Row 1 is the topmost row, Column 1 the leftmost column. Cards are
-    readable only through the reveal methods, which log what was shown.
+    Row 1 is the topmost row, Column 1 the leftmost column. The top
+    ``len(rows)`` rows are row masks, bit p for storage column p; the
+    ``depth`` rows below them are piles, one mask per storage column with
+    bit 0 for the pile's top card. Visible column j shows storage column
+    (j - 1 - offset) mod n_cols, so a rotation only moves ``offset``. Rows
+    are taken out whole (``take_row``) and pile segments moved with
+    ``take_segment``/``put_segment``. Cards are readable only through the
+    reveal methods, which log what was shown; the lists passed in are
+    taken over, not copied.
     """
 
-    __slots__ = ("id", "cols", "_face_up")
+    __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up", "_gaps")
 
-    def __init__(self, matrix_id: str, columns: list[list[int]]):
+    def __init__(
+        self,
+        matrix_id: str,
+        n_cols: int,
+        rows: list[Sequence] | None = None,
+        piles: list[Sequence] | None = None,
+        depth: int = 0,
+    ):
         self.id = matrix_id
-        self.cols = columns
+        self.n_cols = n_cols
+        self.rows = [] if rows is None else rows
+        self.piles = [0] * n_cols if piles is None else piles
+        self.depth = depth
+        self.offset = 0
         self._face_up = 0
+        self._gaps = [0] * n_cols  # per storage column: pile cards taken out
 
     @classmethod
-    def from_rows(cls, matrix_id: str, rows: list[list[int]]) -> "Matrix":
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        return cls(matrix_id, [[row[j] for row in rows] for j in range(width)])
+    def from_rows(cls, matrix_id: str, n_cols: int, rows: list[Sequence]) -> "Matrix":
+        """A matrix of row masks only, each ``n_cols`` cards wide."""
+        if rows and max(rows) >> n_cols:
+            raise ValueError("row wider than the matrix")
+        return cls(matrix_id, n_cols, list(rows))
 
     @property
     def n_rows(self) -> int:
-        return len(self.cols[0])
+        return len(self.rows) + self.depth
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.cols)
+    def _row(self, row: int) -> Sequence:
+        """Row ``row`` as a storage-order mask."""
+        h = len(self.rows)
+        if row <= h:
+            return self.rows[row - 1]
+        bit = row - h - 1
+        return sum((pile >> bit & 1) << p for p, pile in enumerate(self.piles))
 
-    def _require_face_down(self) -> None:
-        if self._face_up:
-            raise RuntimeError(f"matrix {self.id}: cards are face-up")
+    def _column(self, p: int, row_lo: int, n: int) -> Sequence:
+        """The n cards of storage column p from row ``row_lo`` down, as a mask."""
+        bits = self.piles[p] << len(self.rows) >> (row_lo - 1)
+        for i, row in enumerate(self.rows[row_lo - 1:row_lo - 1 + n]):
+            bits |= (row >> p & 1) << i
+        return bits & ((1 << n) - 1)
+
+    def _order(self) -> list[int]:
+        """Storage columns in visible order."""
+        o, w = self.offset, self.n_cols
+        return [(j - o) % w for j in range(w)]
+
+    def _normalize(self) -> None:
+        """Fold the offset into storage, so storage order is visible order."""
+        o = self.offset
+        if o:
+            w = self.n_cols
+            full = (1 << w) - 1
+            self.rows = [(row << o | row >> (w - o)) & full for row in self.rows]
+            self.piles = self.piles[-o:] + self.piles[:-o]
+            self._gaps = self._gaps[-o:] + self._gaps[:-o]
+            self.offset = 0
 
     def rotate(self, offset: int) -> None:
         """Move every column j to j+offset (mod width); no event logged."""
-        o = offset % len(self.cols)
-        if o:
-            self.cols = self.cols[-o:] + self.cols[:-o]
+        self.offset = (self.offset + offset) % self.n_cols
+
+    def permute(self, perm: list[int]) -> None:
+        """Reorder columns: position i takes the column at position perm[i]."""
+        self._normalize()
+        self.rows = [
+            sum((row >> q & 1) << i for i, q in enumerate(perm)) for row in self.rows
+        ]
+        self.piles = [self.piles[q] for q in perm]
+        self._gaps = [self._gaps[q] for q in perm]
 
     def shift(self, offset: int, transcript: Transcript) -> None:
         """Public deterministic rotation; offset is logged (normalized mod width)."""
-        self._require_face_down()
-        o = offset % len(self.cols)
-        transcript.shift(self.id, o)
-        self.rotate(o)
+        if self._face_up:
+            raise _face_up_error(self)
+        o = offset % self.n_cols
+        transcript.events.append(("shift", self.id, o))
+        self.offset = (self.offset + o) % self.n_cols
 
     def reveal_row(self, row: int, transcript: Transcript) -> tuple:
-        faces = tuple(col[row - 1] for col in self.cols)
-        transcript.reveal_row(self.id, row, faces)
-        self._face_up += len(faces)
+        w = self.n_cols
+        mask = self.rows[row - 1] if row <= len(self.rows) else self._row(row)
+        o = self.offset
+        if o:
+            mask = (mask << o | mask >> (w - o)) & ((1 << w) - 1)
+        faces = _FACES.get((w, mask)) or faces_of(w, mask)
+        transcript.events.append(("reveal_row", self.id, row, faces))
+        self._face_up += w
         return faces
 
     def reveal_segment(self, col: int, row_lo: int, row_hi: int, transcript: Transcript) -> tuple:
-        faces = tuple(self.cols[col - 1][row_lo - 1:row_hi])
-        transcript.reveal_segment(self.id, col, row_lo, row_hi, faces)
-        self._face_up += len(faces)
+        n = max(row_hi - row_lo + 1, 0)
+        faces = faces_of(n, self._column((col - 1 - self.offset) % self.n_cols, row_lo, n))
+        transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
+        self._face_up += n
         return faces
 
     def reveal_all(self, transcript: Transcript) -> tuple:
-        cols = tuple(tuple(col) for col in self.cols)
-        transcript.reveal_all(self.id, cols)
-        self._face_up += self.n_rows * self.n_cols
+        n = self.n_rows
+        cols = tuple(faces_of(n, self._column(p, 1, n)) for p in self._order())
+        transcript.events.append(("reveal_all", self.id, cols))
+        self._face_up += n * self.n_cols
         return cols
 
     def flip_down(self) -> None:
@@ -270,94 +386,153 @@ class Matrix:
 
     def split_rows(self, top_rows: int, top_id: str, bottom_id: str) -> tuple["Matrix", "Matrix"]:
         """Divide into a top matrix of ``top_rows`` rows and a bottom matrix."""
-        self._require_face_down()
-        top = Matrix(top_id, [col[:top_rows] for col in self.cols])
-        bottom = Matrix(bottom_id, [col[top_rows:] for col in self.cols])
+        if self._face_up:
+            raise _face_up_error(self)
+        h, w = len(self.rows), self.n_cols
+        if top_rows <= h:
+            top = Matrix(top_id, w, self.rows[:top_rows])
+            bottom = Matrix(bottom_id, w, self.rows[top_rows:], self.piles, self.depth)
+            bottom._gaps = self._gaps
+        else:  # the top rows of the piles move into the top matrix as well
+            cut = top_rows - h
+            top = Matrix(top_id, w, self.rows + [self._row(r) for r in range(h + 1, top_rows + 1)])
+            bottom = Matrix(bottom_id, w, [], [p >> cut for p in self.piles], self.depth - cut)
+            bottom._gaps = [g >> cut for g in self._gaps]
+        top.offset = bottom.offset = self.offset
         return top, bottom
 
-    def append_columns(self, columns: list[list[int]]) -> None:
-        self._require_face_down()
-        self.cols.extend(columns)
+    def append_columns(self, block: "Matrix") -> None:
+        """Put the columns of ``block``, laid out like this matrix, on the right."""
+        if self._face_up:
+            raise _face_up_error(self)
+        if len(block.rows) != len(self.rows) or block.depth != self.depth:
+            raise ValueError(f"matrix {self.id}: block rows do not line up")
+        if block.offset:
+            block._normalize()
+        # Insert at the storage column after the one shown last; the offset
+        # then still maps every old column to where it was shown.
+        q, n = self.n_cols - self.offset, block.n_cols
+        low = (1 << q) - 1
+        rows = self.rows
+        for i, extra in enumerate(block.rows):
+            rows[i] = rows[i] & low | extra << q | rows[i] >> q << (q + n)
+        self.piles[q:q] = block.piles
+        self._gaps[q:q] = block._gaps
+        self.n_cols += n
 
-    def remove_columns(self, col_lo: int, col_hi: int) -> list[list[int]]:
-        """Remove columns col_lo..col_hi (1-based, inclusive) and return them."""
-        self._require_face_down()
-        removed = self.cols[col_lo - 1:col_hi]
-        self.cols = self.cols[:col_lo - 1] + self.cols[col_hi:]
-        return removed
+    def remove_columns(self, col_lo: int, col_hi: int) -> "Matrix":
+        """Remove columns col_lo..col_hi (1-based, inclusive) and return them as a matrix."""
+        if self._face_up:
+            raise _face_up_error(self)
+        if self.offset:
+            self._normalize()
+        lo, hi = col_lo - 1, col_hi
+        n = hi - lo
+        rows, cut, keep = self.rows, [], (1 << lo) - 1
+        for i, row in enumerate(rows):
+            cut.append(row >> lo & ((1 << n) - 1))
+            rows[i] = row & keep | row >> hi << lo
+        block = Matrix(self.id, n, cut, self.piles[lo:hi], self.depth)
+        block._gaps = self._gaps[lo:hi]
+        del self.piles[lo:hi], self._gaps[lo:hi]
+        self.n_cols -= n
+        return block
 
-    def take_row(self, row: int) -> list[int]:
-        """Physically remove one row of cards (leaves holes; restore or discard)."""
-        out = []
-        for col in self.cols:
-            out.append(col[row - 1])
-            col[row - 1] = None  # type: ignore[call-overload]
-        return out
+    def take_row(self, row: int) -> Sequence:
+        """Physically remove one laid-out row of cards, as a mask in visible order."""
+        mask = self.rows[row - 1]
+        self.rows[row - 1] = None  # type: ignore[call-overload]
+        o = self.offset
+        if o:
+            w = self.n_cols
+            mask = (mask << o | mask >> (w - o)) & ((1 << w) - 1)
+        return mask
 
-    def take_segment(self, col: int, row_lo: int, row_hi: int) -> list[int]:
-        pile = self.cols[col - 1]
-        out = pile[row_lo - 1:row_hi]
-        pile[row_lo - 1:row_hi] = [None] * (row_hi - row_lo + 1)  # type: ignore[list-item]
-        return out
+    def take_segment(self, col: int, row_lo: int, row_hi: int) -> Sequence:
+        """Take rows row_lo..row_hi of one pile off the matrix (leaves a gap)."""
+        shift = row_lo - 1 - len(self.rows)
+        if shift < 0:
+            raise ValueError(f"matrix {self.id}: rows {row_lo}..{row_hi} are not in the piles")
+        bits = ((1 << (row_hi - row_lo + 1)) - 1) << shift
+        p = (col - 1 - self.offset) % self.n_cols
+        pile = self.piles[p]
+        self.piles[p] = pile & ~bits
+        self._gaps[p] |= bits
+        return (pile & bits) >> shift
 
-    def put_segment(self, col: int, row_lo: int, cards: list[int]) -> None:
-        pile = self.cols[col - 1]
-        if any(v is not None for v in pile[row_lo - 1:row_lo - 1 + len(cards)]):
+    def put_segment(self, col: int, row_lo: int, row_hi: int, cards: Sequence) -> None:
+        """Put cards into the gap at rows row_lo..row_hi of one pile."""
+        shift = row_lo - 1 - len(self.rows)
+        if shift < 0:
+            raise ValueError(f"matrix {self.id}: rows {row_lo}..{row_hi} are not in the piles")
+        bits = ((1 << (row_hi - row_lo + 1)) - 1) << shift
+        p = (col - 1 - self.offset) % self.n_cols
+        if self._gaps[p] & bits != bits:
             raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
-        pile[row_lo - 1:row_lo - 1 + len(cards)] = cards
+        self._gaps[p] ^= bits
+        self.piles[p] |= cards << shift & bits
+
+    def pile_masks(self) -> list[Sequence]:
+        """Private peek at the piles, left to right; not an observable event."""
+        o = self.offset
+        return self.piles[-o:] + self.piles[:-o] if o else list(self.piles)
 
     def snapshot(self) -> tuple:
-        """Private peek at all piles for audits and tests; not an observable event."""
-        return tuple(tuple(col) for col in self.cols)
+        """Private peek at every column as a mask, left to right; not an observable event."""
+        n = self.n_rows
+        return tuple(self._column(p, 1, n) for p in self._order())
 
 
-def pile_shift_shuffle(matrix: Matrix, rng: RandomSource, audit: AuditTrail | None = None) -> None:
+def pile_shift_shuffle(matrix: Matrix, rng: RandomSource) -> None:
     """Secretly rotate all columns by a uniform random amount."""
-    matrix._require_face_down()
+    if matrix._face_up:
+        raise _face_up_error(matrix)
     r = rng.offset(matrix.n_cols)
-    if audit is not None:
-        audit.record("pile_shift", matrix.id, r)
+    if rng.trail is not None:
+        rng.trail.record("pile_shift", matrix.id, r)
     matrix.rotate(r)
 
 
-def pile_scramble_shuffle(
-    matrix: Matrix, rng: RandomSource, audit: AuditTrail | None = None
-) -> None:
+def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource) -> None:
     """Secretly reorder all columns by a uniform random permutation.
 
     The drawn permutation lists the old column index now sitting at each
     position, left to right.
     """
-    matrix._require_face_down()
+    if matrix._face_up:
+        raise _face_up_error(matrix)
     perm = rng.permutation(matrix.n_cols)
-    if audit is not None:
-        audit.record("pile_scramble", matrix.id, tuple(perm))
-    matrix.cols = [matrix.cols[i] for i in perm]
+    if rng.trail is not None:
+        rng.trail.record("pile_scramble", matrix.id, tuple(perm))
+    matrix.permute(perm)
+
+
+def heart_position(faces: tuple) -> int | None:
+    """1-based position of the only heart; None unless there is exactly one."""
+    j = _ONE_HEART.get(faces)
+    if j is None and faces.count(HEART) == 1:
+        j = faces.index(HEART) + 1
+    return j
 
 
 def single_heart(faces: tuple, matrix_id: str, row: int) -> int:
     """1-based heart position, or raise when the count is not exactly one."""
-    count = faces.count(HEART)
-    if count != 1:
+    j = _ONE_HEART.get(faces) or heart_position(faces)
+    if j is None:
         raise MalformedCommitmentError(
-            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {count}"
+            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {faces.count(HEART)}"
         )
-    return faces.index(HEART) + 1
+    return j
 
 
-def rearrangement(
-    matrix: Matrix,
-    rng: RandomSource,
-    transcript: Transcript,
-    audit: AuditTrail | None = None,
-) -> None:
+def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> None:
     """Realign columns so the Row 1 heart returns to Column 1.
 
     Shuffles first, so the revealed heart position carries no information
     about where the columns originally stood.
     """
     with transcript.span(f"rearr:{matrix.id}"):
-        pile_shift_shuffle(matrix, rng, audit)
+        pile_shift_shuffle(matrix, rng)
         j = single_heart(matrix.reveal_row(1, transcript), matrix.id, 1)
         matrix.flip_down()
         matrix.shift(-(j - 1), transcript)

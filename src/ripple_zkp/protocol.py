@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cards import (
-    CLUB,
     HEART,
     AuditTrail,
     MalformedCommitmentError,
@@ -33,6 +32,7 @@ from .cards import (
     Transcript,
     decode,
     encode,
+    mask_of,
     pile_scramble_shuffle,
     pile_shift_shuffle,
     rearrangement,
@@ -149,19 +149,14 @@ def setup(puzzle: Puzzle, prover: ProverInput) -> Board:
     return Board(puzzle=puzzle, k=k, cell_seq=cell_seq)
 
 
-def _uniqueness_on_matrix(
-    matrix: Matrix,
-    rng: RandomSource,
-    transcript: Transcript,
-    audit: AuditTrail | None,
-) -> bool:
+def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> bool:
     """Steps 2-5 of the uniqueness subprotocol on an already-built matrix.
 
     Row 2 holds the reference sequence; rows 3 and below hold the sequences
     that must not repeat its number. Returns True when the column under the
     reference heart shows no heart below Row 2.
     """
-    pile_shift_shuffle(matrix, rng, audit)
+    pile_shift_shuffle(matrix, rng)
     with transcript.span(f"unique:{matrix.id}"):
         j = single_heart(matrix.reveal_row(2, transcript), matrix.id, 2)
         ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
@@ -173,20 +168,20 @@ def _uniqueness_on_matrix(
 def uniqueness_verify(
     s0: Sequence,
     others: list[Sequence],
+    width: int,
     rng: RandomSource,
     transcript: Transcript,
-    audit: AuditTrail | None = None,
 ) -> Verdict:
     """Verify that no sequence in ``others`` encodes the same number as ``s0``.
 
-    Builds the subprotocol matrix (an indicator row, then s0, then the
-    others), shuffles, and inspects the column under s0's heart. The matrix
-    is left shuffled; inside the main protocol the caller realigns it.
+    All sequences are ``width`` cards long. Builds the subprotocol matrix (an
+    indicator row, then s0, then the others), shuffles, and inspects the
+    column under s0's heart. The matrix is left shuffled; inside the main
+    protocol the caller realigns it.
     """
-    b = len(s0)
-    matrix = Matrix.from_rows("U", [encode(1, b), list(s0), *[list(s) for s in others]])
+    matrix = Matrix.from_rows("U", width, [encode(1, width), s0, *others])
     try:
-        ok = _uniqueness_on_matrix(matrix, rng, transcript, audit)
+        ok = _uniqueness_on_matrix(matrix, rng, transcript)
     except MalformedCommitmentError:
         return Verdict(False, MALFORMED_COMMITMENT)
     if not ok:
@@ -200,7 +195,6 @@ def verify_distance_direction(
     direction: str,
     rng: RandomSource,
     transcript: Transcript,
-    audit: AuditTrail | None = None,
 ) -> Verdict:
     """One distance check: cell's value x must not recur within x steps that way.
 
@@ -209,7 +203,7 @@ def verify_distance_direction(
     """
     try:
         with transcript.span(f"dist:{cell[0]},{cell[1]}:{direction}"):
-            return _distance_direction(board, cell, direction, rng, transcript, audit)
+            return _distance_direction(board, cell, direction, rng, transcript)
     except MalformedCommitmentError:
         return Verdict(False, MALFORMED_COMMITMENT, (cell, direction))
 
@@ -220,121 +214,109 @@ def _distance_direction(
     direction: str,
     rng: RandomSource,
     transcript: Transcript,
-    audit: AuditTrail | None,
 ) -> Verdict:
     puzzle = board.puzzle
     k = board.k
     loc = (cell, direction)
+    trail = rng.trail
 
     # Gather the cell's sequence and its k neighbours that way, padding
     # with public all-club sequences where the grid ends.
-    a0 = board.cell_seq.pop(cell)
+    cell_seq = board.cell_seq
+    a0 = cell_seq.pop(cell)
+    r, c = cell
     dr, dc = DIRECTION_STEPS[direction]
-    neighbours: list[Sequence] = []
-    grid_cells: list[Cell] = []
-    pad_count = 0
-    for i in range(1, k + 1):
-        ncell = (cell[0] + dr * i, cell[1] + dc * i)
-        if puzzle.in_bounds(ncell):
-            neighbours.append(board.cell_seq.pop(ncell))
-            grid_cells.append(ncell)
-        else:
-            neighbours.append([CLUB] * k)
-            pad_count += 1
+    if dc:
+        reach = min(puzzle.cols - c if dc > 0 else c - 1, k)
+        grid_cells = list(zip((r,) * reach, range(c + dc, c + dc * (reach + 1), dc)))
+    else:
+        reach = min(puzzle.rows - r if dr > 0 else r - 1, k)
+        grid_cells = list(zip(range(r + dr, r + dr * (reach + 1), dr), (c,) * reach))
+    neighbours = list(map(cell_seq.pop, grid_cells))
+    pad_count = k - reach
+    neighbours += [0] * pad_count
     board.aux_alloc(3 * k + pad_count * k)
 
-    if audit:
+    if trail is not None:
         before_values = tuple(decode(s) for s in [a0, *neighbours])
 
-    # Step 1: k columns of [indicator, a0, indicator, blank, neighbour pile].
-    row1 = encode(1, k)
-    row3 = encode(1, k)
-    row4 = encode(0, k)
-    m = Matrix(
-        "M",
-        [[row1[j], a0[j], row3[j], row4[j], *neighbours[j]] for j in range(k)],
-    )
+    # Step 1: rows [indicator, a0, indicator, blank] over k columns, with
+    # neighbour i's sequence as the pile under column i. The indicator
+    # encode(1, k) is the mask 1.
+    m = Matrix("M", k, [1, a0, 1, 0], neighbours.copy(), k)
 
     # Steps 2-4: shuffle, find a0's heart, park its column at the right edge.
-    pile_shift_shuffle(m, rng, audit)
+    pile_shift_shuffle(m, rng)
     j1 = single_heart(m.reveal_row(2, transcript), m.id, 2)
     m.flip_down()
     m.shift(k - j1, transcript)
 
-    if audit:
+    if trail is not None:
         x = decode(a0)
-        audit.record(
-            "align_rightmost",
-            cell,
-            direction,
-            x,
-            tuple(neighbours[x - 1]),
-            tuple(m.cols[k - 1][4:]),
-        )
+        parked = m.pile_masks()[k - 1]
+        trail.record("align_rightmost", cell, direction, x, neighbours[x - 1], parked)
 
     # Steps 5-6: split off the top two rows and realign them on their own.
     m1, m2 = m.split_rows(2, "M1", "M2")
-    rearrangement(m1, rng, transcript, audit)
+    rearrangement(m1, rng, transcript)
 
-    # Step 7: append k-1 blank columns behind a fresh indicator pair.
+    # Step 7: append k-1 blank columns behind a fresh indicator pair: Row 1
+    # blank, Row 2 an indicator whose heart is in the first appended column.
     if k > 1:
-        tail0 = encode(0, k - 1)
-        tail1 = encode(1, k - 1)
-        appended = [[tail0[j], tail1[j], *[CLUB] * k] for j in range(k - 1)]
-        m2.append_columns([list(col) for col in appended])
+        block = Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+        if trail is not None:
+            appended = block.snapshot()
+        m2.append_columns(block)
         board.aux_alloc((k - 1) * (k + 2))
-    else:
-        appended = []
 
     # Steps 8-9: shuffle, find the first neighbour's column.
-    pile_shift_shuffle(m2, rng, audit)
+    pile_shift_shuffle(m2, rng)
     j2 = single_heart(m2.reveal_row(1, transcript), m2.id, 1)
     m2.flip_down()
 
     # Step 10: select the k consecutive piles starting there.
-    width = m2.n_cols
-    s_col = [(j2 - 1 + i) % width + 1 for i in range(k)]
-    selected = [m2.take_segment(c, 3, k + 2) for c in s_col]
+    s_col = [*range(j2, m2.n_cols + 1), *range(1, j2)][:k]
+    selected = []
+    for col in s_col:
+        selected.append(m2.take_segment(col, 3, k + 2))
 
-    if audit:
-        expected = [tuple(neighbours[i]) for i in range(x)] + [
-            (CLUB,) * k for _ in range(k - x)
-        ]
-        audit.record("selection", cell, direction, x, expected, [tuple(s) for s in selected])
+    if trail is not None:
+        expected = neighbours[:x] + [0] * (k - x)
+        trail.record("selection", cell, direction, x, expected, selected)
 
     # Steps 10-11: stack them under the cell's own sequence and check
     # none repeats its number.
-    n = Matrix.from_rows("N", [m1.take_row(1), m1.take_row(2), *selected])
-    if not _uniqueness_on_matrix(n, rng, transcript, audit):
+    n = Matrix.from_rows("N", k, [m1.take_row(1), m1.take_row(2), *selected])
+    if not _uniqueness_on_matrix(n, rng, transcript):
         return Verdict(False, DISTANCE_HEART_FOUND, loc)
 
     # Step 12: realign, return a0 to its cell and the piles to the matrix.
-    rearrangement(n, rng, transcript, audit)
-    board.cell_seq[cell] = n.take_row(2)
-    for idx, c in enumerate(s_col):
-        m2.put_segment(c, 3, n.take_row(3 + idx))
+    rearrangement(n, rng, transcript)
+    cell_seq[cell] = n.take_row(2)
+    for idx, col in enumerate(s_col):
+        m2.put_segment(col, 3, k + 2, n.take_row(3 + idx))
 
     # Steps 13-15: hide the seam again, then cut the appended columns off.
     if k > 1:
-        pile_shift_shuffle(m2, rng, audit)
+        pile_shift_shuffle(m2, rng)
         j3 = single_heart(m2.reveal_row(2, transcript), m2.id, 2)
         m2.flip_down()
         m2.shift(k + 1 - j3, transcript)
         removed = m2.remove_columns(k + 1, 2 * k - 1)
         board.aux_free((k - 1) * (k + 2))
-        if audit:
-            audit.record("removed_block", cell, direction, appended, removed)
+        if trail is not None:
+            trail.record("removed_block", cell, direction, appended, removed.snapshot())
 
     # Step 16: realign and put every neighbour back where it came from.
-    rearrangement(m2, rng, transcript, audit)
-    for i, ncell in enumerate(grid_cells):
-        board.cell_seq[ncell] = m2.cols[i][2:]
+    rearrangement(m2, rng, transcript)
+    piles = m2.pile_masks()
+    cell_seq.update(zip(grid_cells, piles))
 
-    if audit:
-        after_values = tuple(
-            decode(board.cell_seq[c]) for c in [cell, *grid_cells]
-        ) + tuple(decode(m2.cols[i][2:]) for i in range(len(grid_cells), k))
-        audit.record("restore", cell, direction, before_values, after_values)
+    if trail is not None:
+        after_values = tuple(decode(cell_seq[c]) for c in [cell, *grid_cells]) + tuple(
+            decode(pile) for pile in piles[reach:]
+        )
+        trail.record("restore", cell, direction, before_values, after_values)
 
     board.aux_free(3 * k + pad_count * k)
     return ACCEPT
@@ -344,7 +326,6 @@ def verify_distance_phase(
     board: Board,
     rng: RandomSource,
     transcript: Transcript,
-    audit: AuditTrail | None = None,
     dedupe_directions: bool = False,
 ) -> Verdict:
     """Distance checks for every cell and direction, stopping at the first failure.
@@ -356,9 +337,7 @@ def verify_distance_phase(
     with transcript.span("distance_phase"):
         for cell in board.puzzle.cells:
             for direction in CHECKED_DIRECTIONS[dedupe_directions]:
-                verdict = verify_distance_direction(
-                    board, cell, direction, rng, transcript, audit
-                )
+                verdict = verify_distance_direction(board, cell, direction, rng, transcript)
                 if not verdict.accepted:
                     return verdict
     return ACCEPT
@@ -369,7 +348,6 @@ def verify_room(
     room: RoomId,
     rng: RandomSource,
     transcript: Transcript,
-    audit: AuditTrail | None = None,
 ) -> Verdict:
     """Scramble the room's piles and reveal them; they must read 1..size.
 
@@ -378,9 +356,10 @@ def verify_room(
     """
     cells = board.puzzle.room_cells[room]
     with transcript.span(f"room:{room}"):
-        matrix = Matrix(f"R:{room}", [board.cell_seq.pop(c) for c in cells])
-        pile_scramble_shuffle(matrix, rng, audit)
-        values = [decode(col) for col in matrix.reveal_all(transcript)]
+        piles = [board.cell_seq.pop(c) for c in cells]
+        matrix = Matrix(f"R:{room}", len(cells), piles=piles, depth=board.k)
+        pile_scramble_shuffle(matrix, rng)
+        values = [decode(mask_of(col)) for col in matrix.reveal_all(transcript)]
     if any(v is None for v in values):
         return Verdict(False, MALFORMED_COMMITMENT, room)
     if sorted(values) != list(range(1, len(cells) + 1)):
@@ -393,9 +372,11 @@ def run_protocol(
     prover: ProverInput,
     rng: RandomSource,
     dedupe_directions: bool = False,
-    audit: AuditTrail | None = None,
 ) -> ProtocolResult:
-    """Full run: setup, distance phase, then room phase over every room."""
+    """Full run: setup, distance phase, then room phase over every room.
+
+    Secret draws and private snapshots go to ``rng.trail`` when it is set.
+    """
     transcript = Transcript()
     k = max_room_size(puzzle)
     grid_cards = k * puzzle.rows * puzzle.cols
@@ -406,11 +387,11 @@ def run_protocol(
         transcript.verdict(verdict.outcome, verdict.reason, verdict.loc_text())
         return ProtocolResult(verdict, transcript, CardStats(grid_cards, 0))
 
-    verdict = verify_distance_phase(board, rng, transcript, audit, dedupe_directions)
+    verdict = verify_distance_phase(board, rng, transcript, dedupe_directions)
     if verdict.accepted:
         with transcript.span("room_phase"):
             for room in board.puzzle.room_cells:
-                verdict = verify_room(board, room, rng, transcript, audit)
+                verdict = verify_room(board, room, rng, transcript)
                 if not verdict.accepted:
                     break
 

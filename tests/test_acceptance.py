@@ -159,7 +159,7 @@ def test_criterion_7_encoding_roundtrip():
 def test_criterion_8_restoration_and_alignment(sample7x7, sample7x7_solution):
     audit = AuditTrail()
     verdict, _, _ = run_protocol(
-        sample7x7, ProverInput(sample7x7_solution), RandomSource(0), audit=audit
+        sample7x7, ProverInput(sample7x7_solution), RandomSource(0, trail=audit)
     )
     assert verdict.accepted
     aligned = audit.of_kind("align_rightmost")

@@ -15,6 +15,8 @@ from ripple_zkp.cards import (
     Transcript,
     decode,
     encode,
+    faces_of,
+    mask_of,
     pile_scramble_shuffle,
     pile_shift_shuffle,
     rearrangement,
@@ -26,9 +28,10 @@ C, H = CLUB, HEART
 class StubRng:
     """Scripted draws for replaying the worked shuffle examples."""
 
-    def __init__(self, offsets=(), perms=()):
+    def __init__(self, offsets=(), perms=(), trail=None):
         self._offsets = list(offsets)
         self._perms = list(perms)
+        self.trail = trail
 
     def offset(self, n):
         return self._offsets.pop(0)
@@ -46,9 +49,9 @@ def uniform_p(counts: Counter, domain: int) -> float:
 
 class TestEncoding:
     def test_worked_examples(self):
-        assert encode(1, 3) == [H, C, C]
-        assert encode(3, 4) == [C, C, H, C]
-        assert encode(0, 5) == [C] * 5
+        assert faces_of(3, encode(1, 3)) == (H, C, C)
+        assert faces_of(4, encode(3, 4)) == (C, C, H, C)
+        assert faces_of(5, encode(0, 5)) == (C,) * 5
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -57,9 +60,14 @@ class TestEncoding:
             encode(-1, 3)
 
     def test_decode(self):
-        assert decode([C, C, H, C]) == 3
-        assert decode([C, C, C]) == 0
-        assert decode([H, H, C]) is None
+        assert decode(mask_of((C, C, H, C))) == 3
+        assert decode(mask_of((C, C, C))) == 0
+        assert decode(mask_of((H, H, C))) is None
+
+    def test_faces_roundtrip(self):
+        for width in range(0, 7):
+            for mask in range(1 << width):
+                assert mask_of(faces_of(width, mask)) == mask
 
     def test_roundtrip_exhaustive(self):
         for y in range(1, 9):
@@ -73,12 +81,14 @@ class TestEncoding:
 
 
 def labeled_matrix(rows: int, cols: int) -> Matrix:
-    # Column j carries the label j in every row; lets snapshots trace moves.
-    return Matrix("X", [[j + 1] * rows for j in range(cols)])
+    # Column j holds the binary digits of j as its cards, so snapshots,
+    # which show each column as a mask, read back the labels and trace moves.
+    assert cols < 2**rows, "too few rows to label every column"
+    return Matrix("X", cols, piles=list(range(1, cols + 1)), depth=rows)
 
 
 def column_labels(m: Matrix) -> list[int]:
-    return [col[0] for col in m.cols]
+    return list(m.snapshot())
 
 
 class TestShuffles:
@@ -95,9 +105,9 @@ class TestShuffles:
     def test_pile_shift_uniform(self):
         counts = Counter()
         for seed in range(10_000):
-            m = Matrix.from_rows("S", [encode(4, 6)])
+            m = Matrix.from_rows("S", 6, [encode(4, 6)])
             pile_shift_shuffle(m, RandomSource(seed))
-            position = decode(m.reveal_row(1, Transcript()))
+            position = decode(mask_of(m.reveal_row(1, Transcript())))
             counts[position] += 1
         assert uniform_p(counts, 6) > 1e-4
 
@@ -124,15 +134,15 @@ class TestShuffles:
         assert chi2_sf(stat, 5) > 1e-4
 
     def test_hidden_draws_logged_privately(self):
-        m = labeled_matrix(2, 4)
+        m = labeled_matrix(3, 4)
         t = Transcript()
         audit = AuditTrail()
-        pile_shift_shuffle(m, StubRng(offsets=[3]), audit)
+        pile_shift_shuffle(m, StubRng(offsets=[3], trail=audit))
         assert audit.records == [("pile_shift", "X", 3)]
         assert t.events == []  # nothing observable happened
 
     def test_shuffle_requires_face_down(self):
-        m = labeled_matrix(2, 4)
+        m = labeled_matrix(3, 4)
         m.reveal_row(1, Transcript())
         with pytest.raises(RuntimeError, match="face-up"):
             pile_shift_shuffle(m, RandomSource(0))
@@ -140,7 +150,7 @@ class TestShuffles:
 
 class TestShift:
     def test_identity(self):
-        m = labeled_matrix(2, 6)
+        m = labeled_matrix(3, 6)
         t = Transcript()
         m.shift(0, t)
         assert column_labels(m) == [1, 2, 3, 4, 5, 6]
@@ -154,7 +164,7 @@ class TestShift:
         assert column_labels(shifted) == column_labels(shuffled) == [5, 6, 1, 2, 3, 4]
 
     def test_left_shift_normalized(self):
-        m = labeled_matrix(2, 4)
+        m = labeled_matrix(3, 4)
         t = Transcript()
         m.shift(-1, t)
         assert column_labels(m) == [2, 3, 4, 1]
@@ -163,33 +173,42 @@ class TestShift:
 
 class TestReveal:
     def test_rotated_indicator(self):
-        m = Matrix.from_rows("X", [encode(1, 6)])
+        m = Matrix.from_rows("X", 6, [encode(1, 6)])
         m.rotate(2)
         faces = m.reveal_row(1, Transcript())
         assert faces.index(H) + 1 == 3
 
     def test_no_heart_row(self):
-        m = Matrix.from_rows("X", [encode(0, 4)])
+        m = Matrix.from_rows("X", 4, [encode(0, 4)])
         assert H not in m.reveal_row(1, Transcript())
 
     def test_unshuffled_encoding(self):
-        m = Matrix.from_rows("X", [encode(3, 4)])
+        m = Matrix.from_rows("X", 4, [encode(3, 4)])
         assert m.reveal_row(1, Transcript()).index(H) + 1 == 3
 
     def test_segment_all_clubs(self):
-        m = Matrix.from_rows("X", [[C, C], [C, C], [C, C]])
+        m = Matrix.from_rows("X", 2, [mask_of((C, C))] * 3)
         assert m.reveal_segment(1, 1, 3, Transcript()) == (C, C, C)
 
     def test_segment_with_heart(self):
-        m = Matrix.from_rows("X", [[C, C], [H, C]])
+        m = Matrix.from_rows("X", 2, [mask_of((C, C)), mask_of((H, C))])
         assert H in m.reveal_segment(1, 1, 2, Transcript())
 
+    def test_segment_from_piles(self):
+        # The same column read from the piles and across the row part.
+        m = Matrix("X", 2, [mask_of((C, H))], [mask_of((C, H)), mask_of((H, C))], 2)
+        m.rotate(1)
+        t = Transcript()
+        assert m.reveal_segment(1, 1, 3, t) == (H, H, C)
+        assert m.reveal_segment(2, 2, 3, t) == (C, H)
+        assert m.reveal_row(3, t) == (C, H)
+
     def test_empty_segment(self):
-        m = Matrix.from_rows("X", [[C, C], [C, C]])
+        m = Matrix.from_rows("X", 2, [mask_of((C, C))] * 2)
         assert m.reveal_segment(1, 3, 2, Transcript()) == ()
 
     def test_events_recorded(self):
-        m = Matrix.from_rows("X", [[C, H], [H, C]])
+        m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
         t = Transcript()
         m.reveal_row(2, t)
         m.flip_down()
@@ -203,27 +222,27 @@ class TestReveal:
 class TestRearrangement:
     def test_heart_returns_to_column_one(self):
         for seed in range(30):
-            m = Matrix.from_rows("X", [encode(1, 6)])
+            m = Matrix.from_rows("X", 6, [encode(1, 6)])
             m.rotate(seed % 6)
             rearrangement(m, RandomSource(seed), Transcript())
-            assert decode([col[0] for col in m.cols]) == 1
+            assert decode(m.take_row(1)) == 1
 
     def test_single_column_noop(self):
-        m = Matrix.from_rows("X", [encode(1, 1)])
+        m = Matrix.from_rows("X", 1, [encode(1, 1)])
         rearrangement(m, RandomSource(3), Transcript())
-        assert decode([col[0] for col in m.cols]) == 1
+        assert decode(m.take_row(1)) == 1
 
     def test_corotated_row_restored(self):
         # A second row rotated in lockstep realigns to its original value.
         for seed in range(100):
-            m = Matrix.from_rows("X", [encode(1, 6), encode(4, 6)])
+            m = Matrix.from_rows("X", 6, [encode(1, 6), encode(4, 6)])
             m.rotate(seed % 6)
             rearrangement(m, RandomSource(seed), Transcript())
-            assert decode([col[1] for col in m.cols]) == 4
+            assert decode(m.take_row(2)) == 4
 
     def test_malformed_rows_rejected(self):
-        for bad_row in ([H, H, C, C], [C, C, C, C]):
-            m = Matrix.from_rows("X", [bad_row])
+        for bad_row in ((H, H, C, C), (C, C, C, C)):
+            m = Matrix.from_rows("X", 4, [mask_of(bad_row)])
             with pytest.raises(MalformedCommitmentError):
                 rearrangement(m, RandomSource(0), Transcript())
 
@@ -232,7 +251,7 @@ class TestRearrangement:
         # the column's original position.
         counts = Counter()
         for seed in range(10_000):
-            m = Matrix.from_rows("X", [encode(1, 6)])
+            m = Matrix.from_rows("X", 6, [encode(1, 6)])
             m.rotate(seed % 6)
             t = Transcript()
             rearrangement(m, RandomSource(seed), t)
@@ -241,7 +260,7 @@ class TestRearrangement:
         assert uniform_p(counts, 6) > 1e-4
 
     def test_events_shape(self):
-        m = Matrix.from_rows("M1", [encode(1, 4), encode(2, 4)])
+        m = Matrix.from_rows("M1", 4, [encode(1, 4), encode(2, 4)])
         t = Transcript()
         rearrangement(m, StubRng(offsets=[1]), t)
         assert [ev[0] for ev in t.events] == ["mark", "reveal_row", "shift", "mark"]
@@ -251,29 +270,60 @@ class TestRearrangement:
 
 class TestMatrixState:
     def test_take_and_put_segment(self):
-        m = Matrix("X", [[C, H, C], [H, C, C]])
-        cards = m.take_segment(1, 2, 3)
-        assert cards == [H, C]
-        m.put_segment(1, 2, cards)
-        assert m.snapshot() == ((C, H, C), (H, C, C))
+        m = Matrix("X", 2, piles=[mask_of((C, H, C)), mask_of((H, C, C))], depth=3)
+        m.rotate(1)
+        cards = m.take_segment(2, 2, 3)
+        assert faces_of(2, cards) == (H, C)
+        m.put_segment(2, 2, 3, cards)
+        assert m.snapshot() == (mask_of((H, C, C)), mask_of((C, H, C)))
 
     def test_put_onto_occupied_rejected(self):
-        m = Matrix.from_rows("X", [[C, H]])
+        m = Matrix("X", 2, piles=[mask_of((C, H)), mask_of((H, C))], depth=2)
         with pytest.raises(RuntimeError, match="occupied"):
-            m.put_segment(1, 1, [C, C])
+            m.put_segment(1, 1, 2, mask_of((C, C)))
+        m.take_segment(1, 2, 2)
+        with pytest.raises(RuntimeError, match="occupied"):
+            m.put_segment(1, 1, 2, mask_of((C, C)))
+
+    def test_take_row_leaves_a_hole(self):
+        m = Matrix.from_rows("X", 3, [mask_of((C, H, C)), mask_of((H, C, C))])
+        m.rotate(1)
+        assert faces_of(3, m.take_row(1)) == (C, C, H)
+        with pytest.raises(TypeError):
+            m.reveal_row(1, Transcript())
 
     def test_split_and_append(self):
         m = labeled_matrix(4, 3)
         top, bottom = m.split_rows(2, "T", "B")
         assert top.n_rows == 2 and bottom.n_rows == 2
-        bottom.append_columns([[9, 9]])
+        assert top.snapshot() == (1, 2, 3) and bottom.snapshot() == (0, 0, 0)
+        bottom.append_columns(Matrix("Y", 1, piles=[mask_of((H, H))], depth=2))
         assert bottom.n_cols == 4
         removed = bottom.remove_columns(4, 4)
-        assert removed == [[9, 9]] and bottom.n_cols == 3
+        assert removed.snapshot() == (mask_of((H, H)),) and bottom.n_cols == 3
+
+    def test_append_and_remove_under_rotation(self):
+        m = Matrix("X", 3, [mask_of((H, C, C))], [1, 2, 3], 2)
+        m.rotate(2)
+        before = m.snapshot()
+        block = Matrix("Y", 2, [mask_of((C, H))], [0b11, 0b00], 2)
+        block.rotate(1)  # shows (0b001, 0b110)
+        m.append_columns(block)
+        assert m.snapshot() == (*before, 0b001, 0b110)
+        m.shift(1, Transcript())
+        assert m.snapshot() == (0b110, *before, 0b001)
+        m.shift(-1, Transcript())
+        assert m.remove_columns(4, 5).snapshot() == (0b001, 0b110)
+        assert m.snapshot() == before
+
+    def test_append_requires_matching_layout(self):
+        m = Matrix("X", 2, [0b01], [0, 0], 1)
+        with pytest.raises(ValueError, match="line up"):
+            m.append_columns(Matrix("Y", 1, piles=[0], depth=2))
 
     def test_from_rows_rejects_ragged(self):
         with pytest.raises(ValueError):
-            Matrix.from_rows("X", [[C, C], [C]])
+            Matrix.from_rows("X", 1, [mask_of((C, H)), mask_of((C,))])
 
 
 @st.composite
@@ -298,8 +348,8 @@ class TestInvariants:
     @settings(max_examples=100, deadline=None)
     def test_multiset_conservation(self, case):
         faces, ops, seed = case
-        m = Matrix("X", [list(col) for col in faces])
-        before = sorted(card for col in faces for card in col)
+        m = Matrix("X", len(faces), piles=[mask_of(col) for col in faces], depth=len(faces[0]))
+        before = sorted(mask_of(col) for col in faces)
         rng = RandomSource(seed)
         t = Transcript()
         for op in ops:
@@ -312,7 +362,7 @@ class TestInvariants:
             else:
                 m.reveal_row(1, t)
                 m.flip_down()
-        after = sorted(card for col in m.cols for card in col)
+        after = sorted(m.snapshot())
         assert after == before
 
     @given(
@@ -321,10 +371,10 @@ class TestInvariants:
     )
     @settings(max_examples=100, deadline=None)
     def test_rotations_compose_to_net_offset(self, width, offsets):
-        m = labeled_matrix(2, width)
+        m = labeled_matrix(3, width)
         for off in offsets:
             m.rotate(off)
-        net = labeled_matrix(2, width)
+        net = labeled_matrix(3, width)
         net.rotate(sum(offsets))
         assert column_labels(m) == column_labels(net)
         # Relative cyclic order never changes.
@@ -339,7 +389,7 @@ class TestTranscript:
     def test_serialization_schema(self):
         t = Transcript()
         with t.span("demo"):
-            m = Matrix.from_rows("X", [[C, H], [H, C]])
+            m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
             m.reveal_row(1, t)
             m.flip_down()
             m.shift(-1, t)
@@ -360,7 +410,7 @@ class TestTranscript:
     def test_skeleton_strips_chance(self):
         t1, t2 = Transcript(), Transcript()
         for t, faces in ((t1, (H, C, C)), (t2, (C, C, H))):
-            m = Matrix("X", [[f] for f in faces])
+            m = Matrix.from_rows("X", 3, [mask_of(faces)])
             m.reveal_row(1, t)
             m.flip_down()
             m.shift(faces.index(H), t)

@@ -5,8 +5,6 @@ import pytest
 
 from helpers import all_assignments, all_room_partitions, brute_force_solutions, make_puzzle
 from ripple_zkp.cards import (
-    CLUB,
-    HEART,
     MalformedCommitmentError,
     RandomSource,
     Transcript,
@@ -29,21 +27,19 @@ from ripple_zkp.protocol import (
 )
 from ripple_zkp.puzzle import Assignment, max_room_size, validate
 
-C, H = CLUB, HEART
-
 
 class TestSetup:
     def test_seven_by_seven_board(self, sample7x7, sample7x7_solution):
         board = setup(sample7x7, ProverInput(sample7x7_solution))
         assert board.k == 6
         assert len(board.cell_seq) == 49
-        assert all(len(seq) == 6 for seq in board.cell_seq.values())
+        assert all(decode(seq) in range(1, 7) for seq in board.cell_seq.values())
         assert board.cell_seq[(1, 1)] == encode(2, 6)
 
     def test_single_cell_board(self):
         puzzle = make_puzzle(["a"])
         board = setup(puzzle, ProverInput(Assignment.from_rows([[1]])))
-        assert board.cell_seq[(1, 1)] == [H]
+        assert board.cell_seq[(1, 1)] == encode(1, 1)
 
     def test_unencodable_value_rejected(self, sample7x7, sample7x7_solution):
         bad = sample7x7_solution.with_value((1, 1), 7)
@@ -67,6 +63,7 @@ class TestUniquenessVerify:
         verdict = uniqueness_verify(
             encode(2, 4),
             [encode(1, 4), encode(3, 4), encode(0, 4)],
+            4,
             RandomSource(0),
             Transcript(),
         )
@@ -74,21 +71,21 @@ class TestUniquenessVerify:
 
     def test_duplicate_rejects(self):
         verdict = uniqueness_verify(
-            encode(2, 4), [encode(2, 4)], RandomSource(0), Transcript()
+            encode(2, 4), [encode(2, 4)], 4, RandomSource(0), Transcript()
         )
         assert not verdict.accepted
         assert verdict.reason == DISTANCE_HEART_FOUND
 
     def test_zero_encodings_accept(self):
         verdict = uniqueness_verify(
-            encode(1, 4), [encode(0, 4)] * 5, RandomSource(0), Transcript()
+            encode(1, 4), [encode(0, 4)] * 5, 4, RandomSource(0), Transcript()
         )
         assert verdict.accepted
 
     def test_malformed_reference_rejected(self):
-        for bad in ([C, C, C, C], [H, H, C, C]):
+        for bad in (encode(0, 4), encode(1, 4) | encode(2, 4)):
             verdict = uniqueness_verify(
-                bad, [encode(1, 4)], RandomSource(0), Transcript()
+                bad, [encode(1, 4)], 4, RandomSource(0), Transcript()
             )
             assert not verdict.accepted
             assert verdict.reason == MALFORMED_COMMITMENT
@@ -100,7 +97,7 @@ class TestUniquenessVerify:
             s0_value = rnd.randint(1, b)
             others = [encode(rnd.randint(0, b), b) for _ in range(rnd.randint(1, 5))]
             verdict = uniqueness_verify(
-                encode(s0_value, b), others, RandomSource(trial), Transcript()
+                encode(s0_value, b), others, b, RandomSource(trial), Transcript()
             )
             expect_accept = all(decode(seq) != s0_value for seq in others)
             assert verdict.accepted == expect_accept
@@ -163,7 +160,7 @@ class TestDistanceDirection:
     def test_double_heart_commitment_caught(self):
         puzzle = make_puzzle(["a a"])
         board = setup(puzzle, ProverInput(Assignment.from_rows([[1, 2]])))
-        board.cell_seq[(1, 1)] = [H, H]
+        board.cell_seq[(1, 1)] = encode(1, 2) | encode(2, 2)  # [H, H]
         verdict = verify_distance_direction(
             board, (1, 1), "right", RandomSource(0), Transcript()
         )
@@ -174,12 +171,10 @@ class TestDistanceDirection:
     def test_alignment_and_selection_snapshots(self, sample7x7, sample7x7_solution):
         board = setup(sample7x7, ProverInput(sample7x7_solution))
         audit = AuditTrail()
-        rng = RandomSource(31)
+        rng = RandomSource(31, trail=audit)
         for cell in [(1, 1), (3, 5)]:
             for direction in ("right", "down"):
-                verdict = verify_distance_direction(
-                    board, cell, direction, rng, Transcript(), audit
-                )
+                verdict = verify_distance_direction(board, cell, direction, rng, Transcript())
                 assert verdict.accepted
         aligned = audit.of_kind("align_rightmost")
         assert aligned and all(rec[4] == rec[5] for rec in aligned)
@@ -253,7 +248,7 @@ class TestRoom:
     def test_permutation_accepts(self):
         puzzle, board = self._board([2, 1, 3])
         audit, transcript = AuditTrail(), Transcript()
-        verdict = verify_room(board, "a", RandomSource(0), transcript, audit)
+        verdict = verify_room(board, "a", RandomSource(0, trail=audit), transcript)
         assert verdict.accepted
         # The scramble's permutation is recorded privately, never revealed.
         ((_, matrix_id, perm),) = audit.of_kind("pile_scramble")
@@ -273,7 +268,7 @@ class TestRoom:
 
     def test_malformed_column(self):
         puzzle, board = self._board([1, 2])
-        board.cell_seq[(1, 2)] = [H, H, C, C, C, C]
+        board.cell_seq[(1, 2)] = encode(1, 6) | encode(2, 6)  # [H, H, C, C, C, C]
         verdict = verify_room(board, "a", RandomSource(0), Transcript())
         assert not verdict.accepted
         assert verdict.reason == MALFORMED_COMMITMENT
@@ -475,7 +470,7 @@ class TestGoldenTranscripts:
 
     def test_audit_trail_sample7x7(self, sample7x7, sample7x7_solution):
         audit = AuditTrail()
-        run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0), audit=audit)
+        run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0, trail=audit))
         records = [decoded_record(rec) for rec in audit.records]
         assert len(records) == 2168
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
