@@ -126,11 +126,13 @@ class RandomSource:
         self.trail = trail
 
     def offset(self, n: int) -> int:
-        """Uniform draw from 0..n-1 (n >= 1).
+        """Uniform draw from 0..n-1.
 
         The rejection sampling of ``random.Random.randrange(n)``, inlined:
-        the same draws from the same seed, without its argument checks.
+        the same draws from the same seed, in one call frame instead of three.
         """
+        if n < 1:
+            raise ValueError(f"empty range for offset({n})")
         getrandbits = self._rng.getrandbits
         k = n.bit_length()
         r = getrandbits(k)

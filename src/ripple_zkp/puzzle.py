@@ -63,10 +63,6 @@ class Puzzle:
     def room_size(self, room: RoomId) -> int:
         return len(self.room_cells[room])
 
-    def in_bounds(self, cell: Cell) -> bool:
-        r, c = cell
-        return 1 <= r <= self.rows and 1 <= c <= self.cols
-
 
 @dataclass(frozen=True)
 class Assignment:

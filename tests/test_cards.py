@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -101,6 +102,14 @@ class TestShuffles:
         m = labeled_matrix(5, 6)
         pile_shift_shuffle(m, StubRng(offsets=[0]))
         assert column_labels(m) == [1, 2, 3, 4, 5, 6]
+
+    def test_offset_matches_randrange(self):
+        # offset() inlines randrange's rejection sampling: same stream.
+        ours, ref = RandomSource(7), random.Random(7)
+        for n in [1, 2, 3, 6, 11, 64, 65, 1000] * 50:
+            assert ours.offset(n) == ref.randrange(n)
+        with pytest.raises(ValueError):
+            ours.offset(0)
 
     def test_pile_shift_uniform(self):
         counts = Counter()
