@@ -123,6 +123,7 @@ class RandomSource:
 
     def __init__(self, seed: int, trail: AuditTrail | None = None):
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
         self.trail = trail
 
     def offset(self, n: int) -> int:
@@ -133,7 +134,7 @@ class RandomSource:
         """
         if n < 1:
             raise ValueError(f"empty range for offset({n})")
-        getrandbits = self._rng.getrandbits
+        getrandbits = self._getrandbits
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
@@ -197,7 +198,11 @@ def _event_lines(ev: tuple) -> tuple[str, str]:
 
 
 class Transcript:
-    """Append-only log of verifier-observable events."""
+    """Append-only log of verifier-observable events.
+
+    ``Matrix`` appends its reveal and shift events to ``events`` itself, in
+    the shapes the methods below build, to save a call per event.
+    """
 
     __slots__ = ("events", "_open")
 
@@ -296,10 +301,10 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, matrix_id: str, n_cols: int, rows: list[Sequence]) -> "Matrix":
-        """A matrix of row masks only, each ``n_cols`` cards wide."""
+        """A matrix of the row masks ``rows`` (a list, taken over), each ``n_cols`` wide."""
         if rows and max(rows) >> n_cols:
             raise ValueError("row wider than the matrix")
-        return cls(matrix_id, n_cols, list(rows))
+        return cls(matrix_id, n_cols, rows)
 
     @property
     def n_rows(self) -> int:
