@@ -27,7 +27,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from multiprocessing import get_context
 
 from .cards import HEART, RandomSource, Transcript, faces_of, heart_position
 from .protocol import CHECKED_DIRECTIONS, ProverInput, run_protocol
@@ -512,6 +511,17 @@ def _honest_run(puzzle: Puzzle, prover: ProverInput, dedupe: bool, seed: int) ->
 
 def _simulated_counts(puzzle: Puzzle, dedupe: bool, seeds) -> FamilyCounts:
     return FamilyCounts(simulate_transcript(puzzle, RandomSource(seed), dedupe) for seed in seeds)
+
+
+def get_context(method: str):
+    """``multiprocessing.get_context``, importing multiprocessing on first use.
+
+    Only a run on two or more workers needs a pool, and the import costs
+    every process about 10 ms of start-up.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
