@@ -394,6 +394,95 @@ class TestInvariants:
         )
 
 
+class ColumnModel:
+    """Reference model: a matrix as a list of face lists, one per column."""
+
+    def __init__(self, cols):
+        self.cols = [list(col) for col in cols]
+
+    def rotate(self, offset):
+        o = offset % len(self.cols)
+        self.cols = self.cols[-o:] + self.cols[:-o] if o else self.cols
+
+    def faces(self):
+        return tuple(tuple(col) for col in self.cols)
+
+
+def as_matrix(cols, top_rows) -> Matrix:
+    """The mask Matrix holding face columns ``cols``, the first ``top_rows`` rows as row masks."""
+    rows = [mask_of(tuple(col[i] for col in cols)) for i in range(top_rows)]
+    piles = [mask_of(col[top_rows:]) for col in cols]
+    return Matrix("X", len(cols), rows, piles, len(cols[0]) - top_rows)
+
+
+def column_faces(m: Matrix) -> tuple:
+    return tuple(faces_of(m.n_rows, col) for col in m.snapshot())
+
+
+@st.composite
+def model_cases(draw):
+    height = draw(st.integers(1, 5))
+    top_rows = draw(st.integers(0, height))
+    width = draw(st.integers(1, 5))
+    face = st.sampled_from([C, H])
+    cols = [[draw(face) for _ in range(height)] for _ in range(width)]
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from(["rotate", "permute", "reveal_row", "reveal_segment", "append", "remove"]),
+        st.integers(0, 2**16),
+    ), max_size=8))
+    return cols, top_rows, ops
+
+
+class TestColumnModel:
+    @given(model_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_matches_column_model(self, case):
+        # Every move and reveal of the mask Matrix agrees with the same move
+        # on plain face columns, whatever the split between row masks and piles.
+        cols, top_rows, ops = case
+        m, ref, t = as_matrix(cols, top_rows), ColumnModel(cols), Transcript()
+        for op, seed in ops:
+            rnd = random.Random(seed)
+            width, height = m.n_cols, m.n_rows
+            if op == "rotate":
+                offset = rnd.randint(-7, 7)
+                m.rotate(offset)
+                ref.rotate(offset)
+            elif op == "permute":
+                perm = list(range(width))
+                rnd.shuffle(perm)
+                m.permute(perm)
+                ref.cols = [ref.cols[i] for i in perm]
+            elif op == "reveal_row":
+                row = rnd.randint(1, height)
+                assert m.reveal_row(row, t) == tuple(col[row - 1] for col in ref.cols)
+                m.flip_down()
+            elif op == "reveal_segment":
+                col, lo = rnd.randint(1, width), rnd.randint(1, height)
+                hi = rnd.randint(lo, height)
+                assert m.reveal_segment(col, lo, hi, t) == tuple(ref.cols[col - 1][lo - 1:hi])
+                m.flip_down()
+            elif op == "append":
+                block_cols = [[rnd.choice([C, H]) for _ in range(height)] for _ in range(2)]
+                block, block_ref = as_matrix(block_cols, len(m.rows)), ColumnModel(block_cols)
+                block.rotate(seed)
+                block_ref.rotate(seed)
+                m.append_columns(block)
+                ref.cols += block_ref.cols
+            elif op == "remove" and width > 1:
+                lo = rnd.randint(1, width - 1)
+                hi = rnd.randint(lo, width - 1)
+                assert column_faces(m.remove_columns(lo, hi)) == tuple(
+                    tuple(col) for col in ref.cols[lo - 1:hi]
+                )
+                del ref.cols[lo - 1:hi]
+            assert column_faces(m) == ref.faces()
+        cut = m.n_rows // 2
+        top, bottom = m.split_rows(cut, "T", "B")
+        assert column_faces(top) == tuple(tuple(col[:cut]) for col in ref.cols)
+        assert column_faces(bottom) == tuple(tuple(col[cut:]) for col in ref.cols)
+
+
 class TestTranscript:
     def test_serialization_schema(self):
         t = Transcript()
