@@ -1,7 +1,24 @@
 """Shared test machinery: tiny-puzzle builders and brute-force oracles."""
 from itertools import product
 
+from ripple_zkp.cards import RandomSource
 from ripple_zkp.puzzle import Assignment, Puzzle, validate
+
+
+class RecordingSource(RandomSource):
+    """A RandomSource that logs (kind, n) for every draw it makes."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws: list[tuple[str, int]] = []
+
+    def offset(self, n: int) -> int:
+        self.draws.append(("offset", n))
+        return super().offset(n)
+
+    def permutation(self, n: int) -> list[int]:
+        self.draws.append(("permutation", n))
+        return super().permutation(n)
 
 
 def make_puzzle(room_rows, fixed=None) -> Puzzle:

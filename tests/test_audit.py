@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import make_puzzle
+from helpers import RecordingSource, all_room_partitions, make_puzzle
 from ripple_zkp import audit
 from ripple_zkp.audit import (
     AuditError,
@@ -21,7 +21,7 @@ from ripple_zkp.audit import (
 )
 from ripple_zkp.cards import HEART, RandomSource, Transcript, encode, faces_of
 from ripple_zkp.protocol import ProverInput, run_protocol
-from ripple_zkp.puzzle import Assignment, validate
+from ripple_zkp.puzzle import Assignment, solve, validate
 
 TINY = ["a a"]  # one domino room: k=2, eight direction checks per run
 TINY_SOLUTION = Assignment.from_rows([[1, 2]])
@@ -251,6 +251,78 @@ class TestSimulator:
         assert wide.family.domain == 11
         assert wide.p_value > 0.001
         assert rep.passed
+
+
+# sha256 of simulate_transcript(...).serialize(): the 7x7 sample keyed by
+# (dedupe_directions, seed), a 1x1 (k=1) by seed, and, over seeds 0..2, every
+# solvable room partition of the 1x2, 1x3 and 2x2 grids keyed by (shape,
+# index into all_room_partitions(*shape)). Pinned before the simulator was
+# rebuilt from per-draw event chunks; they also pin the order and widths of
+# its draws.
+GOLDEN_SIM_7X7 = {
+    (False, 0): "2b6b5b230dd803e685a7aa1e0494af3ed84acc696ece7f1a0382585e3d47759e",
+    (False, 1): "9795448e24864211f4bb5ecd9adaa9a3bb43097bbd673e2f3ca2494842a38152",
+    (False, 2): "5e284a41878131be713daa2e03ab3fcb7d428b7eb52f0e4e067211f4487f1908",
+    (True, 0): "75b501c12fb20f147db35704cf1cc30fcd82caf4b96cede23783b391ff344f20",
+    (True, 1): "443ed9d1baf406b1a13927bed4913a4fcbf2ffcff1277b47f7afe01caef66409",
+    (True, 2): "c370fd57f4d66e57fef2a51be20a168c637961ac394bfb88852b5ce6f7aa8a5f",
+}
+GOLDEN_SIM_K1 = "e8a668d3747a803634b8bceee80865a4c5b091bba4677d281547c0401561d88b"
+GOLDEN_SIM_PARTITIONS = {
+    ((1, 2), 0): "9b2f8283d174e33ab9cc7a97760e03cdefa88908d4626131ff20059defa770fb",
+    ((1, 3), 0): "6fb2b628c4d4b713bdebc6353fdbeea174bb9769d2e3571782009b933c014aeb",
+    ((1, 3), 1): "80132210c630e98a6e08a56ecbe3f62de9d2c928016f1ac3131f345d29197dcf",
+    ((1, 3), 2): "19607b3406c23a21fdd0175a366eab39b2874f8e4c663c7431f4f0af4223268a",
+    ((2, 2), 0): "3adbd7720a2d7559a1d04b21dc197400337a683e72808beef5897a97497947a6",
+    ((2, 2), 1): "a84597150ad3a12f9d5a2c7f33f9bd65f7e4d1217930aaacc9c57e90733fb6a5",
+    ((2, 2), 2): "a84597150ad3a12f9d5a2c7f33f9bd65f7e4d1217930aaacc9c57e90733fb6a5",
+    ((2, 2), 3): "9d75944b5b340cd143521e0373d08ad510e29f194c9656cfde26061e93c9a522",
+    ((2, 2), 5): "a84597150ad3a12f9d5a2c7f33f9bd65f7e4d1217930aaacc9c57e90733fb6a5",
+    ((2, 2), 6): "9d75944b5b340cd143521e0373d08ad510e29f194c9656cfde26061e93c9a522",
+    ((2, 2), 8): "9c6451c5e47f4aa751fa65c195fbc3b470c8e8da6e38dcc8b10e933e274ec274",
+}
+
+
+def sim_sha256(puzzle, seeds, dedupe=False):
+    digest = hashlib.sha256()
+    for seed in seeds:
+        digest.update(simulate_transcript(puzzle, RandomSource(seed), dedupe).serialize().encode())
+    return digest.hexdigest()
+
+
+class TestGoldenSimulations:
+    @pytest.mark.parametrize(("dedupe", "seed"), sorted(GOLDEN_SIM_7X7))
+    def test_sample7x7(self, sample7x7, dedupe, seed):
+        assert sim_sha256(sample7x7, [seed], dedupe) == GOLDEN_SIM_7X7[(dedupe, seed)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_cell_k1(self, seed):
+        assert sim_sha256(make_puzzle(["a"]), [seed]) == GOLDEN_SIM_K1
+
+    def test_partition_boards_pinned(self):
+        # Every solvable partition is pinned, so a board the simulator
+        # mishandles cannot drop out of the table unseen.
+        solvable = {
+            (shape, index)
+            for shape in ((1, 2), (1, 3), (2, 2))
+            for index, puzzle in enumerate(all_room_partitions(*shape))
+            if solve(puzzle)
+        }
+        assert solvable == set(GOLDEN_SIM_PARTITIONS)
+
+    @pytest.mark.parametrize(("shape", "index"), sorted(GOLDEN_SIM_PARTITIONS))
+    def test_partition_boards(self, shape, index):
+        puzzle = all_room_partitions(*shape)[index]
+        assert sim_sha256(puzzle, range(3)) == GOLDEN_SIM_PARTITIONS[(shape, index)]
+
+    def test_draw_sequence_sample7x7(self, sample7x7):
+        # The same draws as an honest run: per direction check, seven offsets
+        # of widths k, k, 2k-1, k, k, 2k-1, k; then one permutation per room.
+        rng = RecordingSource(0)
+        simulate_transcript(sample7x7, rng)
+        check = [("offset", w) for w in (6, 6, 11, 6, 6, 11, 6)]
+        rooms = [("permutation", n) for n in (5, 1, 3, 4, 5, 6, 4, 5, 5, 1, 5, 5)]
+        assert rng.draws == check * 196 + rooms
 
 
 class TestUniformityAudit:

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from helpers import all_assignments, all_room_partitions, brute_force_solutions, make_puzzle
+from helpers import (
+    RecordingSource,
+    all_assignments,
+    all_room_partitions,
+    brute_force_solutions,
+    make_puzzle,
+)
 from ripple_zkp.cards import (
     MalformedCommitmentError,
     RandomSource,
@@ -485,22 +491,6 @@ def decoded_record(rec: tuple) -> tuple:
     if kind in ("selection", "removed_block"):
         return (*rec[:-2], [decode(s) for s in rec[-2]], [decode(s) for s in rec[-1]])
     return rec
-
-
-class RecordingSource(RandomSource):
-    """A RandomSource that logs (kind, n) for every draw it makes."""
-
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self.draws: list[tuple[str, int]] = []
-
-    def offset(self, n: int) -> int:
-        self.draws.append(("offset", n))
-        return super().offset(n)
-
-    def permutation(self, n: int) -> list[int]:
-        self.draws.append(("permutation", n))
-        return super().permutation(n)
 
 
 class TestDrawSequence:
