@@ -1,7 +1,9 @@
 """Shared test machinery: tiny-puzzle builders and brute-force oracles."""
+from collections import Counter
 from itertools import product
 
-from ripple_zkp.cards import RandomSource
+from ripple_zkp.audit import _FAMILY_OF_STEP, AuditError
+from ripple_zkp.cards import HEART, RandomSource, heart_position
 from ripple_zkp.puzzle import Assignment, Puzzle, validate
 
 
@@ -102,3 +104,80 @@ def all_room_partitions(rows: int, cols: int) -> list[Puzzle]:
                 room_of[cell] = f"r{idx}"
         puzzles.append(Puzzle(rows=rows, cols=cols, room_of=room_of, fixed={}))
     return puzzles
+
+
+class ReferenceFamilyCounts:
+    """``audit.FamilyCounts`` as a plain walk over every event of every transcript.
+
+    The reference model for the per-skeleton plans: each transcript is
+    classified event by event, and one whose skeleton text differs from the
+    first transcript's has drifted.
+    """
+
+    def __init__(self, transcripts=()):
+        self.trials = 0
+        self.counts: dict[str, Counter] = {}
+        self.shapes: dict[str, tuple[str, int]] = {}
+        self.per_transcript: dict[str, int] | None = None
+        self.first_skeleton: str | None = None
+        for transcript in transcripts:
+            self.add(transcript)
+
+    def add(self, transcript) -> None:
+        seen: dict[str, int] = {}
+        step = None
+        for ev in transcript.events:
+            tag = ev[0]
+            if tag == "mark":
+                if ev[1].startswith(("rearr:", "unique:")):
+                    step = ev[1] if ev[2] == "enter" else None
+                continue
+            if tag == "shift" or tag == "verdict":
+                continue
+            if tag == "reveal_row":
+                mid, row, faces = ev[1], ev[2], ev[3]
+                key = _FAMILY_OF_STEP.get((step, mid, row))
+                if key is None:
+                    raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
+                j = heart_position(faces)
+                if j is None:
+                    raise AuditError(f"family {key}: reveal without a single heart")
+                self._observe(key, "heart", len(faces), j, seen)
+            elif tag == "reveal_segment":
+                key = _FAMILY_OF_STEP.get((step, ev[1], None))
+                if key is None:
+                    raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
+                faces = ev[5]
+                self._observe(key, "segment", len(faces), faces.count(HEART), seen)
+            elif tag == "reveal_all":
+                mid, cols = ev[1], ev[2]
+                if not mid.startswith("R:"):
+                    raise AuditError(f"full reveal outside room phase: m={mid}")
+                room = mid[2:]
+                size = len(cols)
+                values = [heart_position(col) for col in cols]
+                if sorted(v for v in values if v is not None) != list(range(1, size + 1)):
+                    raise AuditError(
+                        f"room {room}: accept-path reveal is not a permutation of 1..{size}"
+                    )
+                for slot, value in enumerate(values, start=1):
+                    self._observe(f"room.{room}.c{slot}", "room", size, value, seen)
+            else:
+                raise AuditError(f"unknown event type {tag!r}")
+        skeleton = transcript.skeleton()
+        if self.per_transcript is None:
+            self.per_transcript = seen
+            self.first_skeleton = skeleton
+        elif skeleton != self.first_skeleton:
+            raise AuditError("transcript event skeleton drifted between trials")
+        self.trials += 1
+
+    def _observe(self, key: str, kind: str, width: int, obs, seen: dict) -> None:
+        counter = self.counts.get(key)
+        if counter is None:
+            self.counts[key] = counter = Counter()
+            self.shapes[key] = (kind, width)
+        elif self.shapes[key][1] != width:
+            raise AuditError(f"family {key}: width changed {self.shapes[key][1]} -> {width}")
+        counter[obs] += 1
+        seen[key] = seen.get(key, 0) + 1

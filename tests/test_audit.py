@@ -1,11 +1,15 @@
+import functools
 import hashlib
 import os
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import RecordingSource, all_room_partitions, make_puzzle
-from ripple_zkp import audit
+from helpers import RecordingSource, ReferenceFamilyCounts, all_room_partitions, make_puzzle
+from ripple_zkp import audit, protocol
 from ripple_zkp.audit import (
     AuditError,
     FamilyCounts,
@@ -381,7 +385,7 @@ def doctored(*event_lists):
 H2 = (HEART, 0)  # a width-2 row with its heart in position 1
 
 # (events per transcript, AuditError message) for every schema guard in
-# FamilyCounts.add and FamilyCounts._observe.
+# FamilyCounts.add.
 SCHEMA_GUARDS = {
     "two_hearts": ([[("reveal_row", "M", 2, (HEART, HEART))]], "without a single heart"),
     "segment_outside_unique": (
@@ -406,6 +410,13 @@ SCHEMA_GUARDS = {
     "rearr_of_unknown_matrix": (
         [[("mark", "rearr:X", "enter"), ("reveal_row", "X", 1, H2), ("mark", "rearr:X", "exit")]],
         "unclassifiable",
+    ),
+    "mark_renamed": (  # the same families, counted the same, under another mark
+        [
+            [("mark", "dist:1,1:right", "enter"), ("reveal_row", "M", 2, H2)],
+            [("mark", "dist:1,2:right", "enter"), ("reveal_row", "M", 2, H2)],
+        ],
+        "skeleton drifted",
     ),
 }
 
@@ -443,6 +454,121 @@ class TestSchemaGuards:
         report = indistinguishability_audit(real, sim)
         assert expected in report.serialize()
         assert report.passed is passed
+
+
+@functools.cache
+def base_runs() -> tuple[tuple[tuple, ...], ...]:
+    """Events of honest and simulated runs on the domino (k=2) and a 1x3 room (k=3)."""
+    runs = []
+    for rows, solution in ((TINY, TINY_SOLUTION), (["a a a"], Assignment.from_rows([[1, 2, 3]]))):
+        puzzle = make_puzzle(rows)
+        for t in real_transcripts(puzzle, solution, 2) + sim_transcripts(puzzle, 2):
+            runs.append(tuple(t.events))
+    return tuple(runs)
+
+
+MARK_NAMES = ("rearr:M1", "rearr:N", "rearr:M2", "unique:N", "dist:9,9:up", "room:z")
+REVEALS = ("reveal_row", "reveal_segment", "reveal_all")
+
+
+def edit_events(events: list, edit: str, i: int, j: int) -> None:
+    """Doctor ``events`` in place; ``i`` picks the event and ``j`` the new value."""
+
+    def pick(*tags):
+        found = [n for n, ev in enumerate(events) if ev[0] in tags]
+        return found[i % len(found)] if found else None
+
+    n = pick("mark" if edit in ("rename", "swap") else "reveal_row")
+    if edit in ("drop", "extra"):
+        n = pick(*REVEALS)
+    elif edit in ("segment_heart", "segment_width"):
+        n = pick("reveal_segment")
+    elif edit == "room_cols":
+        n = pick("reveal_all")
+    if n is None:
+        return
+    ev = events[n]
+    if edit == "faces":
+        width = len(ev[3])
+        events[n] = ev[:3] + (faces_of(width, 1 << j % width),)
+    elif edit == "two_hearts":
+        width = len(ev[3])
+        events[n] = ev[:3] + (faces_of(width, 3 if width > 1 else 0),)
+    elif edit == "segment_heart":
+        events[n] = ev[:5] + (faces_of(len(ev[5]), 1 << j % len(ev[5])),)
+    elif edit == "segment_width":
+        events[n] = ev[:5] + (faces_of(len(ev[5]) + 1, 0),)
+    elif edit == "room_cols":
+        cols = list(ev[2])
+        cols[j % len(cols)] = cols[i % len(cols)] if j % 2 else cols[0][::-1]
+        events[n] = (ev[0], ev[1], tuple(cols))
+    elif edit == "drop":
+        del events[n]
+    elif edit == "extra":
+        events.insert(n, ev)
+    elif edit == "rename":
+        events[n] = ("mark", MARK_NAMES[j % len(MARK_NAMES)], ev[2])
+    elif edit == "swap":
+        events[n] = ("mark", ev[1], "exit" if ev[2] == "enter" else "enter")
+
+
+EDITS = (
+    "faces", "two_hearts", "segment_heart", "segment_width", "room_cols",
+    "drop", "extra", "rename", "swap",
+)
+doctored_runs = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 999), st.integers(0, 999)), max_size=2),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def family_outcome(counts_class, transcripts):
+    """What a counter reports after adding ``transcripts``, or its AuditError message."""
+    counts = counts_class()
+    try:
+        for transcript in transcripts:
+            counts.add(transcript)
+    except AuditError as exc:
+        return str(exc)
+    return (
+        counts.trials,
+        list(counts.counts.items()),  # key order fixes the report's row order
+        counts.shapes,
+        counts.per_transcript,
+        counts.first_skeleton,
+    )
+
+
+class TestFamilyCountsModel:
+    """FamilyCounts against tests/helpers.ReferenceFamilyCounts, a plain event walk."""
+
+    def test_sample7x7_runs(self, sample7x7, sample7x7_solution):
+        for dedupe in (False, True):
+            real = [
+                run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(s), dedupe)[1]
+                for s in range(2)
+            ]
+            sim = [simulate_transcript(sample7x7, RandomSource(s), dedupe) for s in range(2)]
+            for transcripts in (real, sim, real + sim):
+                expected = family_outcome(ReferenceFamilyCounts, transcripts)
+                assert not isinstance(expected, str)
+                assert family_outcome(FamilyCounts, transcripts) == expected
+
+    @given(doctored_runs)
+    @settings(max_examples=300, deadline=None)
+    def test_doctored_runs(self, runs):
+        transcripts = []
+        for base, edits in runs:
+            events = list(base_runs()[base])
+            for edit, i, j in edits:
+                edit_events(events, edit, i, j)
+            transcripts.extend(doctored(events))
+        expected = family_outcome(ReferenceFamilyCounts, transcripts)
+        assert family_outcome(FamilyCounts, transcripts) == expected
 
 
 class TestIndistinguishability:
@@ -620,6 +746,21 @@ class TestGathering:
                 puzzle, Assignment.from_rows([[1, 1]]), 2, base_seed=0
             )
 
+    def test_solution_validated_once(self, monkeypatch):
+        # One check before the runs, not one per honest run (in-process, so
+        # every call is seen).
+        calls = []
+
+        def counting_validate(puzzle, assignment):
+            calls.append(assignment)
+            return validate(puzzle, assignment)
+
+        monkeypatch.setattr(audit, "validate", counting_validate)
+        monkeypatch.setattr(protocol, "validate", counting_validate)
+        counts = gather_real_counts(tiny_puzzle(), TINY_SOLUTION, 6, base_seed=0)
+        assert counts.trials == 6
+        assert calls == [TINY_SOLUTION]
+
     def test_merge_refuses_mixed_shapes(self):
         a = FamilyCounts()
         a.add(simulate_transcript(tiny_puzzle(), RandomSource(0)))
@@ -661,7 +802,8 @@ class TestFullAudit:
 
         def with_extra_family(*args, **kwargs):
             counts = gather(*args, **kwargs)
-            counts._observe("room.z.c1", "room", 2, 1, {})
+            counts.counts["room.z.c1"] = Counter({1: 1})
+            counts.shapes["room.z.c1"] = ("room", 2)
             return counts
 
         monkeypatch.setattr(audit, "gather_simulated_counts", with_extra_family)

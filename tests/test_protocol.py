@@ -56,6 +56,8 @@ class TestSetup:
         bad = sample7x7_solution.with_value((1, 1), 1)
         with pytest.raises(ValueError, match="honest"):
             setup(sample7x7, ProverInput(bad, honest=True))
+        with pytest.raises(ValueError, match="honest"):
+            run_protocol(sample7x7, ProverInput(bad), RandomSource(0))
 
     def test_fixed_cells_placed_from_clues(self, sample7x7, sample7x7_solution):
         # (2,3) is a clue cell with value 2: the prover cannot override it.
