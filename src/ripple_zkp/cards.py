@@ -201,8 +201,13 @@ def _event_lines(ev: tuple) -> tuple[str, str]:
 class Transcript:
     """Append-only log of verifier-observable events.
 
-    ``Matrix`` appends its reveal and shift events to ``events`` itself, in
-    the shapes the methods below build, to save a call per event.
+    Events are tuples, tag first: ``("reveal_row", m, row, faces)``,
+    ``("reveal_segment", m, col, row_lo, row_hi, faces)``,
+    ``("reveal_all", m, cols)``, ``("shift", m, offset)``,
+    ``("mark", name, "enter" | "exit")`` and ``("verdict", outcome, reason,
+    loc)``. ``Matrix`` and the audit's simulator append reveals and shifts
+    to ``events`` directly, to save a call per event; ``span`` and
+    ``verdict`` add the rest.
     """
 
     __slots__ = ("events", "_open")
@@ -210,20 +215,6 @@ class Transcript:
     def __init__(self):
         self.events: list[tuple] = []
         self._open: list[str] = []  # spans entered and not yet exited, innermost last
-
-    def reveal_row(self, matrix_id: str, row: int, faces: tuple) -> None:
-        self.events.append(("reveal_row", matrix_id, row, faces))
-
-    def reveal_segment(
-        self, matrix_id: str, col: int, row_lo: int, row_hi: int, faces: tuple
-    ) -> None:
-        self.events.append(("reveal_segment", matrix_id, col, row_lo, row_hi, faces))
-
-    def reveal_all(self, matrix_id: str, cols: tuple) -> None:
-        self.events.append(("reveal_all", matrix_id, cols))
-
-    def shift(self, matrix_id: str, offset: int) -> None:
-        self.events.append(("shift", matrix_id, offset))
 
     def span(self, name: str) -> "Transcript":
         """``with transcript.span(name):`` marks enter, then exit on any way out.

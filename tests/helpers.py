@@ -2,7 +2,7 @@
 from collections import Counter
 from itertools import product
 
-from ripple_zkp.audit import _FAMILY_OF_STEP, AuditError
+from ripple_zkp.view import _FAMILY_OF_STEP, AuditError
 from ripple_zkp.cards import HEART, RandomSource, heart_position
 from ripple_zkp.puzzle import Assignment, Puzzle, validate
 

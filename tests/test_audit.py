@@ -469,24 +469,26 @@ def base_runs() -> tuple[tuple[tuple, ...], ...]:
 
 MARK_NAMES = ("rearr:M1", "rearr:N", "rearr:M2", "unique:N", "dist:9,9:up", "room:z")
 REVEALS = ("reveal_row", "reveal_segment", "reveal_all")
+# edit -> the tags of the events it can apply to
+EDIT_TARGETS = {
+    "faces": ("reveal_row",),
+    "two_hearts": ("reveal_row",),
+    "segment_heart": ("reveal_segment",),
+    "segment_width": ("reveal_segment",),
+    "room_cols": ("reveal_all",),
+    "drop": REVEALS,
+    "extra": REVEALS,
+    "rename": ("mark",),
+    "swap": ("mark",),
+}
 
 
 def edit_events(events: list, edit: str, i: int, j: int) -> None:
     """Doctor ``events`` in place; ``i`` picks the event and ``j`` the new value."""
-
-    def pick(*tags):
-        found = [n for n, ev in enumerate(events) if ev[0] in tags]
-        return found[i % len(found)] if found else None
-
-    n = pick("mark" if edit in ("rename", "swap") else "reveal_row")
-    if edit in ("drop", "extra"):
-        n = pick(*REVEALS)
-    elif edit in ("segment_heart", "segment_width"):
-        n = pick("reveal_segment")
-    elif edit == "room_cols":
-        n = pick("reveal_all")
-    if n is None:
+    found = [n for n, ev in enumerate(events) if ev[0] in EDIT_TARGETS[edit]]
+    if not found:
         return
+    n = found[i % len(found)]
     ev = events[n]
     if edit == "faces":
         width = len(ev[3])
@@ -512,14 +514,14 @@ def edit_events(events: list, edit: str, i: int, j: int) -> None:
         events[n] = ("mark", ev[1], "exit" if ev[2] == "enter" else "enter")
 
 
-EDITS = (
-    "faces", "two_hearts", "segment_heart", "segment_width", "room_cols",
-    "drop", "extra", "rename", "swap",
-)
+# Per transcript: an index into base_runs() (eight runs) and up to two edits.
 doctored_runs = st.lists(
     st.tuples(
         st.integers(0, 7),
-        st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 999), st.integers(0, 999)), max_size=2),
+        st.lists(
+            st.tuples(st.sampled_from(sorted(EDIT_TARGETS)), st.integers(0, 999), st.integers(0, 999)),
+            max_size=2,
+        ),
     ),
     min_size=1,
     max_size=3,
