@@ -13,9 +13,10 @@ The protocol's security claims become statistics over transcripts:
 
 The statistics run on per-family histograms, ``FamilyCounts``, which come
 with the simulator from ``view``: families are classified once per event
-skeleton, by a plan compiled from the first transcript of that skeleton,
-and each later transcript is matched against the plan and has only its
-faces counted.
+skeleton, by a plan compiled from the first transcript of that skeleton
+and cached, and every transcript finds its plan by matching its events
+and has only its faces counted. An audit of no honest transcripts fails,
+and a sweep tries at least one seed per mutation.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def chi2_sf(x: float, dof: int) -> float:
     26.4.4 for odd dof, 26.4.5 for even): dof // 2 positive terms, so deep
     tails keep their relative accuracy.
     """
-    if dof < 1 or dof % 1:
+    if not isinstance(dof, int) or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     if x <= 0:
         return 1.0
@@ -150,10 +151,11 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
 
     Runs chi-squared uniformity when ``uniformity`` is set and the TVD
     against ``sim`` when that is given. A family passes when every check
-    run on it passes; a family seen only in ``sim`` fails.
+    run on it passes; a family seen only in ``sim`` fails, and so does a
+    report over no honest transcripts.
     """
     gated = real.trials >= UNDERPOWERED_TRIALS
-    warnings = []
+    warnings = [] if real.trials else ["no honest transcripts: nothing was checked"]
     if not gated:
         warnings.append(
             f"under-powered: {real.trials} transcripts"
@@ -200,7 +202,7 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
             results.append(
                 FamilyResult(fam, 0, None, None, 1.0, False, note="family only in simulation")
             )
-    passed = skeleton_ok and all(r.passed for r in results)
+    passed = real.trials > 0 and skeleton_ok and all(r.passed for r in results)
     return AuditReport(real.trials, tuple(results), passed, tuple(warnings))
 
 
@@ -247,6 +249,8 @@ def soundness_sweep(
     cell in row-major order, then by value, then in seed draw order, so the
     report is the same for every worker count.
     """
+    if seeds_per_mutation < 1:
+        raise ValueError(f"seeds_per_mutation must be at least 1, got {seeds_per_mutation}")
     if validate(puzzle, solution):
         raise ValueError("soundness sweep needs a valid solution as its base")
     k = max_room_size(puzzle)

@@ -12,11 +12,11 @@ be a permutation of 1..size outright; anything else is schema drift.
 
 The event skeleton is a function of the puzzle shape alone, so families are
 classified once per skeleton, not once per transcript: ``FamilyCounts``
-walks the first transcript of a skeleton with every schema guard and
-compiles a plan of where each family's reveals sit; later transcripts are
-matched against the plan with C-level field comparisons and only their
-faces are counted. The simulator is built the same way round: each secret
-draw selects a prebuilt run of events.
+walks the first transcript of a new skeleton with every schema guard and
+compiles a plan of where each family's reveals sit; every transcript finds
+its plan by C-level field comparisons against the cached plans and then
+only has its faces counted. The simulator is built the same way round:
+each secret draw selects a prebuilt run of events.
 """
 from __future__ import annotations
 
@@ -57,8 +57,8 @@ _FAMILY_OF_STEP = {
 }
 
 
-# Event fields that Transcript.skeleton() shows, by tag. With the reveal
-# widths, which the family counts check, they fix every skeleton line.
+# Event fields that Transcript.skeleton() shows, by tag. With the row widths
+# and room shapes, which a plan also checks, they fix every skeleton line.
 _SKELETON_FIELDS = {
     "mark": (1, 2),
     "shift": (1,),
@@ -68,9 +68,9 @@ _SKELETON_FIELDS = {
     "verdict": (1, 2, 3),
 }
 _TAG = itemgetter(0)
-# hash(skeleton text) -> the _Plan compiled from the first transcript seen
-# with that skeleton; one entry per puzzle shape and direction set audited.
-_PLANS: dict[int, "_Plan"] = {}
+# Every _Plan compiled so far, one per puzzle shape and direction set
+# audited; a transcript matches at most one of them (see _Plan).
+_PLANS: list["_Plan"] = []
 
 
 def _picker(positions: list[int]):
@@ -88,13 +88,16 @@ class _Plan:
     holds the tag of every event; per skeleton field, a selector mask of
     the events that show it (None for all of them) and the values shown;
     the positions, face field and width of every row and segment family;
-    and per room reveal its position, column height and slot family keys.
-    It holds no event tuple and no skeleton text.
+    per room reveal its position, column height and slot family keys; and
+    the skeleton text, rendered once: any transcript that ``count`` accepts
+    has that text (see ``_SKELETON_FIELDS``). It holds no event tuple.
     """
 
-    __slots__ = ("tags", "fields", "reveals", "rooms", "shapes", "per_transcript")
+    __slots__ = ("tags", "fields", "reveals", "rooms", "shapes", "skeleton")
 
-    def __init__(self, events: list, families: dict):
+    def __init__(self, transcript: Transcript, families: dict):
+        events = transcript.events
+        self.skeleton = transcript.skeleton()
         self.tags = list(map(_TAG, events))
         masks: dict[int, bytearray] = {}
         room_keys: dict[int, list[str]] = {}
@@ -121,7 +124,6 @@ class _Plan:
             (pos, len(events[pos][2][0]) if keys else 0, keys) for pos, keys in room_keys.items()
         ]
         self.shapes = {key: (kind, width) for key, (kind, width, _) in families.items()}
-        self.per_transcript = {key: len(family[2]) for key, family in families.items()}
 
     def count(self, events: list) -> list[tuple[str, int, int]] | None:
         """(family key, observation, times seen) for one transcript.
@@ -160,21 +162,19 @@ class FamilyCounts:
 
     Every transcript counted together must share one event skeleton, so
     the reveal families are classified once per skeleton. The first
-    transcript of a skeleton goes through the full walk, with every schema
-    guard, and compiles a plan (see ``_Plan``): each family's event
-    positions and width, the room reveals, and the skeleton fields of
-    every event. Plans are cached per skeleton at module level, so the
-    cache grows by one entry per puzzle shape (and direction set) audited.
-    Each later transcript is matched against the plan field by field and
-    its faces counted per family; on any mismatch the full walk runs
-    again, to raise the specific schema error or "skeleton drifted".
+    transcript is matched against the plans cached at module level (see
+    ``_Plan``), one per puzzle shape (and direction set) audited; when none
+    matches, it goes through the full walk, with every schema guard, and
+    compiles a new one. ``first_skeleton`` is that plan's text. Each later
+    transcript is matched against the same plan field by field and its
+    faces counted per family; on any mismatch the full walk runs again,
+    to raise the specific schema error or "skeleton drifted".
     """
 
     def __init__(self, transcripts=()):
         self.trials = 0
         self.counts: dict[str, Counter] = {}
         self.shapes: dict[str, tuple[str, int]] = {}  # family key -> (kind, width)
-        self.per_transcript: dict[str, int] | None = None
         self.first_skeleton: str | None = None
         self._plan: _Plan | None = None
         for _ in map(self.add, transcripts):  # frees each transcript before the next is built
@@ -188,28 +188,21 @@ class FamilyCounts:
 
     def add(self, transcript: Transcript) -> None:
         events = transcript.events
-        plan = self._plan
-        if plan is None:
-            try:
-                skeleton = transcript.skeleton()
-            except ValueError:  # an unknown event: the walk below names it
-                skeleton = None
-            plan = _PLANS.get(hash(skeleton))
-        tallies = None if plan is None else plan.count(events)
-        if tallies is None:
+        for plan in _PLANS if self._plan is None else (self._plan,):
+            tallies = plan.count(events)
+            if tallies is not None:
+                break
+        else:
             families = self._walk(events)
             if self._plan is not None:
                 raise AuditError("transcript event skeleton drifted between trials")
-            # A first transcript that passes the walk but not a cached plan
-            # (its segment widths, which the skeleton text omits, differ)
-            # replaces that plan.
-            plan = _PLANS[hash(skeleton)] = _Plan(events, families)
+            plan = _Plan(transcript, families)
+            _PLANS.append(plan)
             tallies = plan.count(events)
         if self._plan is None:
             self._plan = plan
-            self.first_skeleton = skeleton
+            self.first_skeleton = plan.skeleton
             self.shapes = dict(plan.shapes)
-            self.per_transcript = dict(plan.per_transcript)
             self.counts = {key: Counter() for key in plan.shapes}
         counts = self.counts
         for key, obs, n in tallies:

@@ -118,13 +118,11 @@ class ReferenceFamilyCounts:
         self.trials = 0
         self.counts: dict[str, Counter] = {}
         self.shapes: dict[str, tuple[str, int]] = {}
-        self.per_transcript: dict[str, int] | None = None
         self.first_skeleton: str | None = None
         for transcript in transcripts:
             self.add(transcript)
 
     def add(self, transcript) -> None:
-        seen: dict[str, int] = {}
         step = None
         for ev in transcript.events:
             tag = ev[0]
@@ -142,13 +140,13 @@ class ReferenceFamilyCounts:
                 j = heart_position(faces)
                 if j is None:
                     raise AuditError(f"family {key}: reveal without a single heart")
-                self._observe(key, "heart", len(faces), j, seen)
+                self._observe(key, "heart", len(faces), j)
             elif tag == "reveal_segment":
                 key = _FAMILY_OF_STEP.get((step, ev[1], None))
                 if key is None:
                     raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
                 faces = ev[5]
-                self._observe(key, "segment", len(faces), faces.count(HEART), seen)
+                self._observe(key, "segment", len(faces), faces.count(HEART))
             elif tag == "reveal_all":
                 mid, cols = ev[1], ev[2]
                 if not mid.startswith("R:"):
@@ -161,18 +159,17 @@ class ReferenceFamilyCounts:
                         f"room {room}: accept-path reveal is not a permutation of 1..{size}"
                     )
                 for slot, value in enumerate(values, start=1):
-                    self._observe(f"room.{room}.c{slot}", "room", size, value, seen)
+                    self._observe(f"room.{room}.c{slot}", "room", size, value)
             else:
                 raise AuditError(f"unknown event type {tag!r}")
         skeleton = transcript.skeleton()
-        if self.per_transcript is None:
-            self.per_transcript = seen
+        if self.first_skeleton is None:
             self.first_skeleton = skeleton
         elif skeleton != self.first_skeleton:
             raise AuditError("transcript event skeleton drifted between trials")
         self.trials += 1
 
-    def _observe(self, key: str, kind: str, width: int, obs, seen: dict) -> None:
+    def _observe(self, key: str, kind: str, width: int, obs) -> None:
         counter = self.counts.get(key)
         if counter is None:
             self.counts[key] = counter = Counter()
@@ -180,4 +177,3 @@ class ReferenceFamilyCounts:
         elif self.shapes[key][1] != width:
             raise AuditError(f"family {key}: width changed {self.shapes[key][1]} -> {width}")
         counter[obs] += 1
-        seen[key] = seen.get(key, 0) + 1

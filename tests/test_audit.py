@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import RecordingSource, ReferenceFamilyCounts, all_room_partitions, make_puzzle
-from ripple_zkp import audit, protocol
+from ripple_zkp import audit, protocol, view
 from ripple_zkp.audit import (
     AuditError,
     FamilyCounts,
@@ -178,7 +178,7 @@ class TestChi2Sf:
     def test_zero_statistic(self):
         assert [chi2_sf(0, dof) for dof in (1, 2, 3, 10, 40)] == [1.0] * 5
 
-    @pytest.mark.parametrize("dof", [0, -1, 2.5])
+    @pytest.mark.parametrize("dof", [0, -1, 2.5, 2.0])
     def test_rejects_bad_dof(self, dof):
         with pytest.raises(ValueError):
             chi2_sf(1.0, dof)
@@ -536,11 +536,14 @@ def family_outcome(counts_class, transcripts):
             counts.add(transcript)
     except AuditError as exc:
         return str(exc)
+    return counts_state(counts)
+
+
+def counts_state(counts):
     return (
         counts.trials,
         list(counts.counts.items()),  # key order fixes the report's row order
         counts.shapes,
-        counts.per_transcript,
         counts.first_skeleton,
     )
 
@@ -571,6 +574,52 @@ class TestFamilyCountsModel:
             transcripts.extend(doctored(events))
         expected = family_outcome(ReferenceFamilyCounts, transcripts)
         assert family_outcome(FamilyCounts, transcripts) == expected
+
+
+class TestPlanLookup:
+    def test_lookup_renders_no_skeleton(self, monkeypatch, sample7x7, sample7x7_solution):
+        # Once the 7x7 plans are compiled, counting finds them from the
+        # events alone: the skeleton text is rendered only for a new plan.
+        def audit_bytes(dedupe):
+            return full_audit(
+                sample7x7, sample7x7_solution, 2, base_seed=0, dedupe_directions=dedupe
+            ).serialize()
+
+        expected = [audit_bytes(dedupe) for dedupe in (False, True)]
+        plans = len(view._PLANS)
+
+        def no_render(transcript):
+            raise AssertionError("skeleton rendered")
+
+        monkeypatch.setattr(Transcript, "skeleton", no_render)
+        assert [audit_bytes(dedupe) for dedupe in (False, True)] == expected
+        assert len(view._PLANS) == plans
+
+    def test_several_skeletons_cached(self, sample7x7, sample7x7_solution):
+        boards = [
+            (sample7x7, sample7x7_solution, False),
+            (sample7x7, sample7x7_solution, True),
+            (tiny_puzzle(), TINY_SOLUTION, False),
+            (make_puzzle(["a a a"]), Assignment.from_rows([[1, 2, 3]]), False),
+        ]
+        sides = []
+        for puzzle, solution, dedupe in boards:
+            prover = ProverInput(solution)
+            sides.append([run_protocol(puzzle, prover, RandomSource(s), dedupe)[1] for s in (0, 1)])
+            sides.append([simulate_transcript(puzzle, RandomSource(s), dedupe) for s in (0, 1)])
+        # One counter per board and side, fed in turn, so every board's plan
+        # is cached while the others' are looked up.
+        counters = [(FamilyCounts(), ReferenceFamilyCounts()) for _ in sides]
+        for step in (0, 1):
+            for transcripts, pair in zip(sides, counters):
+                for counts in pair:
+                    counts.add(transcripts[step])
+        for counts, reference in counters:
+            assert counts_state(counts) == counts_state(reference)
+        assert len({counts.first_skeleton for counts, _ in counters}) == len(boards)
+        plain = FamilyCounts(sides[0][:1])
+        with pytest.raises(AuditError, match="skeleton drifted"):
+            plain.add(sides[2][0])
 
 
 class TestIndistinguishability:
@@ -662,6 +711,12 @@ class TestSoundnessSweep:
         )
         assert report.mutations_tested == 0
         assert report.passed
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_requires_a_seed_per_mutation(self, seeds):
+        # Zero runs would test nothing and still pass.
+        with pytest.raises(ValueError, match="seeds_per_mutation"):
+            soundness_sweep(tiny_puzzle(), TINY_SOLUTION, RandomSource(0), seeds_per_mutation=seeds)
 
     def test_requires_valid_base(self):
         puzzle = tiny_puzzle()
@@ -791,6 +846,22 @@ class TestFullAudit:
         report = full_audit(puzzle, TINY_SOLUTION, trials=10, base_seed=0)
         assert report.passed
         assert any("under-powered" in w for w in report.warnings)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: full_audit(tiny_puzzle(), TINY_SOLUTION, trials=0, base_seed=0),
+            lambda: full_audit(tiny_puzzle(), TINY_SOLUTION, trials=-5, base_seed=0),
+            lambda: uniformity_audit([]),
+            lambda: indistinguishability_audit([], []),
+        ],
+        ids=["full_zero", "full_negative", "uniformity_empty", "indistinguishability_empty"],
+    )
+    def test_no_transcripts_fails(self, run):
+        report = run()
+        assert report.trials == 0
+        assert not report.passed
+        assert report.warnings[0] == "no honest transcripts: nothing was checked"
 
     def test_report_serialization_stable(self):
         puzzle = tiny_puzzle()
