@@ -180,6 +180,16 @@ _EVENT_LINES = {
     "mark": (_mark_line, _mark_line),
     "verdict": (_verdict_line, _verdict_line),
 }
+# Event fields that the skeleton() line shows, by tag. With the row widths
+# and room shapes, which are read off the faces, they fix every skeleton line.
+_SKELETON_FIELDS = {
+    "mark": (1, 2),
+    "shift": (1,),
+    "reveal_row": (1, 2),
+    "reveal_segment": (1, 3, 4),
+    "reveal_all": (1,),
+    "verdict": (1, 2, 3),
+}
 # Event -> its two lines, for every tag but reveal_all: a run repeats few
 # distinct marks, shifts and row/segment reveals thousands of times, while
 # room reveals are rare and vary with every permutation. It grows with the

@@ -236,8 +236,8 @@ def validate(puzzle: Puzzle, asg: Assignment) -> list[Violation]:
 
     for (r1, c1) in puzzle.cells:
         x = asg[(r1, c1)]
-        # Right along the row and down the column; each close pair found once.
-        for d in range(1, x + 1):
+        # Right along the row and down the column to the grid edge; each close pair found once.
+        for d in range(1, min(x, max(puzzle.rows - r1, puzzle.cols - c1)) + 1):
             for r2, c2 in ((r1, c1 + d), (r1 + d, c1)):
                 if r2 <= puzzle.rows and c2 <= puzzle.cols and asg[(r2, c2)] == x:
                     out.append(

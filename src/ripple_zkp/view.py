@@ -8,7 +8,14 @@ permutation, so the heart position in each column slot is uniform over the
 room's size, and those per-slot marginals are what the audit's statistics
 run on (full-permutation histograms would drown the TVD threshold in
 sampling noise at any workable trial count). Each room reveal must still
-be a permutation of 1..size outright; anything else is schema drift.
+be a permutation of 1..size outright, in columns of one height; anything
+else is schema drift.
+
+One table, ``_DRAWS``, says what a distance check shows: one row per secret
+draw, with the reveal's family, the step mark around it, the matrix and row
+revealed, the width and the public shift that follows. The classifier of
+row and segment reveals (``_FAMILY_OF_STEP``) and the simulator's event
+runs are both built from it.
 
 The event skeleton is a function of the puzzle shape alone, so families are
 classified once per skeleton, not once per transcript: ``FamilyCounts``
@@ -22,10 +29,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from operator import itemgetter
 
-from .cards import HEART, RandomSource, Transcript, faces_of, heart_position
+from .cards import _SKELETON_FIELDS, HEART, RandomSource, Transcript, faces_of, heart_position
 from .protocol import CHECKED_DIRECTIONS
 from .puzzle import Puzzle, max_room_size
 
@@ -43,30 +51,26 @@ class RevealFamily:
     domain: int
 
 
+# What a distance check shows: one row per secret draw, in draw order. A row
+# is (family key, rearr:/unique: step mark around the reveal or None, matrix
+# id, revealed row, True when the matrix is 2k-1 columns wide rather than k,
+# turn): after a heart at position r + 1 the columns shift right by
+# (k + turn - r) mod width, or not at all when turn is None. A unique: step
+# also reveals the all-club segment under the heart (dist.unique_seg), and
+# dist.j3 is drawn only when blank columns were appended (k > 1).
+_DRAWS = (
+    ("dist.j1", None, "M", 2, False, -1),
+    ("dist.rearr_m1", "rearr:M1", "M1", 1, False, 0),
+    ("dist.j2", None, "M2", 1, True, None),
+    ("dist.unique_s0", "unique:N", "N", 2, False, None),
+    ("dist.rearr_n", "rearr:N", "N", 1, False, 0),
+    ("dist.j3", None, "M2", 2, True, 0),
+    ("dist.rearr_m2", "rearr:M2", "M2", 1, False, 0),
+)
 # (open rearr:/unique: step or None, matrix id, revealed row) -> family key
 # for every distance-check reveal; a segment reveal has row None.
-_FAMILY_OF_STEP = {
-    (None, "M", 2): "dist.j1",
-    ("rearr:M1", "M1", 1): "dist.rearr_m1",
-    (None, "M2", 1): "dist.j2",
-    ("unique:N", "N", 2): "dist.unique_s0",
-    ("unique:N", "N", None): "dist.unique_seg",
-    ("rearr:N", "N", 1): "dist.rearr_n",
-    (None, "M2", 2): "dist.j3",
-    ("rearr:M2", "M2", 1): "dist.rearr_m2",
-}
-
-
-# Event fields that Transcript.skeleton() shows, by tag. With the row widths
-# and room shapes, which a plan also checks, they fix every skeleton line.
-_SKELETON_FIELDS = {
-    "mark": (1, 2),
-    "shift": (1,),
-    "reveal_row": (1, 2),
-    "reveal_segment": (1, 3, 4),
-    "reveal_all": (1,),
-    "verdict": (1, 2, 3),
-}
+_FAMILY_OF_STEP = {(step, mid, row): key for key, step, mid, row, _, _ in _DRAWS}
+_FAMILY_OF_STEP["unique:N", "N", None] = "dist.unique_seg"
 _TAG = itemgetter(0)
 # Every _Plan compiled so far, one per puzzle shape and direction set
 # audited; a transcript matches at most one of them (see _Plan).
@@ -81,6 +85,21 @@ def _picker(positions: list[int]):
     return itemgetter(*positions)
 
 
+def _room_values(room: str, cols: tuple) -> list[int]:
+    """The heart position of each column of an accepting room reveal.
+
+    Raises unless the columns share one height and their hearts are a
+    permutation of 1..size, one heart per column.
+    """
+    size = len(cols)
+    if len(set(map(len, cols))) > 1:
+        raise AuditError(f"room {room}: accept-path reveal has columns of unequal height")
+    values = list(map(heart_position, cols))
+    if None in values or sorted(values) != list(range(1, size + 1)):
+        raise AuditError(f"room {room}: accept-path reveal is not a permutation of 1..{size}")
+    return values
+
+
 class _Plan:
     """Where each reveal family sits in one event skeleton.
 
@@ -90,7 +109,7 @@ class _Plan:
     the positions, face field and width of every row and segment family;
     per room reveal its position, column height and slot family keys; and
     the skeleton text, rendered once: any transcript that ``count`` accepts
-    has that text (see ``_SKELETON_FIELDS``). It holds no event tuple.
+    has that text (see ``cards._SKELETON_FIELDS``). It holds no event tuple.
     """
 
     __slots__ = ("tags", "fields", "reveals", "rooms", "shapes", "skeleton")
@@ -147,11 +166,12 @@ class _Plan:
                     return None
                 tallies.append((key, obs, n))
         for pos, height, keys in self.rooms:
-            cols = events[pos][2]
+            mid, cols = events[pos][1:3]
             if len(cols) != len(keys) or cols and len(cols[0]) != height:
                 return None
-            values = list(map(heart_position, cols))
-            if None in values or sorted(values) != list(range(1, len(keys) + 1)):
+            try:
+                values = _room_values(mid, cols)
+            except AuditError:
                 return None
             tallies.extend(zip(keys, values, (1,) * len(keys)))
         return tallies
@@ -254,12 +274,7 @@ class FamilyCounts:
                 if not mid.startswith("R:"):
                     raise AuditError(f"full reveal outside room phase: m={mid}")
                 room = mid[2:]
-                size = len(cols)
-                values = [heart_position(col) for col in cols]
-                if sorted(v for v in values if v is not None) != list(range(1, size + 1)):
-                    raise AuditError(
-                        f"room {room}: accept-path reveal is not a permutation of 1..{size}"
-                    )
+                size = len(_room_values(room, cols))
                 for slot in range(1, size + 1):
                     observe(f"room.{room}.c{slot}", "room", size, pos)
             else:
@@ -275,63 +290,35 @@ class FamilyCounts:
         return self
 
 
-# k -> the simulator's event chunks for that card count, built on first use.
-_CHUNKS: dict[int, tuple] = {}
-
-
+@cache
 def _sim_chunks(k: int) -> tuple:
     """The simulator's prebuilt events for card count k: (steps, cols).
 
-    ``steps`` holds one (table, width) pair per secret draw of a distance
-    check, in draw order: ``table[r]`` is the run of events that the draw
-    ``rng.offset(width) == r`` selects, from the reveal it places to the
-    marks around it, as an honest check emits them. ``cols[v]`` is the
-    room column that shows value v + 1.
+    ``steps`` holds one (table, width) pair per row of ``_DRAWS`` drawn at
+    this k, in draw order: ``table[r]`` is the run of events that the draw
+    ``rng.offset(width) == r`` selects, built from the row as an honest
+    check emits them: the step's enter mark, the reveal with its heart at
+    r + 1, the segment reveal of a unique: step, the public shift, and the
+    exit mark. ``cols[v]`` is the room column that shows value v + 1.
+    Built on first use and cached per k.
     """
-    chunks = _CHUNKS.get(k)
-    if chunks is not None:
-        return chunks
-    wide = 2 * k - 1 if k > 1 else 1
-
-    def reveal(mid: str, row: int, width: int, r: int) -> tuple:
-        return ("reveal_row", mid, row, faces_of(width, 1 << r))
-
-    def rearr(mid: str) -> list:
-        return [
-            (
-                ("mark", f"rearr:{mid}", "enter"),
-                reveal(mid, 1, k, r),
-                ("shift", mid, -r % k),
-                ("mark", f"rearr:{mid}", "exit"),
-            )
-            for r in range(k)
-        ]
-
-    steps = [
-        ([(reveal("M", 2, k, r), ("shift", "M", (k - 1 - r) % k)) for r in range(k)], k),
-        (rearr("M1"), k),
-        ([(reveal("M2", 1, wide, r),) for r in range(wide)], wide),
-        (
-            [
-                (
-                    ("mark", "unique:N", "enter"),
-                    reveal("N", 2, k, r),
-                    ("reveal_segment", "N", r + 1, 3, k + 2, faces_of(k, 0)),
-                    ("mark", "unique:N", "exit"),
-                )
-                for r in range(k)
-            ],
-            k,
-        ),
-        (rearr("N"), k),
-    ]
-    if k > 1:
-        steps.append(
-            ([(reveal("M2", 2, wide, r), ("shift", "M2", (k - r) % wide)) for r in range(wide)], wide)
-        )
-    steps.append((rearr("M2"), k))
-    chunks = _CHUNKS[k] = (steps, [faces_of(k, 1 << v) for v in range(k)])
-    return chunks
+    steps = []
+    for key, step, mid, row, wide, turn in _DRAWS:
+        if key == "dist.j3" and k == 1:
+            continue
+        width = 2 * k - 1 if wide else k
+        table = []
+        for r in range(width):
+            run = [("reveal_row", mid, row, faces_of(width, 1 << r))]
+            if (step, mid, None) in _FAMILY_OF_STEP:
+                run.append(("reveal_segment", mid, r + 1, 3, k + 2, faces_of(k, 0)))
+            if turn is not None:
+                run.append(("shift", mid, (k + turn - r) % width))
+            if step is not None:
+                run = [("mark", step, "enter"), *run, ("mark", step, "exit")]
+            table.append(tuple(run))
+        steps.append((table, width))
+    return steps, [faces_of(k, 1 << v) for v in range(k)]
 
 
 def simulate_transcript(

@@ -2,9 +2,23 @@
 from collections import Counter
 from itertools import product
 
-from ripple_zkp.view import _FAMILY_OF_STEP, AuditError
+from ripple_zkp.view import AuditError
 from ripple_zkp.cards import HEART, RandomSource, heart_position
 from ripple_zkp.puzzle import Assignment, Puzzle, validate
+
+# (open rearr:/unique: step or None, matrix id, revealed row) -> family key
+# for every distance-check reveal, written out by hand so that the oracle
+# below does not share the table the audit derives its classifier from.
+FAMILY_OF_STEP = {
+    (None, "M", 2): "dist.j1",
+    ("rearr:M1", "M1", 1): "dist.rearr_m1",
+    (None, "M2", 1): "dist.j2",
+    ("unique:N", "N", 2): "dist.unique_s0",
+    ("unique:N", "N", None): "dist.unique_seg",
+    ("rearr:N", "N", 1): "dist.rearr_n",
+    (None, "M2", 2): "dist.j3",
+    ("rearr:M2", "M2", 1): "dist.rearr_m2",
+}
 
 
 class RecordingSource(RandomSource):
@@ -134,7 +148,7 @@ class ReferenceFamilyCounts:
                 continue
             if tag == "reveal_row":
                 mid, row, faces = ev[1], ev[2], ev[3]
-                key = _FAMILY_OF_STEP.get((step, mid, row))
+                key = FAMILY_OF_STEP.get((step, mid, row))
                 if key is None:
                     raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
                 j = heart_position(faces)
@@ -142,7 +156,7 @@ class ReferenceFamilyCounts:
                     raise AuditError(f"family {key}: reveal without a single heart")
                 self._observe(key, "heart", len(faces), j)
             elif tag == "reveal_segment":
-                key = _FAMILY_OF_STEP.get((step, ev[1], None))
+                key = FAMILY_OF_STEP.get((step, ev[1], None))
                 if key is None:
                     raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
                 faces = ev[5]
@@ -153,6 +167,8 @@ class ReferenceFamilyCounts:
                     raise AuditError(f"full reveal outside room phase: m={mid}")
                 room = mid[2:]
                 size = len(cols)
+                if len({len(col) for col in cols}) > 1:
+                    raise AuditError(f"room {room}: accept-path reveal has columns of unequal height")
                 values = [heart_position(col) for col in cols]
                 if sorted(v for v in values if v is not None) != list(range(1, size + 1)):
                     raise AuditError(

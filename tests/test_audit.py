@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RecordingSource, ReferenceFamilyCounts, all_room_partitions, make_puzzle
+from helpers import (
+    FAMILY_OF_STEP,
+    RecordingSource,
+    ReferenceFamilyCounts,
+    all_room_partitions,
+    make_puzzle,
+)
 from ripple_zkp import audit, protocol, view
 from ripple_zkp.audit import (
     AuditError,
@@ -394,6 +400,14 @@ SCHEMA_GUARDS = {
     ),
     "reveal_all_not_room": ([[("reveal_all", "M", ((HEART,),))]], "outside room phase"),
     "room_not_permutation": ([[("reveal_all", "R:a", (H2, H2))]], "not a permutation"),
+    "room_ragged": ([[("reveal_all", "R:a", ((0, HEART), (HEART, 0, 0)))]], "unequal height"),
+    "room_ragged_later": (
+        [
+            [("reveal_all", "R:a", ((0, HEART), H2))],
+            [("reveal_all", "R:a", ((0, HEART), (HEART, 0, 0)))],
+        ],
+        "unequal height",
+    ),
     "unknown_tag": ([[("peek", "M")]], "unknown event type"),
     "count_drift": (
         [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, H2)] * 2],
@@ -476,6 +490,7 @@ EDIT_TARGETS = {
     "segment_heart": ("reveal_segment",),
     "segment_width": ("reveal_segment",),
     "room_cols": ("reveal_all",),
+    "room_height": ("reveal_all",),
     "drop": REVEALS,
     "extra": REVEALS,
     "rename": ("mark",),
@@ -503,6 +518,11 @@ def edit_events(events: list, edit: str, i: int, j: int) -> None:
     elif edit == "room_cols":
         cols = list(ev[2])
         cols[j % len(cols)] = cols[i % len(cols)] if j % 2 else cols[0][::-1]
+        events[n] = (ev[0], ev[1], tuple(cols))
+    elif edit == "room_height":
+        cols = list(ev[2])
+        col = cols[j % len(cols)]
+        cols[j % len(cols)] = col + (0,) if i % 2 else col[:-1]
         events[n] = (ev[0], ev[1], tuple(cols))
     elif edit == "drop":
         del events[n]
@@ -550,6 +570,10 @@ def counts_state(counts):
 
 class TestFamilyCountsModel:
     """FamilyCounts against tests/helpers.ReferenceFamilyCounts, a plain event walk."""
+
+    def test_family_map_matches_oracle(self):
+        # The classifier derived from view._DRAWS equals the oracle's own copy.
+        assert view._FAMILY_OF_STEP == FAMILY_OF_STEP
 
     def test_sample7x7_runs(self, sample7x7, sample7x7_solution):
         for dedupe in (False, True):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
+    _EVENT_LINES,
+    _SKELETON_FIELDS,
     CLUB,
     HEART,
     AuditTrail,
@@ -483,6 +485,17 @@ class TestColumnModel:
         assert column_faces(bottom) == tuple(tuple(col[cut:]) for col in ref.cols)
 
 
+# One event per tag, and the index of its faces field (None for none).
+SKELETON_SAMPLES = {
+    "mark": (("mark", "demo", "enter"), None),
+    "shift": (("shift", "X", 1), None),
+    "reveal_row": (("reveal_row", "X", 1, (H, C)), 3),
+    "reveal_segment": (("reveal_segment", "X", 2, 1, 2, (C, C)), 5),
+    "reveal_all": (("reveal_all", "R:a", ((H, C), (C, H))), 2),
+    "verdict": (("verdict", "reject", "distance", "1,1:right"), None),
+}
+
+
 class TestTranscript:
     def test_serialization_schema(self):
         t = Transcript()
@@ -514,6 +527,25 @@ class TestTranscript:
             m.shift(faces.index(H), t)
         assert t1.serialize() != t2.serialize()
         assert t1.skeleton() == t2.skeleton()
+
+    @pytest.mark.parametrize("tag", sorted(_EVENT_LINES))
+    def test_skeleton_shows_listed_fields(self, tag):
+        # _SKELETON_FIELDS lists exactly the fields a skeleton line shows,
+        # beside the faces, which it shows only as a width or shape.
+        event, faces_field = SKELETON_SAMPLES[tag]
+
+        def skeleton(ev):
+            t = Transcript()
+            t.events.append(ev)
+            return t.skeleton()
+
+        for index in range(1, len(event)):
+            if index == faces_field:
+                continue
+            value = event[index]
+            edited = (value + 1) if isinstance(value, int) else f"{value}x"
+            changed = skeleton(event[:index] + (edited,) + event[index + 1:]) != skeleton(event)
+            assert changed == (index in _SKELETON_FIELDS[tag]), index
 
     def test_empty_serialize(self):
         assert Transcript().serialize() == ""

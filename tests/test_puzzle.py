@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,40 @@ class TestValidate:
                 if asg[c1] == asg[c2] and gap < asg[c1]:
                     expected.append(tuple(sorted((c1, c2))))
         assert got == sorted(expected)
+
+    def test_huge_value_stops_at_grid_edge(self):
+        # The distance scan ends at the grid edge, not after x steps, so a
+        # huge value costs no more than a small one.
+        def timed_out(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            out = validate(make_puzzle(["a b"]), Assignment.from_rows([[1, 10**12]]))
+        except TimeoutError:
+            pytest.fail("validate scanned past the grid edge", pytrace=False)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [(v.kind, v.cells) for v in out] == [(ROOM_CONTENT, ((1, 2),))]
+
+    @given(st.lists(st.integers(1, 6), min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_violations_in_scan_order(self, values):
+        # Oracle: the scan of x steps right then down from each cell,
+        # unbounded by the grid edge, gives the same violations in order.
+        puzzle = make_puzzle(["a a a", "b b b"])
+        asg = Assignment.from_rows([values[:3], values[3:]])
+        expected = []
+        for r1, c1 in puzzle.cells:
+            x = asg[(r1, c1)]
+            for d in range(1, x + 1):
+                for r2, c2 in ((r1, c1 + d), (r1 + d, c1)):
+                    if r2 <= puzzle.rows and c2 <= puzzle.cols and asg[(r2, c2)] == x:
+                        expected.append(((r1, c1), (r2, c2)))
+        got = [v.cells for v in validate(puzzle, asg) if v.kind == DISTANCE]
+        assert got == expected
 
 
 class TestSolve:
