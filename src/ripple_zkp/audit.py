@@ -32,8 +32,9 @@ from .puzzle import Assignment, Puzzle, max_room_size, validate
 from .view import AuditError, FamilyCounts, RevealFamily, simulate_transcript
 
 
-# Below this many transcripts the p-values and TVDs are reported but do not
-# gate the verdict; only structural failures (skeleton drift, a heart in an
+# Below this many transcripts (on the smaller side of a real-versus-simulated
+# comparison) the p-values and TVDs are reported but do not gate the
+# verdict; only structural failures (skeleton drift, a heart in an
 # accept-path segment, a missing family) can fail an under-powered audit.
 UNDERPOWERED_TRIALS = 1000
 # A gated family fails below this chi-squared p-value against uniform, or
@@ -152,13 +153,15 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
     Runs chi-squared uniformity when ``uniformity`` is set and the TVD
     against ``sim`` when that is given. A family passes when every check
     run on it passes; a family seen only in ``sim`` fails, and so does a
-    report over no honest transcripts.
+    report over no honest transcripts. The statistics gate only when the
+    smaller side holds at least ``UNDERPOWERED_TRIALS`` transcripts.
     """
-    gated = real.trials >= UNDERPOWERED_TRIALS
+    power = real.trials if sim is None else min(real.trials, sim.trials)
+    gated = power >= UNDERPOWERED_TRIALS
     warnings = [] if real.trials else ["no honest transcripts: nothing was checked"]
     if not gated:
         warnings.append(
-            f"under-powered: {real.trials} transcripts"
+            f"under-powered: {power} transcripts"
             f" (want >= {UNDERPOWERED_TRIALS}); statistics reported but not gating"
         )
     skeleton_ok = sim is None or real.first_skeleton == sim.first_skeleton

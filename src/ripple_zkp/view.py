@@ -18,11 +18,11 @@ row and segment reveals (``_FAMILY_OF_STEP``) and the simulator's event
 runs are both built from it.
 
 The event skeleton is a function of the puzzle shape alone, so families are
-classified once per skeleton, not once per transcript: ``FamilyCounts``
-walks the first transcript of a new skeleton with every schema guard and
-compiles a plan of where each family's reveals sit; every transcript finds
-its plan by C-level field comparisons against the cached plans and then
-only has its faces counted. The simulator is built the same way round:
+classified once per skeleton, not once per transcript: the first
+transcript of a new skeleton compiles a ``_Plan`` of where each family's
+reveals sit, in one walk that applies every schema guard; every
+transcript finds its plan by C-level field comparisons against the
+cached plans and then only has its faces counted. The simulator is built the same way round:
 each secret draw selects a prebuilt run of events.
 """
 from __future__ import annotations
@@ -103,54 +103,92 @@ def _room_values(room: str, cols: tuple) -> list[int]:
 class _Plan:
     """Where each reveal family sits in one event skeleton.
 
-    Compiled from a transcript that passed ``FamilyCounts``'s full walk. It
-    holds the tag of every event; per skeleton field, a selector mask of
-    the events that show it (None for all of them) and the values shown;
-    the positions, face field and width of every row and segment family;
-    per room reveal its position, column height and slot family keys; and
-    the skeleton text, rendered once: any transcript that ``count`` accepts
-    has that text (see ``cards._SKELETON_FIELDS``). It holds no event tuple.
+    Compiled by one walk over a transcript that classifies every event and
+    raises ``AuditError`` on the first that breaks the schema; family widths
+    must also agree with ``shapes``, the families already counted. It holds
+    the tag of every event; per skeleton field, a selector mask of the
+    events that show it (None for all of them) and the values shown; the
+    positions, face field and width of every row and segment family; per
+    room reveal its position, column height and slot family keys; each
+    family's kind and width, in order of first observation; and the
+    skeleton text, rendered once: any transcript that ``count`` accepts has
+    that text (see ``cards._SKELETON_FIELDS``). It holds no event tuple.
     """
 
     __slots__ = ("tags", "fields", "reveals", "rooms", "shapes", "skeleton")
 
-    def __init__(self, transcript: Transcript, families: dict):
+    def __init__(self, transcript: Transcript, shapes: dict):
         events = transcript.events
-        self.skeleton = transcript.skeleton()
-        self.tags = list(map(_TAG, events))
-        masks: dict[int, bytearray] = {}
-        room_keys: dict[int, list[str]] = {}
-        for pos, tag in enumerate(self.tags):
-            for index in _SKELETON_FIELDS[tag]:
-                masks.setdefault(index, bytearray(len(events)))[pos] = 1
-            if tag == "reveal_all":
-                room_keys[pos] = []
-        self.fields = []
-        for index, mask in sorted(masks.items()):
-            field = itemgetter(index)
-            selector = None if all(mask) else bytes(mask)
-            shown = events if selector is None else compress(events, selector)
-            self.fields.append((field, selector, list(map(field, shown))))
-        self.reveals = []
-        for key, (kind, width, positions) in families.items():
-            if kind == "room":
-                for pos in positions:
-                    room_keys[pos].append(key)
-            else:
-                faces = itemgetter(3 if kind == "heart" else 5)
-                self.reveals.append((key, faces, kind, width, _picker(positions)))
-        self.rooms = [
-            (pos, len(events[pos][2][0]) if keys else 0, keys) for pos, keys in room_keys.items()
-        ]
-        self.shapes = {key: (kind, width) for key, (kind, width, _) in families.items()}
+        self.tags: list[str] = []
+        self.rooms: list[tuple[int, int, list[str]]] = []
+        self.shapes: dict[str, tuple[str, int]] = {}
+        positions: dict[str, list[int]] = {}  # row and segment families only
 
-    def count(self, events: list) -> list[tuple[str, int, int]] | None:
+        def observe(key: str, kind: str, width: int) -> None:
+            shape = self.shapes.get(key) or shapes.get(key)
+            if shape is not None and shape[1] != width:
+                raise AuditError(f"family {key}: width changed {shape[1]} -> {width}")
+            self.shapes.setdefault(key, (kind, width))
+
+        step: str | None = None
+        for pos, ev in enumerate(events):
+            tag = ev[0]
+            self.tags.append(tag)
+            if tag == "mark":
+                if ev[1].startswith(("rearr:", "unique:")):
+                    step = ev[1] if ev[2] == "enter" else None
+            elif tag == "shift" or tag == "verdict":
+                pass
+            elif tag == "reveal_row":
+                mid, row, faces = ev[1], ev[2], ev[3]
+                key = _FAMILY_OF_STEP.get((step, mid, row))
+                if key is None:
+                    raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
+                if heart_position(faces) is None:
+                    raise AuditError(f"family {key}: reveal without a single heart")
+                observe(key, "heart", len(faces))
+                positions.setdefault(key, []).append(pos)
+            elif tag == "reveal_segment":
+                key = _FAMILY_OF_STEP.get((step, ev[1], None))
+                if key is None:
+                    raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
+                observe(key, "segment", len(ev[5]))
+                positions.setdefault(key, []).append(pos)
+            elif tag == "reveal_all":
+                mid, cols = ev[1], ev[2]
+                if not mid.startswith("R:"):
+                    raise AuditError(f"full reveal outside room phase: m={mid}")
+                room = mid[2:]
+                size = len(_room_values(room, cols))
+                keys = [f"room.{room}.c{slot}" for slot in range(1, size + 1)]
+                for key in keys:
+                    observe(key, "room", size)
+                self.rooms.append((pos, len(cols[0]) if cols else 0, keys))
+            else:
+                raise AuditError(f"unknown event type {tag!r}")
+        self.reveals = []
+        for key, picked in positions.items():
+            kind, width = self.shapes[key]
+            faces = itemgetter(3 if kind == "heart" else 5)
+            self.reveals.append((key, faces, kind, width, _picker(picked)))
+        self.fields = []
+        for index in sorted({i for tag in set(self.tags) for i in _SKELETON_FIELDS[tag]}):
+            shows = {tag: index in fields for tag, fields in _SKELETON_FIELDS.items()}
+            selector = bytes(map(shows.__getitem__, self.tags))
+            selector = None if all(selector) else selector
+            shown = events if selector is None else compress(events, selector)
+            field = itemgetter(index)
+            self.fields.append((field, selector, list(map(field, shown))))
+        self.skeleton = transcript.skeleton()
+
+    def count(self, events: list, tags: list[str]) -> list[tuple[str, int, int]] | None:
         """(family key, observation, times seen) for one transcript.
 
-        None when the transcript differs from the plan in any skeleton
-        field, or a revealed face breaks the schema.
+        ``tags`` is the tag of each of ``events``. None when the transcript
+        differs from the plan in any skeleton field, or a revealed face
+        breaks the schema.
         """
-        if list(map(_TAG, events)) != self.tags:
+        if tags != self.tags:
             return None
         for field, selector, expected in self.fields:
             shown = events if selector is None else compress(events, selector)
@@ -184,11 +222,11 @@ class FamilyCounts:
     the reveal families are classified once per skeleton. The first
     transcript is matched against the plans cached at module level (see
     ``_Plan``), one per puzzle shape (and direction set) audited; when none
-    matches, it goes through the full walk, with every schema guard, and
-    compiles a new one. ``first_skeleton`` is that plan's text. Each later
-    transcript is matched against the same plan field by field and its
-    faces counted per family; on any mismatch the full walk runs again,
-    to raise the specific schema error or "skeleton drifted".
+    matches, it compiles a new one, which raises the first schema error.
+    ``first_skeleton`` is that plan's text. Each later transcript is
+    matched against the same plan field by field and its faces counted per
+    family; on any mismatch it compiles a plan of its own, to raise the
+    specific schema error or else "skeleton drifted".
     """
 
     def __init__(self, transcripts=()):
@@ -208,17 +246,17 @@ class FamilyCounts:
 
     def add(self, transcript: Transcript) -> None:
         events = transcript.events
+        tags = list(map(_TAG, events))
         for plan in _PLANS if self._plan is None else (self._plan,):
-            tallies = plan.count(events)
+            tallies = plan.count(events, tags)
             if tallies is not None:
                 break
         else:
-            families = self._walk(events)
+            plan = _Plan(transcript, self.shapes)
             if self._plan is not None:
                 raise AuditError("transcript event skeleton drifted between trials")
-            plan = _Plan(transcript, families)
             _PLANS.append(plan)
-            tallies = plan.count(events)
+            tallies = plan.count(events, tags)
         if self._plan is None:
             self._plan = plan
             self.first_skeleton = plan.skeleton
@@ -228,58 +266,6 @@ class FamilyCounts:
         for key, obs, n in tallies:
             counts[key][obs] += n
         self.trials += 1
-
-    def _walk(self, events: list) -> dict[str, tuple[str, int, list[int]]]:
-        """Classify every event, raising on the first that breaks the schema.
-
-        Returns each family's kind, width and observing event positions, in
-        order of first observation. Widths must also agree with the
-        families already counted.
-        """
-        families: dict[str, tuple[str, int, list[int]]] = {}
-
-        def observe(key: str, kind: str, width: int, pos: int) -> None:
-            family = families.get(key)
-            shape = family or self.shapes.get(key)
-            if shape is not None and shape[1] != width:
-                raise AuditError(f"family {key}: width changed {shape[1]} -> {width}")
-            if family is None:
-                families[key] = family = (kind, width, [])
-            family[2].append(pos)
-
-        step: str | None = None
-        for pos, ev in enumerate(events):
-            tag = ev[0]
-            if tag == "mark":
-                if ev[1].startswith(("rearr:", "unique:")):
-                    step = ev[1] if ev[2] == "enter" else None
-                continue
-            if tag == "shift" or tag == "verdict":
-                continue
-            if tag == "reveal_row":
-                mid, row, faces = ev[1], ev[2], ev[3]
-                key = _FAMILY_OF_STEP.get((step, mid, row))
-                if key is None:
-                    raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
-                if heart_position(faces) is None:
-                    raise AuditError(f"family {key}: reveal without a single heart")
-                observe(key, "heart", len(faces), pos)
-            elif tag == "reveal_segment":
-                key = _FAMILY_OF_STEP.get((step, ev[1], None))
-                if key is None:
-                    raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
-                observe(key, "segment", len(ev[5]), pos)
-            elif tag == "reveal_all":
-                mid, cols = ev[1], ev[2]
-                if not mid.startswith("R:"):
-                    raise AuditError(f"full reveal outside room phase: m={mid}")
-                room = mid[2:]
-                size = len(_room_values(room, cols))
-                for slot in range(1, size + 1):
-                    observe(f"room.{room}.c{slot}", "room", size, pos)
-            else:
-                raise AuditError(f"unknown event type {tag!r}")
-        return families
 
     def merge(self, other: "FamilyCounts") -> "FamilyCounts":
         if other.first_skeleton != self.first_skeleton:

@@ -390,8 +390,10 @@ def doctored(*event_lists):
 
 H2 = (HEART, 0)  # a width-2 row with its heart in position 1
 
-# (events per transcript, AuditError message) for every schema guard in
-# FamilyCounts.add.
+# (events per transcript, AuditError message) for every schema guard of the
+# walk that compiles a view._Plan. A *_later case breaks the guard only in a
+# second transcript, after a valid first one: it must raise its own message,
+# not "skeleton drifted".
 SCHEMA_GUARDS = {
     "two_hearts": ([[("reveal_row", "M", 2, (HEART, HEART))]], "without a single heart"),
     "segment_outside_unique": (
@@ -424,6 +426,23 @@ SCHEMA_GUARDS = {
     "rearr_of_unknown_matrix": (
         [[("mark", "rearr:X", "enter"), ("reveal_row", "X", 1, H2), ("mark", "rearr:X", "exit")]],
         "unclassifiable",
+    ),
+    "width_change_later": (
+        [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, (HEART, 0, 0))]],
+        "width changed",
+    ),
+    "unknown_tag_later": ([[("reveal_row", "M", 2, H2)], [("peek", "M")]], "unknown event type"),
+    "two_hearts_later": (
+        [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, (HEART, HEART))]],
+        "without a single heart",
+    ),
+    "unclassifiable_later": (
+        [[("reveal_row", "M", 2, H2)], [("reveal_row", "Z", 9, H2)]],
+        "unclassifiable",
+    ),
+    "room_not_permutation_later": (
+        [[("reveal_all", "R:a", ((0, HEART), H2))], [("reveal_all", "R:a", (H2, H2))]],
+        "not a permutation",
     ),
     "mark_renamed": (  # the same families, counted the same, under another mark
         [
@@ -676,6 +695,17 @@ class TestIndistinguishability:
         assert not report.passed
         room = {fr.family.key: fr for fr in report.families}["room.a.c1"]
         assert not room.passed and room.tvd > 0.05
+
+    @pytest.mark.parametrize(("real_trials", "sim_trials"), [(1000, 3), (3, 1000)])
+    def test_smaller_side_sets_power(self, real_trials, sim_trials):
+        # Three transcripts on either side are too few to gate the TVD.
+        puzzle = tiny_puzzle()
+        real = real_transcripts(puzzle, TINY_SOLUTION, real_trials)
+        sim = sim_transcripts(puzzle, sim_trials, base_seed=20_000)
+        report = indistinguishability_audit(real, sim)
+        assert report.passed
+        assert report.warnings[0].startswith("under-powered: 3 transcripts")
+        assert {fr.note for fr in report.families} == {"not gated: under-powered"}
 
     def test_skeleton_mismatch_reported(self):
         puzzle = tiny_puzzle()

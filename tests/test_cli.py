@@ -342,3 +342,24 @@ def test_out_check_creates_nothing(tmp_path, capsys):
     path = write(tmp_path, "unsat.txt", UNSAT)
     assert cli.main(["solve", "--puzzle", path, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+# Run in a fresh interpreter. Modules loaded before the package (site hooks
+# such as _distutils_hack among them) are left out by the snapshot.
+STDLIB_ONLY_SCRIPT = """
+import sys
+before = set(sys.modules)
+import ripple_zkp, ripple_zkp.cli
+code = ripple_zkp.cli.main(["count", "--puzzle", sys.argv[1]])
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(code, sorted(added - sys.stdlib_module_names - {"ripple_zkp"}))
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_count_loads_only_stdlib_modules(sample7x7_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY_SCRIPT, sample7x7_path], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0 []", "False"]
