@@ -1,3 +1,5 @@
+import hashlib
+import random
 import signal
 
 import pytest
@@ -10,6 +12,7 @@ from ripple_zkp.puzzle import (
     FIXED_MISMATCH,
     ROOM_CONTENT,
     Assignment,
+    Puzzle,
     PuzzleFormatError,
     max_room_size,
     parse_puzzle,
@@ -298,6 +301,75 @@ class TestSolve:
         assert validate(sample7x7, sample7x7_solution) == []
         for cell in sample7x7.cells:
             assert sample7x7_solution[cell] <= sample7x7.room_size(sample7x7.room_of[cell])
+
+
+def with_random_clues(puzzle, seed):
+    """``puzzle`` with about a third of its cells clued, each within its room."""
+    rng = random.Random(seed)
+    fixed = {}
+    for cell in puzzle.cells:
+        if rng.random() < 1 / 3:
+            fixed[cell] = rng.randint(1, puzzle.room_size(puzzle.room_of[cell]))
+    return Puzzle(puzzle.rows, puzzle.cols, puzzle.room_of, fixed)
+
+
+# sha256 over the repr of every solve(limit=None) result, one line per board:
+# each partition bare, then with random clues from seeds 2i and 2i + 1.
+GOLDEN_SOLVE_PARTITIONS = {
+    (1, 2): "0a11edd572c242ce97c9072ce4ac1ee1fad0bd92e913cd325b69a287bc5e65e1",
+    (1, 3): "3c74337d83d8633622ab83a075cc1c4801b7636aa31bb737186e150015859ead",
+    (2, 2): "c5204125db9f0591ec9a2cedbb5a9f1edd5eb402623dafde95ab14f0b8d8922c",
+    (1, 4): "139888bc8c4120ddd4ae355fa8ea0ea710a9dfd33d8b1e24b9d0be67e42575ff",
+}
+
+# The first two solutions of the sample's room partition without its clues.
+CLUE_FREE_7X7_FIRST_TWO = [
+    (
+        (2, 1, 3, 1, 4, 2, 3),
+        (1, 5, 2, 4, 1, 3, 1),
+        (3, 4, 1, 2, 3, 5, 4),
+        (1, 2, 4, 3, 5, 1, 2),
+        (4, 3, 1, 5, 2, 4, 6),
+        (5, 1, 2, 1, 4, 3, 5),
+        (3, 2, 5, 4, 3, 2, 1),
+    ),
+    (
+        (2, 1, 3, 1, 4, 2, 3),
+        (1, 5, 2, 4, 1, 3, 2),
+        (3, 4, 1, 2, 3, 5, 4),
+        (1, 2, 4, 3, 5, 1, 6),
+        (4, 3, 1, 5, 2, 4, 1),
+        (5, 1, 2, 1, 4, 3, 5),
+        (3, 2, 5, 4, 3, 2, 1),
+    ),
+]
+
+
+class TestSolvePinned:
+    """Pinned solver outputs: every result, in order, on small boards and the 7x7."""
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_SOLVE_PARTITIONS))
+    def test_partition_boards(self, shape):
+        digest = hashlib.sha256()
+        for index, bare in enumerate(all_room_partitions(*shape)):
+            for puzzle in (
+                bare,
+                with_random_clues(bare, 2 * index),
+                with_random_clues(bare, 2 * index + 1),
+            ):
+                found = [a.values for a in solve(puzzle, limit=None)]
+                digest.update(repr(found).encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_SOLVE_PARTITIONS[shape]
+
+    def test_sample_with_wrong_corner_clue_is_unsatisfiable(self, sample7x7):
+        # The unique solution has 1 at (7,7); a clue of 2 there leaves none.
+        fixed = {**sample7x7.fixed, (7, 7): 2}
+        puzzle = Puzzle(sample7x7.rows, sample7x7.cols, sample7x7.room_of, fixed)
+        assert solve(puzzle, limit=None) == []
+
+    def test_clue_free_sample_first_two(self, sample7x7):
+        puzzle = Puzzle(sample7x7.rows, sample7x7.cols, sample7x7.room_of, {})
+        assert [a.values for a in solve(puzzle, limit=2)] == CLUE_FREE_7X7_FIRST_TWO
 
 
 class TestMaxRoomSize:
