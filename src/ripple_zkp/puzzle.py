@@ -8,8 +8,8 @@ some cells carrying a fixed clue value. A filled grid is a solution when
      separated by at least x cells.
 
 ``validate`` is the non-cryptographic ground truth used as an oracle by the
-card protocol tests; ``solve`` is a complete backtracking search for
-desk-scale instances.
+card protocol tests; ``solve`` is a complete backtracking search with
+forward checking over bitmask domains.
 """
 from __future__ import annotations
 
@@ -220,6 +220,12 @@ def validate(puzzle: Puzzle, asg: Assignment) -> list[Violation]:
     Emits one RoomContent per bad room, one Distance per unordered pair of
     equal values placed too close in a row or column, and one FixedMismatch
     per disagreeing clue cell.
+
+    FixedMismatch has no protocol counterpart: ``protocol.setup`` commits a
+    fixed cell's clue whatever the claim says, so the protocol judges such a
+    claim as if it held the clue. That is why 30 of the soundness sweep's
+    245 single-cell mutations of the 7x7 (6 clue cells times 5 other values)
+    stay valid.
     """
     out: list[Violation] = []
 
@@ -266,58 +272,96 @@ def max_room_size(puzzle: Puzzle) -> int:
 
 
 def solve(puzzle: Puzzle, limit: int | None = 1) -> list[Assignment]:
-    """Up to ``limit`` solutions by complete backtracking (None = all).
+    """Up to ``limit`` solutions by backtracking with forward checking (None = all).
 
     Deterministic: cells are filled row-major, candidate values ascending,
-    so results come out in lexicographic order. Pruning (fixed clues, one
-    value per room, distance conflicts against placed cells) only discards
-    provably dead branches, so an empty result means unsatisfiable.
+    so results come out in lexicographic order. Every cell keeps a bitmask
+    domain of candidates: its room's values 1..s, or only its clue (no
+    candidate when the clue lies outside 1..s). Placing v clears bit v from
+    the later cells of the same room and from the next v cells to the right
+    and below; a placement that empties a domain is taken back at once.
+    Pruning only discards provably dead branches, so an empty result means
+    unsatisfiable.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
 
-    cells = puzzle.cells
-    grid = [[0] * (puzzle.cols + 1) for _ in range(puzzle.rows + 1)]
-    room_used: dict[RoomId, set[int]] = {room: set() for room in puzzle.room_cells}
-    sizes = {room: len(c) for room, c in puzzle.room_cells.items()}
+    rows, cols = puzzle.rows, puzzle.cols
+    total = rows * cols
+    # Cell i is (i // cols + 1, i % cols + 1); bit v of domain[i] stands for
+    # value v. peers[i] holds the later cells of i's room, then the cells to
+    # its right and below by distance, so peers[i][:reach[i][v]] are the
+    # cells that cannot hold v once i does.
+    domain = [0] * total
+    peers: list[list[int]] = [[]] * total
+    reach: list[list[int]] = [[]] * total
+    for room in puzzle.room_cells.values():
+        s = len(room)
+        order = [(r - 1) * cols + c - 1 for r, c in room]
+        for k, (r, c) in enumerate(room):
+            i = order[k]
+            clue = puzzle.fixed.get((r, c))
+            if clue is None:
+                domain[i] = (1 << (s + 1)) - 2
+            elif 1 <= clue <= s:
+                domain[i] = 1 << clue
+            near = order[k + 1 :]
+            counts = [len(near)]
+            for d in range(1, s + 1):
+                if c + d <= cols:
+                    near.append(i + d)
+                if r + d <= rows:
+                    near.append(i + d * cols)
+                counts.append(len(near))
+            peers[i] = near
+            reach[i] = counts
+
+    # An explicit stack with one level per cell in fill order, so the depth
+    # is not bounded by the recursion limit. Per level: the candidates not
+    # yet tried, the value placed, and the cells whose bit it cleared.
+    last = total - 1
+    untried = [0] * total
+    value = [0] * total
+    cleared: list[list[int]] = [[]] * total
     found: list[Assignment] = []
-
-    def consistent(r: int, c: int, v: int) -> bool:
-        # Placed cells are those left in the row / above in the column.
-        for d in range(1, v + 1):
-            if c - d >= 1 and grid[r][c - d] == v:
-                return False
-            if r - d >= 1 and grid[r - d][c] == v:
-                return False
-        return True
-
-    # Per cell in fill order: its coordinates, its room's used values, and its
-    # candidates. The search keeps one candidate iterator per filled cell on
-    # an explicit stack, so its depth is not bounded by the recursion limit.
-    plan = []
-    for cell in cells:
-        room = puzzle.room_of[cell]
-        fixed = puzzle.fixed.get(cell)
-        values = (fixed,) if fixed is not None else range(1, sizes[room] + 1)
-        plan.append((*cell, room_used[room], values))
-    stack = [iter(plan[0][3])]
-    while stack:
-        r, c, used, _ = plan[len(stack) - 1]
-        # Take back this cell's last value; a cell visited first holds 0.
-        used.discard(grid[r][c])
-        grid[r][c] = 0
-        for v in stack[-1]:
-            if v not in used and consistent(r, c, v):
-                grid[r][c] = v
-                used.add(v)
+    level = 0
+    untried[0] = domain[0]
+    while level >= 0:
+        # Take back this level's last placement; a level entered afresh has none.
+        bit = 1 << value[level]
+        for j in cleared[level]:
+            domain[j] |= bit
+        rest = untried[level]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            undo = []
+            for j in peers[level][: reach[level][v]]:
+                mask = domain[j]
+                if mask & bit:
+                    domain[j] = mask ^ bit
+                    undo.append(j)
+                    if mask == bit:
+                        break
+            else:
                 break
+            for j in undo:
+                domain[j] |= bit
         else:
-            stack.pop()
+            cleared[level] = []
+            level -= 1
             continue
-        if len(stack) < len(plan):
-            stack.append(iter(plan[len(stack)][3]))
+        untried[level] = rest
+        value[level] = v
+        cleared[level] = undo
+        if level < last:
+            level += 1
+            untried[level] = domain[level]
             continue
-        found.append(Assignment.from_rows([row[1:] for row in grid[1:]]))
+        found.append(
+            Assignment(tuple(tuple(value[k : k + cols]) for k in range(0, total, cols)))
+        )
         if limit is not None and len(found) >= limit:
             break
     return found

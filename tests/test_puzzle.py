@@ -249,6 +249,21 @@ class TestValidate:
         assert got == expected
 
 
+SMALL_PARTITIONS = [
+    puzzle
+    for shape in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1))
+    for puzzle in all_room_partitions(*shape)
+]
+
+
+@st.composite
+def small_boards(draw):
+    """Boards of up to 4 cells whose clues may lie outside 1..room size."""
+    bare = draw(st.sampled_from(SMALL_PARTITIONS))
+    fixed = draw(st.dictionaries(st.sampled_from(bare.cells), st.integers(-1, 5)))
+    return Puzzle(bare.rows, bare.cols, bare.room_of, fixed)
+
+
 class TestSolve:
     def test_finds_printed_solution(self, sample7x7, sample7x7_solution):
         assert solve(sample7x7, limit=1) == [sample7x7_solution]
@@ -275,6 +290,20 @@ class TestSolve:
             solve(make_puzzle(["a"]), limit=0)
 
     @pytest.mark.parametrize(
+        ("room_rows", "fixed"),
+        [
+            (["a"], {(1, 1): 2}),
+            (["a a b"], {(1, 1): 3}),
+            (["a a"], {(1, 1): 0}),
+            (["a a"], {(1, 2): -1}),
+        ],
+    )
+    def test_clue_outside_room_range_is_unsatisfiable(self, room_rows, fixed):
+        # parse_puzzle rejects these clues, but a Puzzle built directly keeps
+        # them; no grid can satisfy one, so solve must find nothing.
+        assert solve(make_puzzle(room_rows, fixed), limit=None) == []
+
+    @pytest.mark.parametrize(
         "room_rows",
         [
             ["a a", "a a"],
@@ -295,6 +324,19 @@ class TestSolve:
         for puzzle in all_room_partitions(2, 2):
             for asg in solve(puzzle, limit=None):
                 assert validate(puzzle, asg) == []
+
+    @given(small_boards())
+    @settings(max_examples=200, deadline=None)
+    def test_properties_on_small_boards(self, puzzle):
+        everything = solve(puzzle, limit=None)
+        assert all(validate(puzzle, asg) == [] for asg in everything)
+        values = [asg.values for asg in everything]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for j in (1, 2):
+            assert solve(puzzle, limit=j) == everything[:j]
+        # Brute force checks every clue, so it also finds nothing when one
+        # lies outside its room's range.
+        assert everything == brute_force_solutions(puzzle)
 
     def test_values_bounded_by_room_size(self, sample7x7, sample7x7_solution):
         # Rule-1 consequence: a clean grid never exceeds its room's size.
