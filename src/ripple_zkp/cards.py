@@ -12,7 +12,9 @@ A Matrix of face-down cards is a stack of row masks (sequences laid left to
 right) over piles (sequences stacked top to bottom, one mask per column),
 plus one rotation offset applied lazily: the pile-shifting shuffle of
 Nishimura et al. and the public shifts are a modular add to the offset, and a
-reveal rotates only the one mask it shows. Revealed faces are tuples of
+reveal rotates only the one mask it shows. Rows come off one at a time;
+piles move as runs of whole piles over neighbouring columns, one call per
+run (``take_segment``, ``put_segment``). Revealed faces are tuples of
 CLUB/HEART taken from one table keyed by (width, mask) and filled on first
 use (``faces_of``); the simulator builds its reveals from the same table,
 single-heart reads (``single_heart``, the audit's family counts) look the
@@ -276,8 +278,9 @@ class Matrix:
     ``depth`` rows below them are piles, one mask per storage column with
     bit 0 for the pile's top card. Visible column j shows storage column
     (j - 1 - offset) mod n_cols, so a rotation only moves ``offset``. Rows
-    are taken out whole (``take_row``) and pile segments moved with
-    ``take_segment``/``put_segment``. Cards are readable only through the
+    are taken out whole (``take_row``), and runs of whole piles over
+    neighbouring columns are taken and put back in one call each
+    (``take_segment``/``put_segment``). Cards are readable only through the
     reveal methods, which log what was shown; the lists passed in are
     taken over, not copied.
     """
@@ -457,29 +460,41 @@ class Matrix:
             mask = (mask << o | mask >> (w - o)) & ((1 << w) - 1)
         return mask
 
-    def take_segment(self, col: int, row_lo: int, row_hi: int) -> Sequence:
-        """Take rows row_lo..row_hi of one pile off the matrix (leaves a gap)."""
-        shift = row_lo - 1 - len(self.rows)
-        if shift < 0:
-            raise ValueError(f"matrix {self.id}: rows {row_lo}..{row_hi} are not in the piles")
-        bits = ((1 << (row_hi - row_lo + 1)) - 1) << shift
-        p = (col - 1 - self.offset) % self.n_cols
-        pile = self.piles[p]
-        self.piles[p] = pile & ~bits
-        self._gaps[p] |= bits
-        return (pile & bits) >> shift
+    def take_segment(self, col: int, count: int) -> list[Sequence]:
+        """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
-    def put_segment(self, col: int, row_lo: int, row_hi: int, cards: Sequence) -> None:
-        """Put cards into the gap at rows row_lo..row_hi of one pile."""
-        shift = row_lo - 1 - len(self.rows)
-        if shift < 0:
-            raise ValueError(f"matrix {self.id}: rows {row_lo}..{row_hi} are not in the piles")
-        bits = ((1 << (row_hi - row_lo + 1)) - 1) << shift
-        p = (col - 1 - self.offset) % self.n_cols
-        if self._gaps[p] & bits != bits:
-            raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
-        self._gaps[p] ^= bits
-        self.piles[p] |= cards << shift & bits
+        The run wraps past the last column. Each pile taken leaves a gap,
+        and a spot that is already a gap raises, so no card is made up.
+        """
+        w, p = self.n_cols, col - 1 - self.offset
+        full = (1 << self.depth) - 1
+        piles, gaps = self.piles, self._gaps
+        taken = []
+        for q in range(p, p + count):
+            q %= w
+            if gaps[q]:
+                raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
+            taken.append(piles[q])
+            piles[q] = 0
+            gaps[q] = full
+        return taken
+
+    def put_segment(self, col: int, piles: list[Sequence]) -> None:
+        """Fill the gaps from ``col`` rightwards with ``piles``, wrapping as ``take_segment`` does.
+
+        A pile deeper than ``depth`` raises rather than losing its lower cards.
+        """
+        w, p, depth = self.n_cols, col - 1 - self.offset, self.depth
+        full = (1 << depth) - 1
+        own, gaps = self.piles, self._gaps
+        for q, cards in enumerate(piles, p):
+            q %= w
+            if gaps[q] != full:
+                raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
+            if cards >> depth:
+                raise ValueError(f"matrix {self.id}: pile deeper than {depth} cards")
+            gaps[q] = 0
+            own[q] = cards
 
     def pile_masks(self) -> list[Sequence]:
         """Private peek at the piles, left to right; not an observable event."""

@@ -39,7 +39,6 @@ from .cards import (
     single_heart,
 )
 from .puzzle import (
-    DIRECTION_STEPS,
     DIRECTIONS,
     Assignment,
     Cell,
@@ -215,7 +214,6 @@ def _distance_direction(
     rng: RandomSource,
     transcript: Transcript,
 ) -> Verdict:
-    puzzle = board.puzzle
     k = board.k
     loc = (cell, direction)
     trail = rng.trail
@@ -224,14 +222,8 @@ def _distance_direction(
     # with public all-club sequences where the grid ends.
     cell_seq = board.cell_seq
     a0 = cell_seq.pop(cell)
-    r, c = cell
-    dr, dc = DIRECTION_STEPS[direction]
-    if dc:
-        reach = min(puzzle.cols - c if dc > 0 else c - 1, k)
-        grid_cells = list(zip((r,) * reach, range(c + dc, c + dc * (reach + 1), dc)))
-    else:
-        reach = min(puzzle.rows - r if dr > 0 else r - 1, k)
-        grid_cells = list(zip(range(r + dr, r + dr * (reach + 1), dr), (c,) * reach))
+    grid_cells = board.puzzle.rays[cell, direction]
+    reach = len(grid_cells)
     neighbours = list(map(cell_seq.pop, grid_cells))
     pad_count = k - reach
     neighbours += [0] * pad_count
@@ -274,11 +266,9 @@ def _distance_direction(
     j2 = single_heart(m2.reveal_row(1, transcript), m2.id, 1)
     m2.flip_down()
 
-    # Step 10: select the k consecutive piles starting there.
-    s_col = [*range(j2, m2.n_cols + 1), *range(1, j2)][:k]
-    selected = []
-    for col in s_col:
-        selected.append(m2.take_segment(col, 3, k + 2))
+    # Step 10: select the k consecutive piles starting there, wrapping
+    # past the last column.
+    selected = m2.take_segment(j2, k)
 
     if trail is not None:
         expected = neighbours[:x] + [0] * (k - x)
@@ -293,8 +283,7 @@ def _distance_direction(
     # Step 12: realign, return a0 to its cell and the piles to the matrix.
     rearrangement(n, rng, transcript)
     cell_seq[cell] = n.take_row(2)
-    for idx, col in enumerate(s_col):
-        m2.put_segment(col, 3, k + 2, n.take_row(3 + idx))
+    m2.put_segment(j2, [n.take_row(row) for row in range(3, k + 3)])
 
     # Steps 13-15: hide the seam again, then cut the appended columns off.
     if k > 1:

@@ -63,6 +63,24 @@ class Puzzle:
     def room_size(self, room: RoomId) -> int:
         return len(self.room_cells[room])
 
+    @cached_property
+    def rays(self) -> dict[tuple[Cell, str], tuple[Cell, ...]]:
+        """Per (cell, direction): the next k cells that way, nearest first.
+
+        k is ``max_room_size``, the number of neighbours a distance check
+        gathers; a ray stops at the grid edge, so it holds the
+        min(k, cells to the edge) cells the check takes off the grid.
+        """
+        k = max_room_size(self)
+        rays = {}
+        for r, c in self.cells:
+            for direction, (dr, dc) in DIRECTION_STEPS.items():
+                ray = ((r + dr * d, c + dc * d) for d in range(1, k + 1))
+                rays[(r, c), direction] = tuple(
+                    (i, j) for i, j in ray if 1 <= i <= self.rows and 1 <= j <= self.cols
+                )
+        return rays
+
 
 @dataclass(frozen=True)
 class Assignment:

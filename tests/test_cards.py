@@ -281,20 +281,42 @@ class TestRearrangement:
 
 class TestMatrixState:
     def test_take_and_put_segment(self):
-        m = Matrix("X", 2, piles=[mask_of((C, H, C)), mask_of((H, C, C))], depth=3)
+        piles = [mask_of((C, H, C)), mask_of((H, C, C)), mask_of((C, C, H))]
+        m = Matrix("X", 3, piles=piles, depth=3)
         m.rotate(1)
-        cards = m.take_segment(2, 2, 3)
-        assert faces_of(2, cards) == (H, C)
-        m.put_segment(2, 2, 3, cards)
-        assert m.snapshot() == (mask_of((H, C, C)), mask_of((C, H, C)))
+        before = m.snapshot()
+        cards = m.take_segment(3, 2)  # columns 3 and 1, wrapping
+        assert [faces_of(3, pile) for pile in cards] == [(H, C, C), (C, C, H)]
+        m.put_segment(3, cards)
+        assert m.snapshot() == before
 
     def test_put_onto_occupied_rejected(self):
         m = Matrix("X", 2, piles=[mask_of((C, H)), mask_of((H, C))], depth=2)
         with pytest.raises(RuntimeError, match="occupied"):
-            m.put_segment(1, 1, 2, mask_of((C, C)))
-        m.take_segment(1, 2, 2)
+            m.put_segment(1, [mask_of((C, C))])
+        cards = m.take_segment(1, 2)
+        m.put_segment(1, cards[:1])
         with pytest.raises(RuntimeError, match="occupied"):
-            m.put_segment(1, 1, 2, mask_of((C, C)))
+            m.put_segment(1, cards)
+
+    def test_take_from_a_gap_rejected(self):
+        m = Matrix("X", 1, piles=[0b1], depth=1)
+        assert m.take_segment(1, 1) == [0b1]
+        with pytest.raises(RuntimeError, match="empty spots"):
+            m.take_segment(1, 1)
+
+    def test_take_past_the_width_rejected(self):
+        m = Matrix("X", 2, piles=[0b1, 0b0], depth=1)
+        with pytest.raises(RuntimeError, match="empty spots"):
+            m.take_segment(2, 3)
+
+    def test_put_of_a_deeper_pile_rejected(self):
+        m = Matrix("X", 1, piles=[0b1], depth=1)
+        m.take_segment(1, 1)
+        with pytest.raises(ValueError, match="deeper"):
+            m.put_segment(1, [0b10])
+        m.put_segment(1, [0b1])
+        assert m.snapshot() == (0b1,)
 
     def test_take_row_leaves_a_hole(self):
         m = Matrix.from_rows("X", 3, [mask_of((C, H, C)), mask_of((H, C, C))])
@@ -429,7 +451,9 @@ def model_cases(draw):
     face = st.sampled_from([C, H])
     cols = [[draw(face) for _ in range(height)] for _ in range(width)]
     ops = draw(st.lists(st.tuples(
-        st.sampled_from(["rotate", "permute", "reveal_row", "reveal_segment", "append", "remove"]),
+        st.sampled_from(
+            ["rotate", "permute", "reveal_row", "reveal_segment", "append", "remove", "take_put"]
+        ),
         st.integers(0, 2**16),
     ), max_size=8))
     return cols, top_rows, ops
@@ -478,6 +502,14 @@ class TestColumnModel:
                     tuple(col) for col in ref.cols[lo - 1:hi]
                 )
                 del ref.cols[lo - 1:hi]
+            elif op == "take_put":
+                # A run of whole piles from a random column, wrapping past the right edge.
+                col, count, top = rnd.randint(1, width), rnd.randint(1, width), len(m.rows)
+                run = m.take_segment(col, count)
+                assert [faces_of(m.depth, pile) for pile in run] == [
+                    tuple(ref.cols[(col - 1 + i) % width][top:]) for i in range(count)
+                ]
+                m.put_segment(col, run)
             assert column_faces(m) == ref.faces()
         cut = m.n_rows // 2
         top, bottom = m.split_rows(cut, "T", "B")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import all_room_partitions, brute_force_solutions, make_puzzle
 from ripple_zkp.puzzle import (
+    DIRECTIONS,
     DISTANCE,
     FIXED_MISMATCH,
     ROOM_CONTENT,
@@ -423,3 +424,53 @@ class TestMaxRoomSize:
 
     def test_one_room_grid(self):
         assert max_room_size(make_puzzle(["a a a", "a a a"])) == 6
+
+
+STEPS = {"right": (0, 1), "left": (0, -1), "up": (-1, 0), "down": (1, 0)}
+
+
+def walked_ray(puzzle: Puzzle, cell, direction: str) -> tuple:
+    """Step from ``cell`` one cell at a time until k cells or the grid edge."""
+    (r, c), (dr, dc) = cell, STEPS[direction]
+    ray = []
+    while len(ray) < max_room_size(puzzle):
+        r, c = r + dr, c + dc
+        if not (1 <= r <= puzzle.rows and 1 <= c <= puzzle.cols):
+            break
+        ray.append((r, c))
+    return tuple(ray)
+
+
+class TestRays:
+    @staticmethod
+    def check(puzzle: Puzzle) -> None:
+        k = max_room_size(puzzle)
+        assert set(puzzle.rays) == {(cell, d) for cell in puzzle.cells for d in DIRECTIONS}
+        for (cell, direction), ray in puzzle.rays.items():
+            assert ray == walked_ray(puzzle, cell, direction)
+            (r, c), (dr, dc) = cell, STEPS[direction]
+            assert ray == tuple((r + dr * d, c + dc * d) for d in range(1, len(ray) + 1))
+            assert all(1 <= i <= puzzle.rows and 1 <= j <= puzzle.cols for i, j in ray)
+            to_edge = {
+                "right": puzzle.cols - c,
+                "left": c - 1,
+                "up": r - 1,
+                "down": puzzle.rows - r,
+            }[direction]
+            assert len(ray) == min(k, to_edge)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 2), (1, 4)])
+    def test_small_partitions(self, shape):
+        for puzzle in all_room_partitions(*shape):
+            self.check(puzzle)
+
+    def test_seven_by_seven(self, sample7x7):
+        self.check(sample7x7)
+        assert sample7x7.rays[(1, 1), "right"] == tuple((1, c) for c in range(2, 8))
+
+    def test_strip_shorter_than_its_width(self):
+        strip = make_puzzle(["a a a b b b c c c"])
+        assert max_room_size(strip) == 3
+        self.check(strip)
+        assert strip.rays[(1, 5), "left"] == ((1, 4), (1, 3), (1, 2))
+        assert strip.rays[(1, 8), "right"] == ((1, 9),)

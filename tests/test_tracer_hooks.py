@@ -38,5 +38,10 @@ def test_traced_proof_bytes_match_untraced(sample7x7, sample7x7_solution):
     assert protocol.run_protocol is original
     assert tracer.calls("protocol.run") == 1
     assert tracer.calls("protocol.distance_direction") == 196
-    assert tracer.calls("cards.matrix_moves") > 0
+    # Every name the tracer patches stays on the path it times; a check
+    # makes 27 matrix moves, its k piles taken and put back in one call each.
+    assert tracer.calls("cards.matrix_moves") == 5292
+    assert tracer.calls("cards.reveal") == 1580
+    assert tracer.calls("cards.shuffle") == 1384
+    assert tracer.calls("cards.rearrangement") == 588
     assert tracer.calls("cards.serialize") == 1
