@@ -14,7 +14,7 @@ else is schema drift.
 One table, ``_DRAWS``, says what a distance check shows: one row per secret
 draw, with the reveal's family, the step mark around it, the matrix and row
 revealed, the width and the public shift that follows. The classifier of
-row and segment reveals (``_FAMILY_OF_STEP``) and the simulator's event
+row and segment reveals (``_family_of_step``) and the simulator's event
 runs are both built from it.
 
 The event skeleton is a function of the puzzle shape alone, so families are
@@ -67,14 +67,19 @@ _DRAWS = (
     ("dist.j3", None, "M2", 2, True, 0),
     ("dist.rearr_m2", "rearr:M2", "M2", 1, False, 0),
 )
-# (open rearr:/unique: step or None, matrix id, revealed row) -> family key
-# for every distance-check reveal; a segment reveal has row None.
-_FAMILY_OF_STEP = {(step, mid, row): key for key, step, mid, row, _, _ in _DRAWS}
-_FAMILY_OF_STEP["unique:N", "N", None] = "dist.unique_seg"
 _TAG = itemgetter(0)
 # Every _Plan compiled so far, one per puzzle shape and direction set
 # audited; a transcript matches at most one of them (see _Plan).
 _PLANS: list["_Plan"] = []
+
+
+@cache
+def _family_of_step() -> dict[tuple, str]:
+    """(open rearr:/unique: step or None, matrix id, revealed row) -> family key
+    for every distance-check reveal; a segment reveal has row None."""
+    family_of_step = {(step, mid, row): key for key, step, mid, row, _, _ in _DRAWS}
+    family_of_step["unique:N", "N", None] = "dist.unique_seg"
+    return family_of_step
 
 
 def _picker(positions: list[int]):
@@ -123,6 +128,7 @@ class _Plan:
         self.rooms: list[tuple[int, int, list[str]]] = []
         self.shapes: dict[str, tuple[str, int]] = {}
         positions: dict[str, list[int]] = {}  # row and segment families only
+        family_of_step = _family_of_step()
 
         def observe(key: str, kind: str, width: int) -> None:
             shape = self.shapes.get(key) or shapes.get(key)
@@ -141,7 +147,7 @@ class _Plan:
                 pass
             elif tag == "reveal_row":
                 mid, row, faces = ev[1], ev[2], ev[3]
-                key = _FAMILY_OF_STEP.get((step, mid, row))
+                key = family_of_step.get((step, mid, row))
                 if key is None:
                     raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
                 if heart_position(faces) is None:
@@ -149,7 +155,7 @@ class _Plan:
                 observe(key, "heart", len(faces))
                 positions.setdefault(key, []).append(pos)
             elif tag == "reveal_segment":
-                key = _FAMILY_OF_STEP.get((step, ev[1], None))
+                key = family_of_step.get((step, ev[1], None))
                 if key is None:
                     raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
                 observe(key, "segment", len(ev[5]))
@@ -296,7 +302,7 @@ def _sim_chunks(k: int) -> tuple:
         table = []
         for r in range(width):
             run = [("reveal_row", mid, row, faces_of(width, 1 << r))]
-            if (step, mid, None) in _FAMILY_OF_STEP:
+            if (step, mid, None) in _family_of_step():
                 run.append(("reveal_segment", mid, r + 1, 3, k + 2, faces_of(k, 0)))
             if turn is not None:
                 run.append(("shift", mid, (k + turn - r) % width))

@@ -293,6 +293,26 @@ GOLDEN_SIM_PARTITIONS = {
 }
 
 
+# sha256 of repr(view._sim_chunks(k)), the simulator's prebuilt event runs
+# and room columns, for k = 1..8, and of the family map's items sorted by
+# repr (its order is not observable).
+GOLDEN_SIM_CHUNKS = {
+    1: "7391ea9d8f75df94e1e77d9f15b595a35a00b24f83cc318eaca3f56d222b6680",
+    2: "4bcf5a37e2739c9ba8e5fc20773318287245002e398d9ad7447a508797146dbd",
+    3: "0da0398825bd58d2b9d9f1367c7dfd6a56f47df82b6cb109417f57bd9638350f",
+    4: "69a516d5e89e90504c17d12346ada12948a3febb057454674dafe6ef216d621c",
+    5: "0a1fa2e19f1b584845223e428840feedda5f011c065c901a7cb49c5779417203",
+    6: "5697be4df1e9837197289588e20cfd9774c165f9b81fab61de781ecbbceb9033",
+    7: "bef96314305bb798b28c69328aebda13e86cd23f095bf90f699e55d4f78af5ee",
+    8: "7d9e882794989754eaf9f719910e654ba406daab51a3ed2e35db5c0018b3c920",
+}
+GOLDEN_FAMILY_MAP = "20fe2eeb08049d1bf88d041724e6469cd20168c1cc8fc736aebb9b5c380fe9d8"
+
+
+def repr_sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def sim_sha256(puzzle, seeds, dedupe=False):
     digest = hashlib.sha256()
     for seed in seeds:
@@ -333,6 +353,15 @@ class TestGoldenSimulations:
         check = [("offset", w) for w in (6, 6, 11, 6, 6, 11, 6)]
         rooms = [("permutation", n) for n in (5, 1, 3, 4, 5, 6, 4, 5, 5, 1, 5, 5)]
         assert rng.draws == check * 196 + rooms
+
+
+class TestSimulatorTables:
+    @pytest.mark.parametrize("k", sorted(GOLDEN_SIM_CHUNKS))
+    def test_sim_chunks_pinned(self, k):
+        assert repr_sha256(view._sim_chunks(k)) == GOLDEN_SIM_CHUNKS[k]
+
+    def test_family_map_pinned(self):
+        assert repr_sha256(sorted(view._family_of_step().items(), key=repr)) == GOLDEN_FAMILY_MAP
 
 
 class TestUniformityAudit:
@@ -592,7 +621,7 @@ class TestFamilyCountsModel:
 
     def test_family_map_matches_oracle(self):
         # The classifier derived from view._DRAWS equals the oracle's own copy.
-        assert view._FAMILY_OF_STEP == FAMILY_OF_STEP
+        assert view._family_of_step() == FAMILY_OF_STEP
 
     def test_sample7x7_runs(self, sample7x7, sample7x7_solution):
         for dedupe in (False, True):

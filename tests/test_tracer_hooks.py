@@ -6,7 +6,7 @@ fail here rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from ripple_zkp import protocol
+from ripple_zkp import audit, protocol, view
 from ripple_zkp.cards import RandomSource
 from ripple_zkp.protocol import ProverInput
 
@@ -45,3 +45,17 @@ def test_traced_proof_bytes_match_untraced(sample7x7, sample7x7_solution):
     assert tracer.calls("cards.shuffle") == 1384
     assert tracer.calls("cards.rearrangement") == 588
     assert tracer.calls("cards.serialize") == 1
+
+
+def test_simulator_tables_stay_off_the_tracer(sample7x7):
+    # Building the simulator's tables is per-process set-up, not a
+    # distance check of the simulated run.
+    view._sim_chunks.cache_clear()
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        audit.simulate_transcript(sample7x7, RandomSource(0))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("audit.simulate") == 1
+    assert tracer.calls("protocol.distance_direction") == 0
