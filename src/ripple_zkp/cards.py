@@ -150,6 +150,21 @@ class RandomSource:
         return perm
 
 
+class ReplaySource:
+    """Given draws, handed out in order where a RandomSource would draw at random:
+    ``offset(n)`` raises ``ValueError`` unless the next draw lies in 0..n-1."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+        self.trail = None
+
+    def offset(self, n: int) -> int:
+        r = next(self._draws, None)
+        if r is None or not 0 <= r < n:
+            raise ValueError(f"replayed draw {r} for offset({n}) is not in 0..{n - 1}")
+        return r
+
+
 def _verdict_line(ev) -> str:
     return f"verdict outcome={ev[1]} reason={ev[2] or 'none'} loc={ev[3] or 'none'}"
 

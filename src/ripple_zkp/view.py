@@ -11,11 +11,10 @@ sampling noise at any workable trial count). Each room reveal must still
 be a permutation of 1..size outright, in columns of one height; anything
 else is schema drift.
 
-One table, ``_DRAWS``, says what a distance check shows: one row per secret
-draw, with the reveal's family, the step mark around it, the matrix and row
-revealed, the width and the public shift that follows. The classifier of
-row and segment reveals (``_family_of_step``) and the simulator's event
-runs are both built from it.
+What a distance check shows is read off the engine: ``_sim_chunks`` replays
+the check on a public dummy board and keeps the events each secret draw
+selects, and the classifier of row and segment reveals (``_family_of_step``)
+is read off those runs; this module only names the families, in draw order.
 
 The event skeleton is a function of the puzzle shape alone, so families are
 classified once per skeleton, not once per transcript: the first
@@ -33,8 +32,9 @@ from functools import cache
 from itertools import compress
 from operator import itemgetter
 
-from .cards import _SKELETON_FIELDS, HEART, RandomSource, Transcript, faces_of, heart_position
-from .protocol import CHECKED_DIRECTIONS
+from .cards import _SKELETON_FIELDS, HEART, RandomSource, ReplaySource, Transcript, encode
+from .cards import faces_of, heart_position
+from .protocol import CHECKED_DIRECTIONS, Board, _distance_direction
 from .puzzle import Puzzle, max_room_size
 
 
@@ -51,21 +51,10 @@ class RevealFamily:
     domain: int
 
 
-# What a distance check shows: one row per secret draw, in draw order. A row
-# is (family key, rearr:/unique: step mark around the reveal or None, matrix
-# id, revealed row, True when the matrix is 2k-1 columns wide rather than k,
-# turn): after a heart at position r + 1 the columns shift right by
-# (k + turn - r) mod width, or not at all when turn is None. A unique: step
-# also reveals the all-club segment under the heart (dist.unique_seg), and
-# dist.j3 is drawn only when blank columns were appended (k > 1).
-_DRAWS = (
-    ("dist.j1", None, "M", 2, False, -1),
-    ("dist.rearr_m1", "rearr:M1", "M1", 1, False, 0),
-    ("dist.j2", None, "M2", 1, True, None),
-    ("dist.unique_s0", "unique:N", "N", 2, False, None),
-    ("dist.rearr_n", "rearr:N", "N", 1, False, 0),
-    ("dist.j3", None, "M2", 2, True, 0),
-    ("dist.rearr_m2", "rearr:M2", "M2", 1, False, 0),
+# The family of each secret draw of a distance check, in draw order (no dist.j3 at k = 1).
+_DRAW_FAMILIES = (
+    "dist.j1", "dist.rearr_m1", "dist.j2", "dist.unique_s0",
+    "dist.rearr_n", "dist.j3", "dist.rearr_m2",
 )
 _TAG = itemgetter(0)
 # Every _Plan compiled so far, one per puzzle shape and direction set
@@ -75,10 +64,16 @@ _PLANS: list["_Plan"] = []
 
 @cache
 def _family_of_step() -> dict[tuple, str]:
-    """(open rearr:/unique: step or None, matrix id, revealed row) -> family key
-    for every distance-check reveal; a segment reveal has row None."""
-    family_of_step = {(step, mid, row): key for key, step, mid, row, _, _ in _DRAWS}
-    family_of_step["unique:N", "N", None] = "dist.unique_seg"
+    """(open rearr:/unique: step or None, matrix id, revealed row) -> family key for
+    every distance-check reveal, read off the runs of ``_sim_chunks(2)``."""
+    family_of_step = {}
+    for key, (table, _) in zip(_DRAW_FAMILIES, _sim_chunks(2)[0], strict=True):
+        step = table[0][0][1] if table[0][0][0] == "mark" else None
+        for ev in table[0]:
+            if ev[0] == "reveal_row":
+                family_of_step[step, ev[1], ev[2]] = key
+            elif ev[0] == "reveal_segment":
+                family_of_step[step, ev[1], None] = "dist.unique_seg"
     return family_of_step
 
 
@@ -282,34 +277,43 @@ class FamilyCounts:
         return self
 
 
+def _check_runs(k: int, draws: list[int]) -> list[tuple[tuple, tuple]]:
+    """(row faces, events) per draw of a check of 1 with k off-grid neighbours: a
+    draw's run opens at a step's enter mark or at a row reveal outside a step."""
+    board = Board(Puzzle(1, 1, {(1, 1): "a"}, {}), k, {(1, 1): encode(1, k)})
+    t = Transcript()
+    _distance_direction(board, (1, 1), "right", ReplaySource(draws), t)
+    runs, step = [], None
+    for ev in t.events:
+        if ev[0] == "mark":
+            step = ev[1] if ev[2] == "enter" else None
+        if ev == ("mark", step, "enter") or ev[0] == "reveal_row" and step is None:
+            runs.append([])
+        runs[-1].append(ev)
+    return [(next(ev[3] for ev in run if ev[0] == "reveal_row"), tuple(run)) for run in runs]
+
+
 @cache
 def _sim_chunks(k: int) -> tuple:
     """The simulator's prebuilt events for card count k: (steps, cols).
 
-    ``steps`` holds one (table, width) pair per row of ``_DRAWS`` drawn at
-    this k, in draw order: ``table[r]`` is the run of events that the draw
-    ``rng.offset(width) == r`` selects, built from the row as an honest
-    check emits them: the step's enter mark, the reveal with its heart at
-    r + 1, the segment reveal of a unique: step, the public shift, and the
-    exit mark. ``cols[v]`` is the room column that shows value v + 1.
-    Built on first use and cached per k.
+    ``steps`` holds one (table, width) pair per secret draw of a distance
+    check, in draw order: ``table[r]`` is the run of events that the draw
+    ``rng.offset(width) == r`` selects, the one whose reveal shows its heart
+    at r + 1. The runs come from the engine, replaying the public check of
+    ``_check_runs`` with the draw at each value and the others at 0; this
+    raises unless those values show every heart position once. ``cols[v]``
+    is the room column that shows value v + 1. Built on first use, cached per k.
     """
+    zeros = [0] * len(_DRAW_FAMILIES)
     steps = []
-    for key, step, mid, row, wide, turn in _DRAWS:
-        if key == "dist.j3" and k == 1:
-            continue
-        width = 2 * k - 1 if wide else k
-        table = []
-        for r in range(width):
-            run = [("reveal_row", mid, row, faces_of(width, 1 << r))]
-            if (step, mid, None) in _family_of_step():
-                run.append(("reveal_segment", mid, r + 1, 3, k + 2, faces_of(k, 0)))
-            if turn is not None:
-                run.append(("shift", mid, (k + turn - r) % width))
-            if step is not None:
-                run = [("mark", step, "enter"), *run, ("mark", step, "exit")]
-            table.append(tuple(run))
-        steps.append((table, width))
+    for i, (row, _) in enumerate(_check_runs(k, zeros)):
+        width = len(row)
+        variants = (_check_runs(k, zeros[:i] + [v] + zeros[i + 1 :])[i] for v in range(width))
+        table = {heart_position(faces) - 1: run for faces, run in variants}
+        if sorted(table) != list(range(width)):
+            raise RuntimeError(f"draw {i + 1} of a k={k} check hides a heart position")
+        steps.append(([table[r] for r in range(width)], width))
     return steps, [faces_of(k, 1 << v) for v in range(k)]
 
 

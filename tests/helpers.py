@@ -8,7 +8,7 @@ from ripple_zkp.puzzle import Assignment, Puzzle, validate
 
 # (open rearr:/unique: step or None, matrix id, revealed row) -> family key
 # for every distance-check reveal, written out by hand so that the oracle
-# below does not share the table the audit derives its classifier from.
+# below does not share the classifier the audit reads off the engine.
 FAMILY_OF_STEP = {
     (None, "M", 2): "dist.j1",
     ("rearr:M1", "M1", 1): "dist.rearr_m1",

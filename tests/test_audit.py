@@ -15,7 +15,7 @@ from helpers import (
     all_room_partitions,
     make_puzzle,
 )
-from ripple_zkp import audit, protocol, view
+from ripple_zkp import audit, cards, protocol, view
 from ripple_zkp.audit import (
     AuditError,
     FamilyCounts,
@@ -363,6 +363,23 @@ class TestSimulatorTables:
     def test_family_map_pinned(self):
         assert repr_sha256(sorted(view._family_of_step().items(), key=repr)) == GOLDEN_FAMILY_MAP
 
+    def test_harvest_catches_a_constant_draw(self, monkeypatch):
+        # The shuffles of matrix N consume their draw but rotate by 0, so
+        # every value of the uniqueness draw shows the same heart position:
+        # the harvest must raise rather than build a table with holes.
+        def constant_on_n(matrix, rng):
+            r = rng.offset(matrix.n_cols)
+            matrix.rotate(0 if matrix.id == "N" else r)
+
+        monkeypatch.setattr(cards, "pile_shift_shuffle", constant_on_n)
+        monkeypatch.setattr(protocol, "pile_shift_shuffle", constant_on_n)
+        view._sim_chunks.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="draw 4 of a k=3 check hides a heart position"):
+                view._sim_chunks(3)
+        finally:
+            view._sim_chunks.cache_clear()
+
 
 class TestUniformityAudit:
     def test_honest_runs_pass(self):
@@ -620,7 +637,8 @@ class TestFamilyCountsModel:
     """FamilyCounts against tests/helpers.ReferenceFamilyCounts, a plain event walk."""
 
     def test_family_map_matches_oracle(self):
-        # The classifier derived from view._DRAWS equals the oracle's own copy.
+        # The classifier read off the engine's harvested runs equals the
+        # oracle's own copy.
         assert view._family_of_step() == FAMILY_OF_STEP
 
     def test_sample7x7_runs(self, sample7x7, sample7x7_solution):

@@ -15,6 +15,7 @@ from ripple_zkp.cards import (
     MalformedCommitmentError,
     Matrix,
     RandomSource,
+    ReplaySource,
     Transcript,
     decode,
     encode,
@@ -24,6 +25,7 @@ from ripple_zkp.cards import (
     pile_shift_shuffle,
     rearrangement,
 )
+from ripple_zkp.protocol import ProverInput, setup, verify_distance_direction
 
 C, H = CLUB, HEART
 
@@ -157,6 +159,42 @@ class TestShuffles:
         m.reveal_row(1, Transcript())
         with pytest.raises(RuntimeError, match="face-up"):
             pile_shift_shuffle(m, RandomSource(0))
+
+
+class TestReplaySource:
+    def test_draws_come_back_in_order(self):
+        rng = ReplaySource([2, 0, 4, 0])
+        assert [rng.offset(3), rng.offset(1), rng.offset(5), rng.offset(1)] == [2, 0, 4, 0]
+
+    @pytest.mark.parametrize(("draw", "n"), [(3, 3), (-1, 3), (0, 0), (11, 6)])
+    def test_draw_outside_range_rejected(self, draw, n):
+        with pytest.raises(ValueError, match=rf"draw {draw} for offset\({n}\) is not in"):
+            ReplaySource([draw]).offset(n)
+
+    def test_no_seeded_fallback(self):
+        # Nothing is drawn in place of a missing draw, and there is no
+        # permutation to draw from a hidden seed.
+        rng = ReplaySource(iter([1]))
+        assert rng.offset(2) == 1
+        with pytest.raises(ValueError, match="draw None"):
+            rng.offset(2)
+        assert not isinstance(rng, RandomSource)
+        assert not hasattr(rng, "permutation")
+
+    def test_replayed_check_matches_seeded_check(self, sample7x7, sample7x7_solution):
+        # A distance check replayed from a seeded check's recorded draws
+        # shows the same events and uses up every draw.
+        def check(rng):
+            board = setup(sample7x7, ProverInput(sample7x7_solution))
+            t = Transcript()
+            assert verify_distance_direction(board, (4, 4), "left", rng, t).accepted
+            return t.events
+
+        seeded = RandomSource(5, AuditTrail())
+        events = check(seeded)
+        draws = iter([rec[2] for rec in seeded.trail.of_kind("pile_shift")])
+        assert len(events) > 7 and check(ReplaySource(draws)) == events
+        assert next(draws, None) is None
 
 
 class TestShift:
