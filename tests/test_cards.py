@@ -174,7 +174,7 @@ class TestReplaySource:
     def test_no_seeded_fallback(self):
         # Nothing is drawn in place of a missing draw, and there is no
         # permutation to draw from a hidden seed.
-        rng = ReplaySource(iter([1]))
+        rng = ReplaySource([1])
         assert rng.offset(2) == 1
         with pytest.raises(ValueError, match="draw None"):
             rng.offset(2)

@@ -57,5 +57,6 @@ def test_simulator_tables_stay_off_the_tracer(sample7x7):
         audit.simulate_transcript(sample7x7, RandomSource(0))
     finally:
         tracer.uninstall()
+    assert view._sim_chunks.cache_info().currsize == 1
     assert tracer.calls("audit.simulate") == 1
     assert tracer.calls("protocol.distance_direction") == 0
