@@ -524,40 +524,73 @@ GOLDEN_REJECTS = {
     "domino": "840a9c14e6c21a2d3486e89b7090efd85d6e4533cdea1b9e59def1e16e1aefd5",
     "7x7": "7e76fc10428272a3dda8bedbc7c234fad209822b4e99a794ecd2169d6b1b8488",
 }
+# sha256 over the full serialize() bytes, marks included, and the CardStats
+# of those rejects and then of every reject of a claim that sets one cell to
+# 0, seed 0: where each reject path puts its marks is pinned too.
+GOLDEN_REJECT_BYTES = {
+    "domino": "d98b52e178152ec831996a65220658213571a6f6fff15e7feef035f8d48b9f0e",
+    "7x7": "bbaf493e7b1311dc3fa339a3aef5c2d516c59c1fee6f5c1b706d5a7cc7641682",
+}
+
+
+def claim_runs(puzzle, solution, values) -> list:
+    """The ProtocolResult, seed 0, of every claim that sets one cell of
+    ``solution`` to one of ``values`` other than its own."""
+    return [
+        run_protocol(puzzle, ProverInput(solution.with_value(cell, value), honest=False),
+                     RandomSource(0))
+        for cell in puzzle.cells
+        for value in values
+        if value != solution[cell]
+    ]
 
 
 @pytest.fixture(scope="module", params=sorted(GOLDEN_REJECTS))
 def mutation_runs(request):
-    """(name, [(verdict, transcript)]) for every single-cell mutation of a solution."""
+    """(name, mutations, zero claims) for a solution: the runs of every claim
+    that sets one cell to another value in 1..k, then to 0."""
     if request.param == "domino":
         puzzle = make_puzzle(["a a"])
         solution = Assignment.from_rows([[1, 2]])
     else:
         puzzle = request.getfixturevalue("sample7x7")
         solution = request.getfixturevalue("sample7x7_solution")
-    runs = []
-    for cell in puzzle.cells:
-        for value in range(1, max_room_size(puzzle) + 1):
-            if value != solution[cell]:
-                prover = ProverInput(solution.with_value(cell, value), honest=False)
-                verdict, transcript, _ = run_protocol(puzzle, prover, RandomSource(0))
-                runs.append((verdict, transcript))
-    return request.param, runs
+    mutations = claim_runs(puzzle, solution, range(1, max_room_size(puzzle) + 1))
+    return request.param, mutations, claim_runs(puzzle, solution, [0])
 
 
 class TestRejectPaths:
     def test_events_pinned(self, mutation_runs):
-        name, runs = mutation_runs
+        name, mutations, _ = mutation_runs
         digest = hashlib.sha256()
-        for verdict, transcript in runs:
+        for verdict, transcript, _ in mutations:
             if not verdict.accepted:
                 lines = transcript.serialize().splitlines(keepends=True)
                 digest.update("".join(l for l in lines if not l.startswith("mark ")).encode())
         assert digest.hexdigest() == GOLDEN_REJECTS[name]
 
+    def test_bytes_and_stats_pinned(self, mutation_runs):
+        name, mutations, zero_claims = mutation_runs
+        digest = hashlib.sha256()
+        for verdict, transcript, stats in mutations + zero_claims:
+            if not verdict.accepted:
+                digest.update(transcript.serialize().encode())
+                digest.update(repr(stats).encode())
+        assert digest.hexdigest() == GOLDEN_REJECT_BYTES[name]
+
+    def test_zero_claims_fail_inside_a_check(self, mutation_runs):
+        # A 0 is encodable, so setup commits it; the cell's own first
+        # distance check then finds no heart where its value should be.
+        _, _, zero_claims = mutation_runs
+        rejects = [verdict for verdict, _, _ in zero_claims if not verdict.accepted]
+        assert rejects
+        for verdict in rejects:
+            assert verdict.reason == MALFORMED_COMMITMENT
+            assert verdict.location[1] == "right"
+
     def test_marks_balanced(self, mutation_runs):
-        _, runs = mutation_runs
-        rejects = [t for verdict, t in runs if not verdict.accepted]
+        _, mutations, zero_claims = mutation_runs
+        rejects = [t for verdict, t, _ in mutations + zero_claims if not verdict.accepted]
         assert rejects
         unbalanced = []
         for transcript in rejects:
