@@ -18,8 +18,9 @@ run (``take_segment``, ``put_segment``). Revealed faces are tuples of
 CLUB/HEART taken from one table keyed by (width, mask) and filled on first
 use (``faces_of``); the simulator builds its reveals from the same table,
 single-heart reads (``single_heart``, the audit's family counts) look the
-heart's position up in it, and ``serialize`` caches the two lines of each
-repeating event.
+heart's position up in it. ``serialize`` and ``skeleton`` look each event's
+line up in a table of their own that renders it on first use, and every
+step's enter and exit marks are one shared pair of tuples (``marks``).
 
 Every verifier-observable action is appended to a Transcript; hidden shuffle
 draws go only to the AuditTrail a RandomSource may carry, so tests can check
@@ -40,6 +41,7 @@ Equal seeds yield byte-identical transcripts.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 CLUB = 0
 HEART = 1
@@ -207,22 +209,48 @@ _SKELETON_FIELDS = {
     "reveal_all": (1,),
     "verdict": (1, 2, 3),
 }
-# Event -> its two lines, for every tag but reveal_all: a run repeats few
-# distinct marks, shifts and row/segment reveals thousands of times, while
-# room reveals are rare and vary with every permutation. It grows with the
-# distinct events seen, about 540 for the 7x7 sample.
-_LINES: dict[tuple, tuple[str, str]] = {}
 
 
-def _event_lines(ev: tuple) -> tuple[str, str]:
-    try:
-        full, skeleton = _EVENT_LINES[ev[0]]
-    except KeyError:
-        raise ValueError(f"unknown event {ev[0]!r}") from None
-    pair = (full(ev), skeleton(ev))
-    if ev[0] != "reveal_all":
-        _LINES[ev] = pair
-    return pair
+class _LineTable(dict):
+    """Event -> its line in one column of ``_EVENT_LINES``, newline included,
+    rendered on first lookup.
+
+    Every line is kept but those of reveal_all events: a run repeats few
+    distinct marks, shifts and row/segment reveals thousands of times, while
+    room reveals are rare and vary with every permutation. A table grows
+    with the distinct events rendered, about 540 for the 7x7 sample.
+    """
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: int):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, ev: tuple) -> str:
+        try:
+            render = _EVENT_LINES[ev[0]][self.column]
+        except KeyError:
+            raise ValueError(f"unknown event {ev[0]!r}") from None
+        line = render(ev) + "\n"
+        if ev[0] != "reveal_all":
+            self[ev] = line
+        return line
+
+
+_SERIALIZE_LINES = _LineTable(0)
+_SKELETON_LINES = _LineTable(1)
+
+
+@cache
+def marks(name: str) -> tuple[tuple, tuple]:
+    """The enter and exit mark events of step ``name``, one shared pair per name.
+
+    A step appends the enter mark, then the exit mark in a ``finally``, so
+    reject paths that return or raise early still close every step they
+    opened. Sharing the tuples lets the line tables match them on identity.
+    """
+    return ("mark", name, "enter"), ("mark", name, "exit")
 
 
 class Transcript:
@@ -232,44 +260,21 @@ class Transcript:
     ``("reveal_segment", m, col, row_lo, row_hi, faces)``,
     ``("reveal_all", m, cols)``, ``("shift", m, offset)``,
     ``("mark", name, "enter" | "exit")`` and ``("verdict", outcome, reason,
-    loc)``. ``Matrix`` and the audit's simulator append reveals and shifts
-    to ``events`` directly, to save a call per event; ``span`` and
-    ``verdict`` add the rest.
+    loc)``. ``Matrix``, the protocol's steps (with ``marks``) and the audit's
+    simulator append events to ``events`` directly, to save a call per
+    event; ``verdict`` adds the last one.
     """
 
-    __slots__ = ("events", "_open")
+    __slots__ = ("events",)
 
     def __init__(self):
         self.events: list[tuple] = []
-        self._open: list[str] = []  # spans entered and not yet exited, innermost last
-
-    def span(self, name: str) -> "Transcript":
-        """``with transcript.span(name):`` marks enter, then exit on any way out.
-
-        The exit mark is written however the block ends, so reject paths that
-        return or raise early still close every step they opened. Use it only
-        as a with-statement: each exit closes the innermost open span.
-        """
-        self._open.append(name)
-        self.events.append(("mark", name, "enter"))
-        return self
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.events.append(("mark", self._open.pop(), "exit"))
 
     def verdict(self, outcome: str, reason: str | None, loc: str | None) -> None:
         self.events.append(("verdict", outcome, reason, loc))
 
-    def _lines(self, column: int) -> str:
-        get = _LINES.get
-        lines = [(get(ev) or _event_lines(ev))[column] for ev in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def serialize(self) -> str:
-        return self._lines(0)
+        return "".join(map(_SERIALIZE_LINES.__getitem__, self.events))
 
     def skeleton(self) -> str:
         """Serialization with every chance-dependent field stripped.
@@ -278,7 +283,7 @@ class Transcript:
         derived from them are dropped; what remains is a pure function of
         the puzzle shape and must match between real and simulated runs.
         """
-        return self._lines(1)
+        return "".join(map(_SKELETON_LINES.__getitem__, self.events))
 
 
 def _face_up_error(matrix: "Matrix") -> RuntimeError:
@@ -570,8 +575,13 @@ def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> 
     Shuffles first, so the revealed heart position carries no information
     about where the columns originally stood.
     """
-    with transcript.span(f"rearr:{matrix.id}"):
+    enter, leave = marks(f"rearr:{matrix.id}")
+    events = transcript.events
+    events.append(enter)
+    try:
         pile_shift_shuffle(matrix, rng)
         j = single_heart(matrix.reveal_row(1, transcript), matrix.id, 1)
         matrix.flip_down()
         matrix.shift(-(j - 1), transcript)
+    finally:
+        events.append(leave)

@@ -33,6 +33,7 @@ from .cards import (
     decode,
     encode,
     mask_of,
+    marks,
     pile_scramble_shuffle,
     pile_shift_shuffle,
     rearrangement,
@@ -156,9 +157,14 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     reference heart shows no heart below Row 2.
     """
     pile_shift_shuffle(matrix, rng)
-    with transcript.span(f"unique:{matrix.id}"):
+    enter, leave = marks(f"unique:{matrix.id}")
+    events = transcript.events
+    events.append(enter)
+    try:
         j = single_heart(matrix.reveal_row(2, transcript), matrix.id, 2)
         ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
+    finally:
+        events.append(leave)
     if ok:
         matrix.flip_down()
     return ok
@@ -200,11 +206,15 @@ def verify_distance_direction(
     Runs the full sixteen-step procedure; on accept every sequence is back
     on its cell, still face-down, and all auxiliary cards are retired.
     """
+    enter, leave = marks(f"dist:{cell[0]},{cell[1]}:{direction}")
+    events = transcript.events
+    events.append(enter)
     try:
-        with transcript.span(f"dist:{cell[0]},{cell[1]}:{direction}"):
-            return _distance_direction(board, cell, direction, rng, transcript)
+        return _distance_direction(board, cell, direction, rng, transcript)
     except MalformedCommitmentError:
         return Verdict(False, MALFORMED_COMMITMENT, (cell, direction))
+    finally:
+        events.append(leave)
 
 
 def _distance_direction(
@@ -323,12 +333,17 @@ def verify_distance_phase(
     ``dedupe_directions`` only right and down run, which still covers every
     pair once since the rule is symmetric.
     """
-    with transcript.span("distance_phase"):
+    enter, leave = marks("distance_phase")
+    events = transcript.events
+    events.append(enter)
+    try:
         for cell in board.puzzle.cells:
             for direction in CHECKED_DIRECTIONS[dedupe_directions]:
                 verdict = verify_distance_direction(board, cell, direction, rng, transcript)
                 if not verdict.accepted:
                     return verdict
+    finally:
+        events.append(leave)
     return ACCEPT
 
 
@@ -344,11 +359,16 @@ def verify_room(
     nothing returns to the grid.
     """
     cells = board.puzzle.room_cells[room]
-    with transcript.span(f"room:{room}"):
+    enter, leave = marks(f"room:{room}")
+    events = transcript.events
+    events.append(enter)
+    try:
         piles = [board.cell_seq.pop(c) for c in cells]
         matrix = Matrix(f"R:{room}", len(cells), piles=piles, depth=board.k)
         pile_scramble_shuffle(matrix, rng)
         values = [decode(mask_of(col)) for col in matrix.reveal_all(transcript)]
+    finally:
+        events.append(leave)
     if any(v is None for v in values):
         return Verdict(False, MALFORMED_COMMITMENT, room)
     if sorted(values) != list(range(1, len(cells) + 1)):
@@ -378,11 +398,16 @@ def run_protocol(
 
     verdict = verify_distance_phase(board, rng, transcript, dedupe_directions)
     if verdict.accepted:
-        with transcript.span("room_phase"):
+        enter, leave = marks("room_phase")
+        events = transcript.events
+        events.append(enter)
+        try:
             for room in board.puzzle.room_cells:
                 verdict = verify_room(board, room, rng, transcript)
                 if not verdict.accepted:
                     break
+        finally:
+            events.append(leave)
 
     transcript.verdict(verdict.outcome, verdict.reason, verdict.loc_text())
     return ProtocolResult(verdict, transcript, CardStats(grid_cards, board.aux_peak))

@@ -33,7 +33,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .cards import _SKELETON_FIELDS, HEART, RandomSource, ReplaySource, Transcript, encode
-from .cards import faces_of, heart_position
+from .cards import faces_of, heart_position, marks
 from .protocol import CHECKED_DIRECTIONS, Board, _distance_direction
 from .puzzle import Puzzle, max_room_size
 
@@ -287,7 +287,7 @@ def _check_runs(k: int, draws: list[int]) -> list[tuple[tuple, tuple]]:
     for ev in t.events:
         if ev[0] == "mark":
             step = ev[1] if ev[2] == "enter" else None
-        if ev == ("mark", step, "enter") or ev[0] == "reveal_row" and step is None:
+        if ev[0] == "mark" and ev[2] == "enter" or ev[0] == "reveal_row" and step is None:
             runs.append([])
         runs[-1].append(ev)
     return [(next(ev[3] for ev in run if ev[0] == "reveal_row"), tuple(run)) for run in runs]
@@ -334,21 +334,24 @@ def simulate_transcript(
     events = t.events
     append, extend, offset = events.append, events.extend, rng.offset
     directions = CHECKED_DIRECTIONS[dedupe_directions]
-    append(("mark", "distance_phase", "enter"))
+    phase_enter, phase_exit = marks("distance_phase")
+    append(phase_enter)
     for r, c in puzzle.cells:
         for direction in directions:
-            name = f"dist:{r},{c}:{direction}"
-            append(("mark", name, "enter"))
+            enter, leave = marks(f"dist:{r},{c}:{direction}")
+            append(enter)
             for table, width in steps:
                 extend(table[offset(width)])
-            append(("mark", name, "exit"))
-    append(("mark", "distance_phase", "exit"))
-    append(("mark", "room_phase", "enter"))
+            append(leave)
+    append(phase_exit)
+    phase_enter, phase_exit = marks("room_phase")
+    append(phase_enter)
     for room, cells in puzzle.room_cells.items():
-        append(("mark", f"room:{room}", "enter"))
+        enter, leave = marks(f"room:{room}")
+        append(enter)
         perm = rng.permutation(len(cells))
         append(("reveal_all", f"R:{room}", tuple(map(room_cols.__getitem__, perm))))
-        append(("mark", f"room:{room}", "exit"))
-    append(("mark", "room_phase", "exit"))
+        append(leave)
+    append(phase_exit)
     t.verdict("accept", None, None)
     return t

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     _EVENT_LINES,
+    _SERIALIZE_LINES,
     _SKELETON_FIELDS,
+    _SKELETON_LINES,
     CLUB,
     HEART,
     AuditTrail,
@@ -21,11 +23,12 @@ from ripple_zkp.cards import (
     encode,
     faces_of,
     mask_of,
+    marks,
     pile_scramble_shuffle,
     pile_shift_shuffle,
     rearrangement,
 )
-from ripple_zkp.protocol import ProverInput, setup, verify_distance_direction
+from ripple_zkp.protocol import ProverInput, run_protocol, setup, verify_distance_direction
 
 C, H = CLUB, HEART
 
@@ -569,14 +572,16 @@ SKELETON_SAMPLES = {
 class TestTranscript:
     def test_serialization_schema(self):
         t = Transcript()
-        with t.span("demo"):
-            m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
-            m.reveal_row(1, t)
-            m.flip_down()
-            m.shift(-1, t)
-            m.reveal_segment(2, 1, 2, t)
-            m.flip_down()
-            m.reveal_all(t)
+        enter, leave = marks("demo")
+        t.events.append(enter)
+        m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
+        m.reveal_row(1, t)
+        m.flip_down()
+        m.shift(-1, t)
+        m.reveal_segment(2, 1, 2, t)
+        m.flip_down()
+        m.reveal_all(t)
+        t.events.append(leave)
         t.verdict("accept", None, None)
         assert t.serialize() == (
             "mark name=demo kind=enter\n"
@@ -624,5 +629,36 @@ class TestTranscript:
     def test_unknown_event_rejected(self, render):
         t = Transcript()
         t.events.append(("bogus", "X"))
+        sizes = len(_SERIALIZE_LINES), len(_SKELETON_LINES)
         with pytest.raises(ValueError, match="unknown event 'bogus'"):
             getattr(t, render)()
+        assert (len(_SERIALIZE_LINES), len(_SKELETON_LINES)) == sizes
+
+    def test_marks_are_shared(self):
+        pair = marks("demo")
+        assert pair == (("mark", "demo", "enter"), ("mark", "demo", "exit"))
+        again = marks("demo")
+        assert again is pair and again[0] is pair[0] and again[1] is pair[1]
+
+    @pytest.mark.parametrize("first", ["serialize", "skeleton"])
+    def test_renderers_do_not_depend_on_order(self, first, sample7x7, sample7x7_solution):
+        # The two line tables fill independently: each renders the same
+        # bytes whether or not the other has already seen the events.
+        t = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(3)).transcript
+        _SERIALIZE_LINES.clear()
+        _SKELETON_LINES.clear()
+        second = "skeleton" if first == "serialize" else "serialize"
+        rendered = {first: getattr(t, first)(), second: getattr(t, second)()}
+        _SERIALIZE_LINES.clear()
+        _SKELETON_LINES.clear()
+        assert rendered == {"serialize": t.serialize(), "skeleton": t.skeleton()}
+        assert rendered["serialize"].count("\n") == rendered["skeleton"].count("\n") == len(t.events)
+
+    def test_tables_keep_no_room_reveal(self, sample7x7, sample7x7_solution):
+        t = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(4)).transcript
+        t.serialize()
+        t.skeleton()
+        assert any(ev[0] == "reveal_all" for ev in t.events)
+        for table in (_SERIALIZE_LINES, _SKELETON_LINES):
+            assert table
+            assert not [ev for ev in table if ev[0] == "reveal_all"]
