@@ -1,7 +1,8 @@
 """Command-line front end: solve, validate, prove, audit, count.
 
 Exit codes are a stable contract: 0 accept/pass, 1 protocol reject or audit
-failure, 2 input error, 3 unsatisfiable puzzle.
+failure, 2 input error (or a stdout that cannot be written), 3 unsatisfiable
+puzzle.
 """
 from __future__ import annotations
 
@@ -201,7 +202,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Whatever is still buffered goes to the null device, so the
+        # interpreter's final flush of stdout has nothing to report.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write stdout", file=sys.stderr)
+        return EXIT_INPUT
     except PuzzleFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

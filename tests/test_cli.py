@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +311,31 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, bad):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["prove", "audit", "validate", "count"])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, command):
+    tiny = write(tmp_path, "tiny.txt", TINY)
+    solution = write(tmp_path, "solution.txt", "1 2\n")
+    argv = {
+        "prove": ["prove", "--puzzle", tiny, "--solution", solution],
+        "audit": ["audit", "--puzzle", tiny, "--trials", "2"],
+        "validate": ["validate", "--puzzle", tiny, "--solution", solution],
+        "count": ["count", "--puzzle", tiny],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ripple_zkp.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write stdout\n"
+
+
 # Each command that writes --out, with the cli name of the work it must not
 # start when --out cannot be written.
 OUT_BEFORE_WORK = {
@@ -356,8 +382,9 @@ code = ripple_zkp.cli.main(["count", "--puzzle", sys.argv[1]])
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(code, sorted(added - sys.stdlib_module_names - {"ripple_zkp"}))
 print("multiprocessing" in sys.modules)
-from ripple_zkp import view
+from ripple_zkp import cards, view
 print(view._sim_chunks.cache_info().currsize, view._family_of_step.cache_info().currsize)
+print(cards.marks.cache_info().currsize, len(cards._SERIALIZE_LINES), len(cards._SKELETON_LINES))
 """
 
 
@@ -366,4 +393,4 @@ def test_count_loads_only_stdlib_modules(sample7x7_path):
         [sys.executable, "-c", STDLIB_ONLY_SCRIPT, sample7x7_path], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["0 []", "False", "0 0"]
+    assert proc.stdout.splitlines()[-4:] == ["0 []", "False", "0 0", "0 0 0"]
