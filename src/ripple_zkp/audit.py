@@ -5,18 +5,19 @@ The protocol's security claims become statistics over transcripts:
 * every reveal with a heart in it happens right after a fresh shuffle, so
   the heart's position must be uniform over the matrix width — checked per
   reveal family with a chi-squared goodness-of-fit test;
-* a simulator that never sees the solution emits transcripts with the same
-  event skeleton and the same reveal distributions — checked with total
-  variation distance between real and simulated histograms;
+* a simulator that never sees the solution emits transcripts of the same
+  layout and the same reveal distributions — checked with total variation
+  distance between real and simulated histograms;
 * mutating a committed solution in any rule-breaking way must flip the
   verdict to reject — swept exhaustively over single-cell mutations.
 
 The statistics run on per-family histograms, ``FamilyCounts``, which come
-with the simulator from ``view``: families are classified once per event
-skeleton, by a plan compiled from the first transcript of that skeleton
-and cached, and every transcript finds its plan by matching its events
-and has only its faces counted. An audit of no honest transcripts fails,
-and a sweep tries at least one seed per mutation.
+with the simulator from ``view``: each transcript is decoded into its draws
+against its puzzle's layout, so one that is not an accepting view of the
+puzzle (a changed shift offset or mark, a heart in a segment, a room
+that is not a permutation) raises ``AuditError`` at any trial count. An
+audit of no honest transcripts fails, and a sweep tries at least one seed
+per mutation.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .view import AuditError, FamilyCounts, RevealFamily, simulate_transcript
 
 # Below this many transcripts (on the smaller side of a real-versus-simulated
 # comparison) the p-values and TVDs are reported but do not gate the
-# verdict; only structural failures (skeleton drift, a heart in an
-# accept-path segment, a missing family) can fail an under-powered audit.
+# verdict; only structural failures (a transcript that does not decode, a
+# missing family) can fail an under-powered audit.
 UNDERPOWERED_TRIALS = 1000
 # A gated family fails below this chi-squared p-value against uniform, or
 # above this total variation distance from the simulator.
@@ -128,23 +129,25 @@ def _tvd(a: Counter, na: int, b: Counter, nb: int) -> float:
     return 0.5 * sum(abs(a.get(k, 0) / na - b.get(k, 0) / nb) for k in keys)
 
 
-def uniformity_audit(transcripts) -> AuditReport:
-    """Chi-squared uniformity of every reveal family across honest transcripts.
+def uniformity_audit(puzzle: Puzzle, transcripts) -> AuditReport:
+    """Chi-squared uniformity of every reveal family across honest transcripts of ``puzzle``.
 
-    Passes when every family's p-value is at least ``ALPHA``; segment
-    families instead require that no heart ever appeared. Fewer than 1,000
+    Passes when every heart or room family's p-value is at least ``ALPHA``
+    (decoding already holds every segment to no heart). Fewer than 1,000
     transcripts yields an under-powered warning rather than a failure.
     """
-    return _audit_report(FamilyCounts(transcripts), None, uniformity=True)
+    return _audit_report(FamilyCounts(puzzle, transcripts=transcripts), None, uniformity=True)
 
 
-def indistinguishability_audit(real, simulated) -> AuditReport:
+def indistinguishability_audit(puzzle: Puzzle, real, simulated) -> AuditReport:
     """Real-versus-simulated comparison per reveal family.
 
-    Checks byte-identical event skeletons and a total variation distance of
-    at most ``MAX_TVD`` between the empirical reveal distributions.
+    Both sides must decode against ``puzzle``'s layout; then the total
+    variation distance between the empirical reveal distributions must be
+    at most ``MAX_TVD``.
     """
-    return _audit_report(FamilyCounts(real), FamilyCounts(simulated), uniformity=False)
+    real_counts, sim_counts = (FamilyCounts(puzzle, transcripts=t) for t in (real, simulated))
+    return _audit_report(real_counts, sim_counts, uniformity=False)
 
 
 def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool) -> AuditReport:
@@ -164,29 +167,22 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
             f"under-powered: {power} transcripts"
             f" (want >= {UNDERPOWERED_TRIALS}); statistics reported but not gating"
         )
-    skeleton_ok = sim is None or real.first_skeleton == sim.first_skeleton
     if sim is not None and real.trials != sim.trials:
         warnings.append(f"trial counts differ: {real.trials} real vs {sim.trials} simulated")
-    if not skeleton_ok:
-        warnings.append(_skeleton_diff(real.first_skeleton, sim.first_skeleton))
     results = []
     for family in real.families():
         counter = real.counts[family.key]
         n = sum(counter.values())
         stat = p = tvd = None
         ok, note = True, ""
-        if uniformity:
-            if family.kind == "segment":
-                ok = set(counter) <= {0}
-                note = "" if ok else "heart seen in accept-path segment"
+        if uniformity and family.kind != "segment":
+            stat, p = _uniform_fit(family, counter, n)
+            if p is None:
+                note = "degenerate domain"
+            elif gated:
+                ok = p >= ALPHA
             else:
-                stat, p = _uniform_fit(family, counter, n)
-                if p is None:
-                    note = "degenerate domain"
-                elif gated:
-                    ok = p >= ALPHA
-                else:
-                    note = "not gated: under-powered"
+                note = "not gated: under-powered"
         if sim is not None:
             b = sim.counts.get(family.key, Counter())
             nb = sum(b.values())
@@ -205,17 +201,8 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
             results.append(
                 FamilyResult(fam, 0, None, None, 1.0, False, note="family only in simulation")
             )
-    passed = real.trials > 0 and skeleton_ok and all(r.passed for r in results)
+    passed = real.trials > 0 and all(r.passed for r in results)
     return AuditReport(real.trials, tuple(results), passed, tuple(warnings))
-
-
-def _skeleton_diff(a: str | None, b: str | None) -> str:
-    a_lines = (a or "").splitlines()
-    b_lines = (b or "").splitlines()
-    for i, (la, lb) in enumerate(zip(a_lines, b_lines), start=1):
-        if la != lb:
-            return f"skeleton mismatch at line {i}: real={la!r} simulated={lb!r}"
-    return f"skeleton length mismatch: real={len(a_lines)} simulated={len(b_lines)} lines"
 
 
 @dataclass(frozen=True)
@@ -344,7 +331,8 @@ def _honest_counts(puzzle: Puzzle, solution: Assignment, dedupe: bool, seeds):
     """
     prover = ProverInput(solution, honest=False)
     try:
-        return FamilyCounts(_honest_run(puzzle, prover, dedupe, seed) for seed in seeds)
+        runs = (_honest_run(puzzle, prover, dedupe, seed) for seed in seeds)
+        return FamilyCounts(puzzle, dedupe, runs)
     except _Rejected as exc:
         return exc.args
 
@@ -357,7 +345,8 @@ def _honest_run(puzzle: Puzzle, prover: ProverInput, dedupe: bool, seed: int) ->
 
 
 def _simulated_counts(puzzle: Puzzle, dedupe: bool, seeds) -> FamilyCounts:
-    return FamilyCounts(simulate_transcript(puzzle, RandomSource(seed), dedupe) for seed in seeds)
+    runs = (simulate_transcript(puzzle, RandomSource(seed), dedupe) for seed in seeds)
+    return FamilyCounts(puzzle, dedupe, runs)
 
 
 def get_context(method: str):
@@ -377,13 +366,16 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
     n is ``workers`` capped at the job count and the CPU count. Jobs are
     dealt, not cut into runs, because their cost varies along the list (a
     mutation caught by an early distance check stops early). One chunk runs
-    in this process; several run on fork workers, which inherit module state.
+    in this process; several run on fork workers, which inherit module state
+    and ignore SIGINT: Ctrl-C reaches this process, which terminates the pool.
     """
     n = max(1, min(workers or 1, len(jobs), os.cpu_count() or 1))
     chunks = [(*args, jobs[i::n]) for i in range(n)]
     if n == 1:
         return [chunk_fn(*chunks[0])]
-    with get_context("fork").Pool(n) as pool:
+    import signal  # like multiprocessing, loaded only when a pool starts
+    ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+    with get_context("fork").Pool(n, initializer=signal.signal, initargs=ignore_sigint) as pool:
         return pool.starmap(chunk_fn, chunks)
 
 

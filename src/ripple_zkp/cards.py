@@ -146,15 +146,15 @@ class RandomSource:
         return r
 
     def permutation(self, n: int) -> list[int]:
-        """Uniform permutation of 0..n-1."""
-        perm = list(range(n))
-        self._rng.shuffle(perm)
-        return perm
+        """Uniform permutation of 0..n-1, as ``random.shuffle`` draws it: ``fisher_yates``
+        over ``RandomSource.offset``, which a subclass's ``offset`` does not see."""
+        return fisher_yates(n, RandomSource.offset.__get__(self))
 
 
 class ReplaySource:
     """Given draws, handed out in order where a RandomSource would draw at random:
-    ``offset(n)`` raises ``ValueError`` unless the next draw lies in 0..n-1."""
+    ``offset(n)`` raises ``ValueError`` unless the next draw lies in 0..n-1, and
+    ``permutation(n)`` replays the n - 1 draws of its ``fisher_yates``."""
 
     def __init__(self, draws):
         self._draws = iter(draws)
@@ -165,6 +165,19 @@ class ReplaySource:
         if r is None or not 0 <= r < n:
             raise ValueError(f"replayed draw {r} for offset({n}) is not in 0..{n - 1}")
         return r
+
+    def permutation(self, n: int) -> list[int]:
+        return fisher_yates(n, self.offset)
+
+
+def fisher_yates(n: int, offset) -> list[int]:
+    """The permutation of 0..n-1 that Durstenfeld's shuffle makes from the
+    draws ``offset(i + 1)``, i from n - 1 down to 1 (``random.shuffle``'s order)."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = offset(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def _verdict_line(ev) -> str:
@@ -199,16 +212,6 @@ _EVENT_LINES = {
     "mark": (_mark_line, _mark_line),
     "verdict": (_verdict_line, _verdict_line),
 }
-# Event fields that the skeleton() line shows, by tag. With the row widths
-# and room shapes, which are read off the faces, they fix every skeleton line.
-_SKELETON_FIELDS = {
-    "mark": (1, 2),
-    "shift": (1,),
-    "reveal_row": (1, 2),
-    "reveal_segment": (1, 3, 4),
-    "reveal_all": (1,),
-    "verdict": (1, 2, 3),
-}
 
 
 class _LineTable(dict):
@@ -242,6 +245,15 @@ _SERIALIZE_LINES = _LineTable(0)
 _SKELETON_LINES = _LineTable(1)
 
 
+def event_line(ev) -> str:
+    """``ev``'s serialize() line (``repr(ev)`` if it has none), not stored in
+    ``_SERIALIZE_LINES``, which events of untrusted transcripts must not grow."""
+    try:
+        return _EVENT_LINES[ev[0]][0](ev)
+    except (LookupError, TypeError):
+        return repr(ev)
+
+
 @cache
 def marks(name: str) -> tuple[tuple, tuple]:
     """The enter and exit mark events of step ``name``, one shared pair per name.
@@ -251,6 +263,11 @@ def marks(name: str) -> tuple[tuple, tuple]:
     opened. Sharing the tuples lets the line tables match them on identity.
     """
     return ("mark", name, "enter"), ("mark", name, "exit")
+
+
+# The marks of a realignment by matrix id: a step looks its pair up instead
+# of formatting its name on every call.
+REARR_MARKS = cache(lambda matrix_id: marks(f"rearr:{matrix_id}"))
 
 
 class Transcript:
@@ -575,7 +592,7 @@ def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> 
     Shuffles first, so the revealed heart position carries no information
     about where the columns originally stood.
     """
-    enter, leave = marks(f"rearr:{matrix.id}")
+    enter, leave = REARR_MARKS(matrix.id)
     events = transcript.events
     events.append(enter)
     try:

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 accept/pass, 1 protocol reject or audit
 failure, 2 input error (or a stdout that cannot be written), 3 unsatisfiable
-puzzle.
+puzzle, 130 interrupted (Ctrl-C). A stderr that cannot be written changes
+none of them.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_INPUT = 2
 EXIT_UNSAT = 3
+EXIT_INTERRUPTED = 130
 
 
 class Unsatisfiable(Exception):
@@ -113,6 +115,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _note(text: str) -> None:
+    """One line on stderr, dropped when stderr is closed (None if it was at start-up)."""
+    if sys.stderr is None:
+        return
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _first_solution(puzzle):
     solutions = solve(puzzle, limit=1)
     if not solutions:
@@ -156,9 +168,9 @@ def cmd_prove(args) -> int:
     )
     _emit(transcript.serialize(), args.out)
     if verdict.accepted:
-        print(f"accept cards={stats.total}", file=sys.stderr)
+        _note(f"accept cards={stats.total}")
         return EXIT_OK
-    print(f"reject reason={verdict.reason} loc={verdict.loc_text()}", file=sys.stderr)
+    _note(f"reject reason={verdict.reason} loc={verdict.loc_text()}")
     return EXIT_REJECT
 
 
@@ -211,14 +223,18 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: cannot write stdout", file=sys.stderr)
+        _note("error: cannot write stdout")
         return EXIT_INPUT
     except PuzzleFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_INPUT
     except Unsatisfiable:
-        print("unsatisfiable", file=sys.stderr)
+        _note("unsatisfiable")
         return EXIT_UNSAT
+    except KeyboardInterrupt:
+        # A pool's workers ignore SIGINT and are terminated as the pool closes.
+        _note("interrupted")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ shuffle before each reveal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .cards import (
@@ -55,6 +56,10 @@ MALFORMED_COMMITMENT = "MalformedCommitment"
 
 # Directions each cell is checked in, keyed by dedupe_directions.
 CHECKED_DIRECTIONS = {False: DIRECTIONS, True: ("right", "down")}
+# The marks of each distance check by cell and direction, and of each
+# uniqueness step by matrix id, looked up rather than formatted per call.
+CHECK_MARKS = cache(lambda cell, direction: marks(f"dist:{cell[0]},{cell[1]}:{direction}"))
+UNIQUE_MARKS = cache(lambda matrix_id: marks(f"unique:{matrix_id}"))
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     reference heart shows no heart below Row 2.
     """
     pile_shift_shuffle(matrix, rng)
-    enter, leave = marks(f"unique:{matrix.id}")
+    enter, leave = UNIQUE_MARKS(matrix.id)
     events = transcript.events
     events.append(enter)
     try:
@@ -206,7 +211,7 @@ def verify_distance_direction(
     Runs the full sixteen-step procedure; on accept every sequence is back
     on its cell, still face-down, and all auxiliary cards are retired.
     """
-    enter, leave = marks(f"dist:{cell[0]},{cell[1]}:{direction}")
+    enter, leave = CHECK_MARKS(cell, direction)
     events = transcript.events
     events.append(enter)
     try:

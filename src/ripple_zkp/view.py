@@ -1,45 +1,44 @@
-"""The verifier's view as the audit reads it: reveal families, their counts, a simulator.
+"""The verifier's view as the audit reads it: one layout per puzzle, its decoder, a simulator.
 
-A transcript is the verifier's view of a run. A reveal family groups the
-same reveal step across all direction checks of a run (the value-row
-heart, the three realignments, the two seam reveals, the uniqueness pair)
+A transcript is the verifier's view of a run. On the accept path that view
+has one fixed layout per puzzle shape and direction set: per distance check,
+a mark pair around one run of events per secret draw (seven draws, six at
+k = 1), then per room one ``reveal_all`` between the room's marks. What a
+draw shows is read off the engine: ``_sim_chunks`` replays the check on a
+public dummy board and keeps the run of events each draw value selects.
+
+The view is a bijection of the draws, so a ``Layout`` decodes a transcript:
+it reads every draw off the heart of its reveal and every room's permutation
+off its columns, renders the transcript those draws make, and accepts only
+when the rendering equals the events. Whatever the draws do not explain (a
+shift offset, a second heart, a renamed mark, a missing event) fails as
+"event i: expected <line>, saw <line>". The simulator is the same renderer
+fed with random draws.
+
+A reveal family pools one draw of a distance check across all checks of a
+run, named by draw index in ``_DRAW_FAMILIES``, plus the uniqueness segment,
 plus one family per room column slot: a room reveal is a uniform
 permutation, so the heart position in each column slot is uniform over the
 room's size, and those per-slot marginals are what the audit's statistics
 run on (full-permutation histograms would drown the TVD threshold in
-sampling noise at any workable trial count). Each room reveal must still
-be a permutation of 1..size outright, in columns of one height; anything
-else is schema drift.
-
-What a distance check shows is read off the engine: ``_sim_chunks`` replays
-the check on a public dummy board and keeps the events each secret draw
-selects, and the classifier of row and segment reveals (``_family_of_step``)
-is read off those runs; this module only names the families, in draw order.
-
-The event skeleton is a function of the puzzle shape alone, so families are
-classified once per skeleton, not once per transcript: the first
-transcript of a new skeleton compiles a ``_Plan`` of where each family's
-reveals sit, in one walk that applies every schema guard; every
-transcript finds its plan by C-level field comparisons against the
-cached plans and then only has its faces counted. The simulator is built the same way round:
-each secret draw selects a prebuilt run of events.
+sampling noise at any workable trial count).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
-from operator import itemgetter
+from itertools import chain
+from operator import getitem, itemgetter
 
-from .cards import _SKELETON_FIELDS, HEART, RandomSource, ReplaySource, Transcript, encode
+from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, encode, event_line
 from .cards import faces_of, heart_position, marks
-from .protocol import CHECKED_DIRECTIONS, Board, _distance_direction
-from .puzzle import Puzzle, max_room_size
+from .protocol import CHECK_MARKS, CHECKED_DIRECTIONS, Board, _distance_direction
+from .puzzle import Puzzle
 
 
 class AuditError(Exception):
-    """Transcript shape drifted from the protocol schema."""
+    """A transcript is not an accepting view of its puzzle, or counts do not fit together."""
 
 
 @dataclass(frozen=True)
@@ -56,221 +55,216 @@ _DRAW_FAMILIES = (
     "dist.j1", "dist.rearr_m1", "dist.j2", "dist.unique_s0",
     "dist.rearr_n", "dist.j3", "dist.rearr_m2",
 )
-_TAG = itemgetter(0)
-# Every _Plan compiled so far, one per puzzle shape and direction set
-# audited; a transcript matches at most one of them (see _Plan).
-_PLANS: list["_Plan"] = []
+# The uniqueness segment: an accepting check shows it with no heart.
+_SEGMENT_FAMILY = "dist.unique_seg"
+
+
+def layout(puzzle: Puzzle, dedupe_directions: bool = False) -> "Layout":
+    """The layout of ``puzzle``'s accepting transcripts, built once per
+    puzzle shape and direction set in each process."""
+    rooms = tuple((room, len(cells)) for room, cells in puzzle.room_cells.items())
+    return _layout((puzzle.rows, puzzle.cols, rooms, dedupe_directions))
 
 
 @cache
-def _family_of_step() -> dict[tuple, str]:
-    """(open rearr:/unique: step or None, matrix id, revealed row) -> family key for
-    every distance-check reveal, read off the runs of ``_sim_chunks(2)``."""
-    family_of_step = {}
-    for key, (table, _) in zip(_DRAW_FAMILIES, _sim_chunks(2)[0], strict=True):
-        step = table[0][0][1] if table[0][0][0] == "mark" else None
-        for ev in table[0]:
-            if ev[0] == "reveal_row":
-                family_of_step[step, ev[1], ev[2]] = key
-            elif ev[0] == "reveal_segment":
-                family_of_step[step, ev[1], None] = "dist.unique_seg"
-    return family_of_step
+def _layout(shape: tuple) -> "Layout":
+    return Layout(shape)
 
 
-def _picker(positions: list[int]):
-    """A function from an event list to the tuple of its events at ``positions``."""
-    if len(positions) == 1:
-        pos = positions[0]
-        return lambda events: (events[pos],)
-    return itemgetter(*positions)
+class Layout:
+    """Where every draw of an accepting run shows, and the runs it selects.
 
-
-def _room_values(room: str, cols: tuple) -> list[int]:
-    """The heart position of each column of an accepting room reveal.
-
-    Raises unless the columns share one height and their hearts are a
-    permutation of 1..size, one heart per column.
-    """
-    size = len(cols)
-    if len(set(map(len, cols))) > 1:
-        raise AuditError(f"room {room}: accept-path reveal has columns of unequal height")
-    values = list(map(heart_position, cols))
-    if None in values or sorted(values) != list(range(1, size + 1)):
-        raise AuditError(f"room {room}: accept-path reveal is not a permutation of 1..{size}")
-    return values
-
-
-class _Plan:
-    """Where each reveal family sits in one event skeleton.
-
-    Compiled by one walk over a transcript that classifies every event and
-    raises ``AuditError`` on the first that breaks the schema; family widths
-    must also agree with ``shapes``, the families already counted. It holds
-    the tag of every event; per skeleton field, a selector mask of the
-    events that show it (None for all of them) and the values shown; the
-    positions, face field and width of every row and segment family; per
-    room reveal its position, column height and slot family keys; each
-    family's kind and width, in order of first observation; and the
-    skeleton text, rendered once: any transcript that ``count`` accepts has
-    that text (see ``cards._SKELETON_FIELDS``). It holds no event tuple.
+    ``shape`` is (rows, cols, ((room, size), ...), dedupe_directions), the
+    whole of what fixes the layout; a layout pickles as its shape. The
+    events are held as a list of chunks: fixed runs of marks and the
+    verdict, with a slot for each draw's run and each room's reveal between
+    them. Rendering fills the slots, one strided slice per draw index, and
+    flattens the list; decoding picks every reveal with one ``itemgetter``.
     """
 
-    __slots__ = ("tags", "fields", "reveals", "rooms", "shapes", "skeleton")
+    def __init__(self, shape: tuple):
+        rows, cols, rooms, dedupe = self.shape = shape
+        steps, room_cols = _sim_chunks(max(size for _, size in rooms))
+        checks = [
+            ((r, c), direction)
+            for r in range(1, rows + 1)
+            for c in range(1, cols + 1)
+            for direction in CHECKED_DIRECTIONS[dedupe]
+        ]
+        n, n_checks = len(steps), len(checks)
+        tables = [tuple(table) for table, _ in steps]
+        # The runs of each draw of the run, by draw value and by heart position.
+        self._runs = (tables * n_checks, [(None, *table) for table in tables] * n_checks)
+        self._cols = (tuple(room_cols), (None, *room_cols))
+        self.widths = [width for _, width in steps] * n_checks
+        self.sizes = [size for _, size in rooms]
+        self.draw_families = [name for name in _DRAW_FAMILIES if n == 7 or name != "dist.j3"]
+        self.families: dict[str, tuple[str, int]] = {}
+        self.n_checks = n_checks
+        reveal_at, stride = [], 2  # a check's events: enter mark, runs, exit mark
+        for name, table in zip(self.draw_families, tables, strict=True):
+            at = next(p for p, ev in enumerate(table[0]) if ev[0] == "reveal_row")
+            if any(len(run) != len(table[0]) or run[at][0] != "reveal_row" for run in table):
+                raise RuntimeError(f"family {name}: the runs of its draw values do not line up")
+            reveal_at.append(stride + at)
+            stride += len(table[0])
+            self.families[name] = ("heart", len(table))
+            for ev in table[0]:
+                if ev[0] == "reveal_segment":
+                    self.families[_SEGMENT_FAMILY] = ("segment", len(ev[5]))
+        self.slot_families = []
+        for room, size in rooms:
+            for slot in range(1, size + 1):
+                self.slot_families.append(f"room.{room}.c{slot}")
+                self.families[f"room.{room}.c{slot}"] = ("room", size)
+        self._room_ids = [f"R:{room}" for room, _ in rooms]
+        self._permutations = [list(range(1, size + 1)) for size in self.sizes]
 
-    def __init__(self, transcript: Transcript, shapes: dict):
-        events = transcript.events
-        self.tags: list[str] = []
-        self.rooms: list[tuple[int, int, list[str]]] = []
-        self.shapes: dict[str, tuple[str, int]] = {}
-        positions: dict[str, list[int]] = {}  # row and segment families only
-        family_of_step = _family_of_step()
+        chunks = [(marks("distance_phase")[0],)]
+        for check in checks:
+            enter, leave = CHECK_MARKS(*check)
+            chunks[-1] += (enter,)
+            chunks += [None] * n + [(leave,)]
+        chunks[-1] += (marks("distance_phase")[1], marks("room_phase")[0])
+        for room, _ in rooms:
+            enter, leave = marks(f"room:{room}")
+            chunks[-1] += (enter,)
+            chunks += [None, (leave,)]
+        chunks[-1] += (marks("room_phase")[1], ("verdict", "accept", None, None))
+        self._chunks = chunks
+        end = n_checks * (n + 1)
+        self._draw_slots = [slice(1 + i, end, n + 1) for i in range(n)]
+        self._room_slot = slice(end + 1, None, 2)
+        positions = [c * stride + at for c in range(n_checks) for at in reveal_at]
+        self._n_draws = len(positions)
+        positions += [n_checks * stride + 4 + 3 * r for r in range(len(rooms))]
+        self._positions, self._pick = positions, itemgetter(*positions)
 
-        def observe(key: str, kind: str, width: int) -> None:
-            shape = self.shapes.get(key) or shapes.get(key)
-            if shape is not None and shape[1] != width:
-                raise AuditError(f"family {key}: width changed {shape[1]} -> {width}")
-            self.shapes.setdefault(key, (kind, width))
+    def __reduce__(self):
+        return _layout, (self.shape,)
 
-        step: str | None = None
-        for pos, ev in enumerate(events):
-            tag = ev[0]
-            self.tags.append(tag)
-            if tag == "mark":
-                if ev[1].startswith(("rearr:", "unique:")):
-                    step = ev[1] if ev[2] == "enter" else None
-            elif tag == "shift" or tag == "verdict":
-                pass
-            elif tag == "reveal_row":
-                mid, row, faces = ev[1], ev[2], ev[3]
-                key = family_of_step.get((step, mid, row))
-                if key is None:
-                    raise AuditError(f"unclassifiable reveal: m={mid} row={row}")
-                if heart_position(faces) is None:
-                    raise AuditError(f"family {key}: reveal without a single heart")
-                observe(key, "heart", len(faces))
-                positions.setdefault(key, []).append(pos)
-            elif tag == "reveal_segment":
-                key = family_of_step.get((step, ev[1], None))
-                if key is None:
-                    raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
-                observe(key, "segment", len(ev[5]))
-                positions.setdefault(key, []).append(pos)
-            elif tag == "reveal_all":
-                mid, cols = ev[1], ev[2]
-                if not mid.startswith("R:"):
-                    raise AuditError(f"full reveal outside room phase: m={mid}")
-                room = mid[2:]
-                size = len(_room_values(room, cols))
-                keys = [f"room.{room}.c{slot}" for slot in range(1, size + 1)]
-                for key in keys:
-                    observe(key, "room", size)
-                self.rooms.append((pos, len(cols[0]) if cols else 0, keys))
-            else:
-                raise AuditError(f"unknown event type {tag!r}")
-        self.reveals = []
-        for key, picked in positions.items():
-            kind, width = self.shapes[key]
-            faces = itemgetter(3 if kind == "heart" else 5)
-            self.reveals.append((key, faces, kind, width, _picker(picked)))
-        self.fields = []
-        for index in sorted({i for tag in set(self.tags) for i in _SKELETON_FIELDS[tag]}):
-            shows = {tag: index in fields for tag, fields in _SKELETON_FIELDS.items()}
-            selector = bytes(map(shows.__getitem__, self.tags))
-            selector = None if all(selector) else selector
-            shown = events if selector is None else compress(events, selector)
-            field = itemgetter(index)
-            self.fields.append((field, selector, list(map(field, shown))))
-        self.skeleton = transcript.skeleton()
+    def render(self, draws: list[int], perms, base: int = 0) -> list[tuple]:
+        """The events of the accepting run whose distance checks draw
+        ``draws``, in draw order, and whose rooms reveal the permutations
+        ``perms`` (``perm[i]`` is the value in column i). Draws and values
+        count from ``base``: 0 as drawn, 1 as heart positions."""
+        chunks = self._chunks.copy()
+        runs = list(map(getitem, self._runs[base], draws))
+        n = len(self._draw_slots)
+        for i, slot in enumerate(self._draw_slots):
+            chunks[slot] = runs[i::n]
+        cols = self._cols[base]
+        chunks[self._room_slot] = [
+            (("reveal_all", mid, tuple(map(cols.__getitem__, perm))),)
+            for mid, perm in zip(self._room_ids, perms)
+        ]
+        return list(chain.from_iterable(chunks))
 
-    def count(self, events: list, tags: list[str]) -> list[tuple[str, int, int]] | None:
-        """(family key, observation, times seen) for one transcript.
+    def read(self, events: list) -> tuple[list[int], list[list[int]]]:
+        """(heart position of every distance draw, values of every room's
+        columns) of the accepting transcript ``events``.
 
-        ``tags`` is the tag of each of ``events``. None when the transcript
-        differs from the plan in any skeleton field, or a revealed face
-        breaks the schema.
+        Raises ``AuditError`` naming the first event that the rendering of
+        those draws does not reproduce.
         """
-        if tags != self.tags:
-            return None
-        for field, selector, expected in self.fields:
-            shown = events if selector is None else compress(events, selector)
-            if list(map(field, shown)) != expected:
-                return None
-        tallies = []
-        for key, faces_field, kind, width, pick in self.reveals:
-            for faces, n in Counter(map(faces_field, pick(events))).items():
-                if len(faces) != width:
-                    return None
-                obs = faces.count(HEART) if kind == "segment" else heart_position(faces)
-                if obs is None:
-                    return None
-                tallies.append((key, obs, n))
-        for pos, height, keys in self.rooms:
-            mid, cols = events[pos][1:3]
-            if len(cols) != len(keys) or cols and len(cols[0]) != height:
-                return None
+        try:
+            picked = self._pick(events)
+            hearts = list(map(_ONE_HEART.get, map(itemgetter(3), picked[: self._n_draws])))
+            rooms = [list(map(_ONE_HEART.get, ev[2])) for ev in picked[self._n_draws :]]
+            if any(sorted(values) != perm for values, perm in zip(rooms, self._permutations)):
+                raise ValueError
+            rendered = self.render(hearts, rooms, 1)
+        except (LookupError, TypeError, ValueError):
+            raise self._mismatch(events) from None
+        if rendered != events:
+            raise self._mismatch(events)
+        return hearts, rooms
+
+    def decode(self, events: list) -> list[int]:
+        """The draw tape from which ``simulate_transcript``, replaying it
+        through a ``ReplaySource``, renders ``events``: every distance draw,
+        then each room's ``cards.fisher_yates`` draws. Raises like ``read``."""
+        hearts, rooms = self.read(events)
+        tape = [heart - 1 for heart in hearts]
+        for values in rooms:
+            current = list(range(len(values)))
+            for i in range(len(values) - 1, 0, -1):
+                j = current.index(values[i] - 1)
+                current[i], current[j] = current[j], current[i]
+                tape.append(j)
+        return tape
+
+    def _mismatch(self, events: list) -> AuditError:
+        """The first event where ``events`` leave the rendering of the draws
+        read off them, a draw that cannot be read taken as 0."""
+
+        def heart(pos, table):
             try:
-                values = _room_values(mid, cols)
-            except AuditError:
-                return None
-            tallies.extend(zip(keys, values, (1,) * len(keys)))
-        return tallies
+                heart = _ONE_HEART.get(events[pos][3])
+            except (LookupError, TypeError):
+                return 1
+            return heart if heart is not None and heart < len(table) else 1
+
+        def room(pos, perm):
+            try:
+                values = list(map(_ONE_HEART.get, events[pos][2]))
+                return values if sorted(values) == perm else perm
+            except (LookupError, TypeError):
+                return perm
+
+        rooms = map(room, self._positions[self._n_draws :], self._permutations)
+        rendered = self.render(list(map(heart, self._positions, self._runs[1])), rooms, 1)
+        i = next(
+            (i for i, (want, saw) in enumerate(zip(rendered, events)) if want != saw),
+            min(len(rendered), len(events)),
+        )
+        want = event_line(rendered[i]) if i < len(rendered) else "end of transcript"
+        saw = event_line(events[i]) if i < len(events) else "end of transcript"
+        return AuditError(f"event {i + 1}: expected {want}, saw {saw}")
 
 
 class FamilyCounts:
-    """Streaming per-family histograms over many transcripts.
+    """Per-family histograms over accepting transcripts of one puzzle.
 
-    Every transcript counted together must share one event skeleton, so
-    the reveal families are classified once per skeleton. The first
-    transcript is matched against the plans cached at module level (see
-    ``_Plan``), one per puzzle shape (and direction set) audited; when none
-    matches, it compiles a new one, which raises the first schema error.
-    ``first_skeleton`` is that plan's text. Each later transcript is
-    matched against the same plan field by field and its faces counted per
-    family; on any mismatch it compiles a plan of its own, to raise the
-    specific schema error or else "skeleton drifted".
+    ``add`` decodes each transcript against the puzzle's ``Layout`` and
+    tallies every distance draw's heart position under its family, the
+    uniqueness segments (no heart, observation 0) and every room slot's
+    value; a transcript that does not decode raises ``AuditError``. Counts
+    pickle with their layout's shape only, and merge when their layouts are
+    equal.
     """
 
-    def __init__(self, transcripts=()):
+    def __init__(self, puzzle: Puzzle, dedupe_directions: bool = False, transcripts=()):
+        self.layout = layout(puzzle, dedupe_directions)
         self.trials = 0
-        self.counts: dict[str, Counter] = {}
-        self.shapes: dict[str, tuple[str, int]] = {}  # family key -> (kind, width)
-        self.first_skeleton: str | None = None
-        self._plan: _Plan | None = None
+        self.shapes: dict[str, tuple[str, int]] = dict(self.layout.families)  # key -> (kind, width)
+        self.counts: dict[str, Counter] = {key: Counter() for key in self.shapes}
         for _ in map(self.add, transcripts):  # frees each transcript before the next is built
             pass
 
     def families(self) -> list[RevealFamily]:
+        if not self.trials:
+            return []
         return [
             RevealFamily(key, kind, 1 if kind == "segment" else width)
             for key, (kind, width) in self.shapes.items()
         ]
 
     def add(self, transcript: Transcript) -> None:
-        events = transcript.events
-        tags = list(map(_TAG, events))
-        for plan in _PLANS if self._plan is None else (self._plan,):
-            tallies = plan.count(events, tags)
-            if tallies is not None:
-                break
-        else:
-            plan = _Plan(transcript, self.shapes)
-            if self._plan is not None:
-                raise AuditError("transcript event skeleton drifted between trials")
-            _PLANS.append(plan)
-            tallies = plan.count(events, tags)
-        if self._plan is None:
-            self._plan = plan
-            self.first_skeleton = plan.skeleton
-            self.shapes = dict(plan.shapes)
-            self.counts = {key: Counter() for key in plan.shapes}
+        lay = self.layout
+        hearts, rooms = lay.read(transcript.events)
         counts = self.counts
-        for key, obs, n in tallies:
-            counts[key][obs] += n
+        n = len(lay.draw_families)
+        for i, key in enumerate(lay.draw_families):
+            counts[key].update(hearts[i::n])
+        counts[_SEGMENT_FAMILY][0] += lay.n_checks  # one segment per check, with no heart
+        for key, value in zip(lay.slot_families, chain.from_iterable(rooms)):
+            counts[key][value] += 1
         self.trials += 1
 
     def merge(self, other: "FamilyCounts") -> "FamilyCounts":
-        if other.first_skeleton != self.first_skeleton:
-            raise AuditError("cannot merge counts with different skeletons")
+        if other.layout.shape != self.layout.shape:
+            raise AuditError("cannot merge counts of different layouts")
         for key, counter in other.counts.items():
             self.counts[key].update(counter)
         self.trials += other.trials
@@ -322,36 +316,11 @@ def simulate_transcript(
 ) -> Transcript:
     """An accepting transcript drawn without any solution.
 
-    The event skeleton is a function of the puzzle shape alone; every heart
-    position is drawn uniformly over its matrix width and every room reveal
-    is a uniform permutation of the room's value range. Each secret draw
-    selects its prebuilt run of events (``_sim_chunks``), drawn in the
-    order and over the widths an honest run draws.
+    Draws what an honest run draws, in its order and over its widths (every
+    distance draw, then one permutation per room), and renders them through
+    the puzzle's ``Layout``.
     """
-    k = max_room_size(puzzle)
-    steps, room_cols = _sim_chunks(k)
+    lay = layout(puzzle, dedupe_directions)
     t = Transcript()
-    events = t.events
-    append, extend, offset = events.append, events.extend, rng.offset
-    directions = CHECKED_DIRECTIONS[dedupe_directions]
-    phase_enter, phase_exit = marks("distance_phase")
-    append(phase_enter)
-    for r, c in puzzle.cells:
-        for direction in directions:
-            enter, leave = marks(f"dist:{r},{c}:{direction}")
-            append(enter)
-            for table, width in steps:
-                extend(table[offset(width)])
-            append(leave)
-    append(phase_exit)
-    phase_enter, phase_exit = marks("room_phase")
-    append(phase_enter)
-    for room, cells in puzzle.room_cells.items():
-        enter, leave = marks(f"room:{room}")
-        append(enter)
-        perm = rng.permutation(len(cells))
-        append(("reveal_all", f"R:{room}", tuple(map(room_cols.__getitem__, perm))))
-        append(leave)
-    append(phase_exit)
-    t.verdict("accept", None, None)
+    t.events = lay.render(list(map(rng.offset, lay.widths)), list(map(rng.permutation, lay.sizes)))
     return t

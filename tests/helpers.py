@@ -4,7 +4,8 @@ from itertools import product
 
 from ripple_zkp.view import AuditError
 from ripple_zkp.cards import HEART, RandomSource, heart_position
-from ripple_zkp.puzzle import Assignment, Puzzle, validate
+from ripple_zkp.protocol import ProverInput, run_protocol
+from ripple_zkp.puzzle import Assignment, Puzzle, max_room_size, solve, validate
 
 # (open rearr:/unique: step or None, matrix id, revealed row) -> family key
 # for every distance-check reveal, written out by hand so that the oracle
@@ -18,6 +19,15 @@ FAMILY_OF_STEP = {
     ("rearr:N", "N", 1): "dist.rearr_n",
     (None, "M2", 2): "dist.j3",
     ("rearr:M2", "M2", 1): "dist.rearr_m2",
+}
+# The public shift that follows a reveal of each family, from the heart
+# position j and the card count k, before it is taken mod the width.
+SHIFT_RULES = {
+    "dist.j1": lambda j, k: k - j,
+    "dist.rearr_m1": lambda j, k: -(j - 1),
+    "dist.rearr_n": lambda j, k: -(j - 1),
+    "dist.j3": lambda j, k: k + 1 - j,
+    "dist.rearr_m2": lambda j, k: -(j - 1),
 }
 
 
@@ -123,30 +133,40 @@ def all_room_partitions(rows: int, cols: int) -> list[Puzzle]:
 class ReferenceFamilyCounts:
     """``audit.FamilyCounts`` as a plain walk over every event of every transcript.
 
-    The reference model for the per-skeleton plans: each transcript is
-    classified event by event, and one whose skeleton text differs from the
-    first transcript's has drifted.
+    The reference model for the layout's decoder. A transcript counts when
+    its skeleton is that of an honest run of ``puzzle``; every row reveal
+    shows one heart; every public shift follows from the reveal before it
+    by the rules in ``SHIFT_RULES``; the uniqueness segment stands under
+    the uniqueness heart and shows no heart; and every room reveal is a
+    permutation of 1..size in columns of one height.
     """
 
-    def __init__(self, transcripts=()):
+    def __init__(self, puzzle, dedupe_directions=False, transcripts=()):
+        solution = solve(puzzle, limit=1)[0]
+        honest = run_protocol(puzzle, ProverInput(solution), RandomSource(0), dedupe_directions)
+        self.skeleton = honest.transcript.skeleton()
+        self.k = max_room_size(puzzle)
         self.trials = 0
         self.counts: dict[str, Counter] = {}
         self.shapes: dict[str, tuple[str, int]] = {}
-        self.first_skeleton: str | None = None
         for transcript in transcripts:
             self.add(transcript)
 
     def add(self, transcript) -> None:
-        step = None
+        step = shift = unique_heart = None
         for ev in transcript.events:
             tag = ev[0]
             if tag == "mark":
                 if ev[1].startswith(("rearr:", "unique:")):
                     step = ev[1] if ev[2] == "enter" else None
                 continue
-            if tag == "shift" or tag == "verdict":
+            if tag == "verdict":
                 continue
-            if tag == "reveal_row":
+            if tag == "shift":
+                if shift is None or ev[2] != shift:
+                    raise AuditError(f"shift m={ev[1]} offset={ev[2]}: expected {shift}")
+                shift = None
+            elif tag == "reveal_row":
                 mid, row, faces = ev[1], ev[2], ev[3]
                 key = FAMILY_OF_STEP.get((step, mid, row))
                 if key is None:
@@ -154,12 +174,17 @@ class ReferenceFamilyCounts:
                 j = heart_position(faces)
                 if j is None:
                     raise AuditError(f"family {key}: reveal without a single heart")
+                rule = SHIFT_RULES.get(key)
+                shift = None if rule is None else rule(j, self.k) % len(faces)
+                unique_heart = j if key == "dist.unique_s0" else None
                 self._observe(key, "heart", len(faces), j)
             elif tag == "reveal_segment":
                 key = FAMILY_OF_STEP.get((step, ev[1], None))
                 if key is None:
                     raise AuditError(f"segment reveal outside uniqueness: m={ev[1]}")
                 faces = ev[5]
+                if ev[2] != unique_heart or HEART in faces or len(faces) != ev[4] - ev[3] + 1:
+                    raise AuditError("segment off the uniqueness heart, or with a heart")
                 self._observe(key, "segment", len(faces), faces.count(HEART))
             elif tag == "reveal_all":
                 mid, cols = ev[1], ev[2]
@@ -178,11 +203,8 @@ class ReferenceFamilyCounts:
                     self._observe(f"room.{room}.c{slot}", "room", size, value)
             else:
                 raise AuditError(f"unknown event type {tag!r}")
-        skeleton = transcript.skeleton()
-        if self.first_skeleton is None:
-            self.first_skeleton = skeleton
-        elif skeleton != self.first_skeleton:
-            raise AuditError("transcript event skeleton drifted between trials")
+        if transcript.skeleton() != self.skeleton:
+            raise AuditError("transcript event skeleton differs from an honest run's")
         self.trials += 1
 
     def _observe(self, key: str, kind: str, width: int, obs) -> None:

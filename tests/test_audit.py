@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import pickle
 from collections import Counter
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from ripple_zkp.audit import (
     soundness_sweep,
     uniformity_audit,
 )
-from ripple_zkp.cards import HEART, RandomSource, Transcript, encode, faces_of
+from ripple_zkp.cards import HEART, RandomSource, ReplaySource, Transcript, encode, faces_of, marks
 from ripple_zkp.protocol import ProverInput, run_protocol
 from ripple_zkp.puzzle import Assignment, solve, validate
 
@@ -79,7 +80,7 @@ class FakeForkContext:
         assert method == "fork"
         return self
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer=None, initargs=()):
         self.pool_sizes.append(processes)
         return self
 
@@ -90,7 +91,7 @@ class FakeForkContext:
         return False
 
     def starmap(self, fn, chunks):
-        return [FamilyCounts() for _ in chunks]
+        return [FamilyCounts(chunk[0]) for chunk in chunks]
 
 
 # (dof, x, P(X >= x)) from scipy.stats.chi2.sf, scipy 1.17.1. dof 1..10 are
@@ -294,8 +295,7 @@ GOLDEN_SIM_PARTITIONS = {
 
 
 # sha256 of repr(view._sim_chunks(k)), the simulator's prebuilt event runs
-# and room columns, for k = 1..8, and of the family map's items sorted by
-# repr (its order is not observable).
+# and room columns, for k = 1..8.
 GOLDEN_SIM_CHUNKS = {
     1: "7391ea9d8f75df94e1e77d9f15b595a35a00b24f83cc318eaca3f56d222b6680",
     2: "4bcf5a37e2739c9ba8e5fc20773318287245002e398d9ad7447a508797146dbd",
@@ -306,7 +306,6 @@ GOLDEN_SIM_CHUNKS = {
     7: "bef96314305bb798b28c69328aebda13e86cd23f095bf90f699e55d4f78af5ee",
     8: "7d9e882794989754eaf9f719910e654ba406daab51a3ed2e35db5c0018b3c920",
 }
-GOLDEN_FAMILY_MAP = "20fe2eeb08049d1bf88d041724e6469cd20168c1cc8fc736aebb9b5c380fe9d8"
 
 
 def repr_sha256(value) -> str:
@@ -360,9 +359,6 @@ class TestSimulatorTables:
     def test_sim_chunks_pinned(self, k):
         assert repr_sha256(view._sim_chunks(k)) == GOLDEN_SIM_CHUNKS[k]
 
-    def test_family_map_pinned(self):
-        assert repr_sha256(sorted(view._family_of_step().items(), key=repr)) == GOLDEN_FAMILY_MAP
-
     def test_harvest_catches_a_constant_draw(self, monkeypatch):
         # The shuffles of matrix N consume their draw but rotate by 0, so
         # every value of the uniqueness draw shows the same heart position:
@@ -385,27 +381,26 @@ class TestUniformityAudit:
     def test_honest_runs_pass(self):
         puzzle = tiny_puzzle()
         transcripts = real_transcripts(puzzle, TINY_SOLUTION, 1200)
-        report = uniformity_audit(transcripts)
+        report = uniformity_audit(puzzle, transcripts)
         assert report.passed
         assert not report.warnings
         keys = {fr.family.key for fr in report.families}
         assert "dist.j1" in keys and "room.a.c1" in keys
 
     def test_point_mass_family_fails(self):
+        # Every check's first draw (dist.j1) is doctored to 0 and rendered
+        # with the shift it implies: the transcripts decode, and the family
+        # is a point mass.
         puzzle = tiny_puzzle()
+        lay = view.layout(puzzle)
         doctored = []
-        for t in sim_transcripts(puzzle, 1200):
-            events = []
-            for ev in t.events:
-                if ev[0] == "reveal_row" and ev[1] == "M" and ev[2] == 2:
-                    width = len(ev[3])
-                    events.append(("reveal_row", "M", 2, faces_of(width, encode(1, width))))
-                else:
-                    events.append(ev)
+        for seed in range(1200):
+            rng = RandomSource(seed)
+            draws = [0 if i % 7 == 0 else rng.offset(w) for i, w in enumerate(lay.widths)]
             d = Transcript()
-            d.events = events
+            d.events = lay.render(draws, [rng.permutation(size) for size in lay.sizes])
             doctored.append(d)
-        report = uniformity_audit(doctored)
+        report = uniformity_audit(puzzle, doctored)
         assert not report.passed
         j1 = {fr.family.key: fr for fr in report.families}["dist.j1"]
         assert not j1.passed
@@ -413,15 +408,139 @@ class TestUniformityAudit:
 
     def test_single_transcript_is_legal(self):
         puzzle = tiny_puzzle()
-        report = uniformity_audit(real_transcripts(puzzle, TINY_SOLUTION, 1))
+        report = uniformity_audit(puzzle, real_transcripts(puzzle, TINY_SOLUTION, 1))
         assert report.warnings and "under-powered" in report.warnings[0]
         assert report.passed  # statistics reported but not gating
 
     def test_schema_drift_rejected(self):
         t = Transcript()
         t.events.append(("reveal_row", "Z", 9, (HEART,)))
-        with pytest.raises(AuditError, match="unclassifiable"):
-            uniformity_audit([t])
+        expected = "event 1: expected mark name=distance_phase kind=enter, saw reveal_row m=Z row=9"
+        with pytest.raises(AuditError, match=expected):
+            uniformity_audit(tiny_puzzle(), [t])
+
+
+def edit_first(match, new):
+    """An edit that replaces the first event for which ``match`` holds with
+    the events ``new(ev)``."""
+
+    def edit(events):
+        n = next(i for i, ev in enumerate(events) if match(ev))
+        return [*events[:n], *new(events[n]), *events[n + 1 :]]
+
+    return edit
+
+
+def same(events):
+    return events
+
+
+def is_j1(ev):
+    return ev[:3] == ("reveal_row", "M", 2)
+
+
+def is_room(ev):
+    return ev[0] == "reveal_all"
+
+
+def segment_before_unique(events):
+    """The first segment reveal, copied in before the first step of the first check."""
+    segment = next(ev for ev in events if ev[0] == "reveal_segment")
+    return [*events[:2], segment, *events[2:]]
+
+
+def rearr_of_x(events):
+    """The first realignment of M1, with the matrix renamed X."""
+    n = events.index(("mark", "rearr:M1", "enter"))
+    enter, reveal, shift, leave = events[n : n + 4]
+    run = [("mark", "rearr:X", "enter"), ("reveal_row", "X", *reveal[2:]), ("shift", "X", shift[2])]
+    return [*events[:n], *run, ("mark", "rearr:X", "exit"), *events[n + 4 :]]
+
+
+TWO_HEARTS = edit_first(is_j1, lambda ev: [ev[:3] + ((HEART, HEART),)])
+WIDER = edit_first(is_j1, lambda ev: [ev[:3] + ((HEART, 0, 0),)])
+PEEK = edit_first(is_j1, lambda ev: [("peek", "M")])
+ROOM_REPEAT = edit_first(is_room, lambda ev: [ev[:2] + ((ev[2][0], ev[2][0]),)])
+RENAMED_CHECK = marks("dist:1,2:right")[0]
+ROOM_RAGGED = edit_first(is_room, lambda ev: [ev[:2] + (((0, HEART), (HEART, 0, 0)),)])
+
+# (edits of domino transcripts, one per transcript, and the AuditError's
+# "saw" line) for transcripts that are not accepting views of the domino. A
+# *_later case breaks only a second transcript, after a valid first one.
+SCHEMA_GUARDS = {
+    "two_hearts": ([TWO_HEARTS], "reveal_row m=M row=2 faces=HH"),
+    "segment_outside_unique": ([segment_before_unique], "reveal_segment m=N col=[12] rows=3..4"),
+    "reveal_all_not_room": (
+        [edit_first(is_room, lambda ev: [("reveal_all", "M", ev[2])])],
+        "reveal_all m=M",
+    ),
+    "room_not_permutation": ([ROOM_REPEAT], r"reveal_all m=R:a cols=(HC\|HC|CH\|CH)$"),
+    "room_ragged": ([ROOM_RAGGED], r"reveal_all m=R:a cols=CH\|HCC$"),
+    "room_ragged_later": ([same, ROOM_RAGGED], r"reveal_all m=R:a cols=CH\|HCC$"),
+    "unknown_tag": ([PEEK], r"\('peek', 'M'\)$"),
+    "count_drift": ([same, lambda events: events + events], "mark name=distance_phase kind=enter"),
+    "width_change": ([WIDER], "reveal_row m=M row=2 faces=HCC"),
+    "other_matrix_in_rearr": (
+        [edit_first(lambda ev: ev[1] == "rearr:M1", lambda ev: [("mark", "rearr:N", "enter")])],
+        "mark name=rearr:N kind=enter",
+    ),
+    "rearr_of_unknown_matrix": ([rearr_of_x], "mark name=rearr:X kind=enter"),
+    "width_change_later": ([same, WIDER], "reveal_row m=M row=2 faces=HCC"),
+    "unknown_tag_later": ([same, PEEK], r"\('peek', 'M'\)$"),
+    "two_hearts_later": ([same, TWO_HEARTS], "reveal_row m=M row=2 faces=HH"),
+    "unclassifiable_later": (
+        [same, edit_first(is_j1, lambda ev: [("reveal_row", "Z", 9, ev[3])])],
+        "reveal_row m=Z row=9",
+    ),
+    "room_not_permutation_later": ([same, ROOM_REPEAT], r"reveal_all m=R:a cols=(HC\|HC|CH\|CH)$"),
+    "mark_renamed": (
+        [same, edit_first(lambda ev: ev[1] == "dist:1,1:right", lambda ev: [RENAMED_CHECK])],
+        "mark name=dist:1,2:right kind=enter",
+    ),
+    "shift_offset": (
+        [edit_first(lambda ev: ev[0] == "shift", lambda ev: [("shift", ev[1], 1 - ev[2])])],
+        "shift m=M offset=[01]$",
+    ),
+}
+
+
+class TestSchemaGuards:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_GUARDS))
+    def test_guard_raises(self, case):
+        edits, saw = SCHEMA_GUARDS[case]
+        runs = real_transcripts(tiny_puzzle(), TINY_SOLUTION, len(edits))
+        transcripts = doctored(*(edit(t.events) for edit, t in zip(edits, runs)))
+        counts = FamilyCounts(tiny_puzzle(), transcripts=transcripts[:-1])
+        with pytest.raises(AuditError, match=rf"^event \d+: expected .*, saw {saw}"):
+            counts.add(transcripts[-1])
+
+    @pytest.mark.parametrize(
+        ("sim_trials", "sim_edit", "expected", "passed"),
+        [
+            (2, same, "warning trial counts differ: 3 real vs 2 simulated", True),
+            (0, same, "note=family missing from simulation", False),
+            (
+                3,
+                lambda events: [*events, ("mark", "extra", "exit")],
+                "event 193: expected end of transcript, saw mark name=extra kind=exit",
+                None,
+            ),
+        ],
+        ids=["trial_counts", "missing_family", "skeleton_length"],
+    )
+    def test_report_notes(self, sim_trials, sim_edit, expected, passed):
+        # A report names what it could not check; a simulated transcript
+        # that does not decode stops the audit.
+        puzzle = tiny_puzzle()
+        real = real_transcripts(puzzle, TINY_SOLUTION, 3)
+        sim = doctored(*(sim_edit(t.events) for t in sim_transcripts(puzzle, sim_trials, 100)))
+        if passed is None:
+            with pytest.raises(AuditError, match=expected):
+                indistinguishability_audit(puzzle, real, sim)
+            return
+        report = indistinguishability_audit(puzzle, real, sim)
+        assert expected in report.serialize()
+        assert report.passed is passed
 
 
 def doctored(*event_lists):
@@ -434,112 +553,15 @@ def doctored(*event_lists):
     return out
 
 
-H2 = (HEART, 0)  # a width-2 row with its heart in position 1
-
-# (events per transcript, AuditError message) for every schema guard of the
-# walk that compiles a view._Plan. A *_later case breaks the guard only in a
-# second transcript, after a valid first one: it must raise its own message,
-# not "skeleton drifted".
-SCHEMA_GUARDS = {
-    "two_hearts": ([[("reveal_row", "M", 2, (HEART, HEART))]], "without a single heart"),
-    "segment_outside_unique": (
-        [[("reveal_segment", "N", 1, 3, 4, (0, 0))]],
-        "segment reveal outside uniqueness",
-    ),
-    "reveal_all_not_room": ([[("reveal_all", "M", ((HEART,),))]], "outside room phase"),
-    "room_not_permutation": ([[("reveal_all", "R:a", (H2, H2))]], "not a permutation"),
-    "room_ragged": ([[("reveal_all", "R:a", ((0, HEART), (HEART, 0, 0)))]], "unequal height"),
-    "room_ragged_later": (
-        [
-            [("reveal_all", "R:a", ((0, HEART), H2))],
-            [("reveal_all", "R:a", ((0, HEART), (HEART, 0, 0)))],
-        ],
-        "unequal height",
-    ),
-    "unknown_tag": ([[("peek", "M")]], "unknown event type"),
-    "count_drift": (
-        [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, H2)] * 2],
-        "skeleton drifted",
-    ),
-    "width_change": (
-        [[("reveal_row", "M", 2, H2), ("reveal_row", "M", 2, (HEART, 0, 0))]],
-        "width changed",
-    ),
-    "other_matrix_in_rearr": (
-        [[("mark", "rearr:N", "enter"), ("reveal_row", "M1", 1, H2)]],
-        "unclassifiable",
-    ),
-    "rearr_of_unknown_matrix": (
-        [[("mark", "rearr:X", "enter"), ("reveal_row", "X", 1, H2), ("mark", "rearr:X", "exit")]],
-        "unclassifiable",
-    ),
-    "width_change_later": (
-        [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, (HEART, 0, 0))]],
-        "width changed",
-    ),
-    "unknown_tag_later": ([[("reveal_row", "M", 2, H2)], [("peek", "M")]], "unknown event type"),
-    "two_hearts_later": (
-        [[("reveal_row", "M", 2, H2)], [("reveal_row", "M", 2, (HEART, HEART))]],
-        "without a single heart",
-    ),
-    "unclassifiable_later": (
-        [[("reveal_row", "M", 2, H2)], [("reveal_row", "Z", 9, H2)]],
-        "unclassifiable",
-    ),
-    "room_not_permutation_later": (
-        [[("reveal_all", "R:a", ((0, HEART), H2))], [("reveal_all", "R:a", (H2, H2))]],
-        "not a permutation",
-    ),
-    "mark_renamed": (  # the same families, counted the same, under another mark
-        [
-            [("mark", "dist:1,1:right", "enter"), ("reveal_row", "M", 2, H2)],
-            [("mark", "dist:1,2:right", "enter"), ("reveal_row", "M", 2, H2)],
-        ],
-        "skeleton drifted",
-    ),
-}
-
-
-class TestSchemaGuards:
-    @pytest.mark.parametrize("case", sorted(SCHEMA_GUARDS))
-    def test_guard_raises(self, case):
-        event_lists, message = SCHEMA_GUARDS[case]
-        with pytest.raises(AuditError, match=message):
-            FamilyCounts(doctored(*event_lists))
-
-    @pytest.mark.parametrize(
-        ("sim_trials", "sim_edit", "expected", "passed"),
-        [
-            (2, lambda events: events, "warning trial counts differ: 3 real vs 2 simulated", True),
-            (
-                3,
-                lambda events: [ev for ev in events if ev[0] != "reveal_all"],
-                "note=family missing from simulation",
-                False,
-            ),
-            (
-                3,
-                lambda events: [*events, ("mark", "extra", "exit")],
-                "warning skeleton length mismatch: real=",
-                False,
-            ),
-        ],
-        ids=["trial_counts", "missing_family", "skeleton_length"],
-    )
-    def test_report_notes(self, sim_trials, sim_edit, expected, passed):
-        puzzle = tiny_puzzle()
-        real = real_transcripts(puzzle, TINY_SOLUTION, 3)
-        sim = doctored(*(sim_edit(t.events) for t in sim_transcripts(puzzle, sim_trials, 100)))
-        report = indistinguishability_audit(real, sim)
-        assert expected in report.serialize()
-        assert report.passed is passed
+BASE_BOARDS = ((TINY, TINY_SOLUTION), (["a a a"], Assignment.from_rows([[1, 2, 3]])))
 
 
 @functools.cache
 def base_runs() -> tuple[tuple[tuple, ...], ...]:
-    """Events of honest and simulated runs on the domino (k=2) and a 1x3 room (k=3)."""
+    """Events of honest and simulated runs on the domino (k=2) and a 1x3 room
+    (k=3), four per board."""
     runs = []
-    for rows, solution in ((TINY, TINY_SOLUTION), (["a a a"], Assignment.from_rows([[1, 2, 3]]))):
+    for rows, solution in BASE_BOARDS:
         puzzle = make_puzzle(rows)
         for t in real_transcripts(puzzle, solution, 2) + sim_transcripts(puzzle, 2):
             runs.append(tuple(t.events))
@@ -560,6 +582,7 @@ EDIT_TARGETS = {
     "extra": REVEALS,
     "rename": ("mark",),
     "swap": ("mark",),
+    "shift": ("shift",),
 }
 
 
@@ -597,6 +620,8 @@ def edit_events(events: list, edit: str, i: int, j: int) -> None:
         events[n] = ("mark", MARK_NAMES[j % len(MARK_NAMES)], ev[2])
     elif edit == "swap":
         events[n] = ("mark", ev[1], "exit" if ev[2] == "enter" else "enter")
+    elif edit == "shift":
+        events[n] = ("shift", ev[1], j % 5)
 
 
 # Per transcript: an index into base_runs() (eight runs) and up to two edits.
@@ -613,14 +638,17 @@ doctored_runs = st.lists(
 )
 
 
-def family_outcome(counts_class, transcripts):
-    """What a counter reports after adding ``transcripts``, or its AuditError message."""
-    counts = counts_class()
+def family_outcome(counts, transcripts):
+    """What ``counts`` reports after adding ``transcripts``, or "AuditError".
+
+    The decoder names the first event off its rendering and the reference
+    the first rule broken, so only the outcome is compared, not the message.
+    """
     try:
         for transcript in transcripts:
             counts.add(transcript)
-    except AuditError as exc:
-        return str(exc)
+    except AuditError:
+        return "AuditError"
     return counts_state(counts)
 
 
@@ -629,7 +657,6 @@ def counts_state(counts):
         counts.trials,
         list(counts.counts.items()),  # key order fixes the report's row order
         counts.shapes,
-        counts.first_skeleton,
     )
 
 
@@ -637,9 +664,20 @@ class TestFamilyCountsModel:
     """FamilyCounts against tests/helpers.ReferenceFamilyCounts, a plain event walk."""
 
     def test_family_map_matches_oracle(self):
-        # The classifier read off the engine's harvested runs equals the
-        # oracle's own copy.
-        assert view._family_of_step() == FAMILY_OF_STEP
+        # For k = 1..8, the family a layout names by draw index is the one
+        # the oracle's hand-written table gives the reveal of that draw's run.
+        for k in range(1, 9):
+            lay = view.layout(make_puzzle([" ".join("a" * k)]))
+            named = {}
+            for key, (table, _) in zip(lay.draw_families, view._sim_chunks(k)[0], strict=True):
+                step = table[0][0][1] if table[0][0][0] == "mark" else None
+                for ev in table[0]:
+                    if ev[0] == "reveal_row":
+                        named[key] = FAMILY_OF_STEP[step, ev[1], ev[2]]
+                    elif ev[0] == "reveal_segment":
+                        named["dist.unique_seg"] = FAMILY_OF_STEP[step, ev[1], None]
+            assert list(named) == list(named.values()), k
+            assert list(lay.families)[: len(named)] == list(named), k
 
     def test_sample7x7_runs(self, sample7x7, sample7x7_solution):
         for dedupe in (False, True):
@@ -649,43 +687,55 @@ class TestFamilyCountsModel:
             ]
             sim = [simulate_transcript(sample7x7, RandomSource(s), dedupe) for s in range(2)]
             for transcripts in (real, sim, real + sim):
-                expected = family_outcome(ReferenceFamilyCounts, transcripts)
-                assert not isinstance(expected, str)
-                assert family_outcome(FamilyCounts, transcripts) == expected
+                reference = ReferenceFamilyCounts(sample7x7, dedupe)
+                expected = family_outcome(reference, transcripts)
+                assert expected != "AuditError"
+                assert family_outcome(FamilyCounts(sample7x7, dedupe), transcripts) == expected
 
     @given(doctored_runs)
     @settings(max_examples=300, deadline=None)
     def test_doctored_runs(self, runs):
+        # Counted against the board of the first run, so runs of the other
+        # board must fail too.
         transcripts = []
         for base, edits in runs:
             events = list(base_runs()[base])
             for edit, i, j in edits:
                 edit_events(events, edit, i, j)
             transcripts.extend(doctored(events))
-        expected = family_outcome(ReferenceFamilyCounts, transcripts)
-        assert family_outcome(FamilyCounts, transcripts) == expected
+        puzzle = make_puzzle(BASE_BOARDS[runs[0][0] // 4][0])
+        expected = family_outcome(ReferenceFamilyCounts(puzzle), transcripts)
+        assert family_outcome(FamilyCounts(puzzle), transcripts) == expected
 
 
-class TestPlanLookup:
-    def test_lookup_renders_no_skeleton(self, monkeypatch, sample7x7, sample7x7_solution):
-        # Once the 7x7 plans are compiled, counting finds them from the
-        # events alone: the skeleton text is rendered only for a new plan.
+class TestLayouts:
+    def test_audit_renders_no_skeleton(self, monkeypatch, sample7x7, sample7x7_solution):
+        # Counting decodes against the layout: no skeleton text is rendered,
+        # a puzzle's layout is built once, and no table grows from what a
+        # transcript holds.
         def audit_bytes(dedupe):
             return full_audit(
                 sample7x7, sample7x7_solution, 2, base_seed=0, dedupe_directions=dedupe
             ).serialize()
 
         expected = [audit_bytes(dedupe) for dedupe in (False, True)]
-        plans = len(view._PLANS)
+        layouts = view._layout.cache_info().currsize
 
         def no_render(transcript):
             raise AssertionError("skeleton rendered")
 
         monkeypatch.setattr(Transcript, "skeleton", no_render)
         assert [audit_bytes(dedupe) for dedupe in (False, True)] == expected
-        assert len(view._PLANS) == plans
+        tables = (cards._FACES, cards._ONE_HEART, cards._SERIALIZE_LINES)
+        sizes = [len(table) for table in tables]
+        novel = [("reveal_row", "Z", 9, (HEART,) + (0,) * 12), ("shift", "Z", 99)]
+        for events in (novel, novel[1:]):
+            with pytest.raises(AuditError, match="event 1: expected mark name=distance_phase"):
+                FamilyCounts(sample7x7, transcripts=doctored(events))
+        assert view._layout.cache_info().currsize == layouts
+        assert [len(table) for table in tables] == sizes
 
-    def test_several_skeletons_cached(self, sample7x7, sample7x7_solution):
+    def test_several_layouts_cached(self, sample7x7, sample7x7_solution):
         boards = [
             (sample7x7, sample7x7_solution, False),
             (sample7x7, sample7x7_solution, True),
@@ -697,18 +747,22 @@ class TestPlanLookup:
             prover = ProverInput(solution)
             sides.append([run_protocol(puzzle, prover, RandomSource(s), dedupe)[1] for s in (0, 1)])
             sides.append([simulate_transcript(puzzle, RandomSource(s), dedupe) for s in (0, 1)])
-        # One counter per board and side, fed in turn, so every board's plan
-        # is cached while the others' are looked up.
-        counters = [(FamilyCounts(), ReferenceFamilyCounts()) for _ in sides]
+        # One counter per board and side, fed in turn.
+        counters = [
+            (FamilyCounts(puzzle, dedupe), ReferenceFamilyCounts(puzzle, dedupe))
+            for puzzle, _, dedupe in boards
+            for _ in range(2)
+        ]
         for step in (0, 1):
             for transcripts, pair in zip(sides, counters):
                 for counts in pair:
                     counts.add(transcripts[step])
         for counts, reference in counters:
             assert counts_state(counts) == counts_state(reference)
-        assert len({counts.first_skeleton for counts, _ in counters}) == len(boards)
-        plain = FamilyCounts(sides[0][:1])
-        with pytest.raises(AuditError, match="skeleton drifted"):
+        assert len({counts.layout for counts, _ in counters}) == len(boards)
+        plain = FamilyCounts(sample7x7, transcripts=sides[0][:1])
+        expected = "event 25: expected mark name=dist:1,1:left kind=enter, saw mark name=dist:1,1:d"
+        with pytest.raises(AuditError, match=expected):
             plain.add(sides[2][0])
 
 
@@ -717,7 +771,7 @@ class TestIndistinguishability:
         puzzle = tiny_puzzle()
         real = real_transcripts(puzzle, TINY_SOLUTION, 1500)
         sim = sim_transcripts(puzzle, 1500, base_seed=50_000)
-        report = indistinguishability_audit(real, sim)
+        report = indistinguishability_audit(puzzle, real, sim)
         assert report.passed
         assert all(fr.tvd is not None and fr.tvd <= 0.05 for fr in report.families)
 
@@ -738,7 +792,7 @@ class TestIndistinguishability:
             d = Transcript()
             d.events = events
             biased.append(d)
-        report = indistinguishability_audit(real, biased)
+        report = indistinguishability_audit(puzzle, real, biased)
         assert not report.passed
         room = {fr.family.key: fr for fr in report.families}["room.a.c1"]
         assert not room.passed and room.tvd > 0.05
@@ -749,20 +803,21 @@ class TestIndistinguishability:
         puzzle = tiny_puzzle()
         real = real_transcripts(puzzle, TINY_SOLUTION, real_trials)
         sim = sim_transcripts(puzzle, sim_trials, base_seed=20_000)
-        report = indistinguishability_audit(real, sim)
+        report = indistinguishability_audit(puzzle, real, sim)
         assert report.passed
         assert report.warnings[0].startswith("under-powered: 3 transcripts")
         assert {fr.note for fr in report.families} == {"not gated: under-powered"}
 
     def test_skeleton_mismatch_reported(self):
+        # A simulated transcript off the layout is a structural failure.
         puzzle = tiny_puzzle()
         real = real_transcripts(puzzle, TINY_SOLUTION, 3)
         sim = sim_transcripts(puzzle, 3)
         for t in sim:
             t.events.insert(0, ("mark", "extra", "enter"))
-        report = indistinguishability_audit(real, sim)
-        assert not report.passed
-        assert any("skeleton" in w for w in report.warnings)
+        expected = "event 1: expected mark name=distance_phase kind=enter, saw mark name=extra"
+        with pytest.raises(AuditError, match=expected):
+            indistinguishability_audit(puzzle, real, sim)
 
     def test_degenerate_families_auto_pass(self):
         # All rooms size 1: every statistical family is domain 1.
@@ -770,8 +825,77 @@ class TestIndistinguishability:
         solution = Assignment.from_rows([[1]])
         real = real_transcripts(puzzle, solution, 1000)
         sim = sim_transcripts(puzzle, 1000, base_seed=7000)
-        report = indistinguishability_audit(real, sim)
+        report = indistinguishability_audit(puzzle, real, sim)
         assert report.passed
+
+
+def leak_x_at_step_4(monkeypatch):
+    """Make the engine log step 4's public shift as (k - j1 + x) mod k, which
+    gives away the cell's value x; the columns still move by k - j1."""
+    shift = cards.Matrix.shift
+
+    def leaky(self, offset, transcript):
+        shift(self, offset, transcript)
+        if self.id == "M":
+            x = self.rows[1].bit_length()  # a0's heart; the rotation is still lazy
+            transcript.events[-1] = ("shift", "M", (offset + x) % self.n_cols)
+
+    monkeypatch.setattr(cards.Matrix, "shift", leaky)
+
+
+# Per board: rows and solution.
+LEAK_BOARDS = {
+    "domino": (TINY, [[1, 2]]),
+    "room3": (["a a a"], [[1, 2, 3]]),
+}
+
+
+class TestDecoder:
+    @pytest.mark.parametrize(
+        ("board", "trials"), [("domino", 2), ("room3", 1), ("room3", 1000), ("7x7", 2)]
+    )
+    def test_shift_leak_fails_structurally(
+        self, monkeypatch, sample7x7, sample7x7_solution, board, trials
+    ):
+        # Every reveal keeps its honest distribution, so only decoding the
+        # shift offsets catches the leak, and at any trial count.
+        if board == "7x7":
+            puzzle, solution = sample7x7, sample7x7_solution
+        else:
+            rows, values = LEAK_BOARDS[board]
+            puzzle, solution = make_puzzle(rows), Assignment.from_rows(values)
+        honest = run_protocol(puzzle, ProverInput(solution), RandomSource(0)).transcript.events
+        view.layout(puzzle)  # the simulator's runs come from the honest engine
+        leak_x_at_step_4(monkeypatch)
+        leaked = run_protocol(puzzle, ProverInput(solution), RandomSource(0)).transcript.events
+        differ = [i for i, (a, b) in enumerate(zip(honest, leaked)) if a != b]
+        assert differ and all(honest[i][:2] == leaked[i][:2] == ("shift", "M") for i in differ)
+        expected = rf"^event {differ[0] + 1}: expected shift m=M offset=\d, saw shift m=M offset=\d"
+        with pytest.raises(AuditError, match=expected):
+            full_audit(puzzle, solution, trials, base_seed=0)
+
+    @pytest.mark.parametrize(
+        ("board", "dedupe"),
+        [("domino", False), ("room3", False), ("k1", False), ("7x7", False), ("7x7", True)],
+    )
+    def test_decode_inverts_render(self, sample7x7, board, dedupe):
+        # A transcript simulated from replayed draws decodes to exactly those
+        # draws: every distance draw, then each room's Fisher-Yates draws.
+        puzzle = {
+            "domino": tiny_puzzle(),
+            "room3": make_puzzle(["a a a"]),
+            "k1": make_puzzle(["a b"]),
+            "7x7": sample7x7,
+        }[board]
+        lay = view.layout(puzzle, dedupe)
+        for seed in range(3):
+            rng = RandomSource(seed)
+            tape = [rng.offset(w) for w in lay.widths]
+            tape += [rng.offset(i + 1) for size in lay.sizes for i in range(size - 1, 0, -1)]
+            transcript = simulate_transcript(puzzle, ReplaySource(tape), dedupe)
+            assert lay.decode(transcript.events) == tape
+            seeded = simulate_transcript(puzzle, RandomSource(seed), dedupe)
+            assert seeded.events == transcript.events
 
 
 # repr(soundness_sweep(...)) on the 7x7 sample at RandomSource(5), one seed
@@ -875,7 +999,24 @@ class TestGathering:
         one = gather_real_counts(puzzle, TINY_SOLUTION, 60, base_seed=3, workers=1)
         two = gather_real_counts(puzzle, TINY_SOLUTION, 60, base_seed=3, workers=2)
         assert one.counts == two.counts
-        assert one.first_skeleton == two.first_skeleton
+        assert one.layout == two.layout
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_pooled_report_equals_in_process(self, sample7x7, sample7x7_solution, dedupe):
+        # Fork workers send their counts back pickled; the report is the same.
+        one, two = (
+            full_audit(sample7x7, sample7x7_solution, 4, 1, dedupe, workers=w).serialize()
+            for w in (1, 2)
+        )
+        assert one == two
+
+    def test_counts_pickle_without_event_tables(self):
+        counts = gather_simulated_counts(tiny_puzzle(), 5, base_seed=0)
+        data = pickle.dumps(counts)
+        assert b"reveal_row" not in data and b"mark" not in data
+        copy = pickle.loads(data)
+        assert copy.layout is counts.layout
+        assert (copy.trials, copy.counts, copy.shapes) == (counts.trials, counts.counts, counts.shapes)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rejected_honest_run_is_loud(self, monkeypatch, workers):
@@ -920,11 +1061,11 @@ class TestGathering:
         assert calls == [TINY_SOLUTION]
 
     def test_merge_refuses_mixed_shapes(self):
-        a = FamilyCounts()
+        a = FamilyCounts(tiny_puzzle())
         a.add(simulate_transcript(tiny_puzzle(), RandomSource(0)))
-        b = FamilyCounts()
+        b = FamilyCounts(make_puzzle(["a a", "a a"]))
         b.add(simulate_transcript(make_puzzle(["a a", "a a"]), RandomSource(0)))
-        with pytest.raises(AuditError, match="skeleton"):
+        with pytest.raises(AuditError, match="different layouts"):
             a.merge(b)
 
 
@@ -953,8 +1094,8 @@ class TestFullAudit:
         [
             lambda: full_audit(tiny_puzzle(), TINY_SOLUTION, trials=0, base_seed=0),
             lambda: full_audit(tiny_puzzle(), TINY_SOLUTION, trials=-5, base_seed=0),
-            lambda: uniformity_audit([]),
-            lambda: indistinguishability_audit([], []),
+            lambda: uniformity_audit(tiny_puzzle(), []),
+            lambda: indistinguishability_audit(tiny_puzzle(), [], []),
         ],
         ids=["full_zero", "full_negative", "uniformity_empty", "indistinguishability_empty"],
     )
@@ -1014,9 +1155,10 @@ class TestReportBytes:
         if kind == "full":
             report = full_audit(puzzle, solution, trials, base_seed=1)
         elif kind == "uniformity":
-            report = uniformity_audit(real_transcripts(puzzle, solution, trials, 1))
+            report = uniformity_audit(puzzle, real_transcripts(puzzle, solution, trials, 1))
         else:
             report = indistinguishability_audit(
+                puzzle,
                 real_transcripts(puzzle, solution, trials, 1),
                 sim_transcripts(puzzle, trials, 1 + trials),
             )

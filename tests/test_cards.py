@@ -9,7 +9,6 @@ from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     _EVENT_LINES,
     _SERIALIZE_LINES,
-    _SKELETON_FIELDS,
     _SKELETON_LINES,
     CLUB,
     HEART,
@@ -118,6 +117,17 @@ class TestShuffles:
         with pytest.raises(ValueError):
             ours.offset(0)
 
+    def test_permutation_matches_shuffle(self):
+        # permutation() is Fisher-Yates over offset(): random.shuffle's
+        # permutation from the same state, leaving the same state behind.
+        for seed in range(200):
+            ours, ref = RandomSource(seed), random.Random(seed)
+            for n in (1, 2, 3, 5, 6, 7, 9, 17):
+                perm = list(range(n))
+                ref.shuffle(perm)
+                assert ours.permutation(n) == perm
+            assert ours._rng.getstate() == ref.getstate()
+
     def test_pile_shift_uniform(self):
         counts = Counter()
         for seed in range(10_000):
@@ -175,14 +185,25 @@ class TestReplaySource:
             ReplaySource([draw]).offset(n)
 
     def test_no_seeded_fallback(self):
-        # Nothing is drawn in place of a missing draw, and there is no
-        # permutation to draw from a hidden seed.
+        # Nothing is drawn in place of a missing draw: a permutation, too,
+        # comes from replayed draws or not at all.
         rng = ReplaySource([1])
         assert rng.offset(2) == 1
         with pytest.raises(ValueError, match="draw None"):
             rng.offset(2)
         assert not isinstance(rng, RandomSource)
-        assert not hasattr(rng, "permutation")
+        with pytest.raises(ValueError, match=r"draw None for offset\(3\)"):
+            ReplaySource([]).permutation(3)
+
+    def test_permutation_replays_fisher_yates(self):
+        # The draws a RandomSource makes for a permutation, replayed, give
+        # the same permutation.
+        seeded = RandomSource(11)
+        perm = seeded.permutation(5)
+        rng = RandomSource(11)
+        draws = [rng.offset(i + 1) for i in range(4, 0, -1)]
+        assert ReplaySource(draws).permutation(5) == perm
+        assert ReplaySource([]).permutation(1) == [0]
 
     def test_replayed_check_matches_seeded_check(self, sample7x7, sample7x7_solution):
         # A distance check replayed from a seeded check's recorded draws
@@ -559,6 +580,17 @@ class TestColumnModel:
 
 
 # One event per tag, and the index of its faces field (None for none).
+# (sample event, index of its faces field) per tag, and the fields that a
+# skeleton() line shows beside the faces, which it shows only as a width or
+# shape.
+SKELETON_FIELDS = {
+    "mark": (1, 2),
+    "shift": (1,),
+    "reveal_row": (1, 2),
+    "reveal_segment": (1, 3, 4),
+    "reveal_all": (1,),
+    "verdict": (1, 2, 3),
+}
 SKELETON_SAMPLES = {
     "mark": (("mark", "demo", "enter"), None),
     "shift": (("shift", "X", 1), None),
@@ -605,8 +637,7 @@ class TestTranscript:
 
     @pytest.mark.parametrize("tag", sorted(_EVENT_LINES))
     def test_skeleton_shows_listed_fields(self, tag):
-        # _SKELETON_FIELDS lists exactly the fields a skeleton line shows,
-        # beside the faces, which it shows only as a width or shape.
+        # SKELETON_FIELDS lists exactly the fields a skeleton line shows.
         event, faces_field = SKELETON_SAMPLES[tag]
 
         def skeleton(ev):
@@ -620,7 +651,7 @@ class TestTranscript:
             value = event[index]
             edited = (value + 1) if isinstance(value, int) else f"{value}x"
             changed = skeleton(event[:index] + (edited,) + event[index + 1:]) != skeleton(event)
-            assert changed == (index in _SKELETON_FIELDS[tag]), index
+            assert changed == (index in SKELETON_FIELDS[tag]), index
 
     def test_empty_serialize(self):
         assert Transcript().serialize() == ""

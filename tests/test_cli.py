@@ -1,6 +1,8 @@
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -372,7 +374,7 @@ def test_out_check_creates_nothing(tmp_path, capsys):
 
 # Run in a fresh interpreter. Modules loaded before the package (site hooks
 # such as _distutils_hack among them) are left out by the snapshot. The
-# simulator's tables and the family map are built on first use, so neither
+# simulator's tables and the layouts are built on first use, so neither
 # import nor count builds them.
 STDLIB_ONLY_SCRIPT = """
 import sys
@@ -383,7 +385,7 @@ added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(code, sorted(added - sys.stdlib_module_names - {"ripple_zkp"}))
 print("multiprocessing" in sys.modules)
 from ripple_zkp import cards, view
-print(view._sim_chunks.cache_info().currsize, view._family_of_step.cache_info().currsize)
+print(view._sim_chunks.cache_info().currsize, view._layout.cache_info().currsize)
 print(cards.marks.cache_info().currsize, len(cards._SERIALIZE_LINES), len(cards._SKELETON_LINES))
 """
 
@@ -394,3 +396,85 @@ def test_count_loads_only_stdlib_modules(sample7x7_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-4:] == ["0 []", "False", "0 0", "0 0 0"]
+
+
+def close_stderr():
+    os.close(2)
+
+
+# Each command on its accept, reject (or unsatisfiable) and input-error
+# paths: argv and the exit code that path earns.
+CLOSED_STDERR = {
+    "solve_accept": (["solve", "--puzzle", "{tiny}"], 0),
+    "solve_unsat": (["solve", "--puzzle", "{unsat}"], 3),
+    "solve_input": (["solve", "--puzzle", "{missing}"], 2),
+    "validate_accept": (["validate", "--puzzle", "{tiny}", "--solution", "{solution}"], 0),
+    "validate_reject": (["validate", "--puzzle", "{tiny}", "--solution", "{wrong}"], 1),
+    "validate_input": (["validate", "--puzzle", "{tiny}", "--solution", "{missing}"], 2),
+    "prove_accept": (["prove", "--puzzle", "{tiny}", "--solution", "{solution}"], 0),
+    "prove_reject": (["prove", "--puzzle", "{tiny}", "--solution", "{wrong}"], 1),
+    "prove_input": (["prove", "--puzzle", "{missing}", "--solution", "{solution}"], 2),
+    "audit_accept": (["audit", "--puzzle", "{tiny}", "--trials", "2"], 0),
+    "audit_unsat": (["audit", "--puzzle", "{unsat}", "--trials", "2"], 3),
+    "audit_input": (["audit", "--puzzle", "{missing}", "--trials", "2"], 2),
+    "count_accept": (["count", "--puzzle", "{tiny}"], 0),
+    "count_input": (["count", "--puzzle", "{missing}"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_STDERR))
+def test_closed_stderr_keeps_exit_code(tmp_path, case):
+    template, code = CLOSED_STDERR[case]
+    paths = {
+        "tiny": write(tmp_path, "tiny.txt", TINY),
+        "unsat": write(tmp_path, "unsat.txt", UNSAT),
+        "solution": write(tmp_path, "solution.txt", "1 2\n"),
+        "wrong": write(tmp_path, "wrong.txt", "1 1\n"),
+        "missing": str(tmp_path / "missing.txt"),
+    }
+    argv = [arg.format(**paths) for arg in template]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ripple_zkp.cli", *argv],
+        stdout=subprocess.PIPE,
+        preexec_fn=close_stderr,
+        text=True,
+    )
+    assert proc.returncode == code
+    if case == "prove_accept":
+        assert proc.stdout.endswith("verdict outcome=accept reason=none loc=none\n")
+
+
+def child_pids(pid: int) -> set[int] | None:
+    """The running children of ``pid``, or None where the kernel does not list them."""
+    try:
+        text = Path(f"/proc/{pid}/task/{pid}/children").read_text()
+    except OSError:
+        return None
+    return {int(p) for p in text.split()}
+
+
+def test_interrupted_audit_exits_130(sample7x7_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ripple_zkp.cli", "audit", "--puzzle", sample7x7_path,
+         "--trials", "100000", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        workers = child_pids(proc.pid)
+        deadline = time.monotonic() + 20
+        while workers is not None and not workers and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = child_pids(proc.pid)
+        if workers is None or (os.cpu_count() or 1) < 2:
+            time.sleep(2)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert (out, err) == ("", "interrupted\n")
+    for pid in workers or ():
+        assert not Path(f"/proc/{pid}").exists(), "pool worker left running"

@@ -51,6 +51,7 @@ def test_simulator_tables_stay_off_the_tracer(sample7x7):
     # Building the simulator's tables is per-process set-up, not a
     # distance check of the simulated run.
     view._sim_chunks.cache_clear()
+    view._layout.cache_clear()
     tracer = load_tracer_module().Tracer()
     tracer.install()
     try:
@@ -58,5 +59,21 @@ def test_simulator_tables_stay_off_the_tracer(sample7x7):
     finally:
         tracer.uninstall()
     assert view._sim_chunks.cache_info().currsize == 1
+    assert view._layout.cache_info().currsize == 1
     assert tracer.calls("audit.simulate") == 1
     assert tracer.calls("protocol.distance_direction") == 0
+
+
+def test_traced_audit_times_the_counting(sample7x7, sample7x7_solution):
+    # A 2-trial audit decodes and counts each of its four transcripts in
+    # one FamilyCounts.add call, so audit.family_add times the counting.
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        report = audit.full_audit(sample7x7, sample7x7_solution, 2, base_seed=0)
+    finally:
+        tracer.uninstall()
+    assert len(report.families) == 57
+    assert tracer.calls("audit.family_add") == 4
+    assert tracer.calls("audit.simulate") == 2
+    assert tracer.calls("protocol.run") == 2
