@@ -1132,11 +1132,14 @@ class TestFullAudit:
 
 # sha256 of AuditReport.serialize() for honest inputs: the domino at 40
 # trials and the 7x7 sample at 4, honest seeds from 1 and simulated seeds
-# right after them, as full_audit draws them.
+# right after them, as full_audit draws them; "dedupe" is full_audit with
+# dedupe_directions=True.
 GOLDEN_REPORTS = {
+    ("7x7", "dedupe"): "a098257095aaa1bbd94337f29e7b0cd2f36ce69fe6c10dc8c39287e15e1c819a",
     ("7x7", "full"): "6e1a1add6f27ff7effe2c709de69baf9f144ff4736e9eabe3f097195d86269a2",
     ("7x7", "indistinguishability"): "83c36bdc485614e7850d7759a3442f98a4d7fce5c8bd39076abce96de8e54442",
     ("7x7", "uniformity"): "c03e0bd291ce6f8f17e23e305b743cfe12de7da410a94c089dafe62f365d952a",
+    ("domino", "dedupe"): "6708237594f3dc98b60ddbd23e6a8d52b6dbe8a7c7cf95de8cfa271cd8e94f57",
     ("domino", "full"): "f7a855a80d13223d55a26f25bc1ba3e18d021d7fa4bc7e39e142ff6bc6f12d33",
     ("domino", "indistinguishability"): "d8d10498d60dcb9da1969c9eceee283db977969ddcfc8f1db65feff78c78ef12",
     ("domino", "uniformity"): "a76b2aac3acf38c7a16a9da85a3e88d3ad6cf38d0ffbb9029b49bda322e22670",
@@ -1152,8 +1155,9 @@ class TestReportBytes:
             puzzle = request.getfixturevalue("sample7x7")
             solution = request.getfixturevalue("sample7x7_solution")
             trials = 4
-        if kind == "full":
-            report = full_audit(puzzle, solution, trials, base_seed=1)
+        if kind in ("full", "dedupe"):
+            dedupe = kind == "dedupe"
+            report = full_audit(puzzle, solution, trials, base_seed=1, dedupe_directions=dedupe)
         elif kind == "uniformity":
             report = uniformity_audit(puzzle, real_transcripts(puzzle, solution, trials, 1))
         else:
