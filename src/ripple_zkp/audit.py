@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
-from .cards import RandomSource, Transcript
+from .cards import RandomSource
 from .protocol import ProverInput, run_protocol
 from .puzzle import Assignment, Puzzle, max_room_size, validate
 from .view import AuditError, FamilyCounts, RevealFamily, simulate_transcript
@@ -153,12 +153,15 @@ def indistinguishability_audit(puzzle: Puzzle, real, simulated) -> AuditReport:
 def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool) -> AuditReport:
     """Per-family report over the honest counts ``real``.
 
-    Runs chi-squared uniformity when ``uniformity`` is set and the TVD
-    against ``sim`` when that is given. A family passes when every check
-    run on it passes; a family seen only in ``sim`` fails, and so does a
-    report over no honest transcripts. The statistics gate only when the
+    One row per family of the counts' layout, none when ``real`` holds no
+    transcript. Runs chi-squared uniformity when ``uniformity`` is set and
+    the TVD against ``sim`` when that is given; ``sim`` must have the same
+    layout. A family passes when every check run on it passes; a report
+    over no honest transcripts fails. The statistics gate only when the
     smaller side holds at least ``UNDERPOWERED_TRIALS`` transcripts.
     """
+    if sim is not None and sim.layout.shape != real.layout.shape:
+        raise AuditError("cannot compare counts of different layouts")
     power = real.trials if sim is None else min(real.trials, sim.trials)
     gated = power >= UNDERPOWERED_TRIALS
     warnings = [] if real.trials else ["no honest transcripts: nothing was checked"]
@@ -170,7 +173,7 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
     if sim is not None and real.trials != sim.trials:
         warnings.append(f"trial counts differ: {real.trials} real vs {sim.trials} simulated")
     results = []
-    for family in real.families():
+    for family in real.layout.families if real.trials else ():
         counter = real.counts[family.key]
         n = sum(counter.values())
         stat = p = tvd = None
@@ -184,7 +187,7 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
             else:
                 note = "not gated: under-powered"
         if sim is not None:
-            b = sim.counts.get(family.key, Counter())
+            b = sim.counts[family.key]
             nb = sum(b.values())
             if nb == 0:
                 tvd, tvd_note = 1.0, "family missing from simulation"
@@ -195,12 +198,6 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
                 ok = ok and (tvd <= MAX_TVD or not gated)
             note = note or tvd_note
         results.append(FamilyResult(family, n, stat, p, tvd, ok, note))
-    if sim is not None:
-        for key in sorted(set(sim.counts) - set(real.counts)):
-            fam = RevealFamily(key, sim.shapes[key][0], 0)
-            results.append(
-                FamilyResult(fam, 0, None, None, 1.0, False, note="family only in simulation")
-            )
     passed = real.trials > 0 and all(r.passed for r in results)
     return AuditReport(real.trials, tuple(results), passed, tuple(warnings))
 
@@ -318,10 +315,6 @@ def gather_simulated_counts(
     return reduce(FamilyCounts.merge, parts)
 
 
-class _Rejected(Exception):
-    """An honest run rejected; args are (seed, reason)."""
-
-
 def _honest_counts(puzzle: Puzzle, solution: Assignment, dedupe: bool, seeds):
     """Counts over the runs at ``seeds``, or (seed, reason) of the chunk's first reject.
 
@@ -330,18 +323,13 @@ def _honest_counts(puzzle: Puzzle, solution: Assignment, dedupe: bool, seeds):
     the prover skips ``setup``'s per-run check of an honest prover.
     """
     prover = ProverInput(solution, honest=False)
-    try:
-        runs = (_honest_run(puzzle, prover, dedupe, seed) for seed in seeds)
-        return FamilyCounts(puzzle, dedupe, runs)
-    except _Rejected as exc:
-        return exc.args
-
-
-def _honest_run(puzzle: Puzzle, prover: ProverInput, dedupe: bool, seed: int) -> Transcript:
-    verdict, transcript, _ = run_protocol(puzzle, prover, RandomSource(seed), dedupe)
-    if not verdict.accepted:
-        raise _Rejected(seed, verdict.reason)
-    return transcript
+    counts = FamilyCounts(puzzle, dedupe)
+    for seed in seeds:
+        verdict, transcript, _ = run_protocol(puzzle, prover, RandomSource(seed), dedupe)
+        if not verdict.accepted:
+            return seed, verdict.reason
+        counts.add(transcript)
+    return counts
 
 
 def _simulated_counts(puzzle: Puzzle, dedupe: bool, seeds) -> FamilyCounts:
@@ -352,8 +340,8 @@ def _simulated_counts(puzzle: Puzzle, dedupe: bool, seeds) -> FamilyCounts:
 def get_context(method: str):
     """``multiprocessing.get_context``, importing multiprocessing on first use.
 
-    Only a run on two or more workers needs a pool, and the import costs
-    every process about 10 ms of start-up.
+    Only a run on two or more workers forks, and the import costs every
+    process about 10 ms of start-up.
     """
     import multiprocessing
 
@@ -366,17 +354,52 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
     n is ``workers`` capped at the job count and the CPU count. Jobs are
     dealt, not cut into runs, because their cost varies along the list (a
     mutation caught by an early distance check stops early). One chunk runs
-    in this process; several run on fork workers, which inherit module state
-    and ignore SIGINT: Ctrl-C reaches this process, which terminates the pool.
+    in this process; several run on a fork worker each, which inherits
+    module state and sends its result, or the exception to raise here, down
+    its own pipe (one that dies without sending raises ``EOFError``). The
+    workers start, and stay, with SIGINT blocked, so Ctrl-C reaches this
+    process alone, after every worker is tracked; all are killed and reaped
+    before any result or exception leaves.
     """
     n = max(1, min(workers or 1, len(jobs), os.cpu_count() or 1))
     chunks = [(*args, jobs[i::n]) for i in range(n)]
     if n == 1:
         return [chunk_fn(*chunks[0])]
-    import signal  # like multiprocessing, loaded only when a pool starts
-    ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
-    with get_context("fork").Pool(n, initializer=signal.signal, initargs=ignore_sigint) as pool:
-        return pool.starmap(chunk_fn, chunks)
+    import signal  # like multiprocessing, loaded only when a run forks
+
+    context, procs, readers = get_context("fork"), [], []
+    unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            for chunk in chunks:
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(target=_fork_worker, args=(writer, chunk_fn, chunk))
+                proc.start()
+                procs.append(proc)
+                writer.close()  # the worker holds the only write end
+                readers.append(reader)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        results = []
+        for reader in readers:
+            ok, result = reader.recv()
+            if not ok:
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+
+
+def _fork_worker(writer, chunk_fn, chunk: tuple) -> None:
+    """Send ``(True, chunk_fn(*chunk))``, or ``(False, exception)`` if it raises."""
+    try:
+        outcome = True, chunk_fn(*chunk)
+    except Exception as exc:
+        outcome = False, exc
+    writer.send(outcome)
 
 
 def full_audit(
@@ -391,8 +414,7 @@ def full_audit(
 
     Runs ``trials`` honest sessions and ``trials`` simulations (seed ranges
     disjoint but deterministic), then merges the chi-squared and TVD
-    verdicts per family: a family passes when both do. A family seen only
-    in simulation is reported and fails.
+    verdicts per family: a family passes when both do.
     """
     real = gather_real_counts(puzzle, solution, trials, base_seed, dedupe_directions, workers)
     sim = gather_simulated_counts(puzzle, trials, base_seed + trials, dedupe_directions, workers)

@@ -212,6 +212,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code, 130 on Ctrl-C; an audit's
+    fork workers keep SIGINT blocked and are killed and reaped before that."""
     args = build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
@@ -232,7 +234,6 @@ def main(argv=None) -> int:
         _note("unsatisfiable")
         return EXIT_UNSAT
     except KeyboardInterrupt:
-        # A pool's workers ignore SIGINT and are terminated as the pool closes.
         _note("interrupted")
         return EXIT_INTERRUPTED
 

@@ -21,7 +21,8 @@ plus one family per room column slot: a room reveal is a uniform
 permutation, so the heart position in each column slot is uniform over the
 room's size, and those per-slot marginals are what the audit's statistics
 run on (full-permutation histograms would drown the TVD threshold in
-sampling noise at any workable trial count).
+sampling noise at any workable trial count). ``Layout.families`` is the one
+list of them, in report order; the counts and the audit report read it.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ class Layout:
         self.widths = [width for _, width in steps] * n_checks
         self.sizes = [size for _, size in rooms]
         self.draw_families = [name for name in _DRAW_FAMILIES if n == 7 or name != "dist.j3"]
-        self.families: dict[str, tuple[str, int]] = {}
+        self.families: list[RevealFamily] = []  # report order, final domains
         self.n_checks = n_checks
         reveal_at, stride = [], 2  # a check's events: enter mark, runs, exit mark
         for name, table in zip(self.draw_families, tables, strict=True):
@@ -108,15 +109,14 @@ class Layout:
                 raise RuntimeError(f"family {name}: the runs of its draw values do not line up")
             reveal_at.append(stride + at)
             stride += len(table[0])
-            self.families[name] = ("heart", len(table))
-            for ev in table[0]:
-                if ev[0] == "reveal_segment":
-                    self.families[_SEGMENT_FAMILY] = ("segment", len(ev[5]))
-        self.slot_families = []
-        for room, size in rooms:
-            for slot in range(1, size + 1):
-                self.slot_families.append(f"room.{room}.c{slot}")
-                self.families[f"room.{room}.c{slot}"] = ("room", size)
+            self.families.append(RevealFamily(name, "heart", len(table)))
+            if any(ev[0] == "reveal_segment" for ev in table[0]):
+                self.families.append(RevealFamily(_SEGMENT_FAMILY, "segment", 1))  # no heart
+        self.families += [
+            RevealFamily(f"room.{room}.c{slot}", "room", size)
+            for room, size in rooms for slot in range(1, size + 1)
+        ]
+        self.slot_families = [family.key for family in self.families if family.kind == "room"]
         self._room_ids = [f"R:{room}" for room, _ in rooms]
         self._permutations = [list(range(1, size + 1)) for size in self.sizes]
 
@@ -229,26 +229,17 @@ class FamilyCounts:
     ``add`` decodes each transcript against the puzzle's ``Layout`` and
     tallies every distance draw's heart position under its family, the
     uniqueness segments (no heart, observation 0) and every room slot's
-    value; a transcript that does not decode raises ``AuditError``. Counts
-    pickle with their layout's shape only, and merge when their layouts are
-    equal.
+    value, keyed by ``layout.families``; a transcript that does not decode
+    raises ``AuditError``. Counts pickle with their layout's shape only, and
+    merge when their layouts are equal.
     """
 
     def __init__(self, puzzle: Puzzle, dedupe_directions: bool = False, transcripts=()):
         self.layout = layout(puzzle, dedupe_directions)
         self.trials = 0
-        self.shapes: dict[str, tuple[str, int]] = dict(self.layout.families)  # key -> (kind, width)
-        self.counts: dict[str, Counter] = {key: Counter() for key in self.shapes}
+        self.counts: dict[str, Counter] = {family.key: Counter() for family in self.layout.families}
         for _ in map(self.add, transcripts):  # frees each transcript before the next is built
             pass
-
-    def families(self) -> list[RevealFamily]:
-        if not self.trials:
-            return []
-        return [
-            RevealFamily(key, kind, 1 if kind == "segment" else width)
-            for key, (kind, width) in self.shapes.items()
-        ]
 
     def add(self, transcript: Transcript) -> None:
         lay = self.layout

@@ -2,7 +2,6 @@ import functools
 import hashlib
 import os
 import pickle
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -70,28 +69,29 @@ def fixed_verdict(accepted):
 
 
 class FakeForkContext:
-    """Stands in for multiprocessing.get_context: records each pool size and
-    runs no chunk, so a large worker count starts no process."""
+    """Stands in for multiprocessing.get_context: records the workers asked
+    for by each forking run and starts none, so a large worker count starts
+    no process. Each pipe reads back empty counts of the chunk's puzzle."""
 
     def __init__(self):
         self.pool_sizes = []
 
     def __call__(self, method):
         assert method == "fork"
+        self.pool_sizes.append(0)
         return self
 
-    def Pool(self, processes, initializer=None, initargs=()):
-        self.pool_sizes.append(processes)
-        return self
+    def Pipe(self, duplex=True):
+        assert not duplex
+        end = SimpleNamespace(close=lambda: None)
+        end.recv = lambda: end.sent
+        return end, end
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, chunks):
-        return [FamilyCounts(chunk[0]) for chunk in chunks]
+    def Process(self, target, args):
+        self.pool_sizes[-1] += 1
+        writer, _, chunk = args
+        writer.sent = (True, FamilyCounts(chunk[0]))
+        return SimpleNamespace(start=lambda: None, kill=lambda: None, join=lambda: None)
 
 
 # (dof, x, P(X >= x)) from scipy.stats.chi2.sf, scipy 1.17.1. dof 1..10 are
@@ -653,10 +653,18 @@ def family_outcome(counts, transcripts):
 
 
 def counts_state(counts):
+    if isinstance(counts, ReferenceFamilyCounts):
+        # The reference keeps each family's width as seen; a segment's domain is 1.
+        families = [
+            view.RevealFamily(key, kind, 1 if kind == "segment" else width)
+            for key, (kind, width) in counts.shapes.items()
+        ]
+    else:
+        families = counts.layout.families
     return (
         counts.trials,
         list(counts.counts.items()),  # key order fixes the report's row order
-        counts.shapes,
+        families,
     )
 
 
@@ -677,7 +685,7 @@ class TestFamilyCountsModel:
                     elif ev[0] == "reveal_segment":
                         named["dist.unique_seg"] = FAMILY_OF_STEP[step, ev[1], None]
             assert list(named) == list(named.values()), k
-            assert list(lay.families)[: len(named)] == list(named), k
+            assert [f.key for f in lay.families][: len(named)] == list(named), k
 
     def test_sample7x7_runs(self, sample7x7, sample7x7_solution):
         for dedupe in (False, True):
@@ -1016,7 +1024,7 @@ class TestGathering:
         assert b"reveal_row" not in data and b"mark" not in data
         copy = pickle.loads(data)
         assert copy.layout is counts.layout
-        assert (copy.trials, copy.counts, copy.shapes) == (counts.trials, counts.counts, counts.shapes)
+        assert (copy.trials, copy.counts) == (counts.trials, counts.counts)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rejected_honest_run_is_loud(self, monkeypatch, workers):
@@ -1036,6 +1044,19 @@ class TestGathering:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         gather_simulated_counts(tiny_puzzle(), trials, base_seed=0, workers=workers)
         assert context.pool_sizes == pool_sizes
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        # A chunk's exception is raised here, the first chunk's first; a
+        # worker that dies without sending is an EOFError, not a hang.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def fail(chunk):
+            raise ValueError(f"chunk {chunk}")
+
+        with pytest.raises(ValueError, match=r"chunk \[0\]"):
+            audit._fork_map(fail, (), [0, 1], 2)
+        with pytest.raises(EOFError):
+            audit._fork_map(lambda chunk: os._exit(3), (), [0, 1], 2)
 
     def test_invalid_solution_is_loud(self):
         # The honest-prover contract trips before any session runs.
@@ -1112,22 +1133,16 @@ class TestFullAudit:
         assert a.serialize() == b.serialize()
         assert a.serialize().startswith("audit_report trials=40")
 
-    def test_family_only_in_simulation_reported(self, monkeypatch):
-        gather = audit.gather_simulated_counts
-
-        def with_extra_family(*args, **kwargs):
-            counts = gather(*args, **kwargs)
-            counts.counts["room.z.c1"] = Counter({1: 1})
-            counts.shapes["room.z.c1"] = ("room", 2)
-            return counts
-
-        monkeypatch.setattr(audit, "gather_simulated_counts", with_extra_family)
-        report = full_audit(tiny_puzzle(), TINY_SOLUTION, trials=10, base_seed=0)
-        assert not report.passed
-        row = {fr.family.key: fr for fr in report.families}["room.z.c1"]
-        assert not row.passed
-        assert row.note == "family only in simulation"
-        assert "pass=no" in report.serialize().splitlines()[-1]
+    def test_report_refuses_counts_of_different_layouts(self):
+        # The dedupe domino shares every family key with the plain one, but
+        # not its layout; counts of another puzzle differ the same way.
+        real = gather_real_counts(tiny_puzzle(), TINY_SOLUTION, 4, base_seed=0)
+        for sim in (
+            gather_simulated_counts(tiny_puzzle(), 4, base_seed=4, dedupe_directions=True),
+            gather_simulated_counts(make_puzzle(["a a", "a a"]), 4, base_seed=4),
+        ):
+            with pytest.raises(AuditError, match="cannot compare counts of different layouts"):
+                _audit_report(real, sim, uniformity=True)
 
 
 # sha256 of AuditReport.serialize() for honest inputs: the domino at 40

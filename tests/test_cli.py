@@ -453,30 +453,66 @@ def child_pids(pid: int) -> set[int] | None:
     return {int(p) for p in text.split()}
 
 
-def test_interrupted_audit_exits_130(sample7x7_path):
+def session_pids(sid: int) -> set[int]:
+    """The running processes of session ``sid``, zombies aside."""
+    pids = set()
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            state, _, _, session = (entry / "stat").read_text().rsplit(")", 1)[1].split()[:4]
+        except OSError:
+            continue  # the process exited while the table was read
+        if int(session) == sid and state != "Z":
+            pids.add(int(entry.name))
+    return pids
+
+
+def interrupt_audit(sample7x7_path: str, poll: float | None):
+    """(exit code, stdout, stderr, processes of its session left 10 s after
+    it exits) of a two-worker audit started in its own session and sent
+    SIGINT as soon as /proc lists a worker, polling every ``poll`` seconds;
+    after 2 s instead where ``poll`` is None."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "ripple_zkp.cli", "audit", "--puzzle", sample7x7_path,
          "--trials", "100000", "--workers", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
     try:
-        # Wait for the pool's workers where there is a pool and the kernel
-        # lists children; otherwise give the audit time to start.
-        workers = child_pids(proc.pid) if (os.cpu_count() or 1) > 1 else None
         deadline = time.monotonic() + 20
-        while workers is not None and not workers and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = child_pids(proc.pid)
-        if not workers:
+        while poll is not None and not child_pids(proc.pid) and time.monotonic() < deadline:
+            time.sleep(poll)
+        if poll is None:
             time.sleep(2)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=30)
+        deadline = time.monotonic() + 10
+        while (left := session_pids(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
     finally:
-        proc.kill()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole session, on any failure
+        except ProcessLookupError:
+            pass
         proc.wait()
-    assert proc.returncode == 130
-    assert (out, err) == ("", "interrupted\n")
-    for pid in workers or ():
-        assert not Path(f"/proc/{pid}").exists(), "pool worker left running"
+    return proc.returncode, out, err, left
+
+
+# Fork workers start where there are two CPUs and the kernel lists children.
+FORKS = (os.cpu_count() or 1) > 1 and child_pids(os.getpid()) is not None
+
+
+def test_interrupted_audit_exits_130(sample7x7_path):
+    code, out, err, left = interrupt_audit(sample7x7_path, 0.05 if FORKS else None)
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert left == set(), "a process of the audit's session is still running"
+
+
+@pytest.mark.skipif(not FORKS, reason="needs fork workers and /proc child lists")
+def test_early_interrupt_leaves_no_process(sample7x7_path):
+    # SIGINT as soon as the first worker is listed, while the others may
+    # still be starting.
+    for _ in range(3):
+        code, _, err, left = interrupt_audit(sample7x7_path, 0.005)
+        assert (code, err, left) == (130, "interrupted\n", set())
