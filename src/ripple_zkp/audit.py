@@ -355,17 +355,18 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
     dealt, not cut into runs, because their cost varies along the list (a
     mutation caught by an early distance check stops early). One chunk runs
     in this process; several run on a fork worker each, which inherits
-    module state and sends its result, or the exception to raise here, down
-    its own pipe (one that dies without sending raises ``EOFError``). The
-    workers start, and stay, with SIGINT blocked, so Ctrl-C reaches this
-    process alone, after every worker is tracked; all are killed and reaped
-    before any result or exception leaves.
+    module state and sends its result, or the exception to raise here with
+    its traceback's text, down its own pipe (one that dies without sending
+    raises ``EOFError``). The workers start, and stay, with SIGINT blocked,
+    so Ctrl-C reaches this process alone, after every worker is tracked;
+    all are killed and reaped before any result or exception leaves.
     """
     n = max(1, min(workers or 1, len(jobs), os.cpu_count() or 1))
     chunks = [(*args, jobs[i::n]) for i in range(n)]
     if n == 1:
         return [chunk_fn(*chunks[0])]
     import signal  # like multiprocessing, loaded only when a run forks
+    from multiprocessing.pool import RemoteTraceback
 
     context, procs, readers = get_context("fork"), [], []
     unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -384,7 +385,8 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
         for reader in readers:
             ok, result = reader.recv()
             if not ok:
-                raise result
+                exc, text = result
+                raise exc from RemoteTraceback(text)
             results.append(result)
         return results
     finally:
@@ -394,11 +396,14 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
 
 
 def _fork_worker(writer, chunk_fn, chunk: tuple) -> None:
-    """Send ``(True, chunk_fn(*chunk))``, or ``(False, exception)`` if it raises."""
+    """Send ``(True, chunk_fn(*chunk))``, or ``(False, (exception, its traceback's
+    text))`` if it raises; ``_fork_map`` raises the exception from that text."""
     try:
         outcome = True, chunk_fn(*chunk)
     except Exception as exc:
-        outcome = False, exc
+        import traceback
+
+        outcome = False, (exc, traceback.format_exc())
     writer.send(outcome)
 
 

@@ -14,13 +14,14 @@ plus one rotation offset applied lazily: the pile-shifting shuffle of
 Nishimura et al. and the public shifts are a modular add to the offset, and a
 reveal rotates only the one mask it shows. Rows come off one at a time;
 piles move as runs of whole piles over neighbouring columns, one call per
-run (``take_segment``, ``put_segment``). Revealed faces are tuples of
-CLUB/HEART taken from one table keyed by (width, mask) and filled on first
-use (``faces_of``); the simulator builds its reveals from the same table,
-single-heart reads (``single_heart``, the audit's family counts) look the
-heart's position up in it. ``serialize`` and ``skeleton`` look each event's
-line up in a table of their own that renders it on first use, and every
-step's enter and exit marks are one shared pair of tuples (``marks``).
+run (``take_segment``, ``put_segment``), a taken pile being ``None`` until
+it is put back. Revealed faces are tuples of CLUB/HEART taken from one
+table keyed by (width, mask) and filled on first use (``faces_of``); the
+simulator builds its reveals from the same table, and every single-heart
+read (``single_heart``, the audit's decoder) looks the heart's position up
+in its one-heart index, ``_ONE_HEART``. ``serialize`` and ``skeleton`` look
+each event's line up in a table of their own that renders it on first use,
+and every step's enter and exit marks are one shared pair of tuples (``marks``).
 
 Every verifier-observable action is appended to a Transcript; hidden shuffle
 draws go only to the AuditTrail a RandomSource may carry, so tests can check
@@ -317,12 +318,13 @@ class Matrix:
     (j - 1 - offset) mod n_cols, so a rotation only moves ``offset``. Rows
     are taken out whole (``take_row``), and runs of whole piles over
     neighbouring columns are taken and put back in one call each
-    (``take_segment``/``put_segment``). Cards are readable only through the
-    reveal methods, which log what was shown; the lists passed in are
-    taken over, not copied.
+    (``take_segment``/``put_segment``); a taken pile is ``None`` in
+    ``piles``, and reading it fails until it is back. Cards are readable
+    only through the reveal methods, which log what was shown; the lists
+    passed in are taken over, not copied.
     """
 
-    __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up", "_gaps")
+    __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
 
     def __init__(
         self,
@@ -339,7 +341,6 @@ class Matrix:
         self.depth = depth
         self.offset = 0
         self._face_up = 0
-        self._gaps = [0] * n_cols  # per storage column: pile cards taken out
 
     @classmethod
     def from_rows(cls, matrix_id: str, n_cols: int, rows: list[Sequence]) -> "Matrix":
@@ -380,7 +381,6 @@ class Matrix:
             full = (1 << w) - 1
             self.rows = [(row << o | row >> (w - o)) & full for row in self.rows]
             self.piles = self.piles[-o:] + self.piles[:-o]
-            self._gaps = self._gaps[-o:] + self._gaps[:-o]
             self.offset = 0
 
     def rotate(self, offset: int) -> None:
@@ -394,7 +394,6 @@ class Matrix:
             sum((row >> q & 1) << i for i, q in enumerate(perm)) for row in self.rows
         ]
         self.piles = [self.piles[q] for q in perm]
-        self._gaps = [self._gaps[q] for q in perm]
 
     def shift(self, offset: int, transcript: Transcript) -> None:
         """Public deterministic rotation; offset is logged (normalized mod width)."""
@@ -441,12 +440,10 @@ class Matrix:
         if top_rows <= h:
             top = Matrix(top_id, w, self.rows[:top_rows])
             bottom = Matrix(bottom_id, w, self.rows[top_rows:], self.piles, self.depth)
-            bottom._gaps = self._gaps
         else:  # the top rows of the piles move into the top matrix as well
             cut = top_rows - h
             top = Matrix(top_id, w, self.rows + [self._row(r) for r in range(h + 1, top_rows + 1)])
             bottom = Matrix(bottom_id, w, [], [p >> cut for p in self.piles], self.depth - cut)
-            bottom._gaps = [g >> cut for g in self._gaps]
         top.offset = bottom.offset = self.offset
         return top, bottom
 
@@ -466,7 +463,6 @@ class Matrix:
         for i, extra in enumerate(block.rows):
             rows[i] = rows[i] & low | extra << q | rows[i] >> q << (q + n)
         self.piles[q:q] = block.piles
-        self._gaps[q:q] = block._gaps
         self.n_cols += n
 
     def remove_columns(self, col_lo: int, col_hi: int) -> "Matrix":
@@ -482,8 +478,7 @@ class Matrix:
             cut.append(row >> lo & ((1 << n) - 1))
             rows[i] = row & keep | row >> hi << lo
         block = Matrix(self.id, n, cut, self.piles[lo:hi], self.depth)
-        block._gaps = self._gaps[lo:hi]
-        del self.piles[lo:hi], self._gaps[lo:hi]
+        del self.piles[lo:hi]
         self.n_cols -= n
         return block
 
@@ -500,37 +495,31 @@ class Matrix:
     def take_segment(self, col: int, count: int) -> list[Sequence]:
         """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
-        The run wraps past the last column. Each pile taken leaves a gap,
-        and a spot that is already a gap raises, so no card is made up.
+        The run wraps past the last column. Each pile taken leaves ``None``,
+        and a spot that is already ``None`` raises, so no card is made up.
         """
-        w, p = self.n_cols, col - 1 - self.offset
-        full = (1 << self.depth) - 1
-        piles, gaps = self.piles, self._gaps
+        w, p, piles = self.n_cols, col - 1 - self.offset, self.piles
         taken = []
         for q in range(p, p + count):
             q %= w
-            if gaps[q]:
+            if piles[q] is None:
                 raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
             taken.append(piles[q])
-            piles[q] = 0
-            gaps[q] = full
+            piles[q] = None
         return taken
 
     def put_segment(self, col: int, piles: list[Sequence]) -> None:
         """Fill the gaps from ``col`` rightwards with ``piles``, wrapping as ``take_segment`` does.
 
-        A pile deeper than ``depth`` raises rather than losing its lower cards.
+        A spot that is not ``None`` raises, as does a pile deeper than ``depth``.
         """
-        w, p, depth = self.n_cols, col - 1 - self.offset, self.depth
-        full = (1 << depth) - 1
-        own, gaps = self.piles, self._gaps
+        w, p, depth, own = self.n_cols, col - 1 - self.offset, self.depth, self.piles
         for q, cards in enumerate(piles, p):
             q %= w
-            if gaps[q] != full:
+            if own[q] is not None:
                 raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
             if cards >> depth:
                 raise ValueError(f"matrix {self.id}: pile deeper than {depth} cards")
-            gaps[q] = 0
             own[q] = cards
 
     def pile_masks(self) -> list[Sequence]:
@@ -568,17 +557,10 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource) -> None:
     matrix.permute(perm)
 
 
-def heart_position(faces: tuple) -> int | None:
-    """1-based position of the only heart; None unless there is exactly one."""
-    j = _ONE_HEART.get(faces)
-    if j is None and faces.count(HEART) == 1:
-        j = faces.index(HEART) + 1
-    return j
-
-
 def single_heart(faces: tuple, matrix_id: str, row: int) -> int:
-    """1-based heart position, or raise when the count is not exactly one."""
-    j = _ONE_HEART.get(faces) or heart_position(faces)
+    """1-based heart position, or raise when the count is not exactly one: ``faces``
+    come from ``faces_of``, which enters every one-heart tuple in ``_ONE_HEART``."""
+    j = _ONE_HEART.get(faces)
     if j is None:
         raise MalformedCommitmentError(
             f"matrix {matrix_id} row {row}: expected exactly one heart, saw {faces.count(HEART)}"

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise PuzzleFormatError(f"cannot read {path}: {exc}") from exc
 

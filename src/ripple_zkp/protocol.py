@@ -175,30 +175,6 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     return ok
 
 
-def uniqueness_verify(
-    s0: Sequence,
-    others: list[Sequence],
-    width: int,
-    rng: RandomSource,
-    transcript: Transcript,
-) -> Verdict:
-    """Verify that no sequence in ``others`` encodes the same number as ``s0``.
-
-    All sequences are ``width`` cards long. Builds the subprotocol matrix (an
-    indicator row, then s0, then the others), shuffles, and inspects the
-    column under s0's heart. The matrix is left shuffled; inside the main
-    protocol the caller realigns it.
-    """
-    matrix = Matrix.from_rows("U", width, [encode(1, width), s0, *others])
-    try:
-        ok = _uniqueness_on_matrix(matrix, rng, transcript)
-    except MalformedCommitmentError:
-        return Verdict(False, MALFORMED_COMMITMENT)
-    if not ok:
-        return Verdict(False, DISTANCE_HEART_FOUND)
-    return ACCEPT
-
-
 def verify_distance_direction(
     board: Board,
     cell: Cell,

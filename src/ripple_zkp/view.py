@@ -33,7 +33,7 @@ from itertools import chain
 from operator import getitem, itemgetter
 
 from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, encode, event_line
-from .cards import faces_of, heart_position, marks
+from .cards import faces_of, marks
 from .protocol import CHECK_MARKS, CHECKED_DIRECTIONS, Board, _distance_direction
 from .puzzle import Puzzle
 
@@ -80,7 +80,10 @@ class Layout:
     events are held as a list of chunks: fixed runs of marks and the
     verdict, with a slot for each draw's run and each room's reveal between
     them. Rendering fills the slots, one strided slice per draw index, and
-    flattens the list; decoding picks every reveal with one ``itemgetter``.
+    flattens the list. Decoding picks every reveal with one ``itemgetter``
+    at the ``reveal_row`` and ``reveal_all`` events of one rendering (every
+    draw at 0), so every run of one draw must carry the same event tags,
+    one ``reveal_row`` among them.
     """
 
     def __init__(self, shape: tuple):
@@ -102,15 +105,14 @@ class Layout:
         self.draw_families = [name for name in _DRAW_FAMILIES if n == 7 or name != "dist.j3"]
         self.families: list[RevealFamily] = []  # report order, final domains
         self.n_checks = n_checks
-        reveal_at, stride = [], 2  # a check's events: enter mark, runs, exit mark
         for name, table in zip(self.draw_families, tables, strict=True):
-            at = next(p for p, ev in enumerate(table[0]) if ev[0] == "reveal_row")
-            if any(len(run) != len(table[0]) or run[at][0] != "reveal_row" for run in table):
+            tags = [ev[0] for ev in table[0]]
+            if any([ev[0] for ev in run] != tags for run in table):
                 raise RuntimeError(f"family {name}: the runs of its draw values do not line up")
-            reveal_at.append(stride + at)
-            stride += len(table[0])
+            if tags.count("reveal_row") != 1:
+                raise RuntimeError(f"family {name}: a draw does not show exactly one row")
             self.families.append(RevealFamily(name, "heart", len(table)))
-            if any(ev[0] == "reveal_segment" for ev in table[0]):
+            if "reveal_segment" in tags:
                 self.families.append(RevealFamily(_SEGMENT_FAMILY, "segment", 1))  # no heart
         self.families += [
             RevealFamily(f"room.{room}.c{slot}", "room", size)
@@ -135,9 +137,10 @@ class Layout:
         end = n_checks * (n + 1)
         self._draw_slots = [slice(1 + i, end, n + 1) for i in range(n)]
         self._room_slot = slice(end + 1, None, 2)
-        positions = [c * stride + at for c in range(n_checks) for at in reveal_at]
+        events = self.render([0] * len(self.widths), [range(size) for size in self.sizes])
+        positions = [i for i, ev in enumerate(events) if ev[0] == "reveal_row"]
         self._n_draws = len(positions)
-        positions += [n_checks * stride + 4 + 3 * r for r in range(len(rooms))]
+        positions += [i for i, ev in enumerate(events) if ev[0] == "reveal_all"]
         self._positions, self._pick = positions, itemgetter(*positions)
 
     def __reduce__(self):
@@ -295,7 +298,7 @@ def _sim_chunks(k: int) -> tuple:
     for i, (row, _) in enumerate(_check_runs(k, zeros)):
         width = len(row)
         variants = (_check_runs(k, zeros[:i] + [v] + zeros[i + 1 :])[i] for v in range(width))
-        table = {heart_position(faces) - 1: run for faces, run in variants}
+        table = {_ONE_HEART[faces] - 1: run for faces, run in variants}
         if sorted(table) != list(range(width)):
             raise RuntimeError(f"draw {i + 1} of a k={k} check hides a heart position")
         steps.append(([table[r] for r in range(width)], width))

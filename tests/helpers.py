@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import product
 
 from ripple_zkp.view import AuditError
-from ripple_zkp.cards import HEART, RandomSource, heart_position
+from ripple_zkp.cards import HEART, RandomSource
 from ripple_zkp.protocol import ProverInput, run_protocol
 from ripple_zkp.puzzle import Assignment, Puzzle, max_room_size, solve, validate
 
@@ -128,6 +128,11 @@ def all_room_partitions(rows: int, cols: int) -> list[Puzzle]:
                 room_of[cell] = f"r{idx}"
         puzzles.append(Puzzle(rows=rows, cols=cols, room_of=room_of, fixed={}))
     return puzzles
+
+
+def heart_position(faces) -> int | None:
+    """1-based position of the only heart, counted; None unless there is exactly one."""
+    return faces.index(HEART) + 1 if faces.count(HEART) == 1 else None
 
 
 class ReferenceFamilyCounts:

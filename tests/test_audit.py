@@ -716,7 +716,43 @@ class TestFamilyCountsModel:
         assert family_outcome(FamilyCounts(puzzle), transcripts) == expected
 
 
+def layout_with(monkeypatch, doctor):
+    """The tiny puzzle's layout, built afresh from simulator tables in which
+    ``doctor(draw, value, run)`` stands for each run."""
+    real = view._sim_chunks
+
+    def doctored(k):
+        steps, cols = real(k)
+        return [
+            ([doctor(i, v, run) for v, run in enumerate(table)], width)
+            for i, (table, width) in enumerate(steps)
+        ], cols
+
+    monkeypatch.setattr(view, "_sim_chunks", doctored)
+    view._layout.cache_clear()
+    try:
+        return view.layout(tiny_puzzle())
+    finally:
+        view._layout.cache_clear()
+
+
 class TestLayouts:
+    def test_runs_of_a_draw_line_up(self, monkeypatch):
+        # One value's run of the first draw carries an extra event.
+        def extra_event(draw, value, run):
+            return run + (("shift", "M", 0),) if (draw, value) == (0, 1) else run
+
+        with pytest.raises(RuntimeError, match="family dist.j1: .* do not line up"):
+            layout_with(monkeypatch, extra_event)
+
+    def test_one_row_reveal_per_draw(self, monkeypatch):
+        # Every run carries a second row reveal: the runs line up, the reveals do not.
+        def second_reveal(draw, value, run):
+            return run + (next(ev for ev in run if ev[0] == "reveal_row"),)
+
+        with pytest.raises(RuntimeError, match="does not show exactly one row"):
+            layout_with(monkeypatch, second_reveal)
+
     def test_audit_renders_no_skeleton(self, monkeypatch, sample7x7, sample7x7_solution):
         # Counting decodes against the layout: no skeleton text is rendered,
         # a puzzle's layout is built once, and no table grows from what a
@@ -1053,8 +1089,10 @@ class TestGathering:
         def fail(chunk):
             raise ValueError(f"chunk {chunk}")
 
-        with pytest.raises(ValueError, match=r"chunk \[0\]"):
+        with pytest.raises(ValueError, match=r"chunk \[0\]") as raised:
             audit._fork_map(fail, (), [0, 1], 2)
+        # ...chained to the worker's traceback, which names the failing function.
+        assert "in fail" in str(raised.value.__cause__)
         with pytest.raises(EOFError):
             audit._fork_map(lambda chunk: os._exit(3), (), [0, 1], 2)
 

@@ -232,6 +232,16 @@ class TestCount:
         assert cli.main(["count", "--puzzle", path]) == 2
 
 
+def test_byte_order_mark_accepted(tmp_path, sample7x7_text, sample7x7_solution_text, capsys):
+    # Files saved with a UTF-8 byte-order mark (Windows Notepad's default) read as without one.
+    puzzle = write(tmp_path, "bom7x7.txt", "\ufeff" + sample7x7_text)
+    solution = write(tmp_path, "bom7x7_solution.txt", "\ufeff" + sample7x7_solution_text)
+    assert cli.main(["count", "--puzzle", puzzle]) == 0
+    assert capsys.readouterr().out.startswith("k=6 m=7 n=7 grid_cards=294 ")
+    assert cli.main(["validate", "--puzzle", puzzle, "--solution", solution]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
 def test_console_script_installed(sample7x7_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ripple_zkp.cli", "count", "--puzzle", sample7x7_path],

@@ -1,4 +1,5 @@
-"""The README's Python examples run as written, from the repository root."""
+"""The README's Python examples run as written, from the repository root, and
+the package's public names all import."""
 import re
 from pathlib import Path
 
@@ -11,3 +12,12 @@ def test_readme_python_blocks_run(monkeypatch):
     monkeypatch.chdir(ROOT)
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+
+
+def test_star_import_resolves_all():
+    # Every name in __all__ is bound on the package, so ``from ripple_zkp import *`` works.
+    import ripple_zkp
+
+    namespace = {}
+    exec("from ripple_zkp import *", namespace)
+    assert [name for name in ripple_zkp.__all__ if name not in namespace] == []

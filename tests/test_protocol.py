@@ -12,6 +12,7 @@ from helpers import (
 )
 from ripple_zkp.cards import (
     MalformedCommitmentError,
+    Matrix,
     RandomSource,
     Transcript,
     decode,
@@ -23,10 +24,10 @@ from ripple_zkp.protocol import (
     ROOM_MULTISET_MISMATCH,
     AuditTrail,
     ProverInput,
+    _uniqueness_on_matrix,
     card_stats,
     run_protocol,
     setup,
-    uniqueness_verify,
     verify_distance_direction,
     verify_distance_phase,
     verify_room,
@@ -66,37 +67,26 @@ class TestSetup:
         assert decode(board.cell_seq[(2, 3)]) == 2
 
 
+def unique(s0, others, width, seed=0) -> bool:
+    """The uniqueness step on its matrix: an indicator row, then s0, then the others."""
+    matrix = Matrix.from_rows("U", width, [encode(1, width), s0, *others])
+    return _uniqueness_on_matrix(matrix, RandomSource(seed), Transcript())
+
+
 class TestUniquenessVerify:
     def test_no_duplicate_accepts(self):
-        verdict = uniqueness_verify(
-            encode(2, 4),
-            [encode(1, 4), encode(3, 4), encode(0, 4)],
-            4,
-            RandomSource(0),
-            Transcript(),
-        )
-        assert verdict.accepted
+        assert unique(encode(2, 4), [encode(1, 4), encode(3, 4), encode(0, 4)], 4)
 
     def test_duplicate_rejects(self):
-        verdict = uniqueness_verify(
-            encode(2, 4), [encode(2, 4)], 4, RandomSource(0), Transcript()
-        )
-        assert not verdict.accepted
-        assert verdict.reason == DISTANCE_HEART_FOUND
+        assert not unique(encode(2, 4), [encode(2, 4)], 4)
 
     def test_zero_encodings_accept(self):
-        verdict = uniqueness_verify(
-            encode(1, 4), [encode(0, 4)] * 5, 4, RandomSource(0), Transcript()
-        )
-        assert verdict.accepted
+        assert unique(encode(1, 4), [encode(0, 4)] * 5, 4)
 
     def test_malformed_reference_rejected(self):
         for bad in (encode(0, 4), encode(1, 4) | encode(2, 4)):
-            verdict = uniqueness_verify(
-                bad, [encode(1, 4)], 4, RandomSource(0), Transcript()
-            )
-            assert not verdict.accepted
-            assert verdict.reason == MALFORMED_COMMITMENT
+            with pytest.raises(MalformedCommitmentError):
+                unique(bad, [encode(1, 4)], 4)
 
     def test_matches_decode_oracle(self):
         rnd = random.Random(20240)
@@ -104,11 +94,8 @@ class TestUniquenessVerify:
             b = rnd.randint(2, 6)
             s0_value = rnd.randint(1, b)
             others = [encode(rnd.randint(0, b), b) for _ in range(rnd.randint(1, 5))]
-            verdict = uniqueness_verify(
-                encode(s0_value, b), others, b, RandomSource(trial), Transcript()
-            )
             expect_accept = all(decode(seq) != s0_value for seq in others)
-            assert verdict.accepted == expect_accept
+            assert unique(encode(s0_value, b), others, b, trial) == expect_accept
 
 
 class TestDistanceDirection:
