@@ -354,11 +354,8 @@ class Matrix:
         return len(self.rows) + self.depth
 
     def _row(self, row: int) -> Sequence:
-        """Row ``row`` as a storage-order mask."""
-        h = len(self.rows)
-        if row <= h:
-            return self.rows[row - 1]
-        bit = row - h - 1
+        """Row ``row``, one of the piles' rows below the row masks, as a storage-order mask."""
+        bit = row - len(self.rows) - 1
         return sum((pile >> bit & 1) << p for p, pile in enumerate(self.piles))
 
     def _column(self, p: int, row_lo: int, n: int) -> Sequence:

@@ -57,26 +57,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--puzzle", required=True, help="puzzle file")
+        p.set_defaults(run=run)
         return p
 
-    p = add("solve", "find a solution by backtracking")
+    p = add("solve", "find a solution by backtracking", cmd_solve)
     p.add_argument("--out", help="write the solution here instead of stdout")
 
-    p = add("validate", "check a solution against the rules")
+    p = add("validate", "check a solution against the rules", cmd_validate)
     p.add_argument("--solution", required=True, help="solution file")
 
-    p = add("prove", "run the card protocol and emit its transcript")
-    p.add_argument("--solution", help="solution file")
-    p.add_argument("--solve-first", action="store_true", help="solve, then prove that solution")
+    p = add("prove", "run the card protocol and emit its transcript", cmd_prove)
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--solution", help="solution file")
+    one.add_argument("--solve-first", action="store_true", help="solve, then prove that solution")
     p.add_argument("--seed", type=_seed, default=0, help="shuffle seed (default 0)")
     p.add_argument("--dedupe-directions", action="store_true",
                    help="check only right/down (covers each pair once)")
     p.add_argument("--out", help="write the transcript here instead of stdout")
 
-    p = add("audit", "statistical zero-knowledge audit over many runs")
+    p = add("audit", "statistical zero-knowledge audit over many runs", cmd_audit)
     p.add_argument("--trials", type=_positive_int, default=1000,
                    help="runs per side (default 1000)")
     p.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedupe-directions", action="store_true")
     p.add_argument("--out", help="write the report here instead of stdout")
 
-    add("count", "report the protocol's card usage")
+    add("count", "report the protocol's card usage", cmd_count)
     return parser
 
 
@@ -132,15 +134,13 @@ def _first_solution(puzzle):
     return solutions[0]
 
 
-def cmd_solve(args) -> int:
-    puzzle = parse_puzzle(_read(args.puzzle))
+def cmd_solve(args, puzzle) -> int:
     _check_out(args.out)
     _emit(_first_solution(puzzle).to_text(), args.out)
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    puzzle = parse_puzzle(_read(args.puzzle))
+def cmd_validate(args, puzzle) -> int:
     assignment = parse_solution(_read(args.solution), puzzle)
     violations = validate(puzzle, assignment)
     for v in violations:
@@ -152,8 +152,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_prove(args) -> int:
-    puzzle = parse_puzzle(_read(args.puzzle))
+def cmd_prove(args, puzzle) -> int:
     if not (args.solve_first or args.solution):
         raise PuzzleFormatError("prove needs --solution or --solve-first")
     assignment = None if args.solve_first else parse_solution(_read(args.solution), puzzle)
@@ -174,8 +173,7 @@ def cmd_prove(args) -> int:
     return EXIT_REJECT
 
 
-def cmd_audit(args) -> int:
-    puzzle = parse_puzzle(_read(args.puzzle))
+def cmd_audit(args, puzzle) -> int:
     _check_out(args.out)
     report = full_audit(
         puzzle,
@@ -189,8 +187,7 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report.passed else EXIT_REJECT
 
 
-def cmd_count(args) -> int:
-    puzzle = parse_puzzle(_read(args.puzzle))
+def cmd_count(args, puzzle) -> int:
     stats = card_stats(puzzle)
     k = max_room_size(puzzle)
     print(
@@ -202,21 +199,13 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "validate": cmd_validate,
-    "prove": cmd_prove,
-    "audit": cmd_audit,
-    "count": cmd_count,
-}
-
-
 def main(argv=None) -> int:
     """Run one command and return its exit code, 130 on Ctrl-C; an audit's
-    fork workers keep SIGINT blocked and are killed and reaped before that."""
+    fork workers keep SIGINT blocked and are killed and reaped before that.
+    Every input is read, the puzzle first, before ``--out`` is checked and work starts."""
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args, parse_puzzle(_read(args.puzzle)))
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -56,10 +56,13 @@ MALFORMED_COMMITMENT = "MalformedCommitment"
 
 # Directions each cell is checked in, keyed by dedupe_directions.
 CHECKED_DIRECTIONS = {False: DIRECTIONS, True: ("right", "down")}
-# The marks of each distance check by cell and direction, and of each
-# uniqueness step by matrix id, looked up rather than formatted per call.
+# The marks of each distance check by cell and direction and of each
+# uniqueness step by matrix id, and each room check's matrix id and marks by
+# room: looked up rather than formatted per call, by the decoder's layout too.
 CHECK_MARKS = cache(lambda cell, direction: marks(f"dist:{cell[0]},{cell[1]}:{direction}"))
 UNIQUE_MARKS = cache(lambda matrix_id: marks(f"unique:{matrix_id}"))
+ROOM_STEP = cache(lambda room: (f"R:{room}", *marks(f"room:{room}")))
+DISTANCE_PHASE, ROOM_PHASE = "distance_phase", "room_phase"
 
 
 @dataclass(frozen=True)
@@ -302,30 +305,38 @@ def _distance_direction(
     return ACCEPT
 
 
+def _phase(name: str, transcript: Transcript, verdicts) -> Verdict:
+    """Phase ``name``'s checks between its marks, up to the first reject: ``verdicts``
+    runs one check per item, so no check after a reject runs or draws."""
+    enter, leave = marks(name)
+    events = transcript.events
+    events.append(enter)
+    try:
+        for verdict in verdicts:
+            if not verdict.accepted:
+                return verdict
+    finally:
+        events.append(leave)
+    return ACCEPT
+
+
 def verify_distance_phase(
     board: Board,
     rng: RandomSource,
     transcript: Transcript,
     dedupe_directions: bool = False,
 ) -> Verdict:
-    """Distance checks for every cell and direction, stopping at the first failure.
+    """Distance checks for every cell and direction, stopping at the first reject.
 
     Cells go row-major; directions right, left, up, down. With
     ``dedupe_directions`` only right and down run, which still covers every
     pair once since the rule is symmetric.
     """
-    enter, leave = marks("distance_phase")
-    events = transcript.events
-    events.append(enter)
-    try:
-        for cell in board.puzzle.cells:
-            for direction in CHECKED_DIRECTIONS[dedupe_directions]:
-                verdict = verify_distance_direction(board, cell, direction, rng, transcript)
-                if not verdict.accepted:
-                    return verdict
-    finally:
-        events.append(leave)
-    return ACCEPT
+    return _phase(DISTANCE_PHASE, transcript, (
+        verify_distance_direction(board, cell, direction, rng, transcript)
+        for cell in board.puzzle.cells
+        for direction in CHECKED_DIRECTIONS[dedupe_directions]
+    ))
 
 
 def verify_room(
@@ -340,12 +351,12 @@ def verify_room(
     nothing returns to the grid.
     """
     cells = board.puzzle.room_cells[room]
-    enter, leave = marks(f"room:{room}")
+    matrix_id, enter, leave = ROOM_STEP(room)
     events = transcript.events
     events.append(enter)
     try:
         piles = [board.cell_seq.pop(c) for c in cells]
-        matrix = Matrix(f"R:{room}", len(cells), piles=piles, depth=board.k)
+        matrix = Matrix(matrix_id, len(cells), piles=piles, depth=board.k)
         pile_scramble_shuffle(matrix, rng)
         values = [decode(mask_of(col)) for col in matrix.reveal_all(transcript)]
     finally:
@@ -365,32 +376,23 @@ def run_protocol(
 ) -> ProtocolResult:
     """Full run: setup, distance phase, then room phase over every room.
 
+    A setup reject runs no phase and uses no auxiliary card; the room phase
+    runs only when the distance phase accepts.
     Secret draws and private snapshots go to ``rng.trail`` when it is set.
     """
     transcript = Transcript()
-    k = max_room_size(puzzle)
-    grid_cards = k * puzzle.rows * puzzle.cols
     try:
         board = setup(puzzle, prover)
     except MalformedCommitmentError:
+        board = Board(puzzle, max_room_size(puzzle), {})
         verdict = Verdict(False, MALFORMED_COMMITMENT, "setup")
-        transcript.verdict(verdict.outcome, verdict.reason, verdict.loc_text())
-        return ProtocolResult(verdict, transcript, CardStats(grid_cards, 0))
-
-    verdict = verify_distance_phase(board, rng, transcript, dedupe_directions)
-    if verdict.accepted:
-        enter, leave = marks("room_phase")
-        events = transcript.events
-        events.append(enter)
-        try:
-            for room in board.puzzle.room_cells:
-                verdict = verify_room(board, room, rng, transcript)
-                if not verdict.accepted:
-                    break
-        finally:
-            events.append(leave)
-
+    else:
+        verdict = verify_distance_phase(board, rng, transcript, dedupe_directions)
+        if verdict.accepted:
+            rooms = (verify_room(board, room, rng, transcript) for room in puzzle.room_cells)
+            verdict = _phase(ROOM_PHASE, transcript, rooms)
     transcript.verdict(verdict.outcome, verdict.reason, verdict.loc_text())
+    grid_cards = board.k * puzzle.rows * puzzle.cols
     return ProtocolResult(verdict, transcript, CardStats(grid_cards, board.aux_peak))
 
 

@@ -126,6 +126,16 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _rows(lines: list[tuple[int, list[str]]], n: int, what: str):
+    """(line number, 1-based row, tokens) per line; a line without n tokens raises."""
+    for row, (lineno, tokens) in enumerate(lines, start=1):
+        if len(tokens) != n:
+            raise PuzzleFormatError(
+                f"line {lineno}: expected {n} {what}, got {len(tokens)} (ragged grid)"
+            )
+        yield lineno, row, tokens
+
+
 def parse_puzzle(text: str) -> Puzzle:
     """Parse the puzzle text format.
 
@@ -152,22 +162,11 @@ def parse_puzzle(text: str) -> Puzzle:
         )
 
     room_of: dict[Cell, RoomId] = {}
-    for r in range(1, m + 1):
-        lineno, tokens = lines[r]
-        if len(tokens) != n:
-            raise PuzzleFormatError(
-                f"line {lineno}: expected {n} room labels, got {len(tokens)} (ragged grid)"
-            )
-        for c, label in enumerate(tokens, start=1):
-            room_of[(r, c)] = label
+    for _, r, tokens in _rows(lines[1 : m + 1], n, "room labels"):
+        room_of.update(((r, c), label) for c, label in enumerate(tokens, start=1))
 
     fixed: dict[Cell, int] = {}
-    for r in range(1, m + 1):
-        lineno, tokens = lines[m + r]
-        if len(tokens) != n:
-            raise PuzzleFormatError(
-                f"line {lineno}: expected {n} value tokens, got {len(tokens)} (ragged grid)"
-            )
+    for lineno, r, tokens in _rows(lines[m + 1 :], n, "value tokens"):
         for c, token in enumerate(tokens, start=1):
             if token == ".":
                 continue
@@ -217,11 +216,7 @@ def parse_solution(text: str, puzzle: Puzzle) -> Assignment:
             f"expected {puzzle.rows} solution rows, got {len(lines)}"
         )
     rows = []
-    for (lineno, tokens), _ in zip(lines, range(puzzle.rows)):
-        if len(tokens) != puzzle.cols:
-            raise PuzzleFormatError(
-                f"line {lineno}: expected {puzzle.cols} values, got {len(tokens)}"
-            )
+    for lineno, _, tokens in _rows(lines, puzzle.cols, "values"):
         try:
             row = [int(t) for t in tokens]
         except ValueError:

@@ -34,7 +34,8 @@ from operator import getitem, itemgetter
 
 from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, encode, event_line
 from .cards import faces_of, marks
-from .protocol import CHECK_MARKS, CHECKED_DIRECTIONS, Board, _distance_direction
+from .protocol import CHECK_MARKS, CHECKED_DIRECTIONS, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP
+from .protocol import Board, _distance_direction
 from .puzzle import Puzzle
 
 
@@ -77,13 +78,13 @@ class Layout:
 
     ``shape`` is (rows, cols, ((room, size), ...), dedupe_directions), the
     whole of what fixes the layout; a layout pickles as its shape. The
-    events are held as a list of chunks: fixed runs of marks and the
-    verdict, with a slot for each draw's run and each room's reveal between
-    them. Rendering fills the slots, one strided slice per draw index, and
-    flattens the list. Decoding picks every reveal with one ``itemgetter``
-    at the ``reveal_row`` and ``reveal_all`` events of one rendering (every
-    draw at 0), so every run of one draw must carry the same event tags,
-    one ``reveal_row`` among them.
+    events are a list of chunks: fixed runs of marks, named as ``protocol``
+    names them, and the verdict, with a slot for each draw's run and each
+    room's reveal between them. Rendering fills the slots, one strided
+    slice per draw index, and flattens the list. Decoding picks every
+    reveal with one ``itemgetter`` at the ``reveal_row`` and ``reveal_all``
+    events of one rendering (every draw at 0), so every run of one draw
+    must carry the same event tags, one ``reveal_row`` among them.
     """
 
     def __init__(self, shape: tuple):
@@ -119,20 +120,20 @@ class Layout:
             for room, size in rooms for slot in range(1, size + 1)
         ]
         self.slot_families = [family.key for family in self.families if family.kind == "room"]
-        self._room_ids = [f"R:{room}" for room, _ in rooms]
+        self._room_ids = [ROOM_STEP(room)[0] for room, _ in rooms]
         self._permutations = [list(range(1, size + 1)) for size in self.sizes]
 
-        chunks = [(marks("distance_phase")[0],)]
+        chunks = [(marks(DISTANCE_PHASE)[0],)]
         for check in checks:
             enter, leave = CHECK_MARKS(*check)
             chunks[-1] += (enter,)
             chunks += [None] * n + [(leave,)]
-        chunks[-1] += (marks("distance_phase")[1], marks("room_phase")[0])
+        chunks[-1] += (marks(DISTANCE_PHASE)[1], marks(ROOM_PHASE)[0])
         for room, _ in rooms:
-            enter, leave = marks(f"room:{room}")
+            _, enter, leave = ROOM_STEP(room)
             chunks[-1] += (enter,)
             chunks += [None, (leave,)]
-        chunks[-1] += (marks("room_phase")[1], ("verdict", "accept", None, None))
+        chunks[-1] += (marks(ROOM_PHASE)[1], ("verdict", "accept", None, None))
         self._chunks = chunks
         end = n_checks * (n + 1)
         self._draw_slots = [slice(1 + i, end, n + 1) for i in range(n)]

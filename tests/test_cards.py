@@ -167,11 +167,24 @@ class TestShuffles:
         assert audit.records == [("pile_shift", "X", 3)]
         assert t.events == []  # nothing observable happened
 
-    def test_shuffle_requires_face_down(self):
+    # Every move that refuses a matrix with cards showing.
+    FACE_UP_MOVES = {
+        "pile_shift_shuffle": lambda m: pile_shift_shuffle(m, RandomSource(0)),
+        "pile_scramble_shuffle": lambda m: pile_scramble_shuffle(m, RandomSource(0)),
+        "shift": lambda m: m.shift(1, Transcript()),
+        "split_rows": lambda m: m.split_rows(1, "T", "B"),
+        "append_columns": lambda m: m.append_columns(labeled_matrix(3, 2)),
+        "remove_columns": lambda m: m.remove_columns(1, 2),
+    }
+
+    @pytest.mark.parametrize("move", sorted(FACE_UP_MOVES))
+    def test_shuffle_requires_face_down(self, move):
         m = labeled_matrix(3, 4)
         m.reveal_row(1, Transcript())
-        with pytest.raises(RuntimeError, match="face-up"):
-            pile_shift_shuffle(m, RandomSource(0))
+        before = m.snapshot()
+        with pytest.raises(RuntimeError, match="matrix X: cards are face-up"):
+            self.FACE_UP_MOVES[move](m)
+        assert m.snapshot() == before
 
 
 class TestReplaySource:

@@ -148,6 +148,20 @@ class TestProve:
         path = write(tmp_path, "tiny.txt", TINY)
         assert cli.main(["prove", "--puzzle", path]) == 2
 
+    def test_solution_and_solve_first_exclusive(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path, "tiny.txt", TINY)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("prove ran work on a usage error")
+
+        monkeypatch.setattr(cli, "solve", must_not_run)
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        missing = str(tmp_path / "missing.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prove", "--puzzle", path, "--solution", missing, "--solve-first"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_dedupe_directions(self, tmp_path, capsys):
         path = write(tmp_path, "tiny.txt", TINY)
         code = cli.main(
