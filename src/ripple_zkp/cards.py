@@ -17,9 +17,9 @@ piles move as runs of whole piles over neighbouring columns, one call per
 run (``take_segment``, ``put_segment``), a taken pile being ``None`` until
 it is put back. Revealed faces are tuples of CLUB/HEART taken from one
 table keyed by (width, mask) and filled on first use (``faces_of``); the
-simulator builds its reveals from the same table, and every single-heart
-read (``single_heart``, the audit's decoder) looks the heart's position up
-in its one-heart index, ``_ONE_HEART``. ``serialize`` and ``skeleton`` look
+simulator builds its reveals from the same table, and every revealed value
+is read off its one-heart index, ``_ONE_HEART`` (by ``single_heart``, the
+room check and the audit's decoder). ``serialize`` and ``skeleton`` look
 each event's line up in a table of their own that renders it on first use,
 and every step's enter and exit marks are one shared pair of tuples (``marks``).
 

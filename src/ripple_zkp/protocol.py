@@ -4,14 +4,14 @@ A board commits one length-k sequence per grid cell (k = biggest room
 size); fixed cells are placed publicly from the clues, empty cells secretly
 from the prover's claimed solution. Verification then runs two phases:
 
-* distance phase: for every cell and each of the four directions, prove
-  that the cell's value x does not reappear within the first x cells that
-  way, without revealing x. The check inserts k-1 blank columns after the
-  x-th neighbour under cover of shuffles, selects the k sequences starting
-  at the first neighbour (exactly the x real neighbours plus blanks), and
-  runs the uniqueness subprotocol against the cell's own sequence.
+* distance phase: for each cell and direction, in ``distance_checks`` order,
+  prove that the cell's value x does not reappear within the first x cells
+  that way, without revealing x. The check inserts k-1 blank columns after the
+  x-th neighbour under cover of shuffles, selects the k sequences starting at
+  the first neighbour (exactly the x real neighbours plus blanks), and runs
+  the uniqueness subprotocol against the cell's own sequence.
 * room phase: per room, scramble the room's sequences and reveal them all;
-  they must read as a permutation of 1..size.
+  read by ``cards._ONE_HEART``, they must be a permutation of 1..size.
 
 Honest runs always accept; any committed grid violating a rule is always
 rejected; every revealed heart position is uniform thanks to a fresh
@@ -24,6 +24,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .cards import (
+    _ONE_HEART,
     HEART,
     AuditTrail,
     MalformedCommitmentError,
@@ -33,7 +34,6 @@ from .cards import (
     Transcript,
     decode,
     encode,
-    mask_of,
     marks,
     pile_scramble_shuffle,
     pile_shift_shuffle,
@@ -63,6 +63,14 @@ CHECK_MARKS = cache(lambda cell, direction: marks(f"dist:{cell[0]},{cell[1]}:{di
 UNIQUE_MARKS = cache(lambda matrix_id: marks(f"unique:{matrix_id}"))
 ROOM_STEP = cache(lambda room: (f"R:{room}", *marks(f"room:{room}")))
 DISTANCE_PHASE, ROOM_PHASE = "distance_phase", "room_phase"
+
+
+@cache
+def distance_checks(rows: int, cols: int, dedupe_directions: bool) -> tuple[tuple[Cell, str], ...]:
+    """The (cell, direction) of every distance check of a rows x cols grid in
+    run order: cells row-major, each in ``CHECKED_DIRECTIONS`` order."""
+    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    return tuple((cell, d) for cell in cells for d in CHECKED_DIRECTIONS[dedupe_directions])
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,6 @@ def _distance_direction(
     transcript: Transcript,
 ) -> Verdict:
     k = board.k
-    loc = (cell, direction)
     trail = rng.trail
 
     # Gather the cell's sequence and its k neighbours that way, padding
@@ -272,7 +279,7 @@ def _distance_direction(
     # none repeats its number.
     n = Matrix.from_rows("N", k, [m1.take_row(1), m1.take_row(2), *selected])
     if not _uniqueness_on_matrix(n, rng, transcript):
-        return Verdict(False, DISTANCE_HEART_FOUND, loc)
+        return Verdict(False, DISTANCE_HEART_FOUND, (cell, direction))
 
     # Step 12: realign, return a0 to its cell and the piles to the matrix.
     rearrangement(n, rng, transcript)
@@ -326,16 +333,14 @@ def verify_distance_phase(
     transcript: Transcript,
     dedupe_directions: bool = False,
 ) -> Verdict:
-    """Distance checks for every cell and direction, stopping at the first reject.
-
-    Cells go row-major; directions right, left, up, down. With
-    ``dedupe_directions`` only right and down run, which still covers every
-    pair once since the rule is symmetric.
+    """Every distance check in ``distance_checks`` order, stopping at the first
+    reject. With ``dedupe_directions`` only right and down run, which still
+    covers every pair once since the rule is symmetric.
     """
+    puzzle = board.puzzle
     return _phase(DISTANCE_PHASE, transcript, (
         verify_distance_direction(board, cell, direction, rng, transcript)
-        for cell in board.puzzle.cells
-        for direction in CHECKED_DIRECTIONS[dedupe_directions]
+        for cell, direction in distance_checks(puzzle.rows, puzzle.cols, dedupe_directions)
     ))
 
 
@@ -347,8 +352,8 @@ def verify_room(
 ) -> Verdict:
     """Scramble the room's piles and reveal them; they must read 1..size.
 
-    The revealed cards are consumed: the room phase ends the protocol, so
-    nothing returns to the grid.
+    Columns are read by ``cards._ONE_HEART``; one without exactly one heart
+    is malformed. The cards are consumed: the room phase ends the run.
     """
     cells = board.puzzle.room_cells[room]
     matrix_id, enter, leave = ROOM_STEP(room)
@@ -358,10 +363,10 @@ def verify_room(
         piles = [board.cell_seq.pop(c) for c in cells]
         matrix = Matrix(matrix_id, len(cells), piles=piles, depth=board.k)
         pile_scramble_shuffle(matrix, rng)
-        values = [decode(mask_of(col)) for col in matrix.reveal_all(transcript)]
+        values = list(map(_ONE_HEART.get, matrix.reveal_all(transcript)))
     finally:
         events.append(leave)
-    if any(v is None for v in values):
+    if None in values:
         return Verdict(False, MALFORMED_COMMITMENT, room)
     if sorted(values) != list(range(1, len(cells) + 1)):
         return Verdict(False, ROOM_MULTISET_MISMATCH, room)

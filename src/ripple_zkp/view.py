@@ -9,11 +9,11 @@ public dummy board and keeps the run of events each draw value selects.
 
 The view is a bijection of the draws, so a ``Layout`` decodes a transcript:
 it reads every draw off the heart of its reveal and every room's permutation
-off its columns, renders the transcript those draws make, and accepts only
-when the rendering equals the events. Whatever the draws do not explain (a
-shift offset, a second heart, a renamed mark, a missing event) fails as
-"event i: expected <line>, saw <line>". The simulator is the same renderer
-fed with random draws.
+off its columns through ``cards._ONE_HEART``, as the verifier does, renders
+the transcript those draws make, and accepts only when the rendering equals
+the events. Whatever the draws do not explain (a shift offset, a second
+heart, a renamed mark, a missing event) fails as "event i: expected <line>,
+saw <line>". The simulator is the same renderer fed with random draws.
 
 A reveal family pools one draw of a distance check across all checks of a
 run, named by draw index in ``_DRAW_FAMILIES``, plus the uniqueness segment,
@@ -34,8 +34,8 @@ from operator import getitem, itemgetter
 
 from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, encode, event_line
 from .cards import faces_of, marks
-from .protocol import CHECK_MARKS, CHECKED_DIRECTIONS, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP
-from .protocol import Board, _distance_direction
+from .protocol import CHECK_MARKS, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP
+from .protocol import Board, _distance_direction, distance_checks
 from .puzzle import Puzzle
 
 
@@ -77,25 +77,20 @@ class Layout:
     """Where every draw of an accepting run shows, and the runs it selects.
 
     ``shape`` is (rows, cols, ((room, size), ...), dedupe_directions), the
-    whole of what fixes the layout; a layout pickles as its shape. The
-    events are a list of chunks: fixed runs of marks, named as ``protocol``
-    names them, and the verdict, with a slot for each draw's run and each
-    room's reveal between them. Rendering fills the slots, one strided
-    slice per draw index, and flattens the list. Decoding picks every
-    reveal with one ``itemgetter`` at the ``reveal_row`` and ``reveal_all``
-    events of one rendering (every draw at 0), so every run of one draw
-    must carry the same event tags, one ``reveal_row`` among them.
+    whole of what fixes the layout; a layout pickles as its shape. The events
+    are a list of chunks: fixed runs of marks, named and ordered as
+    ``protocol`` does (``distance_checks``), and the verdict, with a slot for
+    each draw's run and each room's reveal between them. Rendering fills the
+    slots, one strided slice per draw index, and flattens the list. Decoding
+    picks every reveal with one ``itemgetter`` at the ``reveal_row`` and
+    ``reveal_all`` events of one rendering (every draw at 0), so every run of
+    one draw must carry the same event tags, one ``reveal_row`` among them.
     """
 
     def __init__(self, shape: tuple):
         rows, cols, rooms, dedupe = self.shape = shape
         steps, room_cols = _sim_chunks(max(size for _, size in rooms))
-        checks = [
-            ((r, c), direction)
-            for r in range(1, rows + 1)
-            for c in range(1, cols + 1)
-            for direction in CHECKED_DIRECTIONS[dedupe]
-        ]
+        checks = distance_checks(rows, cols, dedupe)
         n, n_checks = len(steps), len(checks)
         tables = [tuple(table) for table, _ in steps]
         # The runs of each draw of the run, by draw value and by heart position.

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import os
 import pickle
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -811,6 +812,21 @@ class TestLayouts:
 
 
 class TestIndistinguishability:
+    @pytest.mark.parametrize(("ones", "passed"), [(550, True), (551, False)])
+    def test_tvd_bound_is_inclusive(self, ones, passed):
+        # 550/450 against 500/500 is a TVD of exactly MAX_TVD: it passes.
+        assert audit.MAX_TVD == 0.05
+        real, sim = FamilyCounts(tiny_puzzle()), FamilyCounts(tiny_puzzle())
+        for counts in (real, sim):
+            counts.trials = 1000
+            for counter in counts.counts.values():
+                counter.update({1: 500, 2: 500})
+        real.counts["room.a.c1"] = Counter({1: ones, 2: 1000 - ones})
+        report = _audit_report(real, sim, uniformity=False)
+        room = {fr.family.key: fr for fr in report.families}["room.a.c1"]
+        assert room.tvd == (0.05 if passed else 0.051)
+        assert (room.passed, report.passed) == (passed, passed)
+
     def test_real_vs_simulated_passes(self):
         puzzle = tiny_puzzle()
         real = real_transcripts(puzzle, TINY_SOLUTION, 1500)

@@ -26,6 +26,7 @@ from ripple_zkp.protocol import (
     ProverInput,
     _uniqueness_on_matrix,
     card_stats,
+    distance_checks,
     run_protocol,
     setup,
     verify_distance_direction,
@@ -33,6 +34,7 @@ from ripple_zkp.protocol import (
     verify_room,
 )
 from ripple_zkp.puzzle import Assignment, max_room_size, validate
+from ripple_zkp.view import simulate_transcript
 
 
 class TestSetup:
@@ -223,6 +225,34 @@ class TestDistancePhase:
         )
         assert not verdict.accepted
 
+    def test_distance_checks_order(self):
+        assert distance_checks(1, 2, True) == (
+            ((1, 1), "right"), ((1, 1), "down"), ((1, 2), "right"), ((1, 2), "down"),
+        )
+        assert distance_checks(2, 1, False)[3:5] == (((1, 1), "down"), ((2, 1), "right"))
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (7, 7)], ids=["1x3", "2x2", "7x7"])
+    def test_runs_and_simulations_follow_distance_checks(
+        self, shape, dedupe, sample7x7, sample7x7_solution
+    ):
+        # The one check order: an honest run and the simulator both open
+        # their distance checks in exactly the order distance_checks gives.
+        if shape == (7, 7):
+            puzzle, solution = sample7x7, sample7x7_solution
+        else:
+            puzzle = all_room_partitions(*shape)[0]
+            solution = brute_force_solutions(puzzle)[0]
+        want = [f"dist:{r},{c}:{d}" for (r, c), d in distance_checks(*shape, dedupe)]
+        honest = run_protocol(puzzle, ProverInput(solution), RandomSource(0), dedupe)
+        assert honest.verdict.accepted
+        for transcript in (honest.transcript, simulate_transcript(puzzle, RandomSource(0), dedupe)):
+            opened = [
+                ev[1] for ev in transcript.events
+                if ev[0] == "mark" and ev[2] == "enter" and ev[1].startswith("dist:")
+            ]
+            assert opened == want
+
 
 class TestRoom:
     def _board(self, committed, k=6):
@@ -267,6 +297,15 @@ class TestRoom:
         verdict = verify_room(board, "a", RandomSource(0), Transcript())
         assert not verdict.accepted
         assert verdict.reason == MALFORMED_COMMITMENT
+
+    def test_committed_zero_is_malformed(self):
+        # A no-heart column fails as malformed, as a two-heart one does; a
+        # full run never gets here, since the distance phase catches a 0 first.
+        puzzle, board = self._board([1, 0])
+        verdict = verify_room(board, "a", RandomSource(0), Transcript())
+        assert (verdict.accepted, verdict.reason, verdict.location) == (
+            False, MALFORMED_COMMITMENT, "a"
+        )
 
     def test_cards_consumed(self):
         puzzle, board = self._board([2, 1])
