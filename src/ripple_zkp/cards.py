@@ -18,8 +18,9 @@ run (``take_segment``, ``put_segment``), a taken pile being ``None`` until
 it is put back. Revealed faces are tuples of CLUB/HEART taken from one
 table keyed by (width, mask) and filled on first use (``faces_of``); the
 simulator builds its reveals from the same table, and every revealed value
-is read off its one-heart index, ``_ONE_HEART`` (by ``single_heart``, the
-room check and the audit's decoder). ``serialize`` and ``skeleton`` look
+is read off its one-heart index, ``_ONE_HEART`` (by ``Matrix.read_heart``,
+the uniqueness step, the room check and the audit's decoder; ``single_heart``
+raises for a row without exactly one heart). ``serialize`` and ``skeleton`` look
 each event's line up in a table of their own that renders it on first use,
 and every step's enter and exit marks are one shared pair of tuples (``marks``).
 
@@ -425,6 +426,14 @@ class Matrix:
         self._face_up += n * self.n_cols
         return cols
 
+    def read_heart(self, row: int, transcript: Transcript) -> int:
+        """Reveal ``row``, read its heart position, then turn the cards face down;
+        a row without exactly one heart raises (``single_heart``), left face up."""
+        faces = self.reveal_row(row, transcript)
+        j = _ONE_HEART.get(faces) or single_heart(faces, self.id, row)
+        self._face_up = 0
+        return j
+
     def flip_down(self) -> None:
         """Turn all face-up cards back over."""
         self._face_up = 0
@@ -576,8 +585,6 @@ def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> 
     events.append(enter)
     try:
         pile_shift_shuffle(matrix, rng)
-        j = single_heart(matrix.reveal_row(1, transcript), matrix.id, 1)
-        matrix.flip_down()
-        matrix.shift(-(j - 1), transcript)
+        matrix.shift(1 - matrix.read_heart(1, transcript), transcript)
     finally:
         events.append(leave)

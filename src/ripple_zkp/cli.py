@@ -203,8 +203,8 @@ def main(argv=None) -> int:
     """Run one command and return its exit code, 130 on Ctrl-C; an audit's
     fork workers keep SIGINT blocked and are killed and reaped before that.
     Every input is read, the puzzle first, before ``--out`` is checked and work starts."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.run(args, parse_puzzle(_read(args.puzzle)))
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

@@ -38,7 +38,6 @@ from .cards import (
     pile_scramble_shuffle,
     pile_shift_shuffle,
     rearrangement,
-    single_heart,
 )
 from .puzzle import (
     DIRECTIONS,
@@ -119,21 +118,18 @@ class ProverInput:
 
 @dataclass
 class Board:
-    """Face-down commitments on the grid plus auxiliary card accounting."""
+    """Face-down commitments on the grid plus the auxiliary card peak.
+
+    Every check starts with no auxiliary card out, so each check raises the
+    peak from two hand formulas instead of counting live cards: to 3k + pad*k
+    (public rows and padding) before its first draw, and to (k-1)(k+2) more
+    once the blank block is appended.
+    """
 
     puzzle: Puzzle
     k: int
     cell_seq: dict[Cell, Sequence]
-    aux_live: int = 0
     aux_peak: int = 0
-
-    def aux_alloc(self, n: int) -> None:
-        self.aux_live += n
-        if self.aux_live > self.aux_peak:
-            self.aux_peak = self.aux_live
-
-    def aux_free(self, n: int) -> None:
-        self.aux_live -= n
 
 
 class ProtocolResult(NamedTuple):
@@ -177,12 +173,12 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     events = transcript.events
     events.append(enter)
     try:
-        j = single_heart(matrix.reveal_row(2, transcript), matrix.id, 2)
+        j = matrix.read_heart(2, transcript)
         ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
     finally:
         events.append(leave)
     if ok:
-        matrix.flip_down()
+        matrix._face_up = 0  # flip_down, without the call
     return ok
 
 
@@ -209,6 +205,13 @@ def verify_distance_direction(
         events.append(leave)
 
 
+@cache
+def _blank_block(k: int) -> Matrix:
+    """Step 7's k-1 appended columns, built once per k and shared: ``append_columns``
+    only reads a block whose offset is 0."""
+    return Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+
+
 def _distance_direction(
     board: Board,
     cell: Cell,
@@ -228,7 +231,8 @@ def _distance_direction(
     neighbours = list(map(cell_seq.pop, grid_cells))
     pad_count = k - reach
     neighbours += [0] * pad_count
-    board.aux_alloc(3 * k + pad_count * k)
+    aux = (3 + pad_count) * k
+    board.aux_peak = max(board.aux_peak, aux)
 
     if trail is not None:
         before_values = tuple(decode(s) for s in [a0, *neighbours])
@@ -240,9 +244,7 @@ def _distance_direction(
 
     # Steps 2-4: shuffle, find a0's heart, park its column at the right edge.
     pile_shift_shuffle(m, rng)
-    j1 = single_heart(m.reveal_row(2, transcript), m.id, 2)
-    m.flip_down()
-    m.shift(k - j1, transcript)
+    m.shift(k - m.read_heart(2, transcript), transcript)
 
     if trail is not None:
         x = decode(a0)
@@ -256,16 +258,15 @@ def _distance_direction(
     # Step 7: append k-1 blank columns behind a fresh indicator pair: Row 1
     # blank, Row 2 an indicator whose heart is in the first appended column.
     if k > 1:
-        block = Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+        block = _blank_block(k)
         if trail is not None:
             appended = block.snapshot()
         m2.append_columns(block)
-        board.aux_alloc((k - 1) * (k + 2))
+        board.aux_peak = max(board.aux_peak, aux + (k - 1) * (k + 2))
 
     # Steps 8-9: shuffle, find the first neighbour's column.
     pile_shift_shuffle(m2, rng)
-    j2 = single_heart(m2.reveal_row(1, transcript), m2.id, 1)
-    m2.flip_down()
+    j2 = m2.read_heart(1, transcript)
 
     # Step 10: select the k consecutive piles starting there, wrapping
     # past the last column.
@@ -289,11 +290,8 @@ def _distance_direction(
     # Steps 13-15: hide the seam again, then cut the appended columns off.
     if k > 1:
         pile_shift_shuffle(m2, rng)
-        j3 = single_heart(m2.reveal_row(2, transcript), m2.id, 2)
-        m2.flip_down()
-        m2.shift(k + 1 - j3, transcript)
+        m2.shift(k + 1 - m2.read_heart(2, transcript), transcript)
         removed = m2.remove_columns(k + 1, 2 * k - 1)
-        board.aux_free((k - 1) * (k + 2))
         if trail is not None:
             trail.record("removed_block", cell, direction, appended, removed.snapshot())
 
@@ -307,8 +305,6 @@ def _distance_direction(
             decode(pile) for pile in piles[reach:]
         )
         trail.record("restore", cell, direction, before_values, after_values)
-
-    board.aux_free(3 * k + pad_count * k)
     return ACCEPT
 
 

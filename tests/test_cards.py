@@ -304,6 +304,24 @@ class TestReveal:
             ("reveal_segment", "X", 2, 1, 2, (H, C)),
         ]
 
+    def test_read_heart(self):
+        m = Matrix.from_rows("X", 4, [encode(1, 4), encode(3, 4)])
+        m.rotate(2)
+        t = Transcript()
+        assert m.read_heart(2, t) == 1  # heart 3 moved right by 2, wrapping
+        assert t.events == [("reveal_row", "X", 2, (H, C, C, C))]
+        m.shift(1, t)  # face down again: neither raises
+        pile_shift_shuffle(m, RandomSource(0))
+
+    @pytest.mark.parametrize(("row", "hearts"), [((C, C, C), 0), ((H, C, H), 2)])
+    def test_read_heart_malformed_stays_face_up(self, row, hearts):
+        m = Matrix.from_rows("X", 3, [mask_of(row)])
+        message = f"matrix X row 1: expected exactly one heart, saw {hearts}$"
+        with pytest.raises(MalformedCommitmentError, match=message):
+            m.read_heart(1, Transcript())
+        with pytest.raises(RuntimeError, match="cards are face-up"):
+            m.shift(1, Transcript())
+
 
 class TestRearrangement:
     def test_heart_returns_to_column_one(self):

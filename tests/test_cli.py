@@ -540,3 +540,13 @@ def test_early_interrupt_leaves_no_process(sample7x7_path):
     for _ in range(3):
         code, _, err, left = interrupt_audit(sample7x7_path, 0.005)
         assert (code, err, left) == (130, "interrupted\n", set())
+
+
+def test_interrupt_while_parsing_exits_130(monkeypatch, capsys):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_parser", interrupted)
+    assert cli.main(["count", "--puzzle", "p.txt"]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+

@@ -10,6 +10,7 @@ from helpers import (
     brute_force_solutions,
     make_puzzle,
 )
+from ripple_zkp import cards
 from ripple_zkp.cards import (
     MalformedCommitmentError,
     Matrix,
@@ -24,6 +25,7 @@ from ripple_zkp.protocol import (
     ROOM_MULTISET_MISMATCH,
     AuditTrail,
     ProverInput,
+    _blank_block,
     _uniqueness_on_matrix,
     card_stats,
     distance_checks,
@@ -350,6 +352,39 @@ class TestRunProtocol:
         predicted = card_stats(sample7x7)
         assert stats.peak_aux_cards == predicted.peak_aux_cards == 94
         assert stats.total == predicted.total == 388
+
+    def test_shared_blank_block_stays_blank(self, sample7x7, sample7x7_solution):
+        # Step 7's block is built once per k and shared by every check, so no
+        # path may change it, not even a reject that returns with it appended.
+        runs = [(sample7x7, sample7x7_solution)]
+        for shape in [(1, 3), (2, 2)]:
+            puzzle = all_room_partitions(*shape)[0]
+            runs.append((puzzle, brute_force_solutions(puzzle)[0]))
+        for puzzle, solution in runs:
+            assert run_protocol(puzzle, ProverInput(solution), RandomSource(0)).verdict.accepted
+        clash = ProverInput(sample7x7_solution.with_value((1, 1), 1), honest=False)
+        assert run_protocol(sample7x7, clash, RandomSource(0)).verdict.reason == DISTANCE_HEART_FOUND
+        for k in sorted({max_room_size(puzzle) for puzzle, _ in runs}):
+            block, fresh = _blank_block(k), Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+            assert (block.rows, block.piles, block.depth, block.offset, block.n_cols) == (
+                fresh.rows, fresh.piles, fresh.depth, fresh.offset, fresh.n_cols,
+            ), k
+
+    def test_honest_run_reads_hearts_without_helper_calls(
+        self, monkeypatch, sample7x7, sample7x7_solution
+    ):
+        # Every heart of an honest run has one position, found by the
+        # _ONE_HEART lookup alone; no matrix is turned down by a call.
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(cards, "single_heart", counted("single_heart", cards.single_heart))
+        monkeypatch.setattr(Matrix, "flip_down", counted("flip_down", Matrix.flip_down))
+        verdict, _, _ = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0))
+        assert verdict.accepted
+        assert calls == []
 
     def test_transcripts_deterministic_per_seed(self, sample7x7, sample7x7_solution):
         prover = ProverInput(sample7x7_solution)
