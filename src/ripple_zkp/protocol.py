@@ -6,7 +6,9 @@ from the prover's claimed solution. Verification then runs two phases:
 
 * distance phase: for each cell and direction, in ``distance_checks`` order,
   prove that the cell's value x does not reappear within the first x cells
-  that way, without revealing x. The check inserts k-1 blank columns after the
+  that way, without revealing x. ``verify_distance_direction`` takes the
+  sequences off the grid and puts them back; ``_distance_direction`` runs the
+  paper's steps on their masks alone: it inserts k-1 blank columns after the
   x-th neighbour under cover of shuffles, selects the k sequences starting at
   the first neighbour (exactly the x real neighbours plus blanks), and runs
   the uniqueness subprotocol against the cell's own sequence.
@@ -118,13 +120,8 @@ class ProverInput:
 
 @dataclass
 class Board:
-    """Face-down commitments on the grid plus the auxiliary card peak.
-
-    Every check starts with no auxiliary card out, so each check raises the
-    peak from two hand formulas instead of counting live cards: to 3k + pad*k
-    (public rows and padding) before its first draw, and to (k-1)(k+2) more
-    once the blank block is appended.
-    """
+    """Face-down commitments on the grid plus the auxiliary card peak, which
+    ``verify_distance_direction`` raises from hand formulas, not a live count."""
 
     puzzle: Puzzle
     k: int
@@ -191,18 +188,40 @@ def verify_distance_direction(
 ) -> Verdict:
     """One distance check: cell's value x must not recur within x steps that way.
 
-    Runs the full sixteen-step procedure; on accept every sequence is back
-    on its cell, still face-down, and all auxiliary cards are retired.
+    Takes the cell's sequence and its k neighbours that way off the board,
+    padded with public all-club sequences past the edge, for
+    ``_distance_direction``; on accept every sequence goes back on its cell,
+    still face-down. Every check starts with no auxiliary card out, so the
+    peak rises to 3k + pad*k (public rows and padding) before the first
+    draw, and by (k-1)(k+2) for step 7's blank block unless step 2 raised.
     """
+    k, cell_seq = board.k, board.cell_seq
+    grid_cells = board.puzzle.rays[cell, direction]
+    reach = len(grid_cells)
+    a0 = cell_seq.pop(cell)
+    neighbours = list(map(cell_seq.pop, grid_cells))
+    neighbours += [0] * (k - reach)
+    aux = (3 + k - reach) * k
+    board.aux_peak = max(board.aux_peak, aux)
     enter, leave = CHECK_MARKS(cell, direction)
     events = transcript.events
     events.append(enter)
     try:
-        return _distance_direction(board, cell, direction, rng, transcript)
+        returned = _distance_direction(k, a0, neighbours, rng, transcript, (cell, direction))
     except MalformedCommitmentError:
         return Verdict(False, MALFORMED_COMMITMENT, (cell, direction))
     finally:
         events.append(leave)
+    board.aux_peak = max(board.aux_peak, aux + (k - 1) * (k + 2))
+    if returned is None:
+        return Verdict(False, DISTANCE_HEART_FOUND, (cell, direction))
+    cell_seq[cell], piles = returned
+    cell_seq.update(zip(grid_cells, piles))
+    if rng.trail is not None:
+        back = [cell_seq[c] for c in (cell, *grid_cells)] + piles[reach:]
+        values = [tuple(map(decode, seqs)) for seqs in ([a0, *neighbours], back)]
+        rng.trail.record("restore", cell, direction, *values)
+    return ACCEPT
 
 
 @cache
@@ -213,29 +232,18 @@ def _blank_block(k: int) -> Matrix:
 
 
 def _distance_direction(
-    board: Board,
-    cell: Cell,
-    direction: str,
+    k: int,
+    a0: Sequence,
+    neighbours: list[Sequence],
     rng: RandomSource,
     transcript: Transcript,
-) -> Verdict:
-    k = board.k
+    where: tuple,
+) -> tuple[Sequence, list[Sequence]] | None:
+    """Steps 1-16 on heart masks: x, a0's heart position, is not among the first
+    x ``neighbours``. Returns ``(a0, piles)``, both unchanged, on accept and None
+    when a heart shows; an ``a0`` without exactly one heart raises at step 2.
+    ``where`` labels the private trail records and nothing else."""
     trail = rng.trail
-
-    # Gather the cell's sequence and its k neighbours that way, padding
-    # with public all-club sequences where the grid ends.
-    cell_seq = board.cell_seq
-    a0 = cell_seq.pop(cell)
-    grid_cells = board.puzzle.rays[cell, direction]
-    reach = len(grid_cells)
-    neighbours = list(map(cell_seq.pop, grid_cells))
-    pad_count = k - reach
-    neighbours += [0] * pad_count
-    aux = (3 + pad_count) * k
-    board.aux_peak = max(board.aux_peak, aux)
-
-    if trail is not None:
-        before_values = tuple(decode(s) for s in [a0, *neighbours])
 
     # Step 1: rows [indicator, a0, indicator, blank] over k columns, with
     # neighbour i's sequence as the pile under column i. The indicator
@@ -249,7 +257,7 @@ def _distance_direction(
     if trail is not None:
         x = decode(a0)
         parked = m.pile_masks()[k - 1]
-        trail.record("align_rightmost", cell, direction, x, neighbours[x - 1], parked)
+        trail.record("align_rightmost", *where, x, neighbours[x - 1], parked)
 
     # Steps 5-6: split off the top two rows and realign them on their own.
     m1, m2 = m.split_rows(2, "M1", "M2")
@@ -262,7 +270,6 @@ def _distance_direction(
         if trail is not None:
             appended = block.snapshot()
         m2.append_columns(block)
-        board.aux_peak = max(board.aux_peak, aux + (k - 1) * (k + 2))
 
     # Steps 8-9: shuffle, find the first neighbour's column.
     pile_shift_shuffle(m2, rng)
@@ -274,17 +281,17 @@ def _distance_direction(
 
     if trail is not None:
         expected = neighbours[:x] + [0] * (k - x)
-        trail.record("selection", cell, direction, x, expected, selected)
+        trail.record("selection", *where, x, expected, selected)
 
     # Steps 10-11: stack them under the cell's own sequence and check
     # none repeats its number.
     n = Matrix.from_rows("N", k, [m1.take_row(1), m1.take_row(2), *selected])
     if not _uniqueness_on_matrix(n, rng, transcript):
-        return Verdict(False, DISTANCE_HEART_FOUND, (cell, direction))
+        return None
 
-    # Step 12: realign, return a0 to its cell and the piles to the matrix.
+    # Step 12: realign, take a0 back and return the piles to the matrix.
     rearrangement(n, rng, transcript)
-    cell_seq[cell] = n.take_row(2)
+    a0 = n.take_row(2)
     m2.put_segment(j2, [n.take_row(row) for row in range(3, k + 3)])
 
     # Steps 13-15: hide the seam again, then cut the appended columns off.
@@ -293,19 +300,11 @@ def _distance_direction(
         m2.shift(k + 1 - m2.read_heart(2, transcript), transcript)
         removed = m2.remove_columns(k + 1, 2 * k - 1)
         if trail is not None:
-            trail.record("removed_block", cell, direction, appended, removed.snapshot())
+            trail.record("removed_block", *where, appended, removed.snapshot())
 
-    # Step 16: realign and put every neighbour back where it came from.
+    # Step 16: realign; the piles come back in neighbour order.
     rearrangement(m2, rng, transcript)
-    piles = m2.pile_masks()
-    cell_seq.update(zip(grid_cells, piles))
-
-    if trail is not None:
-        after_values = tuple(decode(cell_seq[c]) for c in [cell, *grid_cells]) + tuple(
-            decode(pile) for pile in piles[reach:]
-        )
-        trail.record("restore", cell, direction, before_values, after_values)
-    return ACCEPT
+    return a0, m2.pile_masks()
 
 
 def _phase(name: str, transcript: Transcript, verdicts) -> Verdict:

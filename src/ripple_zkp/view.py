@@ -4,8 +4,9 @@ A transcript is the verifier's view of a run. On the accept path that view
 has one fixed layout per puzzle shape and direction set: per distance check,
 a mark pair around one run of events per secret draw (seven draws, six at
 k = 1), then per room one ``reveal_all`` between the room's marks. What a
-draw shows is read off the engine: ``_sim_chunks`` replays the check on a
-public dummy board and keeps the run of events each draw value selects.
+draw shows is read off the engine: ``_sim_chunks`` replays the distance
+subprotocol ``protocol._distance_direction`` on the public configuration,
+x = 1 against k blanks, and keeps the run of events each draw value selects.
 
 The view is a bijection of the draws, so a ``Layout`` decodes a transcript:
 it reads every draw off the heart of its reveal and every room's permutation
@@ -32,10 +33,9 @@ from functools import cache
 from itertools import chain
 from operator import getitem, itemgetter
 
-from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, encode, event_line
-from .cards import faces_of, marks
+from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, event_line, faces_of, marks
 from .protocol import CHECK_MARKS, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP
-from .protocol import Board, _distance_direction, distance_checks
+from .protocol import _distance_direction, distance_checks
 from .puzzle import Puzzle
 
 
@@ -262,11 +262,10 @@ class FamilyCounts:
 
 
 def _check_runs(k: int, draws: list[int]) -> list[tuple[tuple, tuple]]:
-    """(row faces, events) per draw of a check of 1 with k off-grid neighbours: a
+    """(row faces, events) per draw of the public check of 1 against k blanks: a
     draw's run opens at a step's enter mark or at a row reveal outside a step."""
-    board = Board(Puzzle(1, 1, {(1, 1): "a"}, {}), k, {(1, 1): encode(1, k)})
     t = Transcript()
-    _distance_direction(board, (1, 1), "right", ReplaySource(draws), t)
+    _distance_direction(k, 1, [0] * k, ReplaySource(draws), t, ())
     runs, step = [], None
     for ev in t.events:
         if ev[0] == "mark":
