@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .cards import RandomSource
 from .protocol import ProverInput, run_protocol
@@ -44,8 +44,7 @@ ALPHA = 0.001
 MAX_TVD = 0.05
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     family: RevealFamily
     observations: int
     chi_squared: float | None
@@ -55,8 +54,7 @@ class FamilyResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Per-family verdicts plus overall pass/fail and any caveats."""
 
     trials: int
@@ -199,8 +197,7 @@ def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool
     return AuditReport(real.trials, tuple(results), passed, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of the exhaustive single-cell mutation sweep."""
 
     mutations_tested: int

@@ -15,13 +15,15 @@ from the prover's claimed solution. Verification then runs two phases:
 * room phase: per room, scramble the room's sequences and reveal them all;
   read by ``cards._ONE_HEART``, they must be a permutation of 1..size.
 
+Verdicts, card stats and prover inputs are named tuples; the board is the
+one mutable record, changed in place by the checks and equal only to itself.
+
 Honest runs always accept; any committed grid violating a rule is always
 rejected; every revealed heart position is uniform thanks to a fresh
 shuffle before each reveal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -74,8 +76,7 @@ def distance_checks(rows: int, cols: int, dedupe_directions: bool) -> tuple[tupl
     return tuple((cell, d) for cell in cells for d in CHECKED_DIRECTIONS[dedupe_directions])
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Protocol outcome; a reject names the reason and where it happened."""
 
     accepted: bool
@@ -98,8 +99,7 @@ class Verdict:
 ACCEPT = Verdict(True)
 
 
-@dataclass(frozen=True)
-class CardStats:
+class CardStats(NamedTuple):
     """Deck usage: cards on the grid plus the auxiliary peak beside it."""
 
     grid_cards: int
@@ -110,23 +110,22 @@ class CardStats:
         return self.grid_cards + self.peak_aux_cards
 
 
-@dataclass(frozen=True)
-class ProverInput:
+class ProverInput(NamedTuple):
     """The claimed solution; honest provers are checked against the rules."""
 
     assignment: Assignment
     honest: bool = True
 
 
-@dataclass
 class Board:
     """Face-down commitments on the grid plus the auxiliary card peak, which
     ``verify_distance_direction`` raises from hand formulas, not a live count."""
 
-    puzzle: Puzzle
-    k: int
-    cell_seq: dict[Cell, Sequence]
-    aux_peak: int = 0
+    def __init__(self, puzzle: Puzzle, k: int, cell_seq: dict[Cell, Sequence], aux_peak: int = 0):
+        self.puzzle = puzzle
+        self.k = k
+        self.cell_seq = cell_seq
+        self.aux_peak = aux_peak
 
 
 class ProtocolResult(NamedTuple):

@@ -7,6 +7,8 @@ some cells carrying a fixed clue value. A filled grid is a solution when
   2. two cells in the same row or column holding the same value x are
      separated by at least x cells.
 
+A ``Puzzle`` is a plain read-only class that equals only itself; an
+``Assignment`` and a ``Violation`` are named tuples, compared by value.
 ``validate`` is the non-cryptographic ground truth used as an oracle by the
 card protocol tests; ``solve`` is a complete backtracking search with
 forward checking over bitmask domains.
@@ -14,8 +16,8 @@ forward checking over bitmask domains.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 Cell = tuple[int, int]  # (row, col), 1-based
 RoomId = str
@@ -37,14 +39,17 @@ class PuzzleFormatError(ValueError):
     """Malformed puzzle or solution text (message carries the line number)."""
 
 
-@dataclass(frozen=True, eq=False)
 class Puzzle:
-    """Grid geometry, room partition, and fixed clue cells."""
+    """Grid geometry, room partition, and fixed clue cells: read-only
+    fields, identity equality, and three tables cached on first use."""
 
-    rows: int
-    cols: int
-    room_of: dict[Cell, RoomId]
-    fixed: dict[Cell, int]
+    def __init__(self, rows: int, cols: int, room_of: dict[Cell, RoomId], fixed: dict[Cell, int]):
+        vars(self).update(rows=rows, cols=cols, room_of=room_of, fixed=fixed)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to Puzzle field {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
@@ -82,9 +87,8 @@ class Puzzle:
         return rays
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A value for every cell, stored as row tuples."""
+class Assignment(NamedTuple):
+    """A value for every cell, stored as row tuples; indexed by cell, not position."""
 
     values: tuple[tuple[int, ...], ...]
 
@@ -106,8 +110,7 @@ class Assignment:
         return "\n".join(" ".join(str(v) for v in row) for row in self.values) + "\n"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule: which kind, the cells involved, and a description."""
 
     kind: str

@@ -28,10 +28,10 @@ list of them, in report order; the counts and the audit report read it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, event_line, faces_of, marks
 from .protocol import CHECK_MARKS, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP
@@ -43,8 +43,7 @@ class AuditError(Exception):
     """A transcript is not an accepting view of its puzzle, or counts do not fit together."""
 
 
-@dataclass(frozen=True)
-class RevealFamily:
+class RevealFamily(NamedTuple):
     """One reveal step pooled across a run; domain is the observation space."""
 
     key: str

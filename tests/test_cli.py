@@ -283,7 +283,7 @@ def test_runtime_is_stdlib_only(sample7x7_path):
     ):
         modules = imported_modules(argv)
         assert "ripple_zkp" in modules
-        assert not modules & {"scipy", "numpy"}, argv
+        assert not modules & {"scipy", "numpy", "dataclasses", "inspect"}, argv
 
 
 def test_solve_long_grid(tmp_path):

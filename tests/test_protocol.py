@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     make_puzzle,
 )
 from ripple_zkp import cards
+from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport
 from ripple_zkp.cards import (
     MalformedCommitmentError,
     Matrix,
@@ -20,11 +22,15 @@ from ripple_zkp.cards import (
     encode,
 )
 from ripple_zkp.protocol import (
+    ACCEPT,
     DISTANCE_HEART_FOUND,
     MALFORMED_COMMITMENT,
     ROOM_MULTISET_MISMATCH,
     AuditTrail,
+    Board,
+    CardStats,
     ProverInput,
+    Verdict,
     _blank_block,
     _uniqueness_on_matrix,
     card_stats,
@@ -35,8 +41,8 @@ from ripple_zkp.protocol import (
     verify_distance_phase,
     verify_room,
 )
-from ripple_zkp.puzzle import Assignment, max_room_size, validate
-from ripple_zkp.view import simulate_transcript
+from ripple_zkp.puzzle import DISTANCE, Assignment, Violation, max_room_size, validate
+from ripple_zkp.view import RevealFamily, simulate_transcript
 
 
 class TestSetup:
@@ -663,3 +669,47 @@ class TestRejectPaths:
                     unbalanced.append(ev[1])
             unbalanced.extend(open_spans)
         assert unbalanced == []
+
+
+# Per record type: a builder, one of its fields, and how two records built
+# alike compare ("value": equal, same hash, and equal after pickling;
+# "identity": each equals only itself). Only Board's fields can be assigned.
+RECORDS = {
+    "Puzzle": (lambda: make_puzzle(["a"]), "rows", "identity"),
+    "Board": (lambda: Board(make_puzzle(["a"]), 1, {}), "aux_peak", "identity"),
+    "Assignment": (lambda: Assignment.from_rows([[1]]), "values", "value"),
+    "RevealFamily": (lambda: RevealFamily("dist.j1", "heart", 6), "domain", "value"),
+    "Verdict": (lambda: Verdict(True), "accepted", "value"),
+    "CardStats": (lambda: CardStats(294, 94), "grid_cards", "value"),
+    "ProverInput": (lambda: ProverInput(Assignment.from_rows([[1]])), "honest", None),
+    "Violation": (lambda: Violation(DISTANCE, ((1, 1), (1, 3)), "d"), "detail", None),
+    "FamilyResult": (
+        lambda: FamilyResult(RevealFamily("room:a:1", "room", 1), 0, None, None, None, True),
+        "passed",
+        None,
+    ),
+    "AuditReport": (lambda: AuditReport(0, (), False), "passed", None),
+    "SweepReport": (lambda: SweepReport(0, 0, 0, 0, (), ()), "runs", None),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_behaviour(name):
+    make, field, compares = RECORDS[name]
+    record, twin = make(), make()
+    if name == "Board":
+        record.aux_peak = 5
+        assert record.aux_peak == 5
+    else:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    if compares == "value":
+        assert record == twin == pickle.loads(pickle.dumps(record))
+        assert hash(record) == hash(twin)
+    elif compares == "identity":
+        assert record == record and record != twin
+
+
+def test_record_reprs_and_constants():
+    assert repr(Assignment.from_rows([[1]])) == "Assignment(values=((1,),))"
+    assert Verdict(True) == ACCEPT
