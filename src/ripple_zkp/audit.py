@@ -11,13 +11,14 @@ The protocol's security claims become statistics over transcripts:
 * mutating a committed solution in any rule-breaking way must flip the
   verdict to reject — swept exhaustively over single-cell mutations.
 
-The statistics run on per-family histograms, ``FamilyCounts``, which come
-with the simulator from ``view``: each transcript is decoded into its draws
-against its puzzle's layout, so one that is not an accepting view of the
-puzzle (a changed shift offset or mark, a heart in a segment, a room
-that is not a permutation) raises ``AuditError`` at any trial count. An
-audit of no honest transcripts fails, and a sweep tries at least one seed
-per mutation.
+``full_audit`` runs the first two checks in one report, one row per reveal
+family, over equal numbers of honest and simulated runs. The statistics
+run on per-family histograms, ``FamilyCounts``, which come with the
+simulator from ``view``: each transcript is decoded into its draws against
+its puzzle's layout, so one that is not an accepting view of the puzzle (a
+changed shift offset or mark, a heart in a segment, a room that is not a
+permutation) raises ``AuditError`` at any trial count. An audit of no
+honest transcripts fails, and a sweep tries at least one seed per mutation.
 """
 from __future__ import annotations
 
@@ -33,10 +34,9 @@ from .puzzle import Assignment, Puzzle, max_room_size, validate
 from .view import AuditError, FamilyCounts, RevealFamily, simulate_transcript
 
 
-# Below this many transcripts (on the smaller side of a real-versus-simulated
-# comparison) the p-values and TVDs are reported but do not gate the
-# verdict; only structural failures (a transcript that does not decode, a
-# missing family) can fail an under-powered audit.
+# Below this many trials per side the p-values and TVDs are reported but do
+# not gate the verdict; only a transcript that does not decode, or no honest
+# transcript at all, can fail an under-powered audit.
 UNDERPOWERED_TRIALS = 1000
 # A gated family fails below this chi-squared p-value against uniform, or
 # above this total variation distance from the simulator.
@@ -124,74 +124,37 @@ def _tvd(a: Counter, na: int, b: Counter, nb: int) -> float:
     return sum(abs(a.get(k, 0) * nb - b.get(k, 0) * na) for k in {*a, *b}) / (2 * na * nb)
 
 
-def uniformity_audit(puzzle: Puzzle, transcripts) -> AuditReport:
-    """Chi-squared uniformity of every reveal family across honest transcripts of ``puzzle``.
+def _audit_report(real: FamilyCounts, sim: FamilyCounts) -> AuditReport:
+    """Per-family report of the honest counts ``real`` against the simulated ``sim``.
 
-    Passes when every heart or room family's p-value is at least ``ALPHA``
-    (decoding already holds every segment to no heart). Fewer than 1,000
-    transcripts yields an under-powered warning rather than a failure.
+    ``sim`` must have ``real``'s layout; ``full_audit`` gathers both sides
+    over the same number of trials. One row per family, none when ``real``
+    holds no transcript. Every family but the segment family gets
+    chi-squared uniformity, and every family gets the TVD against ``sim``;
+    a family passes when both do, and a report over no honest transcripts
+    fails. The statistics gate only from ``UNDERPOWERED_TRIALS`` trials on.
     """
-    return _audit_report(FamilyCounts(puzzle, transcripts=transcripts), None, uniformity=True)
-
-
-def indistinguishability_audit(puzzle: Puzzle, real, simulated) -> AuditReport:
-    """Real-versus-simulated comparison per reveal family.
-
-    Both sides must decode against ``puzzle``'s layout; then the total
-    variation distance between the empirical reveal distributions must be
-    at most ``MAX_TVD``.
-    """
-    real_counts, sim_counts = (FamilyCounts(puzzle, transcripts=t) for t in (real, simulated))
-    return _audit_report(real_counts, sim_counts, uniformity=False)
-
-
-def _audit_report(real: FamilyCounts, sim: FamilyCounts | None, uniformity: bool) -> AuditReport:
-    """Per-family report over the honest counts ``real``.
-
-    One row per family of the counts' layout, none when ``real`` holds no
-    transcript. Runs chi-squared uniformity when ``uniformity`` is set and
-    the TVD against ``sim`` when that is given; ``sim`` must have the same
-    layout. A family passes when every check run on it passes; a report
-    over no honest transcripts fails. The statistics gate only when the
-    smaller side holds at least ``UNDERPOWERED_TRIALS`` transcripts.
-    """
-    if sim is not None and sim.layout.shape != real.layout.shape:
+    if sim.layout.shape != real.layout.shape:
         raise AuditError("cannot compare counts of different layouts")
-    power = real.trials if sim is None else min(real.trials, sim.trials)
-    gated = power >= UNDERPOWERED_TRIALS
+    gated = real.trials >= UNDERPOWERED_TRIALS
     warnings = [] if real.trials else ["no honest transcripts: nothing was checked"]
     if not gated:
         warnings.append(
-            f"under-powered: {power} transcripts"
+            f"under-powered: {real.trials} transcripts"
             f" (want >= {UNDERPOWERED_TRIALS}); statistics reported but not gating"
         )
-    if sim is not None and real.trials != sim.trials:
-        warnings.append(f"trial counts differ: {real.trials} real vs {sim.trials} simulated")
     results = []
     for family in real.layout.families if real.trials else ():
-        counter = real.counts[family.key]
+        counter, b = real.counts[family.key], sim.counts[family.key]
         n = sum(counter.values())
-        stat = p = tvd = None
-        ok, note = True, ""
-        if uniformity and family.kind != "segment":
+        stat = p = None
+        note = "" if gated else "not gated: under-powered"
+        if family.kind != "segment":
             stat, p = _uniform_fit(family, counter, n)
             if p is None:
                 note = "degenerate domain"
-            elif gated:
-                ok = p >= ALPHA
-            else:
-                note = "not gated: under-powered"
-        if sim is not None:
-            b = sim.counts[family.key]
-            nb = sum(b.values())
-            if nb == 0:
-                tvd, tvd_note = 1.0, "family missing from simulation"
-                ok = False
-            else:
-                tvd = _tvd(counter, n, b, nb)
-                tvd_note = "" if gated else "not gated: under-powered"
-                ok = ok and (tvd <= MAX_TVD or not gated)
-            note = note or tvd_note
+        tvd = _tvd(counter, n, b, sum(b.values()))
+        ok = not gated or ((p is None or p >= ALPHA) and tvd <= MAX_TVD)
         results.append(FamilyResult(family, n, stat, p, tvd, ok, note))
     passed = real.trials > 0 and all(r.passed for r in results)
     return AuditReport(real.trials, tuple(results), passed, tuple(warnings))
@@ -417,4 +380,4 @@ def full_audit(
     """
     real = gather_real_counts(puzzle, solution, trials, base_seed, dedupe_directions, workers)
     sim = gather_simulated_counts(puzzle, trials, base_seed + trials, dedupe_directions, workers)
-    return _audit_report(real, sim, uniformity=True)
+    return _audit_report(real, sim)

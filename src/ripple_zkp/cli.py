@@ -99,16 +99,16 @@ def _read(path: str) -> str:
 
 def _check_out(out: str | None) -> None:
     """Fail before any work when ``out`` cannot be written; creates and truncates nothing."""
-    if not out:
+    if out is None:
         return
-    path = Path(out)
+    path = Path(out)  # Path("") is ".", a directory
     writable = os.access(path if path.exists() else path.parent, os.W_OK)
     if path.is_dir() or not path.parent.is_dir() or not writable:
         raise PuzzleFormatError(f"cannot write {out}: not a writable file path")
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:

@@ -25,10 +25,8 @@ from ripple_zkp.audit import (
     full_audit,
     gather_real_counts,
     gather_simulated_counts,
-    indistinguishability_audit,
     simulate_transcript,
     soundness_sweep,
-    uniformity_audit,
 )
 from ripple_zkp.cards import HEART, RandomSource, ReplaySource, Transcript, encode, faces_of, marks
 from ripple_zkp.protocol import ProverInput, run_protocol
@@ -57,6 +55,18 @@ def sim_transcripts(puzzle, trials, base_seed=0):
         simulate_transcript(puzzle, RandomSource(seed))
         for seed in range(base_seed, base_seed + trials)
     ]
+
+
+def report_of(puzzle, real, sim):
+    """The audit report of the transcripts ``real`` against ``sim``."""
+    return _audit_report(*(FamilyCounts(puzzle, transcripts=t) for t in (real, sim)))
+
+
+def uniformity_report(puzzle, transcripts):
+    """The report of ``transcripts`` against themselves: every TVD is 0, so
+    only the chi-squared uniformity check can fail a family."""
+    counts = FamilyCounts(puzzle, transcripts=transcripts)
+    return _audit_report(counts, counts)
 
 
 def fixed_verdict(accepted):
@@ -257,8 +267,9 @@ class TestSimulator:
         assert sim.skeleton() == real.skeleton()
 
     def test_simulated_heart_positions_uniform(self, sample7x7):
+        # Against themselves, so that only the uniformity check can fail.
         counts = gather_simulated_counts(sample7x7, trials=1000, base_seed=0)
-        rep = _audit_report(counts, None, uniformity=True)
+        rep = _audit_report(counts, counts)
         wide = {f.family.key: f for f in rep.families}["dist.j2"]
         assert wide.family.domain == 11
         assert wide.p_value > 0.001
@@ -382,7 +393,7 @@ class TestUniformityAudit:
     def test_honest_runs_pass(self):
         puzzle = tiny_puzzle()
         transcripts = real_transcripts(puzzle, TINY_SOLUTION, 1200)
-        report = uniformity_audit(puzzle, transcripts)
+        report = uniformity_report(puzzle, transcripts)
         assert report.passed
         assert not report.warnings
         keys = {fr.family.key for fr in report.families}
@@ -401,15 +412,15 @@ class TestUniformityAudit:
             d = Transcript()
             d.events = lay.render(draws, [rng.permutation(size) for size in lay.sizes])
             doctored.append(d)
-        report = uniformity_audit(puzzle, doctored)
+        report = uniformity_report(puzzle, doctored)
         assert not report.passed
         j1 = {fr.family.key: fr for fr in report.families}["dist.j1"]
         assert not j1.passed
-        assert j1.p_value < 1e-9
+        assert j1.p_value < 1e-9 and j1.tvd == 0
 
     def test_single_transcript_is_legal(self):
         puzzle = tiny_puzzle()
-        report = uniformity_audit(puzzle, real_transcripts(puzzle, TINY_SOLUTION, 1))
+        report = uniformity_report(puzzle, real_transcripts(puzzle, TINY_SOLUTION, 1))
         assert report.warnings and "under-powered" in report.warnings[0]
         assert report.passed  # statistics reported but not gating
 
@@ -418,7 +429,7 @@ class TestUniformityAudit:
         t.events.append(("reveal_row", "Z", 9, (HEART,)))
         expected = "event 1: expected mark name=distance_phase kind=enter, saw reveal_row m=Z row=9"
         with pytest.raises(AuditError, match=expected):
-            uniformity_audit(tiny_puzzle(), [t])
+            uniformity_report(tiny_puzzle(), [t])
 
 
 def edit_first(match, new):
@@ -516,32 +527,22 @@ class TestSchemaGuards:
             counts.add(transcripts[-1])
 
     @pytest.mark.parametrize(
-        ("sim_trials", "sim_edit", "expected", "passed"),
+        ("sim_edit", "expected"),
         [
-            (2, same, "warning trial counts differ: 3 real vs 2 simulated", True),
-            (0, same, "note=family missing from simulation", False),
             (
-                3,
                 lambda events: [*events, ("mark", "extra", "exit")],
                 "event 193: expected end of transcript, saw mark name=extra kind=exit",
-                None,
             ),
         ],
-        ids=["trial_counts", "missing_family", "skeleton_length"],
+        ids=["skeleton_length"],
     )
-    def test_report_notes(self, sim_trials, sim_edit, expected, passed):
-        # A report names what it could not check; a simulated transcript
-        # that does not decode stops the audit.
+    def test_report_notes(self, sim_edit, expected):
+        # A simulated transcript that does not decode stops the audit.
         puzzle = tiny_puzzle()
         real = real_transcripts(puzzle, TINY_SOLUTION, 3)
-        sim = doctored(*(sim_edit(t.events) for t in sim_transcripts(puzzle, sim_trials, 100)))
-        if passed is None:
-            with pytest.raises(AuditError, match=expected):
-                indistinguishability_audit(puzzle, real, sim)
-            return
-        report = indistinguishability_audit(puzzle, real, sim)
-        assert expected in report.serialize()
-        assert report.passed is passed
+        sim = doctored(*(sim_edit(t.events) for t in sim_transcripts(puzzle, 3, 100)))
+        with pytest.raises(AuditError, match=expected):
+            report_of(puzzle, real, sim)
 
 
 def doctored(*event_lists):
@@ -815,23 +816,27 @@ class TestIndistinguishability:
     @pytest.mark.parametrize(("ones", "passed"), [(550, True), (551, False)])
     def test_tvd_bound_is_inclusive(self, ones, passed):
         # 550/450 against 500/500 is a TVD of exactly MAX_TVD: it passes.
+        # Every family is uniform on both sides, and both room rows pass the
+        # uniformity check (p = 0.0016 and 0.0013), so only the TVD varies.
         assert audit.MAX_TVD == 0.05
         real, sim = FamilyCounts(tiny_puzzle()), FamilyCounts(tiny_puzzle())
         for counts in (real, sim):
             counts.trials = 1000
-            for counter in counts.counts.values():
-                counter.update({1: 500, 2: 500})
+            for family in counts.layout.families:
+                counts.counts[family.key].update(dict.fromkeys(range(1, family.domain + 1), 500))
         real.counts["room.a.c1"] = Counter({1: ones, 2: 1000 - ones})
-        report = _audit_report(real, sim, uniformity=False)
+        report = _audit_report(real, sim)
         room = {fr.family.key: fr for fr in report.families}["room.a.c1"]
         assert room.tvd == (0.05 if passed else 0.051)
+        assert room.p_value >= audit.ALPHA
         assert (room.passed, report.passed) == (passed, passed)
+        assert all(fr.passed for fr in report.families if fr is not room)
 
     def test_real_vs_simulated_passes(self):
         puzzle = tiny_puzzle()
         real = real_transcripts(puzzle, TINY_SOLUTION, 1500)
         sim = sim_transcripts(puzzle, 1500, base_seed=50_000)
-        report = indistinguishability_audit(puzzle, real, sim)
+        report = report_of(puzzle, real, sim)
         assert report.passed
         assert all(fr.tvd is not None and fr.tvd <= 0.05 for fr in report.families)
 
@@ -852,21 +857,10 @@ class TestIndistinguishability:
             d = Transcript()
             d.events = events
             biased.append(d)
-        report = indistinguishability_audit(puzzle, real, biased)
+        report = report_of(puzzle, real, biased)
         assert not report.passed
         room = {fr.family.key: fr for fr in report.families}["room.a.c1"]
         assert not room.passed and room.tvd > 0.05
-
-    @pytest.mark.parametrize(("real_trials", "sim_trials"), [(1000, 3), (3, 1000)])
-    def test_smaller_side_sets_power(self, real_trials, sim_trials):
-        # Three transcripts on either side are too few to gate the TVD.
-        puzzle = tiny_puzzle()
-        real = real_transcripts(puzzle, TINY_SOLUTION, real_trials)
-        sim = sim_transcripts(puzzle, sim_trials, base_seed=20_000)
-        report = indistinguishability_audit(puzzle, real, sim)
-        assert report.passed
-        assert report.warnings[0].startswith("under-powered: 3 transcripts")
-        assert {fr.note for fr in report.families} == {"not gated: under-powered"}
 
     def test_skeleton_mismatch_reported(self):
         # A simulated transcript off the layout is a structural failure.
@@ -877,7 +871,7 @@ class TestIndistinguishability:
             t.events.insert(0, ("mark", "extra", "enter"))
         expected = "event 1: expected mark name=distance_phase kind=enter, saw mark name=extra"
         with pytest.raises(AuditError, match=expected):
-            indistinguishability_audit(puzzle, real, sim)
+            report_of(puzzle, real, sim)
 
     def test_degenerate_families_auto_pass(self):
         # All rooms size 1: every statistical family is domain 1.
@@ -885,7 +879,7 @@ class TestIndistinguishability:
         solution = Assignment.from_rows([[1]])
         real = real_transcripts(puzzle, solution, 1000)
         sim = sim_transcripts(puzzle, 1000, base_seed=7000)
-        report = indistinguishability_audit(puzzle, real, sim)
+        report = report_of(puzzle, real, sim)
         assert report.passed
 
 
@@ -1169,10 +1163,8 @@ class TestFullAudit:
         [
             lambda: full_audit(tiny_puzzle(), TINY_SOLUTION, trials=0, base_seed=0),
             lambda: full_audit(tiny_puzzle(), TINY_SOLUTION, trials=-5, base_seed=0),
-            lambda: uniformity_audit(tiny_puzzle(), []),
-            lambda: indistinguishability_audit(tiny_puzzle(), [], []),
         ],
-        ids=["full_zero", "full_negative", "uniformity_empty", "indistinguishability_empty"],
+        ids=["full_zero", "full_negative"],
     )
     def test_no_transcripts_fails(self, run):
         report = run()
@@ -1196,7 +1188,7 @@ class TestFullAudit:
             gather_simulated_counts(make_puzzle(["a a", "a a"]), 4, base_seed=4),
         ):
             with pytest.raises(AuditError, match="cannot compare counts of different layouts"):
-                _audit_report(real, sim, uniformity=True)
+                _audit_report(real, sim)
 
 
 # sha256 of AuditReport.serialize() for honest inputs: the domino at 40
@@ -1206,12 +1198,8 @@ class TestFullAudit:
 GOLDEN_REPORTS = {
     ("7x7", "dedupe"): "a098257095aaa1bbd94337f29e7b0cd2f36ce69fe6c10dc8c39287e15e1c819a",
     ("7x7", "full"): "6e1a1add6f27ff7effe2c709de69baf9f144ff4736e9eabe3f097195d86269a2",
-    ("7x7", "indistinguishability"): "83c36bdc485614e7850d7759a3442f98a4d7fce5c8bd39076abce96de8e54442",
-    ("7x7", "uniformity"): "c03e0bd291ce6f8f17e23e305b743cfe12de7da410a94c089dafe62f365d952a",
     ("domino", "dedupe"): "6708237594f3dc98b60ddbd23e6a8d52b6dbe8a7c7cf95de8cfa271cd8e94f57",
     ("domino", "full"): "f7a855a80d13223d55a26f25bc1ba3e18d021d7fa4bc7e39e142ff6bc6f12d33",
-    ("domino", "indistinguishability"): "d8d10498d60dcb9da1969c9eceee283db977969ddcfc8f1db65feff78c78ef12",
-    ("domino", "uniformity"): "a76b2aac3acf38c7a16a9da85a3e88d3ad6cf38d0ffbb9029b49bda322e22670",
 }
 
 
@@ -1224,16 +1212,7 @@ class TestReportBytes:
             puzzle = request.getfixturevalue("sample7x7")
             solution = request.getfixturevalue("sample7x7_solution")
             trials = 4
-        if kind in ("full", "dedupe"):
-            dedupe = kind == "dedupe"
-            report = full_audit(puzzle, solution, trials, base_seed=1, dedupe_directions=dedupe)
-        elif kind == "uniformity":
-            report = uniformity_audit(puzzle, real_transcripts(puzzle, solution, trials, 1))
-        else:
-            report = indistinguishability_audit(
-                puzzle,
-                real_transcripts(puzzle, solution, trials, 1),
-                sim_transcripts(puzzle, trials, 1 + trials),
-            )
+        dedupe = kind == "dedupe"
+        report = full_audit(puzzle, solution, trials, base_seed=1, dedupe_directions=dedupe)
         digest = hashlib.sha256(report.serialize().encode()).hexdigest()
         assert digest == GOLDEN_REPORTS[(shape, kind)]

@@ -389,6 +389,21 @@ def test_unwritable_out_checked_before_work(
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", sorted(OUT_BEFORE_WORK))
+def test_empty_out_is_not_stdout(
+    monkeypatch, capsys, sample7x7_path, sample7x7_solution_path, case
+):
+    # "--out ''" names the path "", which is ".", a directory: not a file to
+    # write, and not the same as giving no --out.
+    template, work = OUT_BEFORE_WORK[case]
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: pytest.fail(f"{work} ran"))
+    argv = [arg.format(solution=sample7x7_solution_path) for arg in template]
+    assert cli.main([*argv, "--puzzle", sample7x7_path, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write : not a writable file path\n"
+
+
 def test_out_check_creates_nothing(tmp_path, capsys):
     out = tmp_path / "solution.txt"
     path = write(tmp_path, "unsat.txt", UNSAT)
