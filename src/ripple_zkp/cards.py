@@ -19,8 +19,8 @@ it is put back. Revealed faces are tuples of CLUB/HEART taken from one
 table keyed by (width, mask) and filled on first use (``faces_of``); the
 simulator builds its reveals from the same table, and every revealed value
 is read off its one-heart index, ``_ONE_HEART`` (by ``Matrix.read_heart``,
-the uniqueness step, the room check and the audit's decoder; ``single_heart``
-raises for a row without exactly one heart). ``serialize`` and ``skeleton`` look
+which raises for a row without exactly one heart, the uniqueness step, the
+room check and the audit's decoder). ``serialize`` and ``skeleton`` look
 each event's line up in a table of their own that renders it on first use,
 and every step's enter and exit marks are one shared pair of tuples (``marks``).
 
@@ -428,9 +428,13 @@ class Matrix:
 
     def read_heart(self, row: int, transcript: Transcript) -> int:
         """Reveal ``row``, read its heart position, then turn the cards face down;
-        a row without exactly one heart raises (``single_heart``), left face up."""
+        a row without exactly one heart raises, left face up."""
         faces = self.reveal_row(row, transcript)
-        j = _ONE_HEART.get(faces) or single_heart(faces, self.id, row)
+        j = _ONE_HEART.get(faces)
+        if j is None:
+            raise MalformedCommitmentError(
+                f"matrix {self.id} row {row}: expected exactly one heart, saw {faces.count(HEART)}"
+            )
         self._face_up = 0
         return j
 
@@ -561,17 +565,6 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource) -> None:
     if rng.trail is not None:
         rng.trail.record("pile_scramble", matrix.id, tuple(perm))
     matrix.permute(perm)
-
-
-def single_heart(faces: tuple, matrix_id: str, row: int) -> int:
-    """1-based heart position, or raise when the count is not exactly one: ``faces``
-    come from ``faces_of``, which enters every one-heart tuple in ``_ONE_HEART``."""
-    j = _ONE_HEART.get(faces)
-    if j is None:
-        raise MalformedCommitmentError(
-            f"matrix {matrix_id} row {row}: expected exactly one heart, saw {faces.count(HEART)}"
-        )
-    return j
 
 
 def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> None:

@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True, help="solution file")
 
     p = add("prove", "run the card protocol and emit its transcript", cmd_prove)
-    one = p.add_mutually_exclusive_group()
+    one = p.add_mutually_exclusive_group(required=True)
     one.add_argument("--solution", help="solution file")
     one.add_argument("--solve-first", action="store_true", help="solve, then prove that solution")
     p.add_argument("--seed", type=_seed, default=0, help="shuffle seed (default 0)")
@@ -153,8 +153,6 @@ def cmd_validate(args, puzzle) -> int:
 
 
 def cmd_prove(args, puzzle) -> int:
-    if not (args.solve_first or args.solution):
-        raise PuzzleFormatError("prove needs --solution or --solve-first")
     assignment = None if args.solve_first else parse_solution(_read(args.solution), puzzle)
     _check_out(args.out)
     if assignment is None:

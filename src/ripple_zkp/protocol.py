@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .cards import (
     _ONE_HEART,
     HEART,
-    AuditTrail,
     MalformedCommitmentError,
     Matrix,
     RandomSource,

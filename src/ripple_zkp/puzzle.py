@@ -15,7 +15,7 @@ forward checking over bitmask domains.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,7 +36,9 @@ DIRECTION_STEPS: dict[str, Cell] = {
 
 
 class PuzzleFormatError(ValueError):
-    """Malformed puzzle or solution text (message carries the line number)."""
+    """Malformed puzzle or solution text. The message carries the line number,
+    except for empty text, a wrong count of content lines or of solution rows,
+    and a room that is not edge-connected."""
 
 
 class Puzzle:
@@ -139,13 +141,28 @@ def _rows(lines: list[tuple[int, list[str]]], n: int, what: str):
         yield lineno, row, tokens
 
 
+def _number(token: str, lineno: int, what: str, top: int | None = None) -> int:
+    """The value of a number token: ASCII digits only, from 1 to ``top`` (no
+    upper bound when None); any other token raises, naming its line."""
+    if not (token.isascii() and token.isdigit()):
+        raise PuzzleFormatError(f"line {lineno}: {what} must be digits 0-9, got {token!r}")
+    try:
+        value = int(token)
+    except ValueError:  # more digits than the interpreter converts
+        raise PuzzleFormatError(f"line {lineno}: {what} is too long ({len(token)} digits)") from None
+    if value < 1 or top is not None and value > top:
+        bound = "positive" if top is None else f"from 1 to {top}"
+        raise PuzzleFormatError(f"line {lineno}: {what} must be {bound}, got {value}")
+    return value
+
+
 def parse_puzzle(text: str) -> Puzzle:
     """Parse the puzzle text format.
 
     Line 1 holds ``m n``; the next m lines hold n room labels each (equal
     labels form one room); the final m lines hold ``.`` for empty cells or a
-    positive integer for fixed cells. Blank lines and ``#`` comments are
-    skipped.
+    clue from 1 to the cell's room size. Numbers are ASCII digits. Blank
+    lines and ``#`` comments are skipped.
     """
     lines = _content_lines(text)
     if not lines:
@@ -153,12 +170,8 @@ def parse_puzzle(text: str) -> Puzzle:
     lineno, header = lines[0]
     if len(header) != 2:
         raise PuzzleFormatError(f"line {lineno}: expected 'm n', got {' '.join(header)!r}")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise PuzzleFormatError(f"line {lineno}: dimensions must be integers") from None
-    if m < 1 or n < 1:
-        raise PuzzleFormatError(f"line {lineno}: dimensions must be positive")
+    m = _number(header[0], lineno, "row count")
+    n = _number(header[1], lineno, "column count")
     if len(lines) != 1 + 2 * m:
         raise PuzzleFormatError(
             f"expected {1 + 2 * m} content lines for a {m}x{n} grid, got {len(lines)}"
@@ -167,32 +180,17 @@ def parse_puzzle(text: str) -> Puzzle:
     room_of: dict[Cell, RoomId] = {}
     for _, r, tokens in _rows(lines[1 : m + 1], n, "room labels"):
         room_of.update(((r, c), label) for c, label in enumerate(tokens, start=1))
+    size = Counter(room_of.values())
 
     fixed: dict[Cell, int] = {}
     for lineno, r, tokens in _rows(lines[m + 1 :], n, "value tokens"):
         for c, token in enumerate(tokens, start=1):
-            if token == ".":
-                continue
-            try:
-                value = int(token)
-            except ValueError:
-                raise PuzzleFormatError(
-                    f"line {lineno}: cell ({r},{c}): expected '.' or integer, got {token!r}"
-                ) from None
-            if value < 1:
-                raise PuzzleFormatError(
-                    f"line {lineno}: cell ({r},{c}): fixed value must be positive"
-                )
-            fixed[(r, c)] = value
+            if token != ".":
+                top = size[room_of[(r, c)]]
+                fixed[(r, c)] = _number(token, lineno, f"cell ({r},{c}): clue", top)
 
     puzzle = Puzzle(rows=m, cols=n, room_of=room_of, fixed=fixed)
     _check_rooms_connected(puzzle)
-    for cell, value in fixed.items():
-        size = puzzle.room_size(puzzle.room_of[cell])
-        if value > size:
-            raise PuzzleFormatError(
-                f"cell {cell}: fixed value {value} exceeds room size {size}"
-            )
     return puzzle
 
 
@@ -215,19 +213,11 @@ def parse_solution(text: str, puzzle: Puzzle) -> Assignment:
     """Parse the solution text format: m lines of n positive integers."""
     lines = _content_lines(text)
     if len(lines) != puzzle.rows:
-        raise PuzzleFormatError(
-            f"expected {puzzle.rows} solution rows, got {len(lines)}"
-        )
-    rows = []
-    for lineno, _, tokens in _rows(lines, puzzle.cols, "values"):
-        try:
-            row = [int(t) for t in tokens]
-        except ValueError:
-            raise PuzzleFormatError(f"line {lineno}: values must be integers") from None
-        if any(v < 1 for v in row):
-            raise PuzzleFormatError(f"line {lineno}: values must be positive")
-        rows.append(row)
-    return Assignment.from_rows(rows)
+        raise PuzzleFormatError(f"expected {puzzle.rows} solution rows, got {len(lines)}")
+    return Assignment(tuple(
+        tuple(_number(token, lineno, "value") for token in tokens)
+        for lineno, _, tokens in _rows(lines, puzzle.cols, "values")
+    ))
 
 
 def validate(puzzle: Puzzle, asg: Assignment) -> list[Violation]:

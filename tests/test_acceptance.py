@@ -13,9 +13,8 @@ from ripple_zkp.audit import (
     simulate_transcript,
     soundness_sweep,
 )
-from ripple_zkp.cards import RandomSource, decode, encode
+from ripple_zkp.cards import AuditTrail, RandomSource, decode, encode
 from ripple_zkp.protocol import (
-    AuditTrail,
     ProverInput,
     card_stats,
     run_protocol,

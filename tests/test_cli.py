@@ -145,8 +145,13 @@ class TestProve:
         assert cli.main(["prove", "--puzzle", path, "--solve-first"]) == 3
 
     def test_requires_solution_source(self, tmp_path, capsys):
-        path = write(tmp_path, "tiny.txt", TINY)
-        assert cli.main(["prove", "--puzzle", path]) == 2
+        missing = str(tmp_path / "missing.txt")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prove", "--puzzle", missing])
+        assert exc.value.code == 2
+        assert "one of the arguments --solution --solve-first is required" in (
+            capsys.readouterr().err
+        )
 
     def test_solution_and_solve_first_exclusive(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, "tiny.txt", TINY)
@@ -335,6 +340,38 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, bad):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# Each slot that holds a number: a puzzle and a solution text with "{token}"
+# in that slot, and the line the token sits on.
+NUMBER_SLOTS = {
+    "header": ("# dimensions\n{token} 2\na a\n. .\n", "1 2\n", 2),
+    "clue": ("1 2\n\na a\n{token} .\n", "1 2\n", 4),
+    "solution": (TINY, "# values\n\n{token} 2\n", 3),
+}
+NUMBER_TOKENS = {"plus": "+1", "underscore": "1_0", "arabic_indic": "\u0661", "5000_digits": "9" * 5000}
+
+
+@pytest.mark.parametrize("token", NUMBER_TOKENS)
+@pytest.mark.parametrize("slot", NUMBER_SLOTS)
+def test_bad_number_token_names_its_line(tmp_path, capsys, slot, token):
+    # Numbers are ASCII digits only; a token past the interpreter's int digit
+    # limit is an input error as well, not a traceback.
+    puzzle, solution, line = NUMBER_SLOTS[slot]
+    paths = []
+    for name, text in (("p.txt", puzzle), ("s.txt", solution)):
+        (tmp_path / name).write_text(text.format(token=NUMBER_TOKENS[token]), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    assert cli.main(["validate", "--puzzle", paths[0], "--solution", paths[1]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1, err[:200]
+
+
+def test_clue_beyond_room_size_names_line_and_cell(tmp_path, capsys):
+    path = write(tmp_path, "clue.txt", "1 2\na a\n3 .\n")
+    assert cli.main(["count", "--puzzle", path]) == 2
+    assert capsys.readouterr().err == "error: line 3: cell (1,1): clue must be from 1 to 2, got 3\n"
 
 
 @pytest.mark.parametrize("command", ["prove", "audit", "validate", "count"])

@@ -11,9 +11,9 @@ from helpers import (
     brute_force_solutions,
     make_puzzle,
 )
-from ripple_zkp import cards
 from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport
 from ripple_zkp.cards import (
+    AuditTrail,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
@@ -26,7 +26,6 @@ from ripple_zkp.protocol import (
     DISTANCE_HEART_FOUND,
     MALFORMED_COMMITMENT,
     ROOM_MULTISET_MISMATCH,
-    AuditTrail,
     Board,
     CardStats,
     ProverInput,
@@ -379,14 +378,13 @@ class TestRunProtocol:
     def test_honest_run_reads_hearts_without_helper_calls(
         self, monkeypatch, sample7x7, sample7x7_solution
     ):
-        # Every heart of an honest run has one position, found by the
-        # _ONE_HEART lookup alone; no matrix is turned down by a call.
+        # Every heart of an honest run is read by Matrix.read_heart, which
+        # turns its row down itself; no matrix is turned down by a call.
         calls = []
 
         def counted(name, fn):
             return lambda *args: calls.append(name) or fn(*args)
 
-        monkeypatch.setattr(cards, "single_heart", counted("single_heart", cards.single_heart))
         monkeypatch.setattr(Matrix, "flip_down", counted("flip_down", Matrix.flip_down))
         verdict, _, _ = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0))
         assert verdict.accepted

@@ -73,23 +73,24 @@ class TestParse:
                 parse_puzzle(text)
 
     def test_fixed_value_beyond_room_size_rejected(self):
-        with pytest.raises(PuzzleFormatError, match="exceeds room size"):
+        message = r"^line 3: cell \(1,1\): clue must be from 1 to 2, got 3$"
+        with pytest.raises(PuzzleFormatError, match=message):
             parse_puzzle("1 2\na a\n3 .\n")
 
     def test_fixed_value_not_positive_rejected(self):
-        for token, message in (("0", "positive"), ("x", "expected '.' or integer")):
+        for token, message in (("0", "from 1 to 2, got 0"), ("x", "must be digits 0-9, got 'x'")):
             with pytest.raises(PuzzleFormatError, match=message):
                 parse_puzzle(f"1 2\na a\n{token} .\n")
 
     def test_bad_header(self):
         for text, message in (
-            ("seven seven\na\n.\n", "integers"),
+            ("seven seven\na\n.\n", "line 1: row count must be digits 0-9, got 'seven'"),
             ("", "empty"),
             ("# only a comment\n", "empty"),
             ("1\na\n.\n", "expected 'm n'"),
             ("1 1 1\na\n.\n", "expected 'm n'"),
-            ("0 1\n", "positive"),
-            ("1 0\na\n.\n", "positive"),
+            ("0 1\n", "line 1: row count must be positive, got 0"),
+            ("1 0\na\n.\n", "line 1: column count must be positive, got 0"),
         ):
             with pytest.raises(PuzzleFormatError, match=message):
                 parse_puzzle(text)
@@ -121,7 +122,10 @@ class TestParseSolution:
             parse_solution(ragged, sample7x7)
 
     def test_nonpositive_rejected(self, sample7x7):
-        for token, message in (("0", "positive"), ("x", "integers")):
+        for token, message in (
+            ("0", "line 7: value must be positive, got 0"),
+            ("x", "line 7: value must be digits 0-9, got 'x'"),
+        ):
             bad = "\n".join("1 1 1 1 1 1 1" for _ in range(6)) + f"\n{token} 1 1 1 1 1 1\n"
             with pytest.raises(PuzzleFormatError, match=message):
                 parse_solution(bad, sample7x7)
