@@ -363,7 +363,8 @@ class Matrix:
         """The n cards of storage column p from row ``row_lo`` down, as a mask."""
         bits = self.piles[p] << len(self.rows) >> (row_lo - 1)
         for i, row in enumerate(self.rows[row_lo - 1:row_lo - 1 + n]):
-            bits |= (row >> p & 1) << i
+            if row >> p & 1:
+                bits |= 1 << i
         return bits & ((1 << n) - 1)
 
     def _order(self) -> list[int]:
@@ -377,7 +378,9 @@ class Matrix:
         if o:
             w = self.n_cols
             full = (1 << w) - 1
-            self.rows = [(row << o | row >> (w - o)) & full for row in self.rows]
+            rows = self.rows
+            for i, row in enumerate(rows):
+                rows[i] = (row << o | row >> (w - o)) & full
             self.piles = self.piles[-o:] + self.piles[:-o]
             self.offset = 0
 
@@ -413,8 +416,9 @@ class Matrix:
         return faces
 
     def reveal_segment(self, col: int, row_lo: int, row_hi: int, transcript: Transcript) -> tuple:
-        n = max(row_hi - row_lo + 1, 0)
-        faces = faces_of(n, self._column((col - 1 - self.offset) % self.n_cols, row_lo, n))
+        n = row_hi - row_lo + 1 if row_hi >= row_lo else 0
+        mask = self._column((col - 1 - self.offset) % self.n_cols, row_lo, n)
+        faces = _FACES.get((n, mask)) or faces_of(n, mask)
         transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
         self._face_up += n
         return faces

@@ -198,9 +198,11 @@ def verify_distance_direction(
     reach = len(grid_cells)
     a0 = cell_seq.pop(cell)
     neighbours = list(map(cell_seq.pop, grid_cells))
-    neighbours += [0] * (k - reach)
+    if reach < k:
+        neighbours += [0] * (k - reach)
     aux = (3 + k - reach) * k
-    board.aux_peak = max(board.aux_peak, aux)
+    if aux > board.aux_peak:
+        board.aux_peak = aux
     enter, leave = CHECK_MARKS(cell, direction)
     events = transcript.events
     events.append(enter)
@@ -210,7 +212,9 @@ def verify_distance_direction(
         return Verdict(False, MALFORMED_COMMITMENT, (cell, direction))
     finally:
         events.append(leave)
-    board.aux_peak = max(board.aux_peak, aux + (k - 1) * (k + 2))
+    aux += (k - 1) * (k + 2)
+    if aux > board.aux_peak:
+        board.aux_peak = aux
     if returned is None:
         return Verdict(False, DISTANCE_HEART_FOUND, (cell, direction))
     cell_seq[cell], piles = returned
@@ -290,7 +294,10 @@ def _distance_direction(
     # Step 12: realign, take a0 back and return the piles to the matrix.
     rearrangement(n, rng, transcript)
     a0 = n.take_row(2)
-    m2.put_segment(j2, [n.take_row(row) for row in range(3, k + 3)])
+    piles = []
+    for row in range(3, k + 3):
+        piles.append(n.take_row(row))
+    m2.put_segment(j2, piles)
 
     # Steps 13-15: hide the seam again, then cut the appended columns off.
     if k > 1:

@@ -67,9 +67,6 @@ class Puzzle:
             grouped.setdefault(self.room_of[cell], []).append(cell)
         return {room: tuple(cells) for room, cells in grouped.items()}
 
-    def room_size(self, room: RoomId) -> int:
-        return len(self.room_cells[room])
-
     @cached_property
     def rays(self) -> dict[tuple[Cell, str], tuple[Cell, ...]]:
         """Per (cell, direction): the next k cells that way, nearest first.

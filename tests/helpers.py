@@ -76,7 +76,7 @@ def brute_force_solutions(puzzle: Puzzle) -> list[Assignment]:
     """
     cells = puzzle.cells
     ranges = [
-        range(1, puzzle.room_size(puzzle.room_of[cell]) + 1) for cell in cells
+        range(1, len(puzzle.room_cells[puzzle.room_of[cell]]) + 1) for cell in cells
     ]
     out = []
     for combo in product(*ranges):

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion prints one pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The zero-knowledge
-criteria share one 10,000-trial audit (a couple of minutes on two cores);
-everything else is seconds.
+criteria share one 10,000-trial audit (its fixture took 33 s on a shared
+2-vCPU VM with Python 3.11); everything else is seconds.
 """
 import pytest
 

@@ -188,7 +188,7 @@ def room_runs(room: str, values: list[int]):
 
 @pytest.mark.parametrize("room", "abcd")
 def test_honest_room_shows_every_permutation_once(room):
-    s = ROOMS.room_size(room)
+    s = len(ROOMS.room_cells[room])
     runs = list(room_runs(room, list(range(1, s + 1))))
     assert all(verdict.accepted for verdict, _ in runs)
     assert Counter(values for _, values in runs) == Counter(permutations(range(1, s + 1)))
@@ -197,13 +197,13 @@ def test_honest_room_shows_every_permutation_once(room):
 @pytest.mark.parametrize("room", "abcd")
 def test_wrong_multiset_rejects_on_every_draw(room):
     runs = list(room_runs(room, WRONG_MULTISET[room]))
-    assert len(runs) == factorial(ROOMS.room_size(room))
+    assert len(runs) == factorial(len(ROOMS.room_cells[room]))
     assert {verdict for verdict, _ in runs} == {Verdict(False, ROOM_MULTISET_MISMATCH, room)}
 
 
 @pytest.mark.parametrize("room", "abcd")
 def test_committed_zero_is_malformed_on_every_draw(room):
-    s = ROOMS.room_size(room)
+    s = len(ROOMS.room_cells[room])
     runs = list(room_runs(room, [0, *range(2, s + 1)]))
     assert len(runs) == factorial(s)
     assert {verdict for verdict, _ in runs} == {Verdict(False, MALFORMED_COMMITMENT, room)}

@@ -13,6 +13,7 @@ from helpers import (
 )
 from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport
 from ripple_zkp.cards import (
+    HEART,
     AuditTrail,
     MalformedCommitmentError,
     Matrix,
@@ -31,6 +32,7 @@ from ripple_zkp.protocol import (
     ProverInput,
     Verdict,
     _blank_block,
+    _distance_direction,
     _uniqueness_on_matrix,
     card_stats,
     distance_checks,
@@ -189,6 +191,28 @@ class TestDistanceDirection:
         removed = audit.of_kind("removed_block")
         assert removed and all(rec[3] == rec[4] for rec in removed)
         assert audit.of_kind("pile_shift")  # shuffle draws stay out of transcripts
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_segment_shows_a_heart_only_within_reach(self, k):
+        # encode(x, k) at neighbour i, blanks elsewhere: the uniqueness
+        # segment lists the selected neighbours in order, so it shows one
+        # heart, at index i - 1, exactly when neighbour i is among the first x.
+        for x in range(1, k + 1):
+            a0 = encode(x, k)
+            for i in range(1, k + 1):
+                neighbours = [0] * k
+                neighbours[i - 1] = a0
+                for seed in range(3):
+                    t = Transcript()
+                    returned = _distance_direction(k, a0, neighbours, RandomSource(seed), t, ())
+                    segment = [ev[5] for ev in t.events if ev[0] == "reveal_segment"][-1]
+                    hearts = [j for j, face in enumerate(segment) if face == HEART]
+                    if i <= x:
+                        assert returned is None
+                        assert hearts == [i - 1], (x, i, seed)
+                    else:
+                        assert returned == (a0, neighbours)
+                        assert hearts == [], (x, i, seed)
 
 
 class TestDistancePhase:

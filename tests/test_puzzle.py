@@ -51,7 +51,7 @@ class TestParse:
     def test_smallest_instance(self):
         puzzle = parse_puzzle("1 1\na\n.\n")
         assert puzzle.rows == puzzle.cols == 1
-        assert puzzle.room_size("a") == 1
+        assert len(puzzle.room_cells["a"]) == 1
         assert puzzle.fixed == {}
 
     def test_disconnected_room_rejected(self):
@@ -347,7 +347,7 @@ class TestSolve:
         # Rule-1 consequence: a clean grid never exceeds its room's size.
         assert validate(sample7x7, sample7x7_solution) == []
         for cell in sample7x7.cells:
-            assert sample7x7_solution[cell] <= sample7x7.room_size(sample7x7.room_of[cell])
+            assert sample7x7_solution[cell] <= len(sample7x7.room_cells[sample7x7.room_of[cell]])
 
 
 def with_random_clues(puzzle, seed):
@@ -356,7 +356,7 @@ def with_random_clues(puzzle, seed):
     fixed = {}
     for cell in puzzle.cells:
         if rng.random() < 1 / 3:
-            fixed[cell] = rng.randint(1, puzzle.room_size(puzzle.room_of[cell]))
+            fixed[cell] = rng.randint(1, len(puzzle.room_cells[puzzle.room_of[cell]]))
     return Puzzle(puzzle.rows, puzzle.cols, puzzle.room_of, fixed)
 
 
