@@ -305,10 +305,18 @@ def get_context(method: str):
     return multiprocessing.get_context(method)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (``taskset`` or a cpuset narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
     """``chunk_fn(*args, chunk)`` per chunk, in chunk order; chunk i is ``jobs[i::n]``.
 
-    n is ``workers`` capped at the job count and the CPU count. Jobs are
+    n is ``workers`` capped at the job count and at ``usable_cpus()``. Jobs are
     dealt, not cut into runs, because their cost varies along the list (a
     mutation caught by an early distance check stops early). One chunk runs
     in this process; several run on a fork worker each, which inherits
@@ -318,7 +326,7 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
     so Ctrl-C reaches this process alone, after every worker is tracked;
     all are killed and reaped before any result or exception leaves.
     """
-    n = max(1, min(workers or 1, len(jobs), os.cpu_count() or 1))
+    n = max(1, min(workers or 1, len(jobs), usable_cpus()))
     chunks = [(*args, jobs[i::n]) for i in range(n)]
     if n == 1:
         return [chunk_fn(*chunks[0])]

@@ -16,7 +16,7 @@ reveal rotates only the one mask it shows. Rows come off one at a time;
 piles move as runs of whole piles over neighbouring columns, one call per
 run (``take_segment``, ``put_segment``), a taken pile being ``None`` until
 it is put back. Revealed faces are tuples of CLUB/HEART taken from one
-table keyed by (width, mask) and filled on first use (``faces_of``); the
+table per width, keyed by mask and filled on first use (``faces_of``); the
 simulator builds its reveals from the same table, and every revealed value
 is read off its one-heart index, ``_ONE_HEART`` (by ``Matrix.read_heart``,
 which raises for a row without exactly one heart, the uniqueness step, the
@@ -43,6 +43,7 @@ Equal seeds yield byte-identical transcripts.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from functools import cache
 
 CLUB = 0
@@ -75,19 +76,21 @@ def mask_of(faces) -> Sequence:
     return sum(1 << i for i, face in enumerate(faces) if face == HEART)
 
 
-# The face table: (width, mask) -> faces, plus the heart position of each
-# face tuple with exactly one heart. Both are filled on first use and hold
-# one entry per distinct pattern revealed (O(width^2) on honest runs, where
-# every revealed row has one heart).
-_FACES: dict[tuple[int, int], tuple[int, ...]] = {}
+# The face table: width -> mask -> faces, so a reveal looks its faces up
+# without building a key, plus the heart position of each face tuple with
+# exactly one heart. Both are filled on first use and hold one entry per
+# distinct pattern revealed (O(width^2) on honest runs, where every
+# revealed row has one heart).
+_FACES: defaultdict[int, dict[int, tuple[int, ...]]] = defaultdict(dict)
 _ONE_HEART: dict[tuple[int, ...], int] = {}
 
 
 def faces_of(width: int, mask: Sequence) -> tuple[int, ...]:
     """The faces of a width-card sequence, left to right."""
-    faces = _FACES.get((width, mask))
+    table = _FACES[width]
+    faces = table.get(mask)
     if faces is None:
-        faces = _FACES[width, mask] = tuple(mask >> i & 1 for i in range(width))
+        faces = table[mask] = tuple(mask >> i & 1 for i in range(width))
         if mask and not mask & (mask - 1):
             _ONE_HEART[faces] = mask.bit_length()
     return faces
@@ -410,7 +413,7 @@ class Matrix:
         o = self.offset
         if o:
             mask = (mask << o | mask >> (w - o)) & ((1 << w) - 1)
-        faces = _FACES.get((w, mask)) or faces_of(w, mask)
+        faces = _FACES[w].get(mask) or faces_of(w, mask)
         transcript.events.append(("reveal_row", self.id, row, faces))
         self._face_up += w
         return faces
@@ -418,7 +421,7 @@ class Matrix:
     def reveal_segment(self, col: int, row_lo: int, row_hi: int, transcript: Transcript) -> tuple:
         n = row_hi - row_lo + 1 if row_hi >= row_lo else 0
         mask = self._column((col - 1 - self.offset) % self.n_cols, row_lo, n)
-        faces = _FACES.get((n, mask)) or faces_of(n, mask)
+        faces = _FACES[n].get(mask) or faces_of(n, mask)
         transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
         self._face_up += n
         return faces
@@ -447,19 +450,25 @@ class Matrix:
         self._face_up = 0
 
     def split_rows(self, top_rows: int, top_id: str, bottom_id: str) -> tuple["Matrix", "Matrix"]:
-        """Divide into a top matrix of ``top_rows`` rows and a bottom matrix."""
+        """Divide into a top matrix of ``top_rows`` rows and a bottom matrix.
+
+        Only the top matrix is new: this matrix keeps the rows below the cut
+        and is returned, renamed ``bottom_id``, as the bottom one.
+        """
         if self._face_up:
             raise _face_up_error(self)
         h, w = len(self.rows), self.n_cols
         if top_rows <= h:
             top = Matrix(top_id, w, self.rows[:top_rows])
-            bottom = Matrix(bottom_id, w, self.rows[top_rows:], self.piles, self.depth)
+            del self.rows[:top_rows]
         else:  # the top rows of the piles move into the top matrix as well
             cut = top_rows - h
             top = Matrix(top_id, w, self.rows + [self._row(r) for r in range(h + 1, top_rows + 1)])
-            bottom = Matrix(bottom_id, w, [], [p >> cut for p in self.piles], self.depth - cut)
-        top.offset = bottom.offset = self.offset
-        return top, bottom
+            self.rows, self.piles = [], [p >> cut for p in self.piles]
+            self.depth -= cut
+        top.offset = self.offset
+        self.id = bottom_id
+        return top, self
 
     def append_columns(self, block: "Matrix") -> None:
         """Put the columns of ``block``, laid out like this matrix, on the right."""

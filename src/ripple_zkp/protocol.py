@@ -6,12 +6,15 @@ from the prover's claimed solution. Verification then runs two phases:
 
 * distance phase: for each cell and direction, in ``distance_checks`` order,
   prove that the cell's value x does not reappear within the first x cells
-  that way, without revealing x. ``verify_distance_direction`` takes the
-  sequences off the grid and puts them back; ``_distance_direction`` runs the
-  paper's steps on their masks alone: it inserts k-1 blank columns after the
-  x-th neighbour under cover of shuffles, selects the k sequences starting at
-  the first neighbour (exactly the x real neighbours plus blanks), and runs
-  the uniqueness subprotocol against the cell's own sequence.
+  that way, without revealing x. The board is one flat list in row-major
+  cell order, and ``ray_slices`` gives each check its cell as an index and
+  its ray as a slice of that list, so ``verify_distance_direction`` takes
+  the sequences off the grid and puts them back by slice;
+  ``_distance_direction`` runs the paper's steps on their masks alone: it
+  inserts k-1 blank columns after the x-th neighbour under cover of
+  shuffles, selects the k sequences starting at the first neighbour
+  (exactly the x real neighbours plus blanks), and runs the uniqueness
+  subprotocol against the cell's own sequence.
 * room phase: per room, scramble the room's sequences and reveal them all;
   read by ``cards._ONE_HEART``, they must be a permutation of 1..size.
 
@@ -75,6 +78,37 @@ def distance_checks(rows: int, cols: int, dedupe_directions: bool) -> tuple[tupl
     return tuple((cell, d) for cell in cells for d in CHECKED_DIRECTIONS[dedupe_directions])
 
 
+# ray_slices' plans by (rows, cols, k), filled on first use.
+_RAY_SLICES: dict[tuple[int, int, int], dict[tuple[Cell, str], tuple[int, slice, int]]] = {}
+
+
+def ray_slices(puzzle: Puzzle) -> dict[tuple[Cell, str], tuple[int, slice, int]]:
+    """Per (cell, direction): ``(index, ray, reach)``, where ``puzzle.cells[index]``
+    is the cell and ``puzzle.cells[ray]`` is its ray, ``Puzzle.rays[cell,
+    direction]``, of ``reach`` cells, nearest first.
+
+    Compiled from ``Puzzle.rays`` on first use and shared by every puzzle of
+    the same shape and k; each slice is checked against the ray it stands for.
+    """
+    key = puzzle.rows, puzzle.cols, max_room_size(puzzle)
+    plan = _RAY_SLICES.get(key)
+    if plan is None:
+        cells, plan = puzzle.cells, {}
+        index = {cell: i for i, cell in enumerate(cells)}
+        for (cell, direction), ray in puzzle.rays.items():
+            i, at = index[cell], [index[c] for c in ray]
+            if at:
+                step = at[1] - at[0] if len(at) > 1 else 1
+                stop = at[-1] + step
+                ray_slice = slice(at[0], stop if stop >= 0 else None, step)
+            else:
+                ray_slice = slice(i, i)
+            assert cells[ray_slice] == ray, (cell, direction)
+            plan[cell, direction] = i, ray_slice, len(ray)
+        _RAY_SLICES[key] = plan
+    return plan
+
+
 class Verdict(NamedTuple):
     """Protocol outcome; a reject names the reason and where it happened."""
 
@@ -118,13 +152,20 @@ class ProverInput(NamedTuple):
 
 class Board:
     """Face-down commitments on the grid plus the auxiliary card peak, which
-    ``verify_distance_direction`` raises from hand formulas, not a live count."""
+    ``verify_distance_direction`` raises from hand formulas, not a live count.
 
-    def __init__(self, puzzle: Puzzle, k: int, cell_seq: dict[Cell, Sequence], aux_peak: int = 0):
+    ``cell_seq`` is one flat list, a sequence per cell in ``puzzle.cells``
+    (row-major) order, ``None`` where a check has taken the cards off.
+    ``ray_slices`` is ``ray_slices(puzzle)``: a distance check finds its
+    cell's spot and its ray of neighbours there as an index and a slice.
+    """
+
+    def __init__(self, puzzle: Puzzle, k: int, cell_seq: list[Sequence | None], aux_peak: int = 0):
         self.puzzle = puzzle
         self.k = k
         self.cell_seq = cell_seq
         self.aux_peak = aux_peak
+        self.ray_slices = ray_slices(puzzle)
 
 
 class ProtocolResult(NamedTuple):
@@ -143,7 +184,7 @@ def setup(puzzle: Puzzle, prover: ProverInput) -> Board:
     if prover.honest and validate(puzzle, prover.assignment):
         raise ValueError("honest prover requires a rule-satisfying assignment")
     k = max_room_size(puzzle)
-    cell_seq: dict[Cell, Sequence] = {}
+    cell_seq: list[Sequence | None] = []
     for cell in puzzle.cells:
         value = puzzle.fixed.get(cell)
         if value is None:
@@ -152,7 +193,7 @@ def setup(puzzle: Puzzle, prover: ProverInput) -> Board:
             raise MalformedCommitmentError(
                 f"value {value} at cell {cell} cannot be encoded with {k} cards"
             )
-        cell_seq[cell] = encode(value, k)
+        cell_seq.append(encode(value, k))
     return Board(puzzle=puzzle, k=k, cell_seq=cell_seq)
 
 
@@ -187,17 +228,20 @@ def verify_distance_direction(
     """One distance check: cell's value x must not recur within x steps that way.
 
     Takes the cell's sequence and its k neighbours that way off the board,
-    padded with public all-club sequences past the edge, for
+    at the index and slice ``board.ray_slices`` gives, leaving ``None`` in
+    their spots; pads them with public all-club sequences past the edge for
     ``_distance_direction``; on accept every sequence goes back on its cell,
-    still face-down. Every check starts with no auxiliary card out, so the
-    peak rises to 3k + pad*k (public rows and padding) before the first
-    draw, and by (k-1)(k+2) for step 7's blank block unless step 2 raised.
+    still face-down, and on reject the cards stay off. Every check starts
+    with no auxiliary card out, so the peak rises to 3k + pad*k (public rows
+    and padding) before the first draw, and by (k-1)(k+2) for step 7's blank
+    block unless step 2 raised.
     """
-    k, cell_seq = board.k, board.cell_seq
-    grid_cells = board.puzzle.rays[cell, direction]
-    reach = len(grid_cells)
-    a0 = cell_seq.pop(cell)
-    neighbours = list(map(cell_seq.pop, grid_cells))
+    k, seqs = board.k, board.cell_seq
+    i, ray, reach = board.ray_slices[cell, direction]
+    a0 = seqs[i]
+    neighbours = seqs[ray]
+    seqs[i] = None
+    seqs[ray] = [None] * reach
     if reach < k:
         neighbours += [0] * (k - reach)
     aux = (3 + k - reach) * k
@@ -217,11 +261,11 @@ def verify_distance_direction(
         board.aux_peak = aux
     if returned is None:
         return Verdict(False, DISTANCE_HEART_FOUND, (cell, direction))
-    cell_seq[cell], piles = returned
-    cell_seq.update(zip(grid_cells, piles))
+    seqs[i], piles = returned
+    seqs[ray] = piles[:reach]
     if rng.trail is not None:
-        back = [cell_seq[c] for c in (cell, *grid_cells)] + piles[reach:]
-        values = [tuple(map(decode, seqs)) for seqs in ([a0, *neighbours], back)]
+        back = [seqs[i], *seqs[ray], *piles[reach:]]
+        values = [tuple(map(decode, side)) for side in ([a0, *neighbours], back)]
         rng.trail.record("restore", cell, direction, *values)
     return ACCEPT
 
@@ -355,12 +399,17 @@ def verify_room(
     Columns are read by ``cards._ONE_HEART``; one without exactly one heart
     is malformed. The cards are consumed: the room phase ends the run.
     """
+    cols, seqs = board.puzzle.cols, board.cell_seq
     cells = board.puzzle.room_cells[room]
     matrix_id, enter, leave = ROOM_STEP(room)
     events = transcript.events
     events.append(enter)
     try:
-        piles = [board.cell_seq.pop(c) for c in cells]
+        piles = []
+        for r, c in cells:
+            spot = (r - 1) * cols + c - 1
+            piles.append(seqs[spot])
+            seqs[spot] = None
         matrix = Matrix(matrix_id, len(cells), piles=piles, depth=board.k)
         pile_scramble_shuffle(matrix, rng)
         values = list(map(_ONE_HEART.get, matrix.reveal_all(transcript)))
@@ -389,7 +438,7 @@ def run_protocol(
     try:
         board = setup(puzzle, prover)
     except MalformedCommitmentError:
-        board = Board(puzzle, max_room_size(puzzle), {})
+        board = Board(puzzle, max_room_size(puzzle), [None] * len(puzzle.cells))
         verdict = Verdict(False, MALFORMED_COMMITMENT, "setup")
     else:
         verdict = verify_distance_phase(board, rng, transcript, dedupe_directions)

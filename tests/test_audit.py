@@ -772,14 +772,19 @@ class TestLayouts:
 
         monkeypatch.setattr(Transcript, "skeleton", no_render)
         assert [audit_bytes(dedupe) for dedupe in (False, True)] == expected
-        tables = (cards._FACES, cards._ONE_HEART, cards._SERIALIZE_LINES)
-        sizes = [len(table) for table in tables]
+        tables = (cards._ONE_HEART, cards._SERIALIZE_LINES)
+
+        def table_sizes():
+            # _FACES holds one table per width: a new mask at a known width counts.
+            return [sum(map(len, cards._FACES.values())), *map(len, tables)]
+
+        sizes = table_sizes()
         novel = [("reveal_row", "Z", 9, (HEART,) + (0,) * 12), ("shift", "Z", 99)]
         for events in (novel, novel[1:]):
             with pytest.raises(AuditError, match="event 1: expected mark name=distance_phase"):
                 FamilyCounts(sample7x7, transcripts=doctored(events))
         assert view._layout.cache_info().currsize == layouts
-        assert [len(table) for table in tables] == sizes
+        assert table_sizes() == sizes
 
     def test_several_layouts_cached(self, sample7x7, sample7x7_solution):
         boards = [
@@ -1087,14 +1092,27 @@ class TestGathering:
         # At most one worker per CPU and per job; one worker runs in-process.
         context = FakeForkContext()
         monkeypatch.setattr(audit, "get_context", context)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(audit, "usable_cpus", lambda: 4)
         gather_simulated_counts(tiny_puzzle(), trials, base_seed=0, workers=workers)
         assert context.pool_sizes == pool_sizes
+
+    def test_usable_cpus_follow_affinity(self, monkeypatch):
+        # A process pinned to fewer CPUs than the machine has (taskset, a
+        # cpuset) gets that many workers; without affinity, the CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert audit.usable_cpus() == 2
+        context = FakeForkContext()
+        monkeypatch.setattr(audit, "get_context", context)
+        gather_simulated_counts(tiny_puzzle(), 10, base_seed=0, workers=8)
+        assert context.pool_sizes == [2]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert audit.usable_cpus() == 8
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         # A chunk's exception is raised here, the first chunk's first; a
         # worker that dies without sending is an EOFError, not a hang.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(audit, "usable_cpus", lambda: 2)
 
         def fail(chunk):
             raise ValueError(f"chunk {chunk}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ripple_zkp import cli
-from ripple_zkp.audit import AuditReport
+from ripple_zkp.audit import AuditReport, usable_cpus
 from ripple_zkp.puzzle import parse_puzzle, parse_solution, validate
 
 UNSAT = "1 2\na a\n1 1\n"
@@ -576,7 +576,7 @@ def interrupt_audit(sample7x7_path: str, poll: float | None):
 
 
 # Fork workers start where there are two CPUs and the kernel lists children.
-FORKS = (os.cpu_count() or 1) > 1 and child_pids(os.getpid()) is not None
+FORKS = usable_cpus() > 1 and child_pids(os.getpid()) is not None
 
 
 def test_interrupted_audit_exits_130(sample7x7_path):

@@ -179,7 +179,10 @@ def room_runs(room: str, values: list[int]):
     committed to ``values``, on every draw tuple of its permutation."""
     cells = ROOMS.room_cells[room]
     for draws in product(*(range(i) for i in range(len(cells), 1, -1))):
-        board = Board(ROOMS, 4, {cell: encode(v, 4) for cell, v in zip(cells, values)})
+        seqs = [None] * len(ROOMS.cells)
+        for cell, v in zip(cells, values):
+            seqs[ROOMS.cells.index(cell)] = encode(v, 4)
+        board = Board(ROOMS, 4, seqs)
         t = Transcript()
         verdict = verify_room(board, room, ReplaySource(draws), t)
         (cols,) = [ev[2] for ev in t.events if ev[0] == "reveal_all"]

@@ -36,6 +36,7 @@ from ripple_zkp.protocol import (
     _uniqueness_on_matrix,
     card_stats,
     distance_checks,
+    ray_slices,
     run_protocol,
     setup,
     verify_distance_direction,
@@ -51,13 +52,13 @@ class TestSetup:
         board = setup(sample7x7, ProverInput(sample7x7_solution))
         assert board.k == 6
         assert len(board.cell_seq) == 49
-        assert all(decode(seq) in range(1, 7) for seq in board.cell_seq.values())
-        assert board.cell_seq[(1, 1)] == encode(2, 6)
+        assert all(decode(seq) in range(1, 7) for seq in board.cell_seq)
+        assert board.cell_seq[0] == encode(2, 6)  # cell (1,1)
 
     def test_single_cell_board(self):
         puzzle = make_puzzle(["a"])
         board = setup(puzzle, ProverInput(Assignment.from_rows([[1]])))
-        assert board.cell_seq[(1, 1)] == encode(1, 1)
+        assert board.cell_seq[0] == encode(1, 1)  # cell (1,1)
 
     def test_unencodable_value_rejected(self, sample7x7, sample7x7_solution):
         bad = sample7x7_solution.with_value((1, 1), 7)
@@ -75,7 +76,7 @@ class TestSetup:
         # (2,3) is a clue cell with value 2: the prover cannot override it.
         lying = sample7x7_solution.with_value((2, 3), 1)
         board = setup(sample7x7, ProverInput(lying, honest=False))
-        assert decode(board.cell_seq[(2, 3)]) == 2
+        assert decode(board.cell_seq[sample7x7.cells.index((2, 3))]) == 2
 
 
 def unique(s0, others, width, seed=0) -> bool:
@@ -142,21 +143,21 @@ class TestDistanceDirection:
 
     def test_sequences_restored_unrevealed(self, sample7x7, sample7x7_solution):
         board = setup(sample7x7, ProverInput(sample7x7_solution))
-        before = {cell: decode(seq) for cell, seq in board.cell_seq.items()}
+        before = list(map(decode, board.cell_seq))
         rng = RandomSource(23)
         for direction in ("right", "left", "up", "down"):
             verdict = verify_distance_direction(
                 board, (4, 4), direction, rng, Transcript()
             )
             assert verdict.accepted
-        after = {cell: decode(seq) for cell, seq in board.cell_seq.items()}
+        after = list(map(decode, board.cell_seq))
         assert after == before
 
     def test_zero_value_commitment_caught(self):
         puzzle = make_puzzle(["a a"])
         asg = Assignment.from_rows([[1, 2]])
         board = setup(puzzle, ProverInput(asg))
-        board.cell_seq[(1, 1)] = encode(0, 2)
+        board.cell_seq[0] = encode(0, 2)  # cell (1,1)
         verdict = verify_distance_direction(
             board, (1, 1), "right", RandomSource(0), Transcript()
         )
@@ -166,7 +167,7 @@ class TestDistanceDirection:
     def test_double_heart_commitment_caught(self):
         puzzle = make_puzzle(["a a"])
         board = setup(puzzle, ProverInput(Assignment.from_rows([[1, 2]])))
-        board.cell_seq[(1, 1)] = encode(1, 2) | encode(2, 2)  # [H, H]
+        board.cell_seq[0] = encode(1, 2) | encode(2, 2)  # cell (1,1): [H, H]
         verdict = verify_distance_direction(
             board, (1, 1), "right", RandomSource(0), Transcript()
         )
@@ -213,6 +214,64 @@ class TestDistanceDirection:
                     else:
                         assert returned == (a0, neighbours)
                         assert hearts == [], (x, i, seed)
+
+
+# Boards whose rays are empty, cut by the edge or run to it, at every k from
+# 1 to the cell count: strips, columns and every room partition of small grids.
+RAY_SHAPES = [(1, n) for n in range(1, 7)] + [(n, 1) for n in range(2, 6)] + [
+    (2, 2), (2, 3), (3, 2), (3, 3)
+]
+
+
+class TestRaySlices:
+    def test_slices_are_the_rays(self, sample7x7):
+        ks = {}
+        partitions = [p for shape in RAY_SHAPES for p in all_room_partitions(*shape)]
+        for puzzle in [sample7x7, *partitions]:
+            plan = ray_slices(puzzle)
+            assert plan.keys() == puzzle.rays.keys()
+            for (cell, direction), (i, ray, reach) in plan.items():
+                assert puzzle.cells[i] == cell
+                assert puzzle.cells[ray] == puzzle.rays[cell, direction]
+                assert reach == len(puzzle.rays[cell, direction])
+            ks.setdefault((puzzle.rows, puzzle.cols), set()).add(max_room_size(puzzle))
+        for rows, cols in RAY_SHAPES:
+            assert ks[rows, cols] == set(range(1, rows * cols + 1))
+
+    def test_accepting_checks_put_every_sequence_back(self, sample7x7, sample7x7_solution):
+        board = setup(sample7x7, ProverInput(sample7x7_solution))
+        before = list(board.cell_seq)
+        rng = RandomSource(3)
+        for cell, direction in distance_checks(7, 7, False):
+            assert verify_distance_direction(board, cell, direction, rng, Transcript()).accepted
+            assert board.cell_seq == before, (cell, direction)
+
+    @pytest.mark.parametrize(
+        ("cell", "direction", "planted", "mask", "reason"),
+        [
+            # (1,1) holds 2: a 2 two cells right, on a ray that runs to the edge.
+            ((1, 1), "right", (1, 3), encode(2, 6), DISTANCE_HEART_FOUND),
+            # (2,3) holds 2: a 2 at the end of a ray cut short by the edge.
+            ((2, 3), "left", (2, 1), encode(2, 6), DISTANCE_HEART_FOUND),
+            # (5,7) holds 6: a 6 at the top of a four-cell ray up.
+            ((5, 7), "up", (1, 7), encode(6, 6), DISTANCE_HEART_FOUND),
+            # A blank cell on an empty ray, and a two-heart one mid-grid.
+            ((1, 1), "up", (1, 1), encode(0, 6), MALFORMED_COMMITMENT),
+            ((4, 4), "down", (4, 4), encode(1, 6) | encode(2, 6), MALFORMED_COMMITMENT),
+        ],
+    )
+    def test_rejected_check_leaves_its_cards_off(
+        self, sample7x7, sample7x7_solution, cell, direction, planted, mask, reason
+    ):
+        cells = sample7x7.cells
+        board = setup(sample7x7, ProverInput(sample7x7_solution))
+        board.cell_seq[cells.index(planted)] = mask
+        before = list(board.cell_seq)
+        verdict = verify_distance_direction(board, cell, direction, RandomSource(0), Transcript())
+        assert verdict == Verdict(False, reason, (cell, direction))
+        off = {cells.index(c) for c in (cell, *sample7x7.rays[cell, direction])}
+        assert [i for i, seq in enumerate(board.cell_seq) if seq is None] == sorted(off)
+        assert all(board.cell_seq[i] == before[i] for i in range(len(cells)) if i not in off)
 
 
 class TestDistancePhase:
@@ -298,7 +357,7 @@ class TestRoom:
         )
         board.k = k
         for idx, value in enumerate(committed):
-            board.cell_seq[(1, idx + 1)] = encode(value, k)
+            board.cell_seq[idx] = encode(value, k)
         return puzzle, board
 
     def test_permutation_accepts(self):
@@ -324,7 +383,7 @@ class TestRoom:
 
     def test_malformed_column(self):
         puzzle, board = self._board([1, 2])
-        board.cell_seq[(1, 2)] = encode(1, 6) | encode(2, 6)  # [H, H, C, C, C, C]
+        board.cell_seq[1] = encode(1, 6) | encode(2, 6)  # cell (1,2): [H, H, C, C, C, C]
         verdict = verify_room(board, "a", RandomSource(0), Transcript())
         assert not verdict.accepted
         assert verdict.reason == MALFORMED_COMMITMENT
@@ -341,7 +400,7 @@ class TestRoom:
     def test_cards_consumed(self):
         puzzle, board = self._board([2, 1])
         verify_room(board, "a", RandomSource(0), Transcript())
-        assert board.cell_seq == {}
+        assert board.cell_seq == [None, None]
 
 
 class TestRunProtocol:
@@ -698,7 +757,7 @@ class TestRejectPaths:
 # "identity": each equals only itself). Only Board's fields can be assigned.
 RECORDS = {
     "Puzzle": (lambda: make_puzzle(["a"]), "rows", "identity"),
-    "Board": (lambda: Board(make_puzzle(["a"]), 1, {}), "aux_peak", "identity"),
+    "Board": (lambda: Board(make_puzzle(["a"]), 1, [None]), "aux_peak", "identity"),
     "Assignment": (lambda: Assignment.from_rows([[1]]), "values", "value"),
     "RevealFamily": (lambda: RevealFamily("dist.j1", "heart", 6), "domain", "value"),
     "Verdict": (lambda: Verdict(True), "accepted", "value"),
