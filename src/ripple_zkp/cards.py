@@ -10,19 +10,23 @@ commitment, exactly as a face sequence with two hearts would be.
 
 A Matrix of face-down cards is a stack of row masks (sequences laid left to
 right) over piles (sequences stacked top to bottom, one mask per column),
-plus one rotation offset applied lazily: the pile-shifting shuffle of
-Nishimura et al. and the public shifts are a modular add to the offset, and a
-reveal rotates only the one mask it shows. Rows come off one at a time;
-piles move as runs of whole piles over neighbouring columns, one call per
-run (``take_segment``, ``put_segment``), a taken pile being ``None`` until
-it is put back. Revealed faces are tuples of CLUB/HEART taken from one
-table per width, keyed by mask and filled on first use (``faces_of``); the
-simulator builds its reveals from the same table, and every revealed value
-is read off its one-heart index, ``_ONE_HEART`` (by ``Matrix.read_heart``,
-which raises for a row without exactly one heart, the uniqueness step, the
-room check and the audit's decoder). ``serialize`` and ``skeleton`` look
-each event's line up in a table of their own that renders it on first use,
-and every step's enter and exit marks are one shared pair of tuples (``marks``).
+plus one rotation offset kept as an index, never applied to the cards: the
+pile-shifting shuffle of Nishimura et al. and the public shifts are a
+modular add to the offset, a row reveal looks its stored mask up under the
+offset, and cutting columns out or moving piles reads storage at the offset
+in at most two runs. Rows come off one at a time; piles move as runs of
+whole piles over neighbouring columns, one call per run (``take_segment``,
+``put_segment``), a taken pile being ``None`` until it is put back, and a
+move that raises moves nothing. Revealed faces are tuples of CLUB/HEART
+taken from one table keyed by width, offset and stored mask, filled on
+first use; every tuple in it is made by ``faces_of``, which reads the
+offset-0 layer, and the simulator builds its reveals from the same table.
+Every revealed value is read off its one-heart index, ``_ONE_HEART`` (by
+``Matrix.read_heart``, which raises for a row without exactly one heart, the
+uniqueness step, the room check and the audit's decoder). ``serialize`` and
+``skeleton`` look each event's line up in a table of their own that renders
+it on first use, and every step's enter and exit marks are one shared pair of
+tuples (``marks``).
 
 Every verifier-observable action is appended to a Transcript; hidden shuffle
 draws go only to the AuditTrail a RandomSource may carry, so tests can check
@@ -76,23 +80,36 @@ def mask_of(faces) -> Sequence:
     return sum(1 << i for i, face in enumerate(faces) if face == HEART)
 
 
-# The face table: width -> mask -> faces, so a reveal looks its faces up
-# without building a key, plus the heart position of each face tuple with
-# exactly one heart. Both are filled on first use and hold one entry per
-# distinct pattern revealed (O(width^2) on honest runs, where every
-# revealed row has one heart).
-_FACES: defaultdict[int, dict[int, tuple[int, ...]]] = defaultdict(dict)
+# The face table: width -> offset -> stored mask -> the faces shown, so a
+# row reveal looks its faces up under its matrix's offset without rotating
+# the mask or building a key. Layer 0 holds each mask's own faces; the
+# layer of offset o holds the faces of the mask rotated o columns right.
+# _ONE_HEART gives the heart position of each face tuple with exactly one
+# heart. Both are filled on first use and hold one entry per distinct
+# pattern revealed: on honest runs every revealed row has one heart, so a
+# layer holds at most width of them, and a uniqueness segment adds its
+# blank to layer 0.
+_FACES: defaultdict[int, defaultdict[int, dict[int, tuple[int, ...]]]] = defaultdict(
+    lambda: defaultdict(dict)
+)
 _ONE_HEART: dict[tuple[int, ...], int] = {}
 
 
 def faces_of(width: int, mask: Sequence) -> tuple[int, ...]:
     """The faces of a width-card sequence, left to right."""
-    table = _FACES[width]
+    table = _FACES[width][0]
     faces = table.get(mask)
     if faces is None:
         faces = table[mask] = tuple(mask >> i & 1 for i in range(width))
         if mask and not mask & (mask - 1):
             _ONE_HEART[faces] = mask.bit_length()
+    return faces
+
+
+def _shown_faces(width: int, offset: int, mask: Sequence) -> tuple[int, ...]:
+    """The faces a stored mask shows under ``offset``, stored in its layer of ``_FACES``."""
+    shown = (mask << offset | mask >> (width - offset)) & ((1 << width) - 1)
+    faces = _FACES[width][offset][mask] = faces_of(width, shown)
     return faces
 
 
@@ -319,13 +336,16 @@ class Matrix:
     ``len(rows)`` rows are row masks, bit p for storage column p; the
     ``depth`` rows below them are piles, one mask per storage column with
     bit 0 for the pile's top card. Visible column j shows storage column
-    (j - 1 - offset) mod n_cols, so a rotation only moves ``offset``. Rows
-    are taken out whole (``take_row``), and runs of whole piles over
-    neighbouring columns are taken and put back in one call each
-    (``take_segment``/``put_segment``); a taken pile is ``None`` in
-    ``piles``, and reading it fails until it is back. Cards are readable
-    only through the reveal methods, which log what was shown; the lists
-    passed in are taken over, not copied.
+    (j - 1 - offset) mod n_cols, so a rotation only moves ``offset``, and a
+    row reveal, a column cut and a pile move read storage at the offset
+    without rotating it. A visible run of columns is one storage run that
+    wraps past the last storage column at most once. Rows are taken out
+    whole (``take_row``), and runs of whole piles over neighbouring columns
+    are taken and put back in one call each (``take_segment``/
+    ``put_segment``); a taken pile is ``None`` in ``piles``, and reading it
+    fails until it is back. Cards are readable only through the reveal
+    methods, which log what was shown; the lists passed in are taken over,
+    not copied.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -411,9 +431,7 @@ class Matrix:
         w = self.n_cols
         mask = self.rows[row - 1] if row <= len(self.rows) else self._row(row)
         o = self.offset
-        if o:
-            mask = (mask << o | mask >> (w - o)) & ((1 << w) - 1)
-        faces = _FACES[w].get(mask) or faces_of(w, mask)
+        faces = _FACES[w][o].get(mask) or _shown_faces(w, o, mask)
         transcript.events.append(("reveal_row", self.id, row, faces))
         self._face_up += w
         return faces
@@ -421,7 +439,7 @@ class Matrix:
     def reveal_segment(self, col: int, row_lo: int, row_hi: int, transcript: Transcript) -> tuple:
         n = row_hi - row_lo + 1 if row_hi >= row_lo else 0
         mask = self._column((col - 1 - self.offset) % self.n_cols, row_lo, n)
-        faces = _FACES[n].get(mask) or faces_of(n, mask)
+        faces = _FACES[n][0].get(mask) or faces_of(n, mask)
         transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
         self._face_up += n
         return faces
@@ -489,21 +507,37 @@ class Matrix:
         self.n_cols += n
 
     def remove_columns(self, col_lo: int, col_hi: int) -> "Matrix":
-        """Remove columns col_lo..col_hi (1-based, inclusive) and return them as a matrix."""
+        """Remove columns col_lo..col_hi (1-based, inclusive) and return them as a matrix.
+
+        The returned matrix lays the columns out in visible order with offset 0.
+        """
         if self._face_up:
             raise _face_up_error(self)
-        if self.offset:
-            self._normalize()
-        lo, hi = col_lo - 1, col_hi
-        n = hi - lo
-        rows, cut, keep = self.rows, [], (1 << lo) - 1
-        for i, row in enumerate(rows):
-            cut.append(row >> lo & ((1 << n) - 1))
-            rows[i] = row & keep | row >> hi << lo
-        block = Matrix(self.id, n, cut, self.piles[lo:hi], self.depth)
-        del self.piles[lo:hi]
-        self.n_cols -= n
-        return block
+        w, n = self.n_cols, col_hi - col_lo + 1
+        s = (col_lo - 1 - self.offset) % w  # storage column of col_lo
+        e = s + n - w  # storage columns 0..e-1 end the run when it wraps
+        rows, piles, cut = self.rows, self.piles, []
+        if e > 0:
+            low, keep = (1 << e) - 1, (1 << (s - e)) - 1
+            for i, row in enumerate(rows):
+                cut.append(row >> s | (row & low) << (w - s))
+                rows[i] = row >> e & keep
+            block = piles[s:] + piles[:e]
+            self.piles = piles[e:s]
+            after = 0
+        else:
+            span, keep = (1 << n) - 1, (1 << s) - 1
+            for i, row in enumerate(rows):
+                cut.append(row >> s & span)
+                rows[i] = row & keep | row >> (s + n) << s
+            block = piles[s:s + n]
+            del piles[s:s + n]
+            after = s
+        # The column shown after col_hi sits at storage column ``after`` and
+        # is now shown at col_lo.
+        self.n_cols = w = w - n
+        self.offset = (col_lo - 1 - after) % w if w else 0
+        return Matrix(self.id, n, cut, block, self.depth)
 
     def take_row(self, row: int) -> Sequence:
         """Physically remove one laid-out row of cards, as a mask in visible order."""
@@ -518,32 +552,42 @@ class Matrix:
     def take_segment(self, col: int, count: int) -> list[Sequence]:
         """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
-        The run wraps past the last column. Each pile taken leaves ``None``,
-        and a spot that is already ``None`` raises, so no card is made up.
+        The run wraps past the last column. Each pile taken leaves ``None``.
+        A spot that is already ``None``, or a count above the width, raises
+        before any pile moves, so no card is made up or lost.
         """
-        w, p, piles = self.n_cols, col - 1 - self.offset, self.piles
-        taken = []
-        for q in range(p, p + count):
-            q %= w
-            if piles[q] is None:
-                raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
-            taken.append(piles[q])
-            piles[q] = None
+        w, piles = self.n_cols, self.piles
+        p = (col - 1 - self.offset) % w
+        e = p + count - w  # storage columns 0..e-1 end the run when it wraps
+        taken = piles[p:] + piles[:e] if e > 0 else piles[p:p + count]
+        if count > w or None in taken:
+            raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
+        if e > 0:
+            piles[p:] = [None] * (w - p)
+            piles[:e] = [None] * e
+        else:
+            piles[p:p + count] = [None] * count
         return taken
 
     def put_segment(self, col: int, piles: list[Sequence]) -> None:
         """Fill the gaps from ``col`` rightwards with ``piles``, wrapping as ``take_segment`` does.
 
-        A spot that is not ``None`` raises, as does a pile deeper than ``depth``.
+        A spot that is not ``None``, a run longer than the width, or a pile
+        deeper than ``depth`` raises before any pile moves.
         """
-        w, p, depth, own = self.n_cols, col - 1 - self.offset, self.depth, self.piles
-        for q, cards in enumerate(piles, p):
-            q %= w
-            if own[q] is not None:
-                raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
-            if cards >> depth:
-                raise ValueError(f"matrix {self.id}: pile deeper than {depth} cards")
-            own[q] = cards
+        w, own, count = self.n_cols, self.piles, len(piles)
+        p = (col - 1 - self.offset) % w
+        e = p + count - w  # storage columns 0..e-1 end the run when it wraps
+        spots = own[p:] + own[:e] if e > 0 else own[p:p + count]
+        if count > w or spots.count(None) != count:
+            raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
+        if max(piles, default=0) >> self.depth:
+            raise ValueError(f"matrix {self.id}: pile deeper than {self.depth} cards")
+        if e > 0:
+            own[p:] = piles[:w - p]
+            own[:e] = piles[w - p:]
+        else:
+            own[p:p + count] = piles
 
     def pile_masks(self) -> list[Sequence]:
         """Private peek at the piles, left to right; not an observable event."""

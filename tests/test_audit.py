@@ -775,8 +775,10 @@ class TestLayouts:
         tables = (cards._ONE_HEART, cards._SERIALIZE_LINES)
 
         def table_sizes():
-            # _FACES holds one table per width: a new mask at a known width counts.
-            return [sum(map(len, cards._FACES.values())), *map(len, tables)]
+            # _FACES holds one layer per width and offset: a new mask in any
+            # layer counts.
+            layers = [layer for by_offset in cards._FACES.values() for layer in by_offset.values()]
+            return [sum(map(len, layers)), *map(len, tables)]
 
         sizes = table_sizes()
         novel = [("reveal_row", "Z", 9, (HEART,) + (0,) * 12), ("shift", "Z", 99)]

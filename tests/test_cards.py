@@ -411,6 +411,50 @@ class TestMatrixState:
         m.put_segment(1, [0b1])
         assert m.snapshot() == (0b1,)
 
+    def test_failed_take_from_a_gap_moves_nothing(self):
+        m = Matrix("X", 4, [], [1, 2, None, 4], 3)
+        with pytest.raises(RuntimeError, match="empty spots"):
+            m.take_segment(1, 4)
+        assert m.piles == [1, 2, None, 4]
+        m.put_segment(3, [0b100])
+        assert m.snapshot() == (1, 2, 4, 4)
+
+    def test_failed_moves_past_the_width_move_nothing(self):
+        m = Matrix("X", 3, [0b001], [1, 2, 3], 2)
+        m.rotate(2)
+        before = m.snapshot()
+        with pytest.raises(RuntimeError, match="empty spots"):
+            m.take_segment(2, 4)
+        assert m.piles == [1, 2, 3] and m.snapshot() == before
+        run = m.take_segment(2, 3)
+        with pytest.raises(RuntimeError, match="occupied"):
+            m.put_segment(2, [*run, 0])
+        assert m.piles == [None, None, None]
+        m.put_segment(2, run)
+        assert m.snapshot() == before
+
+    def test_failed_put_onto_occupied_moves_nothing(self):
+        m = Matrix("X", 3, [0b010], [1, 2, 3], 2)
+        m.rotate(1)
+        before = m.snapshot()
+        run = m.take_segment(1, 2)  # storage columns 2 and 0, wrapping
+        with pytest.raises(RuntimeError, match="occupied"):
+            m.put_segment(1, [*run, 0])
+        assert m.piles == [None, 2, None]
+        m.put_segment(1, run)
+        assert m.snapshot() == before
+
+    def test_failed_put_of_a_deeper_pile_moves_nothing(self):
+        m = Matrix("X", 3, [0b100], [1, 2, 3], 2)
+        m.rotate(2)
+        before = m.snapshot()
+        run = m.take_segment(2, 3)
+        with pytest.raises(ValueError, match="deeper"):
+            m.put_segment(2, [run[0], run[1], 0b100])
+        assert m.piles == [None, None, None]
+        m.put_segment(2, run)
+        assert m.snapshot() == before
+
     def test_take_row_leaves_a_hole(self):
         m = Matrix.from_rows("X", 3, [mask_of((C, H, C)), mask_of((H, C, C))])
         m.rotate(1)
@@ -608,6 +652,27 @@ class TestColumnModel:
         top, bottom = m.split_rows(cut, "T", "B")
         assert column_faces(top) == tuple(tuple(col[:cut]) for col in ref.cols)
         assert column_faces(bottom) == tuple(tuple(col[cut:]) for col in ref.cols)
+
+    def test_remove_columns_every_run(self):
+        # Every visible run under every offset, the last column and the whole
+        # width included, so every storage run that wraps is cut; distinct
+        # columns show any misplaced one.
+        rnd = random.Random(28)
+        for width in range(1, 7):
+            for offset in range(width):
+                for lo in range(1, width + 1):
+                    for hi in range(lo, width + 1):
+                        labels = rnd.sample(range(8), width)
+                        cols = [[label >> i & 1 for i in range(3)] for label in labels]
+                        m, ref = as_matrix(cols, 2), ColumnModel(cols)
+                        m.rotate(offset)
+                        ref.rotate(offset)
+                        block = m.remove_columns(lo, hi)
+                        assert block.offset == 0
+                        assert column_faces(block) == tuple(map(tuple, ref.cols[lo - 1:hi]))
+                        del ref.cols[lo - 1:hi]
+                        assert m.n_cols == len(ref.cols)
+                        assert column_faces(m) == ref.faces()
 
 
 # One event per tag, and the index of its faces field (None for none).

@@ -1,5 +1,7 @@
-"""The README's Python examples run as written, from the repository root, and
-the package's public names all import."""
+"""The README's Python examples run as written, from the repository root, the
+package's public names all import, and the CI workflow runs what ROADMAP.md and
+BENCHMARK.json name."""
+import json
 import re
 from pathlib import Path
 
@@ -21,3 +23,24 @@ def test_star_import_resolves_all():
     namespace = {}
     exec("from ripple_zkp import *", namespace)
     assert [name for name in ripple_zkp.__all__ if name not in namespace] == []
+
+
+def workflow_job(name: str) -> str:
+    """The text of one job of the CI workflow, read without a YAML parser."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    job = re.search(rf"^  {re.escape(name)}:\n(.*?)(?=^  \S|\Z)", text, re.M | re.S)
+    assert job, f"no job {name!r} in tests.yml"
+    return job.group(1)
+
+
+def test_bench_smoke_runs_every_workload():
+    # A workload added to BENCHMARK.json gets its smoke run in CI.
+    matrix = re.search(r"^ +workload: \[(.*)\]$", workflow_job("bench-smoke"), re.M)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert matrix and matrix.group(1).split(", ") == [w["name"] for w in declared]
+
+
+def test_tier1_job_runs_the_roadmap_command():
+    tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.M)
+    runs = re.findall(r"^ +- run: (.+)$", workflow_job("tier1"), re.M)
+    assert tier1 and f"{tier1.group(1)} --durations=10" in runs

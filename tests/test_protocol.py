@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -11,6 +12,7 @@ from helpers import (
     brute_force_solutions,
     make_puzzle,
 )
+from ripple_zkp import cards
 from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport
 from ripple_zkp.cards import (
     HEART,
@@ -472,6 +474,37 @@ class TestRunProtocol:
         verdict, _, _ = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0))
         assert verdict.accepted
         assert calls == []
+
+    def test_honest_run_never_folds_a_rotation(self, monkeypatch, sample7x7, sample7x7_solution):
+        # The offset of the distance check's matrices stays an index: row
+        # reveals, the column cut and the pile moves read storage under it,
+        # so no rotation is folded into the cards.
+        folded = []
+        normalize = Matrix._normalize
+
+        def recorded(matrix):
+            folded.append(matrix.offset)
+            normalize(matrix)
+
+        monkeypatch.setattr(Matrix, "_normalize", recorded)
+        verdict, _, _ = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0))
+        assert verdict.accepted
+        assert [o for o in folded if o] == []
+
+    def test_face_table_layers_stay_small(self, monkeypatch, sample7x7, sample7x7_solution):
+        # Honest reveals show one heart per row and none in a uniqueness
+        # segment, so each (width, offset) layer of the face table holds at
+        # most width masks besides the blank.
+        monkeypatch.setattr(cards, "_FACES", defaultdict(lambda: defaultdict(dict)))
+        prover = ProverInput(sample7x7_solution)
+        for seed in range(3):
+            assert run_protocol(sample7x7, prover, RandomSource(seed)).verdict.accepted
+        layers = [(w, o, layer) for w, by_offset in cards._FACES.items()
+                  for o, layer in by_offset.items()]
+        assert {o for w, o, _ in layers if w == 6} == set(range(6))
+        for width, offset, layer in layers:
+            assert len(layer.keys() - {0}) <= width, (width, offset)
+            assert all(decode(mask) is not None for mask in layer), (width, offset)
 
     def test_transcripts_deterministic_per_seed(self, sample7x7, sample7x7_solution):
         prover = ProverInput(sample7x7_solution)
