@@ -552,42 +552,48 @@ class Matrix:
     def take_segment(self, col: int, count: int) -> list[Sequence]:
         """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
-        The run wraps past the last column. Each pile taken leaves ``None``.
-        A spot that is already ``None``, or a count above the width, raises
-        before any pile moves, so no card is made up or lost.
+        The run wraps past the last column; a run that does not wrap is one
+        slice of storage, moved with no wrap arithmetic. Each pile taken
+        leaves ``None``. A spot that is already ``None``, or a count above
+        the width, raises before any pile moves, so no card is made up or lost.
         """
         w, piles = self.n_cols, self.piles
         p = (col - 1 - self.offset) % w
-        e = p + count - w  # storage columns 0..e-1 end the run when it wraps
-        taken = piles[p:] + piles[:e] if e > 0 else piles[p:p + count]
-        if count > w or None in taken:
-            raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
-        if e > 0:
-            piles[p:] = [None] * (w - p)
-            piles[:e] = [None] * e
-        else:
-            piles[p:p + count] = [None] * count
-        return taken
+        end = p + count
+        if end <= w:
+            taken = piles[p:end]
+            if None not in taken:
+                piles[p:end] = [None] * count
+                return taken
+        elif count <= w:
+            e = end - w  # storage columns 0..e-1 end the run
+            taken = piles[p:] + piles[:e]
+            if None not in taken:
+                piles[p:] = [None] * (w - p)
+                piles[:e] = [None] * e
+                return taken
+        raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
 
     def put_segment(self, col: int, piles: list[Sequence]) -> None:
         """Fill the gaps from ``col`` rightwards with ``piles``, wrapping as ``take_segment`` does.
 
-        A spot that is not ``None``, a run longer than the width, or a pile
-        deeper than ``depth`` raises before any pile moves.
+        A pile deeper than ``depth``, a spot that is not ``None``, or a run
+        longer than the width raises before any pile moves.
         """
         w, own, count = self.n_cols, self.piles, len(piles)
-        p = (col - 1 - self.offset) % w
-        e = p + count - w  # storage columns 0..e-1 end the run when it wraps
-        spots = own[p:] + own[:e] if e > 0 else own[p:p + count]
-        if count > w or spots.count(None) != count:
-            raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
-        if max(piles, default=0) >> self.depth:
+        if count and max(piles) >> self.depth:
             raise ValueError(f"matrix {self.id}: pile deeper than {self.depth} cards")
-        if e > 0:
+        p = (col - 1 - self.offset) % w
+        end = p + count
+        if end <= w:
+            if own[p:end].count(None) == count:
+                own[p:end] = piles
+                return
+        elif count <= w and (own[p:] + own[:end - w]).count(None) == count:
             own[p:] = piles[:w - p]
-            own[:e] = piles[w - p:]
-        else:
-            own[p:p + count] = piles
+            own[:end - w] = piles[w - p:]
+            return
+        raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
 
     def pile_masks(self) -> list[Sequence]:
         """Private peek at the piles, left to right; not an observable event."""

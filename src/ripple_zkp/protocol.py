@@ -7,9 +7,11 @@ from the prover's claimed solution. Verification then runs two phases:
 * distance phase: for each cell and direction, in ``distance_checks`` order,
   prove that the cell's value x does not reappear within the first x cells
   that way, without revealing x. The board is one flat list in row-major
-  cell order, and ``ray_slices`` gives each check its cell as an index and
-  its ray as a slice of that list, so ``verify_distance_direction`` takes
-  the sequences off the grid and puts them back by slice;
+  cell order, and ``ray_slices`` compiles each check's constants once per
+  shape and k: its cell as an index and its ray as a slice of that list,
+  its blank padding, its two auxiliary peaks, its label and its marks. So
+  ``verify_distance_direction`` makes one lookup, takes the sequences off
+  the grid and puts them back by slice;
   ``_distance_direction`` runs the paper's steps on their masks alone: it
   inserts k-1 blank columns after the x-th neighbour under cover of
   shuffles, selects the k sequences starting at the first neighbour
@@ -79,32 +81,48 @@ def distance_checks(rows: int, cols: int, dedupe_directions: bool) -> tuple[tupl
 
 
 # ray_slices' plans by (rows, cols, k), filled on first use.
-_RAY_SLICES: dict[tuple[int, int, int], dict[tuple[Cell, str], tuple[int, slice, int]]] = {}
+_RAY_SLICES: dict[tuple[int, int, int], dict[tuple[Cell, str], tuple]] = {}
 
 
-def ray_slices(puzzle: Puzzle) -> dict[tuple[Cell, str], tuple[int, slice, int]]:
-    """Per (cell, direction): ``(index, ray, reach)``, where ``puzzle.cells[index]``
-    is the cell and ``puzzle.cells[ray]`` is its ray, ``Puzzle.rays[cell,
-    direction]``, of ``reach`` cells, nearest first.
+def ray_slices(puzzle: Puzzle) -> dict[tuple[Cell, str], tuple]:
+    """Per (cell, direction): the check's constants, compiled once per shape and k.
 
-    Compiled from ``Puzzle.rays`` on first use and shared by every puzzle of
-    the same shape and k; each slice is checked against the ray it stands for.
+    An entry is ``(index, ray, reach, pad, aux, aux_end, where, marks)``:
+    ``puzzle.cells[index]`` is the cell and ``puzzle.cells[ray]`` its ray,
+    ``Puzzle.rays[cell, direction]``, of ``reach`` cells, nearest first;
+    ``pad`` is the tuple of ``k - reach`` blank sequences past the edge;
+    ``aux`` and ``aux_end`` are the auxiliary peaks before the first draw and
+    after step 7; ``where`` is the key itself, which labels the trail and a
+    reject; ``marks`` is ``CHECK_MARKS(cell, direction)``.
+
+    Built from ``Puzzle.rays`` on first use and shared by every puzzle of
+    the same shape and k, so nothing in an entry is mutable. A slice that
+    does not give back its ray raises ``RuntimeError``.
     """
-    key = puzzle.rows, puzzle.cols, max_room_size(puzzle)
+    k = max_room_size(puzzle)
+    key = puzzle.rows, puzzle.cols, k
     plan = _RAY_SLICES.get(key)
     if plan is None:
         cells, plan = puzzle.cells, {}
         index = {cell: i for i, cell in enumerate(cells)}
-        for (cell, direction), ray in puzzle.rays.items():
+        for where, ray in puzzle.rays.items():
+            cell, direction = where
             i, at = index[cell], [index[c] for c in ray]
             if at:
-                step = at[1] - at[0] if len(at) > 1 else 1
+                # A repeated cell would give step 0, which cannot slice: 1 fails the check instead.
+                step = (at[1] - at[0] if len(at) > 1 else 0) or 1
                 stop = at[-1] + step
                 ray_slice = slice(at[0], stop if stop >= 0 else None, step)
             else:
                 ray_slice = slice(i, i)
-            assert cells[ray_slice] == ray, (cell, direction)
-            plan[cell, direction] = i, ray_slice, len(ray)
+            if cells[ray_slice] != ray:
+                raise RuntimeError(f"ray_slices: no slice gives the ray of {cell} {direction}")
+            reach = len(ray)
+            aux = (3 + k - reach) * k
+            plan[where] = (
+                i, ray_slice, reach, (0,) * (k - reach),
+                aux, aux + (k - 1) * (k + 2), where, CHECK_MARKS(cell, direction),
+            )
         _RAY_SLICES[key] = plan
     return plan
 
@@ -156,8 +174,9 @@ class Board:
 
     ``cell_seq`` is one flat list, a sequence per cell in ``puzzle.cells``
     (row-major) order, ``None`` where a check has taken the cards off.
-    ``ray_slices`` is ``ray_slices(puzzle)``: a distance check finds its
-    cell's spot and its ray of neighbours there as an index and a slice.
+    ``ray_slices`` is ``ray_slices(puzzle)``: a distance check finds there
+    its compiled constants, its cell's spot and its ray of neighbours as an
+    index and a slice among them.
     """
 
     def __init__(self, puzzle: Puzzle, k: int, cell_seq: list[Sequence | None], aux_peak: int = 0):
@@ -228,39 +247,37 @@ def verify_distance_direction(
     """One distance check: cell's value x must not recur within x steps that way.
 
     Takes the cell's sequence and its k neighbours that way off the board,
-    at the index and slice ``board.ray_slices`` gives, leaving ``None`` in
-    their spots; pads them with public all-club sequences past the edge for
-    ``_distance_direction``; on accept every sequence goes back on its cell,
-    still face-down, and on reject the cards stay off. Every check starts
-    with no auxiliary card out, so the peak rises to 3k + pad*k (public rows
-    and padding) before the first draw, and by (k-1)(k+2) for step 7's blank
-    block unless step 2 raised.
+    at the index and slice of its ``board.ray_slices`` entry, leaving
+    ``None`` in their spots; pads them with the entry's public all-club
+    sequences past the edge for ``_distance_direction``; on accept every
+    sequence goes back on its cell, still face-down, and on reject the cards
+    stay off. Every check starts with no auxiliary card out, so the peak
+    rises to the entry's ``aux``, 3k + pad*k (public rows and padding),
+    before the first draw, and to its ``aux_end``, (k-1)(k+2) more for step
+    7's blank block, unless step 2 raised. The entry also holds the marks
+    and the label of the check, so no per-call value is built here.
     """
     k, seqs = board.k, board.cell_seq
-    i, ray, reach = board.ray_slices[cell, direction]
+    i, ray, reach, pad, aux, aux_end, where, (enter, leave) = board.ray_slices[cell, direction]
     a0 = seqs[i]
     neighbours = seqs[ray]
     seqs[i] = None
     seqs[ray] = [None] * reach
-    if reach < k:
-        neighbours += [0] * (k - reach)
-    aux = (3 + k - reach) * k
+    neighbours += pad
     if aux > board.aux_peak:
         board.aux_peak = aux
-    enter, leave = CHECK_MARKS(cell, direction)
     events = transcript.events
     events.append(enter)
     try:
-        returned = _distance_direction(k, a0, neighbours, rng, transcript, (cell, direction))
+        returned = _distance_direction(k, a0, neighbours, rng, transcript, where)
     except MalformedCommitmentError:
-        return Verdict(False, MALFORMED_COMMITMENT, (cell, direction))
+        return Verdict(False, MALFORMED_COMMITMENT, where)
     finally:
         events.append(leave)
-    aux += (k - 1) * (k + 2)
-    if aux > board.aux_peak:
-        board.aux_peak = aux
+    if aux_end > board.aux_peak:
+        board.aux_peak = aux_end
     if returned is None:
-        return Verdict(False, DISTANCE_HEART_FOUND, (cell, direction))
+        return Verdict(False, DISTANCE_HEART_FOUND, where)
     seqs[i], piles = returned
     seqs[ray] = piles[:reach]
     if rng.trail is not None:

@@ -100,10 +100,13 @@ class Assignment(NamedTuple):
         return self.values[r - 1][c - 1]
 
     def with_value(self, cell: Cell, value: int) -> "Assignment":
+        """A copy with ``int(value)`` at ``cell``; only that cell's row is rebuilt."""
         r, c = cell
-        rows = [list(row) for row in self.values]
-        rows[r - 1][c - 1] = value
-        return Assignment.from_rows(rows)
+        values = list(self.values)
+        row = list(values[r - 1])
+        row[c - 1] = int(value)
+        values[r - 1] = tuple(row)
+        return Assignment(tuple(values))
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.values) + "\n"
@@ -231,9 +234,10 @@ def validate(puzzle: Puzzle, asg: Assignment) -> list[Violation]:
     stay valid.
     """
     out: list[Violation] = []
+    grid = asg.values
 
     for room, cells in puzzle.room_cells.items():
-        values = sorted(asg[cell] for cell in cells)
+        values = sorted(grid[r - 1][c - 1] for r, c in cells)
         if values != list(range(1, len(cells) + 1)):
             out.append(
                 Violation(
@@ -243,27 +247,36 @@ def validate(puzzle: Puzzle, asg: Assignment) -> list[Violation]:
                 )
             )
 
-    for (r1, c1) in puzzle.cells:
-        x = asg[(r1, c1)]
-        # Right along the row and down the column to the grid edge; each close pair found once.
-        for d in range(1, min(x, max(puzzle.rows - r1, puzzle.cols - c1)) + 1):
-            for r2, c2 in ((r1, c1 + d), (r1 + d, c1)):
-                if r2 <= puzzle.rows and c2 <= puzzle.cols and asg[(r2, c2)] == x:
-                    out.append(
-                        Violation(
-                            DISTANCE,
-                            ((r1, c1), (r2, c2)),
-                            f"value {x} repeats with {d - 1} cells between",
+    rows, cols = puzzle.rows, puzzle.cols
+    columns = list(zip(*grid))
+    for r1 in range(1, rows + 1):
+        row = grid[r1 - 1]
+        for c1 in range(1, cols + 1):
+            x = row[c1 - 1]
+            # Right along the row and down the column to the grid edge; each
+            # close pair found once. A cell whose next x cells either way
+            # hold no x has none.
+            if x not in row[c1:c1 + x] and x not in columns[c1 - 1][r1:r1 + x]:
+                continue
+            for d in range(1, min(x, max(rows - r1, cols - c1)) + 1):
+                for r2, c2 in ((r1, c1 + d), (r1 + d, c1)):
+                    if r2 <= rows and c2 <= cols and grid[r2 - 1][c2 - 1] == x:
+                        out.append(
+                            Violation(
+                                DISTANCE,
+                                ((r1, c1), (r2, c2)),
+                                f"value {x} repeats with {d - 1} cells between",
+                            )
                         )
-                    )
 
     for cell, value in puzzle.fixed.items():
-        if asg[cell] != value:
+        held = grid[cell[0] - 1][cell[1] - 1]
+        if held != value:
             out.append(
                 Violation(
                     FIXED_MISMATCH,
                     (cell,),
-                    f"cell {cell} holds {asg[cell]}, clue says {value}",
+                    f"cell {cell} holds {held}, clue says {value}",
                 )
             )
     return out

@@ -92,6 +92,22 @@ def brute_force_solutions(puzzle: Puzzle) -> list[Assignment]:
     return out
 
 
+def close_pairs(puzzle: Puzzle, asg: Assignment) -> list[tuple]:
+    """Every unordered pair of cells in one row or column that hold the same
+    value x with fewer than x cells between, sorted; ``validate``'s oracle
+    for the distance rule, by direct enumeration over all pairs."""
+    pairs = []
+    cells = puzzle.cells
+    for i, c1 in enumerate(cells):
+        for c2 in cells[i + 1:]:
+            if c1[0] != c2[0] and c1[1] != c2[1]:
+                continue
+            gap = abs(c2[0] - c1[0]) + abs(c2[1] - c1[1]) - 1
+            if asg[c1] == asg[c2] and gap < asg[c1]:
+                pairs.append(tuple(sorted((c1, c2))))
+    return sorted(pairs)
+
+
 def all_room_partitions(rows: int, cols: int) -> list[Puzzle]:
     """Every partition of the grid into edge-connected rooms."""
     cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]

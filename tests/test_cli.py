@@ -271,6 +271,19 @@ def test_console_script_installed(sample7x7_path):
     assert "total=388" in proc.stdout
 
 
+def test_prove_prints_the_same_bytes_under_optimize(sample7x7_path, sample7x7_solution_path):
+    # ``python -O`` strips asserts; no check the proof relies on may be one.
+    argv = ["-m", "ripple_zkp.cli", "prove", "--puzzle", sample7x7_path,
+            "--solution", sample7x7_solution_path, "--seed", "0"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert plain.stdout.endswith(b"verdict outcome=accept reason=none loc=none\n")
+    assert optimized.stdout == plain.stdout
+
+
 def imported_modules(argv) -> set[str]:
     """Top-level packages a fresh interpreter imports while running ``argv``."""
     proc = subprocess.run(

@@ -44,3 +44,15 @@ def test_tier1_job_runs_the_roadmap_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.M)
     runs = re.findall(r"^ +- run: (.+)$", workflow_job("tier1"), re.M)
     assert tier1 and f"{tier1.group(1)} --durations=10" in runs
+
+
+def test_python_floor_is_the_same_everywhere():
+    # pyproject.toml's requires-python, the fast job's lowest version and the
+    # README's install line name the same floor.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.M)
+    versions = re.search(r"^ +python-version: \[(.*)\]$", workflow_job("fast"), re.M)
+    assert floor and versions
+    lowest = min(json.loads(f"[{versions.group(1)}]"), key=lambda v: tuple(map(int, v.split("."))))
+    assert lowest == floor.group(1)
+    assert f"({floor.group(1)} or later)" in (ROOT / "README.md").read_text()

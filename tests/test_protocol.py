@@ -12,7 +12,7 @@ from helpers import (
     brute_force_solutions,
     make_puzzle,
 )
-from ripple_zkp import cards
+from ripple_zkp import cards, protocol
 from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport
 from ripple_zkp.cards import (
     HEART,
@@ -26,6 +26,7 @@ from ripple_zkp.cards import (
 )
 from ripple_zkp.protocol import (
     ACCEPT,
+    CHECK_MARKS,
     DISTANCE_HEART_FOUND,
     MALFORMED_COMMITMENT,
     ROOM_MULTISET_MISMATCH,
@@ -232,13 +233,31 @@ class TestRaySlices:
         for puzzle in [sample7x7, *partitions]:
             plan = ray_slices(puzzle)
             assert plan.keys() == puzzle.rays.keys()
-            for (cell, direction), (i, ray, reach) in plan.items():
+            k = max_room_size(puzzle)
+            for key, entry in plan.items():
+                cell, direction = key
+                i, ray, reach, pad, aux, aux_end, where, check_marks = entry
                 assert puzzle.cells[i] == cell
                 assert puzzle.cells[ray] == puzzle.rays[cell, direction]
                 assert reach == len(puzzle.rays[cell, direction])
-            ks.setdefault((puzzle.rows, puzzle.cols), set()).add(max_room_size(puzzle))
+                assert type(pad) is tuple and pad == (0,) * (k - reach)
+                assert aux == (3 + k - reach) * k
+                assert aux_end == aux + (k - 1) * (k + 2)
+                assert where == key
+                assert check_marks is CHECK_MARKS(cell, direction)
+            assert max(entry[5] for entry in plan.values()) == card_stats(puzzle).peak_aux_cards
+            ks.setdefault((puzzle.rows, puzzle.cols), set()).add(k)
         for rows, cols in RAY_SHAPES:
             assert ks[rows, cols] == set(range(1, rows * cols + 1))
+
+    @pytest.mark.parametrize("ray", [((1, 2), (1, 4), (1, 3)), ((1, 2), (1, 2))])
+    def test_a_ray_no_slice_gives_raises(self, monkeypatch, ray):
+        # The self-check holds under ``python -O`` too: it raises, not asserts.
+        puzzle = make_puzzle(["a a a a"])
+        vars(puzzle)["rays"] = {**puzzle.rays, ((1, 1), "right"): ray}
+        monkeypatch.setattr(protocol, "_RAY_SLICES", {})
+        with pytest.raises(RuntimeError, match=r"\(1, 1\) right"):
+            ray_slices(puzzle)
 
     def test_accepting_checks_put_every_sequence_back(self, sample7x7, sample7x7_solution):
         board = setup(sample7x7, ProverInput(sample7x7_solution))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_room_partitions, brute_force_solutions, make_puzzle
+from helpers import all_room_partitions, brute_force_solutions, close_pairs, make_puzzle
 from ripple_zkp.puzzle import (
     DIRECTIONS,
     DISTANCE,
@@ -179,21 +179,7 @@ class TestValidate:
         # Oracle: direct enumeration over all unordered same-line pairs.
         puzzle = make_puzzle(["a a b b"])
         asg = Assignment.from_rows([[1, 1, 1, 1]])
-        got = sorted(
-            tuple(sorted(v.cells)) for v in validate(puzzle, asg) if v.kind == DISTANCE
-        )
-        expected = []
-        cells = puzzle.cells
-        for i, c1 in enumerate(cells):
-            for c2 in cells[i + 1:]:
-                same_row = c1[0] == c2[0]
-                same_col = c1[1] == c2[1]
-                if not (same_row or same_col):
-                    continue
-                gap = abs(c2[0] - c1[0]) + abs(c2[1] - c1[1]) - 1
-                if asg[c1] == asg[c2] and gap < asg[c1]:
-                    expected.append(tuple(sorted((c1, c2))))
-        assert got == sorted(expected)
+        assert distance_pairs(puzzle, asg) == close_pairs(puzzle, asg)
 
     @given(st.integers(0, 3**6 - 1))
     @settings(max_examples=60, deadline=None)
@@ -205,19 +191,14 @@ class TestValidate:
             encoded //= 3
         puzzle = make_puzzle(["a a a", "a a a"])
         asg = Assignment.from_rows([values[:3], values[3:]])
-        got = sorted(
-            tuple(sorted(v.cells)) for v in validate(puzzle, asg) if v.kind == DISTANCE
-        )
-        expected = []
-        cells = puzzle.cells
-        for i, c1 in enumerate(cells):
-            for c2 in cells[i + 1:]:
-                if c1[0] != c2[0] and c1[1] != c2[1]:
-                    continue
-                gap = abs(c2[0] - c1[0]) + abs(c2[1] - c1[1]) - 1
-                if asg[c1] == asg[c2] and gap < asg[c1]:
-                    expected.append(tuple(sorted((c1, c2))))
-        assert got == sorted(expected)
+        assert distance_pairs(puzzle, asg) == close_pairs(puzzle, asg)
+
+    def test_distance_matches_pairs_on_every_one_cell_change(self, sample7x7, sample7x7_solution):
+        # The 7x7 solution with one cell set to each value in 0..7: 392 assignments.
+        for cell in sample7x7.cells:
+            for value in range(8):
+                asg = sample7x7_solution.with_value(cell, value)
+                assert distance_pairs(sample7x7, asg) == close_pairs(sample7x7, asg), (cell, value)
 
     def test_huge_value_stops_at_grid_edge(self):
         # The distance scan ends at the grid edge, not after x steps, so a
@@ -252,6 +233,31 @@ class TestValidate:
                         expected.append(((r1, c1), (r2, c2)))
         got = [v.cells for v in validate(puzzle, asg) if v.kind == DISTANCE]
         assert got == expected
+
+
+def distance_pairs(puzzle, asg):
+    """The cell pairs of ``validate``'s Distance violations, each sorted, sorted."""
+    return sorted(tuple(sorted(v.cells)) for v in validate(puzzle, asg) if v.kind == DISTANCE)
+
+
+class TestWithValue:
+    def test_changes_one_cell_and_copies(self, sample7x7_solution):
+        original = sample7x7_solution.values
+        for r in range(1, 8):
+            for c in range(1, 8):
+                for value in (0, 7, True):
+                    got = sample7x7_solution.with_value((r, c), value)
+                    rows = [list(row) for row in original]
+                    rows[r - 1][c - 1] = value
+                    assert got == Assignment.from_rows(rows)
+                    changed = [
+                        (i, j) for i in range(1, 8) for j in range(1, 8)
+                        if got[(i, j)] != sample7x7_solution[(i, j)]
+                    ]
+                    assert changed == ([] if original[r - 1][c - 1] == value else [(r, c)])
+                    assert all(type(v) is int for row in got.values for v in row)
+                    assert all(type(row) is tuple for row in got.values)
+        assert sample7x7_solution == Assignment.from_rows(SAMPLE7X7_SOLUTION_ROWS)
 
 
 SMALL_PARTITIONS = [
