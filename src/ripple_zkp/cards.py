@@ -10,17 +10,18 @@ commitment, exactly as a face sequence with two hearts would be.
 
 A Matrix of face-down cards is a stack of row masks (sequences laid left to
 right) over piles (sequences stacked top to bottom, one mask per column),
-plus one rotation offset kept as an index, never applied to the cards: the
-pile-shifting shuffle of Nishimura et al. and the public shifts are a
-modular add to the offset, a row reveal looks its stored mask up under the
-offset, and cutting columns out or moving piles reads storage at the offset
-in at most two runs. Rows come off one at a time; piles move as runs of
-whole piles over neighbouring columns, one call per run (``take_segment``,
-``put_segment``), a taken pile being ``None`` until it is put back, and a
-move that raises moves nothing. Revealed faces are tuples of CLUB/HEART
-taken from one table keyed by width, offset and stored mask, filled on
-first use; every tuple in it is made by ``faces_of``, which reads the
-offset-0 layer, and the simulator builds its reveals from the same table.
+plus one rotation offset kept as an index: the pile-shifting shuffle of
+Nishimura et al. and the public shifts are a modular add to the offset, a
+row reveal looks its stored mask up under the offset, and cutting columns
+out or moving piles reads one run of storage at the offset. Only a re-base
+(``Matrix._rebase``) rotates the stored cards, and the protocol's own moves
+never need one (see ``Matrix``). Rows come off one at a time; piles move as
+runs of whole piles over neighbouring columns, one call per run
+(``take_segment``, ``put_segment``), a taken pile being ``None`` until it is
+put back, and a move that raises moves nothing. Revealed faces are tuples of
+CLUB/HEART taken from one table keyed by width, offset and stored mask,
+filled on first use; every tuple in it is made by ``faces_of``, which reads
+the offset-0 layer, and the simulator builds its reveals from the same table.
 Every revealed value is read off its one-heart index, ``_ONE_HEART`` (by
 ``Matrix.read_heart``, which raises for a row without exactly one heart, the
 uniqueness step, the room check and the audit's decoder). ``serialize`` and
@@ -337,15 +338,25 @@ class Matrix:
     ``depth`` rows below them are piles, one mask per storage column with
     bit 0 for the pile's top card. Visible column j shows storage column
     (j - 1 - offset) mod n_cols, so a rotation only moves ``offset``, and a
-    row reveal, a column cut and a pile move read storage at the offset
-    without rotating it. A visible run of columns is one storage run that
-    wraps past the last storage column at most once. Rows are taken out
-    whole (``take_row``), and runs of whole piles over neighbouring columns
-    are taken and put back in one call each (``take_segment``/
+    reveal reads storage at the offset without rotating it. Rows are taken
+    out whole (``take_row``), and runs of whole piles over neighbouring
+    columns are taken and put back in one call each (``take_segment``/
     ``put_segment``); a taken pile is ``None`` in ``piles``, and reading it
     fails until it is back. Cards are readable only through the reveal
     methods, which log what was shown; the lists passed in are taken over,
     not copied.
+
+    A move reads one storage run: a column cut or pile move whose run would
+    cross the last storage column first re-bases storage to the run's start
+    (``_rebase``, the only code that rotates stored cards); ``take_row``
+    re-bases to offset 0, ``append_columns`` a rotated block to offset 0;
+    ``permute`` composes the offset into its permutation. The protocol
+    never re-bases. Storage column 0 holds the first neighbour's pile from
+    step 1 onward; step 7 inserts the blank block right after the x-th
+    neighbour's storage column, so step 10's k piles are storage columns
+    0..k-1 and steps 13-15 cut x..x+k-2; and every ``take_row`` follows a
+    realignment that brings the indicator, at storage column 0, to column
+    1, which makes the offset 0.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -395,17 +406,15 @@ class Matrix:
         o, w = self.offset, self.n_cols
         return [(j - o) % w for j in range(w)]
 
-    def _normalize(self) -> None:
-        """Fold the offset into storage, so storage order is visible order."""
-        o = self.offset
-        if o:
-            w = self.n_cols
-            full = (1 << w) - 1
-            rows = self.rows
-            for i, row in enumerate(rows):
-                rows[i] = (row << o | row >> (w - o)) & full
-            self.piles = self.piles[-o:] + self.piles[:-o]
-            self.offset = 0
+    def _rebase(self, p: int) -> None:
+        """Rotate storage so storage column p becomes column 0, every column
+        still shown where it was; a taken row (``None``) stays out."""
+        w, full = self.n_cols, (1 << self.n_cols) - 1
+        self.rows = [
+            None if row is None else (row >> p | row << (w - p)) & full for row in self.rows
+        ]
+        self.piles = self.piles[p:] + self.piles[:p]
+        self.offset = (self.offset + p) % w
 
     def rotate(self, offset: int) -> None:
         """Move every column j to j+offset (mod width); no event logged."""
@@ -413,9 +422,13 @@ class Matrix:
 
     def permute(self, perm: list[int]) -> None:
         """Reorder columns: position i takes the column at position perm[i]."""
-        self._normalize()
+        o, w = self.offset, self.n_cols
+        if o:
+            perm = [(q - o) % w for q in perm]
+            self.offset = 0
         self.rows = [
-            sum((row >> q & 1) << i for i, q in enumerate(perm)) for row in self.rows
+            None if row is None else sum((row >> q & 1) << i for i, q in enumerate(perm))
+            for row in self.rows
         ]
         self.piles = [self.piles[q] for q in perm]
 
@@ -495,7 +508,7 @@ class Matrix:
         if len(block.rows) != len(self.rows) or block.depth != self.depth:
             raise ValueError(f"matrix {self.id}: block rows do not line up")
         if block.offset:
-            block._normalize()
+            block._rebase(block.n_cols - block.offset)
         # Insert at the storage column after the one shown last; the offset
         # then still maps every old column to where it was shown.
         q, n = self.n_cols - self.offset, block.n_cols
@@ -515,64 +528,49 @@ class Matrix:
             raise _face_up_error(self)
         w, n = self.n_cols, col_hi - col_lo + 1
         s = (col_lo - 1 - self.offset) % w  # storage column of col_lo
-        e = s + n - w  # storage columns 0..e-1 end the run when it wraps
+        if s + n > w:
+            self._rebase(s)
+            s = 0
         rows, piles, cut = self.rows, self.piles, []
-        if e > 0:
-            low, keep = (1 << e) - 1, (1 << (s - e)) - 1
-            for i, row in enumerate(rows):
-                cut.append(row >> s | (row & low) << (w - s))
-                rows[i] = row >> e & keep
-            block = piles[s:] + piles[:e]
-            self.piles = piles[e:s]
-            after = 0
-        else:
-            span, keep = (1 << n) - 1, (1 << s) - 1
-            for i, row in enumerate(rows):
-                cut.append(row >> s & span)
-                rows[i] = row & keep | row >> (s + n) << s
-            block = piles[s:s + n]
-            del piles[s:s + n]
-            after = s
-        # The column shown after col_hi sits at storage column ``after`` and
-        # is now shown at col_lo.
+        span, keep = (1 << n) - 1, (1 << s) - 1
+        for i, row in enumerate(rows):
+            cut.append(row >> s & span)
+            rows[i] = row & keep | row >> (s + n) << s
+        block = piles[s:s + n]
+        del piles[s:s + n]
+        # The column shown after col_hi sits at storage column s and is now
+        # shown at col_lo.
         self.n_cols = w = w - n
-        self.offset = (col_lo - 1 - after) % w if w else 0
+        self.offset = (col_lo - 1 - s) % w if w else 0
         return Matrix(self.id, n, cut, block, self.depth)
 
     def take_row(self, row: int) -> Sequence:
         """Physically remove one laid-out row of cards, as a mask in visible order."""
+        if self.offset:
+            self._rebase(self.n_cols - self.offset)
         mask = self.rows[row - 1]
         self.rows[row - 1] = None  # type: ignore[call-overload]
-        o = self.offset
-        if o:
-            w = self.n_cols
-            mask = (mask << o | mask >> (w - o)) & ((1 << w) - 1)
         return mask
 
     def take_segment(self, col: int, count: int) -> list[Sequence]:
         """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
-        The run wraps past the last column; a run that does not wrap is one
-        slice of storage, moved with no wrap arithmetic. Each pile taken
-        leaves ``None``. A spot that is already ``None``, or a count above
-        the width, raises before any pile moves, so no card is made up or lost.
+        The run wraps past the last column, and is one slice of storage once
+        re-based. Each pile taken leaves ``None``. A spot that is already
+        ``None``, or a count above the width, raises before any pile moves,
+        so no card is made up or lost.
         """
-        w, piles = self.n_cols, self.piles
+        w = self.n_cols
         p = (col - 1 - self.offset) % w
         end = p + count
-        if end <= w:
-            taken = piles[p:end]
-            if None not in taken:
-                piles[p:end] = [None] * count
-                return taken
-        elif count <= w:
-            e = end - w  # storage columns 0..e-1 end the run
-            taken = piles[p:] + piles[:e]
-            if None not in taken:
-                piles[p:] = [None] * (w - p)
-                piles[:e] = [None] * e
-                return taken
-        raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
+        if end > w and count <= w:
+            self._rebase(p)
+            p, end = 0, count
+        taken = self.piles[p:end]
+        if end > w or None in taken:
+            raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
+        self.piles[p:end] = [None] * count
+        return taken
 
     def put_segment(self, col: int, piles: list[Sequence]) -> None:
         """Fill the gaps from ``col`` rightwards with ``piles``, wrapping as ``take_segment`` does.
@@ -580,20 +578,17 @@ class Matrix:
         A pile deeper than ``depth``, a spot that is not ``None``, or a run
         longer than the width raises before any pile moves.
         """
-        w, own, count = self.n_cols, self.piles, len(piles)
+        w, count = self.n_cols, len(piles)
         if count and max(piles) >> self.depth:
             raise ValueError(f"matrix {self.id}: pile deeper than {self.depth} cards")
         p = (col - 1 - self.offset) % w
         end = p + count
-        if end <= w:
-            if own[p:end].count(None) == count:
-                own[p:end] = piles
-                return
-        elif count <= w and (own[p:] + own[:end - w]).count(None) == count:
-            own[p:] = piles[:w - p]
-            own[:end - w] = piles[w - p:]
-            return
-        raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
+        if end > w and count <= w:
+            self._rebase(p)
+            p, end = 0, count
+        if end > w or self.piles[p:end].count(None) != count:
+            raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
+        self.piles[p:end] = piles
 
     def pile_masks(self) -> list[Sequence]:
         """Private peek at the piles, left to right; not an observable event."""

@@ -179,11 +179,11 @@ class Board:
     index and a slice among them.
     """
 
-    def __init__(self, puzzle: Puzzle, k: int, cell_seq: list[Sequence | None], aux_peak: int = 0):
+    def __init__(self, puzzle: Puzzle, k: int, cell_seq: list[Sequence | None]):
         self.puzzle = puzzle
         self.k = k
         self.cell_seq = cell_seq
-        self.aux_peak = aux_peak
+        self.aux_peak = 0
         self.ray_slices = ray_slices(puzzle)
 
 

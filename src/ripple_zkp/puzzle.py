@@ -97,11 +97,15 @@ class Assignment(NamedTuple):
 
     def __getitem__(self, cell: Cell) -> int:
         r, c = cell
+        if r < 1 or c < 1:  # not an index from the end
+            raise IndexError(f"cell {cell} is off the grid")
         return self.values[r - 1][c - 1]
 
     def with_value(self, cell: Cell, value: int) -> "Assignment":
         """A copy with ``int(value)`` at ``cell``; only that cell's row is rebuilt."""
         r, c = cell
+        if r < 1 or c < 1:
+            raise IndexError(f"cell {cell} is off the grid")
         values = list(self.values)
         row = list(values[r - 1])
         row[c - 1] = int(value)

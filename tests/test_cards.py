@@ -437,10 +437,10 @@ class TestMatrixState:
         m = Matrix("X", 3, [0b010], [1, 2, 3], 2)
         m.rotate(1)
         before = m.snapshot()
-        run = m.take_segment(1, 2)  # storage columns 2 and 0, wrapping
+        run = m.take_segment(1, 2)  # visible columns 1 and 2, stored at 2 and 0
         with pytest.raises(RuntimeError, match="occupied"):
             m.put_segment(1, [*run, 0])
-        assert m.piles == [None, 2, None]
+        assert m.pile_masks() == [None, None, 2]
         m.put_segment(1, run)
         assert m.snapshot() == before
 
@@ -461,6 +461,30 @@ class TestMatrixState:
         assert faces_of(3, m.take_row(1)) == (C, C, H)
         with pytest.raises(TypeError):
             m.reveal_row(1, Transcript())
+
+    def test_permute_and_rebase_keep_a_taken_row_out(self):
+        # Rows still laid out are rewritten by a permutation and the
+        # re-base of a later take, while a taken row stays a hole.
+        rows = [mask_of((C, H, C, C)), mask_of((H, C, C, C)), mask_of((C, C, C, H))]
+        m = Matrix("X", 4, rows, [1, 2, 4, 8], 1)
+        m.rotate(1)
+        assert faces_of(4, m.take_row(1)) == (C, C, H, C)
+        m.permute([1, 2, 3, 0])
+        assert m.pile_masks() == [1, 2, 4, 8]
+        assert m.reveal_row(3, Transcript()) == (C, C, C, H)
+        m.flip_down()
+        m.rotate(1)
+        assert faces_of(4, m.take_row(2)) == (C, H, C, C)
+        assert m.rows[:2] == [None, None]
+        assert m.pile_masks() == [8, 1, 2, 4]
+
+    def test_takes_under_two_rotations_read_in_visible_order(self):
+        rows = [mask_of((C, H, C, C)), mask_of((H, C, C, C))]
+        m = Matrix.from_rows("X", 4, rows)
+        m.rotate(1)
+        assert faces_of(4, m.take_row(1)) == (C, C, H, C)
+        m.rotate(2)
+        assert faces_of(4, m.take_row(2)) == (C, C, C, H)
 
     def test_split_and_append(self):
         m = labeled_matrix(4, 3)

@@ -1,12 +1,16 @@
 """Every name a package module imports is used in that module; the package's
-``__init__.py`` is exempt, since its imports are the public re-exports."""
+``__init__.py`` is exempt, since its imports are the public re-exports. And
+every function or class the package defines is named somewhere in ``src/``,
+``tests/`` or ``perfbench/``."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ripple_zkp"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ripple_zkp"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,3 +33,50 @@ def test_detects_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def references(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` refers to: names, attributes, imported names and
+    the dotted parts of string constants (``"Matrix.rotate"`` names both)."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(node.value.split("."))
+    return named
+
+
+def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
+    """``path:line name`` of each function or class defined in a source whose
+    path starts with ``checked`` that no source refers to; dunders are exempt."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    named = set().union(*map(references, trees.values()))
+    return [
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in trees.items() if path.startswith(checked)
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS) and node.name not in named
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def test_detects_an_unreferenced_definition():
+    sources = {
+        "src/m.py": "class K:\n    def __init__(self): pass\n    def kept(self): pass\n"
+                    "    def lost(self): pass\ndef f(): pass\n",
+        "tests/t.py": "from m import K\nK().kept()\nHOOKS = ['m.f']\n",
+    }
+    assert unreferenced(sources, "src/") == ["src/m.py:4 lost"]
+
+
+def test_every_definition_is_referenced():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in ("src", "tests", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    assert unreferenced(sources, "src") == []

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import pickle
 import random
 from collections import defaultdict
@@ -12,14 +13,15 @@ from helpers import (
     brute_force_solutions,
     make_puzzle,
 )
-from ripple_zkp import cards, protocol
-from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport
+from ripple_zkp import cards, protocol, view
+from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport, soundness_sweep
 from ripple_zkp.cards import (
     HEART,
     AuditTrail,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
+    ReplaySource,
     Transcript,
     decode,
     encode,
@@ -424,6 +426,10 @@ class TestRoom:
         assert board.cell_seq == [None, None]
 
 
+def never_rebased(matrix, p):
+    raise AssertionError(f"matrix {matrix.id} re-based at storage column {p}")
+
+
 class TestRunProtocol:
     def test_solution_accepts_across_seeds(self, sample7x7, sample7x7_solution):
         prover = ProverInput(sample7x7_solution)
@@ -497,18 +503,33 @@ class TestRunProtocol:
     def test_honest_run_never_folds_a_rotation(self, monkeypatch, sample7x7, sample7x7_solution):
         # The offset of the distance check's matrices stays an index: row
         # reveals, the column cut and the pile moves read storage under it,
-        # so no rotation is folded into the cards.
-        folded = []
-        normalize = Matrix._normalize
+        # and no move ever re-bases the cards (see the Matrix docstring).
+        monkeypatch.setattr(Matrix, "_rebase", never_rebased)
+        prover = ProverInput(sample7x7_solution)
+        for seed in range(20):
+            for dedupe in (False, True):
+                assert run_protocol(sample7x7, prover, RandomSource(seed), dedupe).verdict.accepted
 
-        def recorded(matrix):
-            folded.append(matrix.offset)
-            normalize(matrix)
-
-        monkeypatch.setattr(Matrix, "_normalize", recorded)
-        verdict, _, _ = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(0))
-        assert verdict.accepted
-        assert [o for o in folded if o] == []
+    def test_rejects_and_harvests_never_rebase(self, monkeypatch, sample7x7, sample7x7_solution):
+        # The same holds on every reject of the soundness sweep, on the
+        # simulator's harvest for k = 1..8, and on every replayed draw tuple
+        # of every raw k = 2 configuration, malformed and rejected ones too.
+        monkeypatch.setattr(Matrix, "_rebase", never_rebased)
+        sweep = soundness_sweep(sample7x7, sample7x7_solution, RandomSource(3), seeds_per_mutation=2)
+        assert sweep.passed
+        view._sim_chunks.cache_clear()
+        try:
+            for k in range(1, 9):
+                view._sim_chunks(k)
+        finally:
+            view._sim_chunks.cache_clear()
+        widths = (2, 2, 3, 2, 2, 3, 2)
+        for a0, *neighbours in itertools.product(range(4), repeat=3):
+            for draws in itertools.product(*map(range, widths)):
+                try:
+                    _distance_direction(2, a0, neighbours, ReplaySource(draws), Transcript(), ())
+                except MalformedCommitmentError:
+                    pass
 
     def test_face_table_layers_stay_small(self, monkeypatch, sample7x7, sample7x7_solution):
         # Honest reveals show one heart per row and none in a uniqueness

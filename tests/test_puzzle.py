@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import signal
 
 import pytest
@@ -258,6 +259,14 @@ class TestWithValue:
                     assert all(type(v) is int for row in got.values for v in row)
                     assert all(type(row) is tuple for row in got.values)
         assert sample7x7_solution == Assignment.from_rows(SAMPLE7X7_SOLUTION_ROWS)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (-1, 3), (2, -7)])
+    def test_cell_below_1_is_off_the_grid(self, sample7x7_solution, cell):
+        # Not Python's index from the end: (0, 0) would read (7, 7).
+        with pytest.raises(IndexError, match=re.escape(f"cell {cell} is off the grid")):
+            sample7x7_solution[cell]
+        with pytest.raises(IndexError, match=re.escape(f"cell {cell} is off the grid")):
+            sample7x7_solution.with_value(cell, 6)
 
 
 SMALL_PARTITIONS = [
