@@ -523,10 +523,14 @@ class Matrix:
         """Remove columns col_lo..col_hi (1-based, inclusive) and return them as a matrix.
 
         The returned matrix lays the columns out in visible order with offset 0.
+        An empty run, or one that does not lie within columns 1..n_cols,
+        raises before any card moves.
         """
         if self._face_up:
             raise _face_up_error(self)
         w, n = self.n_cols, col_hi - col_lo + 1
+        if not 1 <= col_lo <= col_hi <= w:
+            raise ValueError(f"matrix {self.id}: columns {col_lo}..{col_hi} not within 1..{w}")
         s = (col_lo - 1 - self.offset) % w  # storage column of col_lo
         if s + n > w:
             self._rebase(s)

@@ -4,14 +4,15 @@ A board commits one length-k sequence per grid cell (k = biggest room
 size); fixed cells are placed publicly from the clues, empty cells secretly
 from the prover's claimed solution. Verification then runs two phases:
 
-* distance phase: for each cell and direction, in ``distance_checks`` order,
+* distance phase: for each cell and direction, in ``check_plan`` order,
   prove that the cell's value x does not reappear within the first x cells
   that way, without revealing x. The board is one flat list in row-major
-  cell order, and ``ray_slices`` compiles each check's constants once per
-  shape and k: its cell as an index and its ray as a slice of that list,
-  its blank padding, its two auxiliary peaks, its label and its marks. So
-  ``verify_distance_direction`` makes one lookup, takes the sequences off
-  the grid and puts them back by slice;
+  cell order, and ``check_plan``, built once per shape, k and direction
+  set, is the one statement of which checks run, in what order, and with
+  what constants: each entry holds its cell as an index and its ray as a
+  slice of that list, its blank padding, its two auxiliary peaks, its label
+  and its marks. ``verify_distance_direction`` takes one entry, takes the
+  sequences off the grid and puts them back by slice;
   ``_distance_direction`` runs the paper's steps on their masks alone: it
   inserts k-1 blank columns after the x-th neighbour under cover of
   shuffles, selects the k sequences starting at the first neighbour
@@ -48,9 +49,9 @@ from .cards import (
     rearrangement,
 )
 from .puzzle import (
+    DIRECTION_STEPS,
     DIRECTIONS,
     Assignment,
-    Cell,
     Puzzle,
     RoomId,
     max_room_size,
@@ -63,68 +64,46 @@ MALFORMED_COMMITMENT = "MalformedCommitment"
 
 # Directions each cell is checked in, keyed by dedupe_directions.
 CHECKED_DIRECTIONS = {False: DIRECTIONS, True: ("right", "down")}
-# The marks of each distance check by cell and direction and of each
-# uniqueness step by matrix id, and each room check's matrix id and marks by
-# room: looked up rather than formatted per call, by the decoder's layout too.
-CHECK_MARKS = cache(lambda cell, direction: marks(f"dist:{cell[0]},{cell[1]}:{direction}"))
+# The marks of each uniqueness step by matrix id, and each room check's
+# matrix id and marks by room: looked up rather than formatted per call, by
+# the decoder's layout too.
 UNIQUE_MARKS = cache(lambda matrix_id: marks(f"unique:{matrix_id}"))
 ROOM_STEP = cache(lambda room: (f"R:{room}", *marks(f"room:{room}")))
 DISTANCE_PHASE, ROOM_PHASE = "distance_phase", "room_phase"
 
 
 @cache
-def distance_checks(rows: int, cols: int, dedupe_directions: bool) -> tuple[tuple[Cell, str], ...]:
-    """The (cell, direction) of every distance check of a rows x cols grid in
-    run order: cells row-major, each in ``CHECKED_DIRECTIONS`` order."""
-    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    return tuple((cell, d) for cell in cells for d in CHECKED_DIRECTIONS[dedupe_directions])
-
-
-# ray_slices' plans by (rows, cols, k), filled on first use.
-_RAY_SLICES: dict[tuple[int, int, int], dict[tuple[Cell, str], tuple]] = {}
-
-
-def ray_slices(puzzle: Puzzle) -> dict[tuple[Cell, str], tuple]:
-    """Per (cell, direction): the check's constants, compiled once per shape and k.
+def check_plan(rows: int, cols: int, k: int, dedupe_directions: bool) -> tuple[tuple, ...]:
+    """Every distance check of a rows x cols grid at card count k, in run
+    order (cells row-major, each in ``CHECKED_DIRECTIONS`` order), with its
+    constants.
 
     An entry is ``(index, ray, reach, pad, aux, aux_end, where, marks)``:
-    ``puzzle.cells[index]`` is the cell and ``puzzle.cells[ray]`` its ray,
-    ``Puzzle.rays[cell, direction]``, of ``reach`` cells, nearest first;
+    ``index`` is the cell's spot in the row-major board and ``ray`` the
+    slice of the board holding the next ``reach`` cells that way, nearest
+    first, stepped from ``DIRECTION_STEPS`` up to k cells or the grid edge;
     ``pad`` is the tuple of ``k - reach`` blank sequences past the edge;
     ``aux`` and ``aux_end`` are the auxiliary peaks before the first draw and
-    after step 7; ``where`` is the key itself, which labels the trail and a
-    reject; ``marks`` is ``CHECK_MARKS(cell, direction)``.
-
-    Built from ``Puzzle.rays`` on first use and shared by every puzzle of
-    the same shape and k, so nothing in an entry is mutable. A slice that
-    does not give back its ray raises ``RuntimeError``.
+    after step 7; ``where`` is ``(cell, direction)``, which labels the trail
+    and a reject; ``marks`` is the check's shared ``cards.marks`` pair.
+    Nothing in an entry is mutable, so every board of the shape shares it.
     """
-    k = max_room_size(puzzle)
-    key = puzzle.rows, puzzle.cols, k
-    plan = _RAY_SLICES.get(key)
-    if plan is None:
-        cells, plan = puzzle.cells, {}
-        index = {cell: i for i, cell in enumerate(cells)}
-        for where, ray in puzzle.rays.items():
-            cell, direction = where
-            i, at = index[cell], [index[c] for c in ray]
-            if at:
-                # A repeated cell would give step 0, which cannot slice: 1 fails the check instead.
-                step = (at[1] - at[0] if len(at) > 1 else 0) or 1
-                stop = at[-1] + step
-                ray_slice = slice(at[0], stop if stop >= 0 else None, step)
-            else:
-                ray_slice = slice(i, i)
-            if cells[ray_slice] != ray:
-                raise RuntimeError(f"ray_slices: no slice gives the ray of {cell} {direction}")
-            reach = len(ray)
+    plan = []
+    for i in range(rows * cols):
+        r, c = divmod(i, cols)
+        for direction in CHECKED_DIRECTIONS[dedupe_directions]:
+            dr, dc = DIRECTION_STEPS[direction]
+            # A step that leaves the grid never comes back, so the in-grid steps are the ray.
+            reach = sum(0 <= r + dr * d < rows and 0 <= c + dc * d < cols for d in range(1, k + 1))
+            step = dr * cols + dc
+            stop = i + step * (reach + 1)
+            ray = slice(i + step, stop if stop >= 0 else None, step) if reach else slice(i, i)
             aux = (3 + k - reach) * k
-            plan[where] = (
-                i, ray_slice, reach, (0,) * (k - reach),
-                aux, aux + (k - 1) * (k + 2), where, CHECK_MARKS(cell, direction),
-            )
-        _RAY_SLICES[key] = plan
-    return plan
+            plan.append((
+                i, ray, reach, (0,) * (k - reach), aux, aux + (k - 1) * (k + 2),
+                ((r + 1, c + 1), direction), marks(f"dist:{r + 1},{c + 1}:{direction}"),
+            ))
+    return tuple(plan)
 
 
 class Verdict(NamedTuple):
@@ -173,10 +152,9 @@ class Board:
     ``verify_distance_direction`` raises from hand formulas, not a live count.
 
     ``cell_seq`` is one flat list, a sequence per cell in ``puzzle.cells``
-    (row-major) order, ``None`` where a check has taken the cards off.
-    ``ray_slices`` is ``ray_slices(puzzle)``: a distance check finds there
-    its compiled constants, its cell's spot and its ray of neighbours as an
-    index and a slice among them.
+    (row-major) order, ``None`` where a check has taken the cards off; a
+    ``check_plan`` entry gives each check's cell and ray of neighbours as an
+    index and a slice of it.
     """
 
     def __init__(self, puzzle: Puzzle, k: int, cell_seq: list[Sequence | None]):
@@ -184,7 +162,6 @@ class Board:
         self.k = k
         self.cell_seq = cell_seq
         self.aux_peak = 0
-        self.ray_slices = ray_slices(puzzle)
 
 
 class ProtocolResult(NamedTuple):
@@ -239,26 +216,26 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
 
 def verify_distance_direction(
     board: Board,
-    cell: Cell,
-    direction: str,
+    check: tuple,
     rng: RandomSource,
     transcript: Transcript,
 ) -> Verdict:
-    """One distance check: cell's value x must not recur within x steps that way.
+    """One distance check, a ``check_plan`` entry of the board's shape and k:
+    the cell's value x must not recur within x steps that way.
 
     Takes the cell's sequence and its k neighbours that way off the board,
-    at the index and slice of its ``board.ray_slices`` entry, leaving
-    ``None`` in their spots; pads them with the entry's public all-club
-    sequences past the edge for ``_distance_direction``; on accept every
-    sequence goes back on its cell, still face-down, and on reject the cards
-    stay off. Every check starts with no auxiliary card out, so the peak
-    rises to the entry's ``aux``, 3k + pad*k (public rows and padding),
-    before the first draw, and to its ``aux_end``, (k-1)(k+2) more for step
-    7's blank block, unless step 2 raised. The entry also holds the marks
-    and the label of the check, so no per-call value is built here.
+    at the entry's index and slice, leaving ``None`` in their spots; pads
+    them with the entry's public all-club sequences past the edge for
+    ``_distance_direction``; on accept every sequence goes back on its cell,
+    still face-down, and on reject the cards stay off. Every check starts
+    with no auxiliary card out, so the peak rises to the entry's ``aux``,
+    3k + pad*k (public rows and padding), before the first draw, and to its
+    ``aux_end``, (k-1)(k+2) more for step 7's blank block, unless step 2
+    raised. The entry also holds the marks and the label of the check, so
+    no per-call value is built here.
     """
     k, seqs = board.k, board.cell_seq
-    i, ray, reach, pad, aux, aux_end, where, (enter, leave) = board.ray_slices[cell, direction]
+    i, ray, reach, pad, aux, aux_end, where, (enter, leave) = check
     a0 = seqs[i]
     neighbours = seqs[ray]
     seqs[i] = None
@@ -283,7 +260,7 @@ def verify_distance_direction(
     if rng.trail is not None:
         back = [seqs[i], *seqs[ray], *piles[reach:]]
         values = [tuple(map(decode, side)) for side in ([a0, *neighbours], back)]
-        rng.trail.record("restore", cell, direction, *values)
+        rng.trail.record("restore", *where, *values)
     return ACCEPT
 
 
@@ -394,14 +371,14 @@ def verify_distance_phase(
     transcript: Transcript,
     dedupe_directions: bool = False,
 ) -> Verdict:
-    """Every distance check in ``distance_checks`` order, stopping at the first
+    """Every distance check in ``check_plan`` order, stopping at the first
     reject. With ``dedupe_directions`` only right and down run, which still
     covers every pair once since the rule is symmetric.
     """
     puzzle = board.puzzle
     return _phase(DISTANCE_PHASE, transcript, (
-        verify_distance_direction(board, cell, direction, rng, transcript)
-        for cell, direction in distance_checks(puzzle.rows, puzzle.cols, dedupe_directions)
+        verify_distance_direction(board, check, rng, transcript)
+        for check in check_plan(puzzle.rows, puzzle.cols, board.k, dedupe_directions)
     ))
 
 

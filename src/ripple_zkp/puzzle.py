@@ -43,7 +43,7 @@ class PuzzleFormatError(ValueError):
 
 class Puzzle:
     """Grid geometry, room partition, and fixed clue cells: read-only
-    fields, identity equality, and three tables cached on first use."""
+    fields, identity equality, and two tables cached on first use."""
 
     def __init__(self, rows: int, cols: int, room_of: dict[Cell, RoomId], fixed: dict[Cell, int]):
         vars(self).update(rows=rows, cols=cols, room_of=room_of, fixed=fixed)
@@ -66,24 +66,6 @@ class Puzzle:
         for cell in self.cells:
             grouped.setdefault(self.room_of[cell], []).append(cell)
         return {room: tuple(cells) for room, cells in grouped.items()}
-
-    @cached_property
-    def rays(self) -> dict[tuple[Cell, str], tuple[Cell, ...]]:
-        """Per (cell, direction): the next k cells that way, nearest first.
-
-        k is ``max_room_size``, the number of neighbours a distance check
-        gathers; a ray stops at the grid edge, so it holds the
-        min(k, cells to the edge) cells the check takes off the grid.
-        """
-        k = max_room_size(self)
-        rays = {}
-        for r, c in self.cells:
-            for direction, (dr, dc) in DIRECTION_STEPS.items():
-                ray = ((r + dr * d, c + dc * d) for d in range(1, k + 1))
-                rays[(r, c), direction] = tuple(
-                    (i, j) for i, j in ray if 1 <= i <= self.rows and 1 <= j <= self.cols
-                )
-        return rays
 
 
 class Assignment(NamedTuple):

@@ -1,9 +1,10 @@
 """The verifier's view as the audit reads it: one layout per puzzle, its decoder, a simulator.
 
 A transcript is the verifier's view of a run. On the accept path that view
-has one fixed layout per puzzle shape and direction set: per distance check,
-a mark pair around one run of events per secret draw (seven draws, six at
-k = 1), then per room one ``reveal_all`` between the room's marks. What a
+has one fixed layout per puzzle shape and direction set: per entry of
+``protocol.check_plan``, the plan the run follows, the entry's mark pair
+around one run of events per secret draw (seven draws, six at k = 1), then
+per room one ``reveal_all`` between the room's marks. What a
 draw shows is read off the engine: ``_sim_chunks`` replays the distance
 subprotocol ``protocol._distance_direction`` on the public configuration,
 x = 1 against k blanks, and keeps the run of events each draw value selects.
@@ -34,8 +35,7 @@ from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, event_line, faces_of, marks
-from .protocol import CHECK_MARKS, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP
-from .protocol import _distance_direction, distance_checks
+from .protocol import DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP, _distance_direction, check_plan
 from .puzzle import Puzzle
 
 
@@ -76,10 +76,11 @@ class Layout:
     """Where every draw of an accepting run shows, and the runs it selects.
 
     ``shape`` is (rows, cols, ((room, size), ...), dedupe_directions), the
-    whole of what fixes the layout; a layout pickles as its shape. The events
-    are a list of chunks: fixed runs of marks, named and ordered as
-    ``protocol`` does (``distance_checks``), and the verdict, with a slot for
-    each draw's run and each room's reveal between them. Rendering fills the
+    whole of what fixes the layout, the ``check_plan`` it reads included; a
+    layout pickles as its shape. The events are a list of chunks: fixed runs
+    of marks, the distance checks' taken from the ``check_plan`` entries in
+    run order, and the verdict, with a slot for each draw's run and each
+    room's reveal between them. Rendering fills the
     slots, one strided slice per draw index, and flattens the list. Decoding
     picks every reveal with one ``itemgetter`` at the ``reveal_row`` and
     ``reveal_all`` events of one rendering (every draw at 0), so every run of
@@ -88,8 +89,9 @@ class Layout:
 
     def __init__(self, shape: tuple):
         rows, cols, rooms, dedupe = self.shape = shape
-        steps, room_cols = _sim_chunks(max(size for _, size in rooms))
-        checks = distance_checks(rows, cols, dedupe)
+        k = max(size for _, size in rooms)
+        steps, room_cols = _sim_chunks(k)
+        checks = check_plan(rows, cols, k, dedupe)
         n, n_checks = len(steps), len(checks)
         tables = [tuple(table) for table, _ in steps]
         # The runs of each draw of the run, by draw value and by heart position.
@@ -118,8 +120,7 @@ class Layout:
         self._permutations = [list(range(1, size + 1)) for size in self.sizes]
 
         chunks = [(marks(DISTANCE_PHASE)[0],)]
-        for check in checks:
-            enter, leave = CHECK_MARKS(*check)
+        for *_, (enter, leave) in checks:
             chunks[-1] += (enter,)
             chunks += [None] * n + [(leave,)]
         chunks[-1] += (marks(DISTANCE_PHASE)[1], marks(ROOM_PHASE)[0])

@@ -4,7 +4,7 @@ from itertools import product
 
 from ripple_zkp.view import AuditError
 from ripple_zkp.cards import HEART, RandomSource
-from ripple_zkp.protocol import ProverInput, run_protocol
+from ripple_zkp.protocol import ProverInput, check_plan, run_protocol
 from ripple_zkp.puzzle import Assignment, Puzzle, max_room_size, solve, validate
 
 # (open rearr:/unique: step or None, matrix id, revealed row) -> family key
@@ -45,6 +45,31 @@ class RecordingSource(RandomSource):
     def permutation(self, n: int) -> list[int]:
         self.draws.append(("permutation", n))
         return super().permutation(n)
+
+
+# One step each way, written out here rather than read from ``puzzle``.
+STEPS = {"right": (0, 1), "left": (0, -1), "up": (-1, 0), "down": (1, 0)}
+
+
+def reference_rays(puzzle: Puzzle) -> dict[tuple, tuple]:
+    """Per (cell, direction): the next k cells that way, nearest first, where
+    k is ``max_room_size``; a ray stops at the grid edge. Stepped cell by
+    cell, apart from ``protocol.check_plan``, whose board slices it checks."""
+    k = max_room_size(puzzle)
+    rays = {}
+    for r, c in puzzle.cells:
+        for direction, (dr, dc) in STEPS.items():
+            ray = ((r + dr * d, c + dc * d) for d in range(1, k + 1))
+            rays[(r, c), direction] = tuple(
+                (i, j) for i, j in ray if 1 <= i <= puzzle.rows and 1 <= j <= puzzle.cols
+            )
+    return rays
+
+
+def check_of(puzzle: Puzzle, cell, direction: str) -> tuple:
+    """The ``protocol.check_plan`` entry of ``puzzle``'s check of ``cell`` that way."""
+    plan = check_plan(puzzle.rows, puzzle.cols, max_room_size(puzzle), False)
+    return next(check for check in plan if check[6] == (cell, direction))
 
 
 def make_puzzle(room_rows, fixed=None) -> Puzzle:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import check_of
 from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     _EVENT_LINES,
@@ -224,7 +225,8 @@ class TestReplaySource:
         def check(rng):
             board = setup(sample7x7, ProverInput(sample7x7_solution))
             t = Transcript()
-            assert verify_distance_direction(board, (4, 4), "left", rng, t).accepted
+            left = check_of(sample7x7, (4, 4), "left")
+            assert verify_distance_direction(board, left, rng, t).accepted
             return t.events
 
         seeded = RandomSource(5, AuditTrail())
@@ -454,6 +456,35 @@ class TestMatrixState:
         assert m.piles == [None, None, None]
         m.put_segment(2, run)
         assert m.snapshot() == before
+
+    def test_put_wrapping_past_the_last_storage_column_rebases(self):
+        # Two takes leave the last and the first column empty; one put that
+        # wraps from the last column fills both and reads as before.
+        rows = [mask_of((C, H, C, C)), mask_of((C, C, H, H))]
+        m = Matrix("X", 4, rows, [0b01, 0b10, 0b11, 0b00], 2)
+        t = Transcript()
+
+        def shown():
+            faces = [m.reveal_row(row, t) for row in range(1, m.n_rows + 1)]
+            m.flip_down()
+            return m.pile_masks(), faces
+
+        before = shown()
+        (last,) = m.take_segment(4, 1)
+        (first,) = m.take_segment(1, 1)
+        assert m.piles == [None, 0b10, 0b11, None]
+        m.put_segment(4, [last, first])
+        assert m.offset != 0  # re-based: the run is one storage slice
+        assert shown() == before
+
+    def test_remove_columns_outside_the_width_moves_nothing(self):
+        m = Matrix("X", 3, [0b101], [1, 2, 3], 2)
+        m.rotate(1)
+        before = m.n_cols, m.offset, list(m.rows), list(m.piles), m.snapshot()
+        for lo, hi in ((2, 5), (0, 1), (3, 2), (4, 4)):
+            with pytest.raises(ValueError, match="not within"):
+                m.remove_columns(lo, hi)
+            assert (m.n_cols, m.offset, m.rows, m.piles, m.snapshot()) == before
 
     def test_take_row_leaves_a_hole(self):
         m = Matrix.from_rows("X", 3, [mask_of((C, H, C)), mask_of((H, C, C))])

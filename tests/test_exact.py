@@ -27,7 +27,7 @@ every permutation of 1..s exactly once, which is the uniform permutation the
 simulator draws, and a wrong multiset or a committed 0 rejects on every tuple.
 
 Composition. A run's view is the concatenation of its checks' views: the
-distance checks in ``protocol.distance_checks`` order, then the rooms. Each
+distance checks in ``protocol.check_plan`` order, then the rooms. Each
 check makes its own draws, independent of every other check's, and an
 accepting distance check puts every sequence back on its cell unchanged, so
 each check starts from the committed values whatever came before. A run's

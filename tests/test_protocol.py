@@ -11,9 +11,11 @@ from helpers import (
     all_assignments,
     all_room_partitions,
     brute_force_solutions,
+    check_of,
     make_puzzle,
+    reference_rays,
 )
-from ripple_zkp import cards, protocol, view
+from ripple_zkp import cards, view
 from ripple_zkp.audit import AuditReport, FamilyResult, SweepReport, soundness_sweep
 from ripple_zkp.cards import (
     HEART,
@@ -25,10 +27,10 @@ from ripple_zkp.cards import (
     Transcript,
     decode,
     encode,
+    marks,
 )
 from ripple_zkp.protocol import (
     ACCEPT,
-    CHECK_MARKS,
     DISTANCE_HEART_FOUND,
     MALFORMED_COMMITMENT,
     ROOM_MULTISET_MISMATCH,
@@ -40,8 +42,7 @@ from ripple_zkp.protocol import (
     _distance_direction,
     _uniqueness_on_matrix,
     card_stats,
-    distance_checks,
-    ray_slices,
+    check_plan,
     run_protocol,
     setup,
     verify_distance_direction,
@@ -122,7 +123,7 @@ class TestDistanceDirection:
         for cell in [(1, 1), (4, 4), (7, 7), (5, 7)]:
             for direction in ("right", "left", "up", "down"):
                 verdict = verify_distance_direction(
-                    board, cell, direction, rng, Transcript()
+                    board, check_of(board.puzzle, cell, direction), rng, Transcript()
                 )
                 assert verdict.accepted, (cell, direction)
 
@@ -132,7 +133,7 @@ class TestDistanceDirection:
             puzzle, ProverInput(Assignment.from_rows([[1, 1]]), honest=False)
         )
         verdict = verify_distance_direction(
-            board, (1, 1), "right", RandomSource(0), Transcript()
+            board, check_of(board.puzzle, (1, 1), "right"), RandomSource(0), Transcript()
         )
         assert not verdict.accepted
         assert verdict.reason == DISTANCE_HEART_FOUND
@@ -142,7 +143,7 @@ class TestDistanceDirection:
         puzzle = make_puzzle(["a a"])
         board = setup(puzzle, ProverInput(Assignment.from_rows([[1, 2]])))
         verdict = verify_distance_direction(
-            board, (1, 2), "right", RandomSource(5), Transcript()
+            board, check_of(board.puzzle, (1, 2), "right"), RandomSource(5), Transcript()
         )
         assert verdict.accepted
 
@@ -152,7 +153,7 @@ class TestDistanceDirection:
         rng = RandomSource(23)
         for direction in ("right", "left", "up", "down"):
             verdict = verify_distance_direction(
-                board, (4, 4), direction, rng, Transcript()
+                board, check_of(board.puzzle, (4, 4), direction), rng, Transcript()
             )
             assert verdict.accepted
         after = list(map(decode, board.cell_seq))
@@ -164,7 +165,7 @@ class TestDistanceDirection:
         board = setup(puzzle, ProverInput(asg))
         board.cell_seq[0] = encode(0, 2)  # cell (1,1)
         verdict = verify_distance_direction(
-            board, (1, 1), "right", RandomSource(0), Transcript()
+            board, check_of(board.puzzle, (1, 1), "right"), RandomSource(0), Transcript()
         )
         assert not verdict.accepted
         assert verdict.reason == MALFORMED_COMMITMENT
@@ -174,7 +175,7 @@ class TestDistanceDirection:
         board = setup(puzzle, ProverInput(Assignment.from_rows([[1, 2]])))
         board.cell_seq[0] = encode(1, 2) | encode(2, 2)  # cell (1,1): [H, H]
         verdict = verify_distance_direction(
-            board, (1, 1), "right", RandomSource(0), Transcript()
+            board, check_of(board.puzzle, (1, 1), "right"), RandomSource(0), Transcript()
         )
         assert not verdict.accepted
         assert verdict.reason == MALFORMED_COMMITMENT
@@ -186,8 +187,8 @@ class TestDistanceDirection:
         rng = RandomSource(31, trail=audit)
         for cell in [(1, 1), (3, 5)]:
             for direction in ("right", "down"):
-                verdict = verify_distance_direction(board, cell, direction, rng, Transcript())
-                assert verdict.accepted
+                check = check_of(sample7x7, cell, direction)
+                assert verify_distance_direction(board, check, rng, Transcript()).accepted
         aligned = audit.of_kind("align_rightmost")
         assert aligned and all(rec[4] == rec[5] for rec in aligned)
         selected = audit.of_kind("selection")
@@ -228,46 +229,50 @@ RAY_SHAPES = [(1, n) for n in range(1, 7)] + [(n, 1) for n in range(2, 6)] + [
 ]
 
 
-class TestRaySlices:
-    def test_slices_are_the_rays(self, sample7x7):
-        ks = {}
+class TestCheckPlan:
+    def test_entries(self, sample7x7):
+        # One puzzle per shape and k: the 7x7, and a room partition of every
+        # RAY_SHAPES grid for each k from 1 to its cell count.
         partitions = [p for shape in RAY_SHAPES for p in all_room_partitions(*shape)]
-        for puzzle in [sample7x7, *partitions]:
-            plan = ray_slices(puzzle)
-            assert plan.keys() == puzzle.rays.keys()
-            k = max_room_size(puzzle)
-            for key, entry in plan.items():
-                cell, direction = key
-                i, ray, reach, pad, aux, aux_end, where, check_marks = entry
-                assert puzzle.cells[i] == cell
-                assert puzzle.cells[ray] == puzzle.rays[cell, direction]
-                assert reach == len(puzzle.rays[cell, direction])
-                assert type(pad) is tuple and pad == (0,) * (k - reach)
-                assert aux == (3 + k - reach) * k
-                assert aux_end == aux + (k - 1) * (k + 2)
-                assert where == key
-                assert check_marks is CHECK_MARKS(cell, direction)
-            assert max(entry[5] for entry in plan.values()) == card_stats(puzzle).peak_aux_cards
-            ks.setdefault((puzzle.rows, puzzle.cols), set()).add(k)
+        puzzles = {(p.rows, p.cols, max_room_size(p)): p for p in [sample7x7, *partitions]}
         for rows, cols in RAY_SHAPES:
-            assert ks[rows, cols] == set(range(1, rows * cols + 1))
+            ks = {k for r, c, k in puzzles if (r, c) == (rows, cols)}
+            assert ks == set(range(1, rows * cols + 1))
+        # Directions per mode, written out rather than read from protocol.
+        checked = {False: ("right", "left", "up", "down"), True: ("right", "down")}
+        for (rows, cols, k), puzzle in puzzles.items():
+            rays = reference_rays(puzzle)
+            for dedupe, directions in checked.items():
+                plan = check_plan(rows, cols, k, dedupe)
+                assert [entry[6] for entry in plan] == [
+                    (cell, d) for cell in puzzle.cells for d in directions
+                ]
+                for entry in plan:
+                    i, ray, reach, pad, aux, aux_end, where, check_marks = entry
+                    cell, direction = where
+                    assert puzzle.cells[i] == cell
+                    assert puzzle.cells[ray] == rays[where] and reach == len(rays[where])
+                    assert type(pad) is tuple and pad == (0,) * (k - reach)
+                    assert aux == (3 + k - reach) * k
+                    assert aux_end == aux + (k - 1) * (k + 2)
+                    assert check_marks is marks(f"dist:{cell[0]},{cell[1]}:{direction}")
+                assert max(entry[5] for entry in plan) == card_stats(puzzle).peak_aux_cards
+        # The reference itself, on rays that run to the edge, stop short of it or are empty.
+        rays = reference_rays(make_puzzle(["a a a b b b c c c"]))
+        assert rays[(1, 5), "left"] == ((1, 4), (1, 3), (1, 2))
+        assert rays[(1, 8), "right"] == ((1, 9),) and rays[(1, 1), "up"] == ()
+        assert reference_rays(sample7x7)[(1, 1), "right"] == tuple((1, c) for c in range(2, 8))
 
-    @pytest.mark.parametrize("ray", [((1, 2), (1, 4), (1, 3)), ((1, 2), (1, 2))])
-    def test_a_ray_no_slice_gives_raises(self, monkeypatch, ray):
-        # The self-check holds under ``python -O`` too: it raises, not asserts.
-        puzzle = make_puzzle(["a a a a"])
-        vars(puzzle)["rays"] = {**puzzle.rays, ((1, 1), "right"): ray}
-        monkeypatch.setattr(protocol, "_RAY_SLICES", {})
-        with pytest.raises(RuntimeError, match=r"\(1, 1\) right"):
-            ray_slices(puzzle)
 
+class TestRaySlices:
+    # A check takes its cell and ray off the board by the slice of its plan entry.
     def test_accepting_checks_put_every_sequence_back(self, sample7x7, sample7x7_solution):
         board = setup(sample7x7, ProverInput(sample7x7_solution))
         before = list(board.cell_seq)
         rng = RandomSource(3)
-        for cell, direction in distance_checks(7, 7, False):
-            assert verify_distance_direction(board, cell, direction, rng, Transcript()).accepted
-            assert board.cell_seq == before, (cell, direction)
+        for check in check_plan(7, 7, 6, False):
+            assert verify_distance_direction(board, check, rng, Transcript()).accepted
+            assert board.cell_seq == before, check[6]
 
     @pytest.mark.parametrize(
         ("cell", "direction", "planted", "mask", "reason"),
@@ -290,9 +295,10 @@ class TestRaySlices:
         board = setup(sample7x7, ProverInput(sample7x7_solution))
         board.cell_seq[cells.index(planted)] = mask
         before = list(board.cell_seq)
-        verdict = verify_distance_direction(board, cell, direction, RandomSource(0), Transcript())
+        check = check_of(sample7x7, cell, direction)
+        verdict = verify_distance_direction(board, check, RandomSource(0), Transcript())
         assert verdict == Verdict(False, reason, (cell, direction))
-        off = {cells.index(c) for c in (cell, *sample7x7.rays[cell, direction])}
+        off = {cells.index(c) for c in (cell, *reference_rays(sample7x7)[cell, direction])}
         assert [i for i, seq in enumerate(board.cell_seq) if seq is None] == sorted(off)
         assert all(board.cell_seq[i] == before[i] for i in range(len(cells)) if i not in off)
 
@@ -338,25 +344,20 @@ class TestDistancePhase:
         )
         assert not verdict.accepted
 
-    def test_distance_checks_order(self):
-        assert distance_checks(1, 2, True) == (
-            ((1, 1), "right"), ((1, 1), "down"), ((1, 2), "right"), ((1, 2), "down"),
-        )
-        assert distance_checks(2, 1, False)[3:5] == (((1, 1), "down"), ((2, 1), "right"))
-
     @pytest.mark.parametrize("dedupe", [False, True])
     @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (7, 7)], ids=["1x3", "2x2", "7x7"])
     def test_runs_and_simulations_follow_distance_checks(
         self, shape, dedupe, sample7x7, sample7x7_solution
     ):
         # The one check order: an honest run and the simulator both open
-        # their distance checks in exactly the order distance_checks gives.
+        # their distance checks in exactly the order check_plan gives.
         if shape == (7, 7):
             puzzle, solution = sample7x7, sample7x7_solution
         else:
             puzzle = all_room_partitions(*shape)[0]
             solution = brute_force_solutions(puzzle)[0]
-        want = [f"dist:{r},{c}:{d}" for (r, c), d in distance_checks(*shape, dedupe)]
+        plan = check_plan(*shape, max_room_size(puzzle), dedupe)
+        want = [f"dist:{r},{c}:{d}" for *_, ((r, c), d), _ in plan]
         honest = run_protocol(puzzle, ProverInput(solution), RandomSource(0), dedupe)
         assert honest.verdict.accepted
         for transcript in (honest.transcript, simulate_transcript(puzzle, RandomSource(0), dedupe)):
@@ -722,7 +723,8 @@ class TestDrawSequence:
     def test_distance_check_widths(self, sample7x7, sample7x7_solution):
         board = setup(sample7x7, ProverInput(sample7x7_solution))
         rng = RecordingSource(0)
-        assert verify_distance_direction(board, (4, 4), "right", rng, Transcript()).accepted
+        check = check_of(sample7x7, (4, 4), "right")
+        assert verify_distance_direction(board, check, rng, Transcript()).accepted
         k = 6
         assert rng.draws == [("offset", w) for w in (k, k, 2 * k - 1, k, k, 2 * k - 1, k)]
 
