@@ -324,7 +324,8 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
     its traceback's text, down its own pipe (one that dies without sending
     raises ``EOFError``). The workers start, and stay, with SIGINT blocked,
     so Ctrl-C reaches this process alone, after every worker is tracked;
-    all are killed and reaped before any result or exception leaves.
+    all are killed, reaped and closed with their pipes before any result or
+    exception leaves.
     """
     n = max(1, min(workers or 1, len(jobs), usable_cpus()))
     chunks = [(*args, jobs[i::n]) for i in range(n)]
@@ -358,6 +359,9 @@ def _fork_map(chunk_fn, args: tuple, jobs, workers: int | None) -> list:
         for proc in procs:
             proc.kill()
             proc.join()
+            proc.close()
+        for reader in readers:
+            reader.close()
 
 
 def _fork_worker(writer, chunk_fn, chunk: tuple) -> None:

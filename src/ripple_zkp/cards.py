@@ -13,15 +13,17 @@ right) over piles (sequences stacked top to bottom, one mask per column),
 plus one rotation offset kept as an index: the pile-shifting shuffle of
 Nishimura et al. and the public shifts are a modular add to the offset, a
 row reveal looks its stored mask up under the offset, and cutting columns
-out or moving piles reads one run of storage at the offset. Only a re-base
-(``Matrix._rebase``) rotates the stored cards, and the protocol's own moves
-never need one (see ``Matrix``). Rows come off one at a time; piles move as
-runs of whole piles over neighbouring columns, one call per run
-(``take_segment``, ``put_segment``), a taken pile being ``None`` until it is
-put back, and a move that raises moves nothing. Revealed faces are tuples of
-CLUB/HEART taken from one table keyed by width, offset and stored mask,
-filled on first use; every tuple in it is made by ``faces_of``, which reads
-the offset-0 layer, and the simulator builds its reveals from the same table.
+out or moving piles reads one run of storage at the offset. Stored cards
+never rotate, and ``permute`` alone rewrites storage order: a cut or pile
+move that crosses the storage seam, a row taken under an offset, or a
+rotated block appended raises (see ``Matrix``). Rows come off one at a
+time; piles move as runs of whole piles over neighbouring columns, one call
+per run (``take_segment``, ``put_segment``), a taken pile being ``None``
+until it is put back, and a move that raises moves nothing. Revealed faces
+are tuples of CLUB/HEART taken from one table keyed by width, offset and
+stored mask, filled on first use; every tuple in it is made by
+``faces_of``, which reads the offset-0 layer, and the simulator builds its
+reveals from the same table.
 Every revealed value is read off its one-heart index, ``_ONE_HEART`` (by
 ``Matrix.read_heart``, which raises for a row without exactly one heart, the
 uniqueness step, the room check and the audit's decoder). ``serialize`` and
@@ -346,17 +348,16 @@ class Matrix:
     methods, which log what was shown; the lists passed in are taken over,
     not copied.
 
-    A move reads one storage run: a column cut or pile move whose run would
-    cross the last storage column first re-bases storage to the run's start
-    (``_rebase``, the only code that rotates stored cards); ``take_row``
-    re-bases to offset 0, ``append_columns`` a rotated block to offset 0;
-    ``permute`` composes the offset into its permutation. The protocol
-    never re-bases. Storage column 0 holds the first neighbour's pile from
-    step 1 onward; step 7 inserts the blank block right after the x-th
-    neighbour's storage column, so step 10's k piles are storage columns
-    0..k-1 and steps 13-15 cut x..x+k-2; and every ``take_row`` follows a
-    realignment that brings the indicator, at storage column 0, to column
-    1, which makes the offset 0.
+    Stored cards never rotate, and ``permute`` alone rewrites storage
+    order, composing the offset into its permutation. So a column cut or
+    pile move must lie in one storage run, ``take_row`` needs offset 0 and
+    ``append_columns`` an unrotated block; any other raises before a card
+    moves. The protocol keeps to this: piles start at storage column 0
+    (the first neighbour's) in step 1; step 7 inserts the blank block right
+    after the x-th neighbour's storage column, so step 10's k piles are
+    storage columns 0..k-1 and steps 13-15 cut x..x+k-2; and every
+    ``take_row`` follows a realignment that brings the indicator, at
+    storage column 0, to column 1, which makes the offset 0.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -405,16 +406,6 @@ class Matrix:
         """Storage columns in visible order."""
         o, w = self.offset, self.n_cols
         return [(j - o) % w for j in range(w)]
-
-    def _rebase(self, p: int) -> None:
-        """Rotate storage so storage column p becomes column 0, every column
-        still shown where it was; a taken row (``None``) stays out."""
-        w, full = self.n_cols, (1 << self.n_cols) - 1
-        self.rows = [
-            None if row is None else (row >> p | row << (w - p)) & full for row in self.rows
-        ]
-        self.piles = self.piles[p:] + self.piles[:p]
-        self.offset = (self.offset + p) % w
 
     def rotate(self, offset: int) -> None:
         """Move every column j to j+offset (mod width); no event logged."""
@@ -502,13 +493,13 @@ class Matrix:
         return top, self
 
     def append_columns(self, block: "Matrix") -> None:
-        """Put the columns of ``block``, laid out like this matrix, on the right."""
+        """Put the columns of ``block``, laid out like this matrix and unrotated, on the right."""
         if self._face_up:
             raise _face_up_error(self)
         if len(block.rows) != len(self.rows) or block.depth != self.depth:
             raise ValueError(f"matrix {self.id}: block rows do not line up")
         if block.offset:
-            block._rebase(block.n_cols - block.offset)
+            raise ValueError(f"matrix {self.id}: block {block.id} is rotated")
         # Insert at the storage column after the one shown last; the offset
         # then still maps every old column to where it was shown.
         q, n = self.n_cols - self.offset, block.n_cols
@@ -523,8 +514,8 @@ class Matrix:
         """Remove columns col_lo..col_hi (1-based, inclusive) and return them as a matrix.
 
         The returned matrix lays the columns out in visible order with offset 0.
-        An empty run, or one that does not lie within columns 1..n_cols,
-        raises before any card moves.
+        An empty run, one that does not lie within columns 1..n_cols, or one
+        that crosses the storage seam raises before any card moves.
         """
         if self._face_up:
             raise _face_up_error(self)
@@ -533,8 +524,7 @@ class Matrix:
             raise ValueError(f"matrix {self.id}: columns {col_lo}..{col_hi} not within 1..{w}")
         s = (col_lo - 1 - self.offset) % w  # storage column of col_lo
         if s + n > w:
-            self._rebase(s)
-            s = 0
+            raise ValueError(f"matrix {self.id}: columns {col_lo}..{col_hi} cross the storage seam")
         rows, piles, cut = self.rows, self.piles, []
         span, keep = (1 << n) - 1, (1 << s) - 1
         for i, row in enumerate(rows):
@@ -549,9 +539,10 @@ class Matrix:
         return Matrix(self.id, n, cut, block, self.depth)
 
     def take_row(self, row: int) -> Sequence:
-        """Physically remove one laid-out row of cards, as a mask in visible order."""
+        """Physically remove one laid-out row of cards, as a mask in visible order;
+        under a nonzero offset it raises, taking nothing."""
         if self.offset:
-            self._rebase(self.n_cols - self.offset)
+            raise RuntimeError(f"matrix {self.id}: taking a row under offset {self.offset}")
         mask = self.rows[row - 1]
         self.rows[row - 1] = None  # type: ignore[call-overload]
         return mask
@@ -559,38 +550,38 @@ class Matrix:
     def take_segment(self, col: int, count: int) -> list[Sequence]:
         """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
-        The run wraps past the last column, and is one slice of storage once
-        re-based. Each pile taken leaves ``None``. A spot that is already
-        ``None``, or a count above the width, raises before any pile moves,
-        so no card is made up or lost.
+        The run may wrap past the last visible column but must lie in one
+        storage run. Each pile taken leaves ``None``. A run that crosses the
+        storage seam (a count above the width does), or a spot that is
+        already ``None``, raises before any pile moves, so no card is made
+        up or lost.
         """
         w = self.n_cols
         p = (col - 1 - self.offset) % w
         end = p + count
-        if end > w and count <= w:
-            self._rebase(p)
-            p, end = 0, count
+        if end > w:
+            raise RuntimeError(f"matrix {self.id}: piles from column {col} cross the storage seam")
         taken = self.piles[p:end]
-        if end > w or None in taken:
+        if None in taken:
             raise RuntimeError(f"matrix {self.id}: taking cards from empty spots")
         self.piles[p:end] = [None] * count
         return taken
 
     def put_segment(self, col: int, piles: list[Sequence]) -> None:
-        """Fill the gaps from ``col`` rightwards with ``piles``, wrapping as ``take_segment`` does.
+        """Fill the gaps from ``col`` rightwards with ``piles``, in one storage run
+        as ``take_segment`` takes them.
 
-        A pile deeper than ``depth``, a spot that is not ``None``, or a run
-        longer than the width raises before any pile moves.
+        A pile deeper than ``depth``, a run that crosses the storage seam, or
+        a spot that is not ``None`` raises before any pile moves.
         """
         w, count = self.n_cols, len(piles)
         if count and max(piles) >> self.depth:
             raise ValueError(f"matrix {self.id}: pile deeper than {self.depth} cards")
         p = (col - 1 - self.offset) % w
         end = p + count
-        if end > w and count <= w:
-            self._rebase(p)
-            p, end = 0, count
-        if end > w or self.piles[p:end].count(None) != count:
+        if end > w:
+            raise RuntimeError(f"matrix {self.id}: piles from column {col} cross the storage seam")
+        if self.piles[p:end].count(None) != count:
             raise RuntimeError(f"matrix {self.id}: putting cards onto occupied spots")
         self.piles[p:end] = piles
 

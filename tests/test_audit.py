@@ -102,7 +102,9 @@ class FakeForkContext:
         self.pool_sizes[-1] += 1
         writer, _, chunk = args
         writer.sent = (True, FamilyCounts(chunk[0]))
-        return SimpleNamespace(start=lambda: None, kill=lambda: None, join=lambda: None)
+        return SimpleNamespace(
+            start=lambda: None, kill=lambda: None, join=lambda: None, close=lambda: None
+        )
 
 
 # (dof, x, P(X >= x)) from scipy.stats.chi2.sf, scipy 1.17.1. dof 1..10 are
@@ -1125,6 +1127,24 @@ class TestGathering:
         assert "in fail" in str(raised.value.__cause__)
         with pytest.raises(EOFError):
             audit._fork_map(lambda chunk: os._exit(3), (), [0, 1], 2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_failed_run_leaves_no_pipe_or_worker_open(self, monkeypatch):
+        # The exception the caller holds keeps _fork_map's frame alive
+        # through its traceback, yet no pipe or worker of the run is open.
+        import multiprocessing
+
+        monkeypatch.setattr(audit, "usable_cpus", lambda: 2)
+
+        def fail(chunk):
+            raise ValueError(f"chunk {chunk}")
+
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ValueError, match=r"chunk \[0, 2\]") as raised:
+            audit._fork_map(fail, (), [0, 1, 2, 3], 2)
+        assert raised.value.__traceback__ is not None
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert multiprocessing.active_children() == []
 
     def test_invalid_solution_is_loud(self):
         # The honest-prover contract trips before any session runs.

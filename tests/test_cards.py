@@ -99,6 +99,24 @@ def column_labels(m: Matrix) -> list[int]:
     return list(m.snapshot())
 
 
+def rotated(m: Matrix, offset: int) -> Matrix:
+    m.rotate(offset)
+    return m
+
+
+def crosses_seam(m: Matrix, col: int, count: int) -> bool:
+    """Whether ``count`` columns from visible column ``col`` run past the last storage column."""
+    return (col - 1 - m.offset) % m.n_cols + count > m.n_cols
+
+
+def assert_moves_nothing(m: Matrix, error, message: str, move) -> None:
+    """``move()`` raises ``error`` matching ``message`` and leaves ``m`` as it was."""
+    before = list(m.rows), list(m.piles), m.offset, m.n_cols, m.snapshot()
+    with pytest.raises(error, match=message):
+        move()
+    assert (m.rows, m.piles, m.offset, m.n_cols, m.snapshot()) == before
+
+
 class TestShuffles:
     def test_pile_shift_worked_example(self):
         m = labeled_matrix(5, 6)
@@ -402,7 +420,7 @@ class TestMatrixState:
 
     def test_take_past_the_width_rejected(self):
         m = Matrix("X", 2, piles=[0b1, 0b0], depth=1)
-        with pytest.raises(RuntimeError, match="empty spots"):
+        with pytest.raises(RuntimeError, match="storage seam"):
             m.take_segment(2, 3)
 
     def test_put_of_a_deeper_pile_rejected(self):
@@ -422,44 +440,47 @@ class TestMatrixState:
         assert m.snapshot() == (1, 2, 4, 4)
 
     def test_failed_moves_past_the_width_move_nothing(self):
+        # Column 3 shows storage column 0, so a run of the whole width from
+        # there is one storage run, and a longer one crosses the seam.
         m = Matrix("X", 3, [0b001], [1, 2, 3], 2)
         m.rotate(2)
         before = m.snapshot()
-        with pytest.raises(RuntimeError, match="empty spots"):
-            m.take_segment(2, 4)
+        with pytest.raises(RuntimeError, match="storage seam"):
+            m.take_segment(3, 4)
         assert m.piles == [1, 2, 3] and m.snapshot() == before
-        run = m.take_segment(2, 3)
-        with pytest.raises(RuntimeError, match="occupied"):
-            m.put_segment(2, [*run, 0])
+        run = m.take_segment(3, 3)
+        with pytest.raises(RuntimeError, match="storage seam"):
+            m.put_segment(3, [*run, 0])
         assert m.piles == [None, None, None]
-        m.put_segment(2, run)
+        m.put_segment(3, run)
         assert m.snapshot() == before
 
     def test_failed_put_onto_occupied_moves_nothing(self):
         m = Matrix("X", 3, [0b010], [1, 2, 3], 2)
         m.rotate(1)
         before = m.snapshot()
-        run = m.take_segment(1, 2)  # visible columns 1 and 2, stored at 2 and 0
+        run = m.take_segment(2, 2)  # visible columns 2 and 3, stored at 0 and 1
         with pytest.raises(RuntimeError, match="occupied"):
-            m.put_segment(1, [*run, 0])
-        assert m.pile_masks() == [None, None, 2]
-        m.put_segment(1, run)
+            m.put_segment(2, [*run, 0])
+        assert m.pile_masks() == [3, None, None]
+        m.put_segment(2, run)
         assert m.snapshot() == before
 
     def test_failed_put_of_a_deeper_pile_moves_nothing(self):
         m = Matrix("X", 3, [0b100], [1, 2, 3], 2)
         m.rotate(2)
         before = m.snapshot()
-        run = m.take_segment(2, 3)
+        run = m.take_segment(3, 3)
         with pytest.raises(ValueError, match="deeper"):
-            m.put_segment(2, [run[0], run[1], 0b100])
+            m.put_segment(3, [run[0], run[1], 0b100])
         assert m.piles == [None, None, None]
-        m.put_segment(2, run)
+        m.put_segment(3, run)
         assert m.snapshot() == before
 
-    def test_put_wrapping_past_the_last_storage_column_rebases(self):
+    def test_put_wrapping_past_the_last_storage_column_moves_nothing(self):
         # Two takes leave the last and the first column empty; one put that
-        # wraps from the last column fills both and reads as before.
+        # wraps from the last column crosses the storage seam and raises,
+        # and one put per storage run fills both and reads as before.
         rows = [mask_of((C, H, C, C)), mask_of((C, C, H, H))]
         m = Matrix("X", 4, rows, [0b01, 0b10, 0b11, 0b00], 2)
         t = Transcript()
@@ -472,9 +493,11 @@ class TestMatrixState:
         before = shown()
         (last,) = m.take_segment(4, 1)
         (first,) = m.take_segment(1, 1)
-        assert m.piles == [None, 0b10, 0b11, None]
-        m.put_segment(4, [last, first])
-        assert m.offset != 0  # re-based: the run is one storage slice
+        with pytest.raises(RuntimeError, match="storage seam"):
+            m.put_segment(4, [last, first])
+        assert (m.piles, m.offset) == ([None, 0b10, 0b11, None], 0)
+        m.put_segment(4, [last])
+        m.put_segment(1, [first])
         assert shown() == before
 
     def test_remove_columns_outside_the_width_moves_nothing(self):
@@ -487,35 +510,63 @@ class TestMatrixState:
             assert (m.n_cols, m.offset, m.rows, m.piles, m.snapshot()) == before
 
     def test_take_row_leaves_a_hole(self):
+        # A full turn leaves offset 0, where a row may be taken.
         m = Matrix.from_rows("X", 3, [mask_of((C, H, C)), mask_of((H, C, C))])
         m.rotate(1)
-        assert faces_of(3, m.take_row(1)) == (C, C, H)
+        m.rotate(2)
+        assert faces_of(3, m.take_row(1)) == (C, H, C)
         with pytest.raises(TypeError):
             m.reveal_row(1, Transcript())
+        assert m.rows[1] == mask_of((H, C, C))
 
-    def test_permute_and_rebase_keep_a_taken_row_out(self):
-        # Rows still laid out are rewritten by a permutation and the
-        # re-base of a later take, while a taken row stays a hole.
+    def test_permute_keeps_a_taken_row_out(self):
+        # Rows still laid out are rewritten by a permutation that composes
+        # the offset, while a taken row stays a hole.
         rows = [mask_of((C, H, C, C)), mask_of((H, C, C, C)), mask_of((C, C, C, H))]
         m = Matrix("X", 4, rows, [1, 2, 4, 8], 1)
+        assert faces_of(4, m.take_row(1)) == (C, H, C, C)
         m.rotate(1)
-        assert faces_of(4, m.take_row(1)) == (C, C, H, C)
-        m.permute([1, 2, 3, 0])
-        assert m.pile_masks() == [1, 2, 4, 8]
-        assert m.reveal_row(3, Transcript()) == (C, C, C, H)
+        m.permute([2, 3, 0, 1])
+        assert m.offset == 0 and m.pile_masks() == [2, 4, 8, 1]
+        assert m.reveal_row(3, Transcript()) == (C, C, H, C)
         m.flip_down()
-        m.rotate(1)
-        assert faces_of(4, m.take_row(2)) == (C, H, C, C)
+        assert faces_of(4, m.take_row(2)) == (C, C, C, H)
         assert m.rows[:2] == [None, None]
-        assert m.pile_masks() == [8, 1, 2, 4]
 
     def test_takes_under_two_rotations_read_in_visible_order(self):
+        # A take under a rotation raises and takes nothing; once a
+        # permutation composes the rotation into storage, it reads the row
+        # in visible order.
         rows = [mask_of((C, H, C, C)), mask_of((H, C, C, C))]
         m = Matrix.from_rows("X", 4, rows)
-        m.rotate(1)
-        assert faces_of(4, m.take_row(1)) == (C, C, H, C)
-        m.rotate(2)
-        assert faces_of(4, m.take_row(2)) == (C, C, C, H)
+        for row, shown in ((1, (C, C, H, C)), (2, (C, C, C, H))):
+            m.rotate(row)
+            with pytest.raises(RuntimeError, match=f"taking a row under offset {row}"):
+                m.take_row(row)
+            assert m.rows[row - 1] is not None
+            m.permute([0, 1, 2, 3])
+            assert faces_of(4, m.take_row(row)) == shown
+
+    # Each move that would need the stored cards rotated, as (error, message,
+    # call) on a matrix rotated by 1: visible column 1 shows storage column
+    # 2, the last, so a run of two from it crosses the storage seam.
+    UNROTATED_MOVES = {
+        "take_segment": (RuntimeError, "storage seam", lambda m: m.take_segment(1, 2)),
+        "put_segment": (RuntimeError, "storage seam", lambda m: m.put_segment(1, [0, 0])),
+        "remove_columns": (ValueError, "storage seam", lambda m: m.remove_columns(1, 2)),
+        "take_row": (RuntimeError, "under offset 1", lambda m: m.take_row(1)),
+        "append_columns": (
+            ValueError,
+            "block Y is rotated",
+            lambda m: m.append_columns(rotated(Matrix("Y", 2, [0, 0], [0, 0], 2), 1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("move", sorted(UNROTATED_MOVES))
+    def test_move_needing_a_rotated_storage_moves_nothing(self, move):
+        m = rotated(Matrix("X", 3, [0b101, 0b010], [1, 2, 3], 2), 1)
+        error, message, call = self.UNROTATED_MOVES[move]
+        assert_moves_nothing(m, error, message, lambda: call(m))
 
     def test_split_and_append(self):
         m = labeled_matrix(4, 3)
@@ -528,17 +579,27 @@ class TestMatrixState:
         assert removed.snapshot() == (mask_of((H, H)),) and bottom.n_cols == 3
 
     def test_append_and_remove_under_rotation(self):
+        # A rotated matrix takes an unrotated block after its last visible
+        # column and gives it back; a rotated block, or a cut across the
+        # storage seam, raises and moves nothing.
         m = Matrix("X", 3, [mask_of((H, C, C))], [1, 2, 3], 2)
         m.rotate(2)
         before = m.snapshot()
         block = Matrix("Y", 2, [mask_of((C, H))], [0b11, 0b00], 2)
-        block.rotate(1)  # shows (0b001, 0b110)
+        block.rotate(1)
+        with pytest.raises(ValueError, match="block Y is rotated"):
+            m.append_columns(block)
+        assert (m.n_cols, m.snapshot(), block.snapshot()) == (3, before, (0b001, 0b110))
+        block.rotate(1)  # a full turn: shows (0b110, 0b001)
         m.append_columns(block)
-        assert m.snapshot() == (*before, 0b001, 0b110)
+        assert m.snapshot() == (*before, 0b110, 0b001)
         m.shift(1, Transcript())
-        assert m.snapshot() == (0b110, *before, 0b001)
+        assert m.snapshot() == (0b001, *before, 0b110)
         m.shift(-1, Transcript())
-        assert m.remove_columns(4, 5).snapshot() == (0b001, 0b110)
+        with pytest.raises(ValueError, match="storage seam"):
+            m.remove_columns(2, 3)  # storage columns 4 and 0
+        assert m.snapshot() == (*before, 0b110, 0b001)
+        assert m.remove_columns(4, 5).snapshot() == (0b110, 0b001)
         assert m.snapshot() == before
 
     def test_append_requires_matching_layout(self):
@@ -685,23 +746,37 @@ class TestColumnModel:
                 block, block_ref = as_matrix(block_cols, len(m.rows)), ColumnModel(block_cols)
                 block.rotate(seed)
                 block_ref.rotate(seed)
-                m.append_columns(block)
-                ref.cols += block_ref.cols
+                if block.offset:
+                    assert_moves_nothing(m, ValueError, "rotated", lambda: m.append_columns(block))
+                else:
+                    m.append_columns(block)
+                    ref.cols += block_ref.cols
             elif op == "remove" and width > 1:
                 lo = rnd.randint(1, width - 1)
                 hi = rnd.randint(lo, width - 1)
-                assert column_faces(m.remove_columns(lo, hi)) == tuple(
-                    tuple(col) for col in ref.cols[lo - 1:hi]
-                )
-                del ref.cols[lo - 1:hi]
+                if crosses_seam(m, lo, hi - lo + 1):
+                    assert_moves_nothing(
+                        m, ValueError, "storage seam", lambda: m.remove_columns(lo, hi)
+                    )
+                else:
+                    assert column_faces(m.remove_columns(lo, hi)) == tuple(
+                        tuple(col) for col in ref.cols[lo - 1:hi]
+                    )
+                    del ref.cols[lo - 1:hi]
             elif op == "take_put":
-                # A run of whole piles from a random column, wrapping past the right edge.
+                # A run of whole piles from a random column, which may wrap
+                # past the right edge but not past the last storage column.
                 col, count, top = rnd.randint(1, width), rnd.randint(1, width), len(m.rows)
-                run = m.take_segment(col, count)
-                assert [faces_of(m.depth, pile) for pile in run] == [
-                    tuple(ref.cols[(col - 1 + i) % width][top:]) for i in range(count)
-                ]
-                m.put_segment(col, run)
+                if crosses_seam(m, col, count):
+                    for move in (lambda: m.take_segment(col, count),
+                                 lambda: m.put_segment(col, [0] * count)):
+                        assert_moves_nothing(m, RuntimeError, "storage seam", move)
+                else:
+                    run = m.take_segment(col, count)
+                    assert [faces_of(m.depth, pile) for pile in run] == [
+                        tuple(ref.cols[(col - 1 + i) % width][top:]) for i in range(count)
+                    ]
+                    m.put_segment(col, run)
             assert column_faces(m) == ref.faces()
         cut = m.n_rows // 2
         top, bottom = m.split_rows(cut, "T", "B")
@@ -710,8 +785,9 @@ class TestColumnModel:
 
     def test_remove_columns_every_run(self):
         # Every visible run under every offset, the last column and the whole
-        # width included, so every storage run that wraps is cut; distinct
-        # columns show any misplaced one.
+        # width included: each that lies in one storage run is cut, and each
+        # that crosses the storage seam raises; distinct columns show any
+        # misplaced one.
         rnd = random.Random(28)
         for width in range(1, 7):
             for offset in range(width):
@@ -722,6 +798,11 @@ class TestColumnModel:
                         m, ref = as_matrix(cols, 2), ColumnModel(cols)
                         m.rotate(offset)
                         ref.rotate(offset)
+                        if crosses_seam(m, lo, hi - lo + 1):
+                            assert_moves_nothing(
+                                m, ValueError, "storage seam", lambda: m.remove_columns(lo, hi)
+                            )
+                            continue
                         block = m.remove_columns(lo, hi)
                         assert block.offset == 0
                         assert column_faces(block) == tuple(map(tuple, ref.cols[lo - 1:hi]))

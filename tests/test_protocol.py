@@ -427,10 +427,6 @@ class TestRoom:
         assert board.cell_seq == [None, None]
 
 
-def never_rebased(matrix, p):
-    raise AssertionError(f"matrix {matrix.id} re-based at storage column {p}")
-
-
 class TestRunProtocol:
     def test_solution_accepts_across_seeds(self, sample7x7, sample7x7_solution):
         prover = ProverInput(sample7x7_solution)
@@ -501,21 +497,20 @@ class TestRunProtocol:
         assert verdict.accepted
         assert calls == []
 
-    def test_honest_run_never_folds_a_rotation(self, monkeypatch, sample7x7, sample7x7_solution):
+    def test_honest_run_never_folds_a_rotation(self, sample7x7, sample7x7_solution):
         # The offset of the distance check's matrices stays an index: row
-        # reveals, the column cut and the pile moves read storage under it,
-        # and no move ever re-bases the cards (see the Matrix docstring).
-        monkeypatch.setattr(Matrix, "_rebase", never_rebased)
+        # reveals, the column cut and the pile moves read storage under it.
+        # Stored cards never rotate, so a move that would need them to raises
+        # (see the Matrix docstring), and every run here completes.
         prover = ProverInput(sample7x7_solution)
         for seed in range(20):
             for dedupe in (False, True):
                 assert run_protocol(sample7x7, prover, RandomSource(seed), dedupe).verdict.accepted
 
-    def test_rejects_and_harvests_never_rebase(self, monkeypatch, sample7x7, sample7x7_solution):
+    def test_rejects_and_harvests_never_rebase(self, sample7x7, sample7x7_solution):
         # The same holds on every reject of the soundness sweep, on the
         # simulator's harvest for k = 1..8, and on every replayed draw tuple
         # of every raw k = 2 configuration, malformed and rejected ones too.
-        monkeypatch.setattr(Matrix, "_rebase", never_rebased)
         sweep = soundness_sweep(sample7x7, sample7x7_solution, RandomSource(3), seeds_per_mutation=2)
         assert sweep.passed
         view._sim_chunks.cache_clear()
