@@ -14,12 +14,11 @@ plus one rotation offset kept as an index: the pile-shifting shuffle of
 Nishimura et al. and the public shifts are a modular add to the offset, a
 row reveal looks its stored mask up under the offset, and cutting columns
 out or moving piles reads one run of storage at the offset. Stored cards
-never rotate, and ``permute`` alone rewrites storage order: a cut or pile
-move that crosses the storage seam, a row taken under an offset, or a
-rotated block appended raises (see ``Matrix``). Rows come off one at a
-time; piles move as runs of whole piles over neighbouring columns, one call
-per run (``take_segment``, ``put_segment``), a taken pile being ``None``
-until it is put back, and a move that raises moves nothing. Revealed faces
+never rotate, and a Matrix makes only the moves the protocol makes; any
+other raises (see ``Matrix``). Rows come off one at a time; piles move as
+runs of whole piles over neighbouring columns, one call per run
+(``take_segment``, ``put_segment``), a taken pile being ``None`` until it
+is put back, and a move that raises moves nothing. Revealed faces
 are tuples of CLUB/HEART taken from one table keyed by width, offset and
 stored mask, filled on first use; every tuple in it is made by
 ``faces_of``, which reads the offset-0 layer, and the simulator builds its
@@ -137,9 +136,6 @@ class AuditTrail:
 
     def record(self, kind: str, *data) -> None:
         self.records.append((kind, *data))
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        return [rec for rec in self.records if rec[0] == kind]
 
 
 class RandomSource:
@@ -348,16 +344,19 @@ class Matrix:
     methods, which log what was shown; the lists passed in are taken over,
     not copied.
 
-    Stored cards never rotate, and ``permute`` alone rewrites storage
-    order, composing the offset into its permutation. So a column cut or
-    pile move must lie in one storage run, ``take_row`` needs offset 0 and
-    ``append_columns`` an unrotated block; any other raises before a card
-    moves. The protocol keeps to this: piles start at storage column 0
-    (the first neighbour's) in step 1; step 7 inserts the blank block right
-    after the x-th neighbour's storage column, so step 10's k piles are
-    storage columns 0..k-1 and steps 13-15 cut x..x+k-2; and every
-    ``take_row`` follows a realignment that brings the indicator, at
-    storage column 0, to column 1, which makes the offset 0.
+    Only the protocol's moves are made, and stored cards never rotate. A
+    row reveal reads a row mask and a segment lies within rows 1..n_rows;
+    ``split_rows`` cuts among the row masks; ``permute`` reorders a matrix
+    of piles alone at offset 0 (the room check's); a column cut or pile
+    move lies in one storage run, ``take_row`` needs offset 0 and
+    ``append_columns`` an unrotated block. Any other move raises before a
+    card moves or an event is logged. The protocol keeps to this: piles
+    start at storage column 0 (the first neighbour's) in step 1; step 7
+    inserts the blank block right after the x-th neighbour's storage
+    column, so step 10's k piles are storage columns 0..k-1 and steps 13-15
+    cut x..x+k-2; and every ``take_row`` follows a realignment that brings
+    the indicator, at storage column 0, to column 1, which makes the
+    offset 0.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -389,11 +388,6 @@ class Matrix:
     def n_rows(self) -> int:
         return len(self.rows) + self.depth
 
-    def _row(self, row: int) -> Sequence:
-        """Row ``row``, one of the piles' rows below the row masks, as a storage-order mask."""
-        bit = row - len(self.rows) - 1
-        return sum((pile >> bit & 1) << p for p, pile in enumerate(self.piles))
-
     def _column(self, p: int, row_lo: int, n: int) -> Sequence:
         """The n cards of storage column p from row ``row_lo`` down, as a mask."""
         bits = self.piles[p] << len(self.rows) >> (row_lo - 1)
@@ -412,15 +406,12 @@ class Matrix:
         self.offset = (self.offset + offset) % self.n_cols
 
     def permute(self, perm: list[int]) -> None:
-        """Reorder columns: position i takes the column at position perm[i]."""
-        o, w = self.offset, self.n_cols
-        if o:
-            perm = [(q - o) % w for q in perm]
-            self.offset = 0
-        self.rows = [
-            None if row is None else sum((row >> q & 1) << i for i, q in enumerate(perm))
-            for row in self.rows
-        ]
+        """Reorder the piles of a matrix with no row masks, at offset 0: position i
+        takes the pile at position perm[i]. Any other matrix raises."""
+        if self.rows or self.offset:
+            raise RuntimeError(
+                f"matrix {self.id}: permuting {len(self.rows)} row masks under offset {self.offset}"
+            )
         self.piles = [self.piles[q] for q in perm]
 
     def shift(self, offset: int, transcript: Transcript) -> None:
@@ -432,8 +423,12 @@ class Matrix:
         self.offset = (self.offset + o) % self.n_cols
 
     def reveal_row(self, row: int, transcript: Transcript) -> tuple:
+        """Reveal row mask ``row``; a row of the piles raises."""
         w = self.n_cols
-        mask = self.rows[row - 1] if row <= len(self.rows) else self._row(row)
+        try:
+            mask = self.rows[row - 1]
+        except IndexError:
+            raise ValueError(f"matrix {self.id}: row {row} is not a row mask") from None
         o = self.offset
         faces = _FACES[w][o].get(mask) or _shown_faces(w, o, mask)
         transcript.events.append(("reveal_row", self.id, row, faces))
@@ -441,7 +436,12 @@ class Matrix:
         return faces
 
     def reveal_segment(self, col: int, row_lo: int, row_hi: int, transcript: Transcript) -> tuple:
-        n = row_hi - row_lo + 1 if row_hi >= row_lo else 0
+        """Reveal rows row_lo..row_hi of column ``col``; an empty run, or one
+        not within rows 1..n_rows, raises."""
+        h = self.n_rows
+        if not 1 <= row_lo <= row_hi <= h:
+            raise ValueError(f"matrix {self.id}: rows {row_lo}..{row_hi} not within 1..{h}")
+        n = row_hi - row_lo + 1
         mask = self._column((col - 1 - self.offset) % self.n_cols, row_lo, n)
         faces = _FACES[n][0].get(mask) or faces_of(n, mask)
         transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
@@ -467,27 +467,19 @@ class Matrix:
         self._face_up = 0
         return j
 
-    def flip_down(self) -> None:
-        """Turn all face-up cards back over."""
-        self._face_up = 0
-
     def split_rows(self, top_rows: int, top_id: str, bottom_id: str) -> tuple["Matrix", "Matrix"]:
-        """Divide into a top matrix of ``top_rows`` rows and a bottom matrix.
+        """Divide into a top matrix of the first ``top_rows`` row masks and a bottom matrix.
 
         Only the top matrix is new: this matrix keeps the rows below the cut
-        and is returned, renamed ``bottom_id``, as the bottom one.
+        and is returned, renamed ``bottom_id``, as the bottom one. A cut
+        below the row masks raises.
         """
         if self._face_up:
             raise _face_up_error(self)
-        h, w = len(self.rows), self.n_cols
-        if top_rows <= h:
-            top = Matrix(top_id, w, self.rows[:top_rows])
-            del self.rows[:top_rows]
-        else:  # the top rows of the piles move into the top matrix as well
-            cut = top_rows - h
-            top = Matrix(top_id, w, self.rows + [self._row(r) for r in range(h + 1, top_rows + 1)])
-            self.rows, self.piles = [], [p >> cut for p in self.piles]
-            self.depth -= cut
+        if top_rows > len(self.rows):
+            raise ValueError(f"matrix {self.id}: cutting {top_rows} rows below the row masks")
+        top = Matrix(top_id, self.n_cols, self.rows[:top_rows])
+        del self.rows[:top_rows]
         top.offset = self.offset
         self.id = bottom_id
         return top, self
@@ -610,14 +602,15 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource) -> None:
     """Secretly reorder all columns by a uniform random permutation.
 
     The drawn permutation lists the old column index now sitting at each
-    position, left to right.
+    position, left to right. The matrix must be one ``permute`` takes: piles
+    alone, at offset 0.
     """
     if matrix._face_up:
         raise _face_up_error(matrix)
     perm = rng.permutation(matrix.n_cols)
+    matrix.permute(perm)
     if rng.trail is not None:
         rng.trail.record("pile_scramble", matrix.id, tuple(perm))
-    matrix.permute(perm)
 
 
 def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> None:

@@ -210,7 +210,7 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     finally:
         events.append(leave)
     if ok:
-        matrix._face_up = 0  # flip_down, without the call
+        matrix._face_up = 0  # the segment's cards go face down again
     return ok
 
 

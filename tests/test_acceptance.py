@@ -161,10 +161,10 @@ def test_criterion_8_restoration_and_alignment(sample7x7, sample7x7_solution):
         sample7x7, ProverInput(sample7x7_solution), RandomSource(0, trail=audit)
     )
     assert verdict.accepted
-    aligned = audit.of_kind("align_rightmost")
-    selected = audit.of_kind("selection")
-    restore = audit.of_kind("restore")
-    removed = audit.of_kind("removed_block")
+    aligned = [rec for rec in audit.records if rec[0] == "align_rightmost"]
+    selected = [rec for rec in audit.records if rec[0] == "selection"]
+    restore = [rec for rec in audit.records if rec[0] == "restore"]
+    removed = [rec for rec in audit.records if rec[0] == "removed_block"]
     assert len(aligned) == len(selected) == len(restore) == len(removed) == 196
     assert all(rec[4] == rec[5] for rec in aligned)
     assert all(rec[4] == rec[5] for rec in selected)

@@ -111,10 +111,10 @@ def crosses_seam(m: Matrix, col: int, count: int) -> bool:
 
 def assert_moves_nothing(m: Matrix, error, message: str, move) -> None:
     """``move()`` raises ``error`` matching ``message`` and leaves ``m`` as it was."""
-    before = list(m.rows), list(m.piles), m.offset, m.n_cols, m.snapshot()
+    before = m.id, list(m.rows), list(m.piles), m.offset, m.n_cols, m.snapshot()
     with pytest.raises(error, match=message):
         move()
-    assert (m.rows, m.piles, m.offset, m.n_cols, m.snapshot()) == before
+    assert (m.id, m.rows, m.piles, m.offset, m.n_cols, m.snapshot()) == before
 
 
 class TestShuffles:
@@ -199,7 +199,7 @@ class TestShuffles:
     @pytest.mark.parametrize("move", sorted(FACE_UP_MOVES))
     def test_shuffle_requires_face_down(self, move):
         m = labeled_matrix(3, 4)
-        m.reveal_row(1, Transcript())
+        m.reveal_segment(1, 1, 3, Transcript())
         before = m.snapshot()
         with pytest.raises(RuntimeError, match="matrix X: cards are face-up"):
             self.FACE_UP_MOVES[move](m)
@@ -249,7 +249,7 @@ class TestReplaySource:
 
         seeded = RandomSource(5, AuditTrail())
         events = check(seeded)
-        draws = iter([rec[2] for rec in seeded.trail.of_kind("pile_shift")])
+        draws = iter([rec[2] for rec in seeded.trail.records if rec[0] == "pile_shift"])
         assert len(events) > 7 and check(ReplaySource(draws)) == events
         assert next(draws, None) is None
 
@@ -307,17 +307,20 @@ class TestReveal:
         t = Transcript()
         assert m.reveal_segment(1, 1, 3, t) == (H, H, C)
         assert m.reveal_segment(2, 2, 3, t) == (C, H)
-        assert m.reveal_row(3, t) == (C, H)
 
     def test_empty_segment(self):
+        # The protocol's segment, rows 3..k+2, is never empty: an empty run
+        # raises and shows nothing.
         m = Matrix.from_rows("X", 2, [mask_of((C, C))] * 2)
-        assert m.reveal_segment(1, 3, 2, Transcript()) == ()
+        t = Transcript()
+        assert_moves_nothing(m, ValueError, r"rows 3\.\.2 not within 1\.\.2",
+                             lambda: m.reveal_segment(1, 3, 2, t))
+        assert t.events == []
 
     def test_events_recorded(self):
         m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
         t = Transcript()
         m.reveal_row(2, t)
-        m.flip_down()
         m.reveal_segment(2, 1, 2, t)
         assert t.events == [
             ("reveal_row", "X", 2, (H, C)),
@@ -486,9 +489,7 @@ class TestMatrixState:
         t = Transcript()
 
         def shown():
-            faces = [m.reveal_row(row, t) for row in range(1, m.n_rows + 1)]
-            m.flip_down()
-            return m.pile_masks(), faces
+            return m.pile_masks(), [m.reveal_row(row, t) for row in (1, 2)]
 
         before = shown()
         (last,) = m.take_segment(4, 1)
@@ -519,57 +520,62 @@ class TestMatrixState:
             m.reveal_row(1, Transcript())
         assert m.rows[1] == mask_of((H, C, C))
 
-    def test_permute_keeps_a_taken_row_out(self):
-        # Rows still laid out are rewritten by a permutation that composes
-        # the offset, while a taken row stays a hole.
-        rows = [mask_of((C, H, C, C)), mask_of((H, C, C, C)), mask_of((C, C, C, H))]
-        m = Matrix("X", 4, rows, [1, 2, 4, 8], 1)
-        assert faces_of(4, m.take_row(1)) == (C, H, C, C)
-        m.rotate(1)
-        m.permute([2, 3, 0, 1])
-        assert m.offset == 0 and m.pile_masks() == [2, 4, 8, 1]
-        assert m.reveal_row(3, Transcript()) == (C, C, H, C)
-        m.flip_down()
-        assert faces_of(4, m.take_row(2)) == (C, C, C, H)
-        assert m.rows[:2] == [None, None]
-
     def test_takes_under_two_rotations_read_in_visible_order(self):
-        # A take under a rotation raises and takes nothing; once a
-        # permutation composes the rotation into storage, it reads the row
-        # in visible order.
+        # A take under a rotation raises and takes nothing; once a second
+        # rotation completes the turn, it reads the row in visible order.
         rows = [mask_of((C, H, C, C)), mask_of((H, C, C, C))]
         m = Matrix.from_rows("X", 4, rows)
-        for row, shown in ((1, (C, C, H, C)), (2, (C, C, C, H))):
+        for row, shown in ((1, (C, H, C, C)), (2, (H, C, C, C))):
             m.rotate(row)
             with pytest.raises(RuntimeError, match=f"taking a row under offset {row}"):
                 m.take_row(row)
             assert m.rows[row - 1] is not None
-            m.permute([0, 1, 2, 3])
+            m.rotate(4 - row)
             assert faces_of(4, m.take_row(row)) == shown
 
-    # Each move that would need the stored cards rotated, as (error, message,
-    # call) on a matrix rotated by 1: visible column 1 shows storage column
-    # 2, the last, so a run of two from it crosses the storage seam.
+    # Each move outside the protocol's one-run layout, as (error, message,
+    # call) on a matrix of two row masks over piles two cards deep, rotated
+    # by 1: visible column 1 shows storage column 2, the last, so a run of
+    # two from it crosses the storage seam. The permute cases take a matrix
+    # with row masks alone or a rotation alone, as (row masks, offset).
     UNROTATED_MOVES = {
-        "take_segment": (RuntimeError, "storage seam", lambda m: m.take_segment(1, 2)),
-        "put_segment": (RuntimeError, "storage seam", lambda m: m.put_segment(1, [0, 0])),
-        "remove_columns": (ValueError, "storage seam", lambda m: m.remove_columns(1, 2)),
-        "take_row": (RuntimeError, "under offset 1", lambda m: m.take_row(1)),
+        "take_segment": (RuntimeError, "storage seam", lambda m, t: m.take_segment(1, 2)),
+        "put_segment": (RuntimeError, "storage seam", lambda m, t: m.put_segment(1, [0, 0])),
+        "remove_columns": (ValueError, "storage seam", lambda m, t: m.remove_columns(1, 2)),
+        "take_row": (RuntimeError, "under offset 1", lambda m, t: m.take_row(1)),
         "append_columns": (
             ValueError,
             "block Y is rotated",
-            lambda m: m.append_columns(rotated(Matrix("Y", 2, [0, 0], [0, 0], 2), 1)),
+            lambda m, t: m.append_columns(rotated(Matrix("Y", 2, [0, 0], [0, 0], 2), 1)),
+        ),
+        "reveal_row_of_a_pile": (
+            ValueError, "row 3 is not a row mask", lambda m, t: m.reveal_row(3, t),
+        ),
+        "split_rows_below_the_row_masks": (
+            ValueError, "cutting 3 rows below", lambda m, t: m.split_rows(3, "T", "B"),
+        ),
+        "permute_row_masks": (
+            RuntimeError, "permuting 2 row masks under offset 0", lambda m, t: m.permute([0, 1, 2]),
+        ),
+        "permute_under_an_offset": (
+            RuntimeError, "permuting 0 row masks under offset 1", lambda m, t: m.permute([0, 1, 2]),
+        ),
+        "reveal_segment_outside_the_matrix": (
+            ValueError, r"rows 2\.\.5 not within 1\.\.4", lambda m, t: m.reveal_segment(1, 2, 5, t),
         ),
     }
+    LAYOUTS = {"permute_row_masks": ([0b101, 0b010], 0), "permute_under_an_offset": ([], 1)}
 
     @pytest.mark.parametrize("move", sorted(UNROTATED_MOVES))
     def test_move_needing_a_rotated_storage_moves_nothing(self, move):
-        m = rotated(Matrix("X", 3, [0b101, 0b010], [1, 2, 3], 2), 1)
         error, message, call = self.UNROTATED_MOVES[move]
-        assert_moves_nothing(m, error, message, lambda: call(m))
+        rows, offset = self.LAYOUTS.get(move, ([0b101, 0b010], 1))
+        m, t = rotated(Matrix("X", 3, list(rows), [1, 2, 3], 2), offset), Transcript()
+        assert_moves_nothing(m, error, message, lambda: call(m, t))
+        assert t.events == []
 
     def test_split_and_append(self):
-        m = labeled_matrix(4, 3)
+        m = Matrix("X", 3, [0b101, 0b110], [0, 0, 0], 2)
         top, bottom = m.split_rows(2, "T", "B")
         assert top.n_rows == 2 and bottom.n_rows == 2
         assert top.snapshot() == (1, 2, 3) and bottom.snapshot() == (0, 0, 0)
@@ -641,13 +647,17 @@ class TestInvariants:
         for op in ops:
             if op == "pile_shift":
                 pile_shift_shuffle(m, rng)
+            elif op == "scramble" and m.offset:
+                assert_moves_nothing(
+                    m, RuntimeError, "under offset", lambda: pile_scramble_shuffle(m, rng)
+                )
             elif op == "scramble":
                 pile_scramble_shuffle(m, rng)
             elif op == "shift":
                 m.shift(rng.offset(m.n_cols + 1), t)
             else:
-                m.reveal_row(1, t)
-                m.flip_down()
+                m.reveal_segment(1, 1, m.n_rows, t)
+                m._face_up = 0  # face down again
         after = sorted(m.snapshot())
         assert after == before
 
@@ -730,17 +740,26 @@ class TestColumnModel:
             elif op == "permute":
                 perm = list(range(width))
                 rnd.shuffle(perm)
-                m.permute(perm)
-                ref.cols = [ref.cols[i] for i in perm]
+                if m.rows or m.offset:
+                    assert_moves_nothing(m, RuntimeError, "permuting", lambda: m.permute(perm))
+                else:
+                    m.permute(perm)
+                    ref.cols = [ref.cols[i] for i in perm]
             elif op == "reveal_row":
-                row = rnd.randint(1, height)
-                assert m.reveal_row(row, t) == tuple(col[row - 1] for col in ref.cols)
-                m.flip_down()
+                row, shown = rnd.randint(1, height), len(t.events)
+                if row > len(m.rows):
+                    assert_moves_nothing(
+                        m, ValueError, "not a row mask", lambda: m.reveal_row(row, t)
+                    )
+                    assert len(t.events) == shown
+                else:
+                    assert m.reveal_row(row, t) == tuple(col[row - 1] for col in ref.cols)
+                    m._face_up = 0  # face down again
             elif op == "reveal_segment":
                 col, lo = rnd.randint(1, width), rnd.randint(1, height)
                 hi = rnd.randint(lo, height)
                 assert m.reveal_segment(col, lo, hi, t) == tuple(ref.cols[col - 1][lo - 1:hi])
-                m.flip_down()
+                m._face_up = 0  # face down again
             elif op == "append":
                 block_cols = [[rnd.choice([C, H]) for _ in range(height)] for _ in range(2)]
                 block, block_ref = as_matrix(block_cols, len(m.rows)), ColumnModel(block_cols)
@@ -778,7 +797,11 @@ class TestColumnModel:
                     ]
                     m.put_segment(col, run)
             assert column_faces(m) == ref.faces()
-        cut = m.n_rows // 2
+        cut = len(m.rows)
+        if m.depth:
+            assert_moves_nothing(
+                m, ValueError, "below the row masks", lambda: m.split_rows(cut + 1, "T", "B")
+            )
         top, bottom = m.split_rows(cut, "T", "B")
         assert column_faces(top) == tuple(tuple(col[:cut]) for col in ref.cols)
         assert column_faces(bottom) == tuple(tuple(col[cut:]) for col in ref.cols)
@@ -839,11 +862,9 @@ class TestTranscript:
         enter, leave = marks("demo")
         t.events.append(enter)
         m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
-        m.reveal_row(1, t)
-        m.flip_down()
+        m.read_heart(1, t)
         m.shift(-1, t)
         m.reveal_segment(2, 1, 2, t)
-        m.flip_down()
         m.reveal_all(t)
         t.events.append(leave)
         t.verdict("accept", None, None)
@@ -861,8 +882,7 @@ class TestTranscript:
         t1, t2 = Transcript(), Transcript()
         for t, faces in ((t1, (H, C, C)), (t2, (C, C, H))):
             m = Matrix.from_rows("X", 3, [mask_of(faces)])
-            m.reveal_row(1, t)
-            m.flip_down()
+            m.read_heart(1, t)
             m.shift(faces.index(H), t)
         assert t1.serialize() != t2.serialize()
         assert t1.skeleton() == t2.skeleton()

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module; the package's
 ``__init__.py`` is exempt, since its imports are the public re-exports. And
-every function or class the package defines is named somewhere in ``src/``,
-``tests/`` or ``perfbench/``."""
+every function or class the package defines is named somewhere in ``src/``
+or ``perfbench/``: a definition that only tests call is dead code."""
 import ast
 from pathlib import Path
 
@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ripple_zkp"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+REFERRERS = ("src/", "perfbench/")  # the sources whose references count
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,9 +54,11 @@ def references(tree: ast.AST) -> set[str]:
 
 def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
     """``path:line name`` of each function or class defined in a source whose
-    path starts with ``checked`` that no source refers to; dunders are exempt."""
+    path starts with ``checked`` that no source under ``REFERRERS`` refers
+    to; dunders are exempt."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    named = set().union(*map(references, trees.values()))
+    named = set().union(*(references(tree) for path, tree in trees.items()
+                          if path.startswith(REFERRERS)))
     return [
         f"{path}:{node.lineno} {node.name}"
         for path, tree in trees.items() if path.startswith(checked)
@@ -66,17 +69,21 @@ def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
 
 
 def test_detects_an_unreferenced_definition():
+    # ``kept`` is called from src/ and ``f`` named in a perfbench/ string;
+    # ``tested`` is called only from tests/, which does not count.
     sources = {
         "src/m.py": "class K:\n    def __init__(self): pass\n    def kept(self): pass\n"
-                    "    def lost(self): pass\ndef f(): pass\n",
-        "tests/t.py": "from m import K\nK().kept()\nHOOKS = ['m.f']\n",
+                    "    def lost(self): pass\n    def tested(self): pass\ndef f(): pass\n"
+                    "K().kept()\n",
+        "perfbench/p.py": "HOOKS = ['m.f']\n",
+        "tests/t.py": "from m import K\nK().tested()\n",
     }
-    assert unreferenced(sources, "src/") == ["src/m.py:4 lost"]
+    assert unreferenced(sources, "src/") == ["src/m.py:4 lost", "src/m.py:5 tested"]
 
 
 def test_every_definition_is_referenced():
     sources = {
         str(path.relative_to(ROOT)): path.read_text()
-        for top in ("src", "tests", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))
+        for top in REFERRERS for path in sorted((ROOT / top).rglob("*.py"))
     }
     assert unreferenced(sources, "src") == []
