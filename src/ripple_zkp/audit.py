@@ -170,10 +170,6 @@ class SweepReport(NamedTuple):
     false_accepts: tuple[tuple, ...]
     missed_rejects: tuple[tuple, ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.false_accepts and not self.missed_rejects
-
 
 def soundness_sweep(
     puzzle: Puzzle,

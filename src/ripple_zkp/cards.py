@@ -31,8 +31,8 @@ it on first use, and every step's enter and exit marks are one shared pair of
 tuples (``marks``).
 
 Every verifier-observable action is appended to a Transcript; hidden shuffle
-draws go only to the AuditTrail a RandomSource may carry, so tests can check
-secrecy on one side and correctness on the other.
+draws go only to the private trail, a plain list a RandomSource may carry, so
+tests can check secrecy on one side and correctness on the other.
 
 Transcript serialization is line-delimited text, one event per line, with a
 stable field order:
@@ -119,34 +119,21 @@ def faces_text(faces) -> str:
     return "".join(_FACE_CHARS[f] for f in faces)
 
 
-class AuditTrail:
-    """Private instrumentation: hidden draws plus mid-protocol snapshots.
-
-    Never part of a Transcript. The shuffles record their secret draws as
-    ``pile_shift``/``pile_scramble`` records; the protocol adds snapshots
-    that let tests assert what the transcript must hide: that the column
-    reaching the rightmost slot really is the x-th neighbour, that the
-    selected sequences are exactly the first x neighbours plus blanks, and
-    that every sequence returns to its cell unchanged. Card sequences in
-    the records are heart masks.
-    """
-
-    def __init__(self):
-        self.records: list[tuple] = []
-
-    def record(self, kind: str, *data) -> None:
-        self.records.append((kind, *data))
-
-
 class RandomSource:
     """Seedable uniform randomness driving the trusted shuffles.
 
-    ``trail``, when given, receives the secret draws and the protocol's
-    private snapshots; with none, each record site costs one ``is None``
-    test.
+    ``trail``, when given, is a list, the private trail, never part of a
+    Transcript: the shuffles append their secret draws as ``("pile_shift",
+    ...)``/``("pile_scramble", ...)`` tuples, and the protocol appends
+    snapshots that let tests assert what the transcript must hide: that the
+    column reaching the rightmost slot really is the x-th neighbour, that
+    the selected sequences are exactly the first x neighbours plus blanks,
+    and that every sequence returns to its cell unchanged. Each record is
+    ``(kind, *data)``, card sequences as heart masks. With no trail, each
+    record site costs one ``is None`` test; an empty list is a live trail.
     """
 
-    def __init__(self, seed: int, trail: AuditTrail | None = None):
+    def __init__(self, seed: int, trail: list[tuple] | None = None):
         self._rng = random.Random(seed)
         self._getrandbits = self._rng.getrandbits
         self.trail = trail
@@ -345,18 +332,18 @@ class Matrix:
     not copied.
 
     Only the protocol's moves are made, and stored cards never rotate. A
-    row reveal reads a row mask and a segment lies within rows 1..n_rows;
-    ``split_rows`` cuts among the row masks; ``permute`` reorders a matrix
-    of piles alone at offset 0 (the room check's); a column cut or pile
-    move lies in one storage run, ``take_row`` needs offset 0 and
-    ``append_columns`` an unrotated block. Any other move raises before a
-    card moves or an event is logged. The protocol keeps to this: piles
-    start at storage column 0 (the first neighbour's) in step 1; step 7
-    inserts the blank block right after the x-th neighbour's storage
-    column, so step 10's k piles are storage columns 0..k-1 and steps 13-15
-    cut x..x+k-2; and every ``take_row`` follows a realignment that brings
-    the indicator, at storage column 0, to column 1, which makes the
-    offset 0.
+    row reveal reads a row mask and a segment lies within rows 1..n_rows
+    of a column in 1..n_cols; ``split_rows`` cuts among the row masks;
+    ``permute`` reorders a matrix of piles alone at offset 0 (the room
+    check's); a column cut or pile move lies in one storage run,
+    ``take_row`` needs offset 0 and ``append_columns`` an unrotated block.
+    Any other move raises before a card moves or an event is logged. The
+    protocol keeps to this: piles start at storage column 0 (the first
+    neighbour's) in step 1; step 7 inserts the blank block right after the
+    x-th neighbour's storage column, so step 10's k piles are storage
+    columns 0..k-1 and steps 13-15 cut x..x+k-2; and every ``take_row``
+    follows a realignment that brings the indicator, at storage column 0,
+    to column 1, which makes the offset 0.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -437,12 +424,15 @@ class Matrix:
 
     def reveal_segment(self, col: int, row_lo: int, row_hi: int, transcript: Transcript) -> tuple:
         """Reveal rows row_lo..row_hi of column ``col``; an empty run, or one
-        not within rows 1..n_rows, raises."""
-        h = self.n_rows
-        if not 1 <= row_lo <= row_hi <= h:
-            raise ValueError(f"matrix {self.id}: rows {row_lo}..{row_hi} not within 1..{h}")
+        not within rows 1..n_rows of a column in 1..n_cols, raises."""
+        h, w = self.n_rows, self.n_cols
+        if not (1 <= row_lo <= row_hi <= h and 1 <= col <= w):
+            raise ValueError(
+                f"matrix {self.id}: rows {row_lo}..{row_hi} not within 1..{h}"
+                f" or column {col} not within 1..{w}"
+            )
         n = row_hi - row_lo + 1
-        mask = self._column((col - 1 - self.offset) % self.n_cols, row_lo, n)
+        mask = self._column((col - 1 - self.offset) % w, row_lo, n)
         faces = _FACES[n][0].get(mask) or faces_of(n, mask)
         transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
         self._face_up += n
@@ -594,7 +584,7 @@ def pile_shift_shuffle(matrix: Matrix, rng: RandomSource) -> None:
         raise _face_up_error(matrix)
     r = rng.offset(matrix.n_cols)
     if rng.trail is not None:
-        rng.trail.record("pile_shift", matrix.id, r)
+        rng.trail.append(("pile_shift", matrix.id, r))
     matrix.rotate(r)
 
 
@@ -610,7 +600,7 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource) -> None:
     perm = rng.permutation(matrix.n_cols)
     matrix.permute(perm)
     if rng.trail is not None:
-        rng.trail.record("pile_scramble", matrix.id, tuple(perm))
+        rng.trail.append(("pile_scramble", matrix.id, tuple(perm)))
 
 
 def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> None:

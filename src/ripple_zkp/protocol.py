@@ -260,7 +260,7 @@ def verify_distance_direction(
     if rng.trail is not None:
         back = [seqs[i], *seqs[ray], *piles[reach:]]
         values = [tuple(map(decode, side)) for side in ([a0, *neighbours], back)]
-        rng.trail.record("restore", *where, *values)
+        rng.trail.append(("restore", *where, *values))
     return ACCEPT
 
 
@@ -282,7 +282,7 @@ def _distance_direction(
     """Steps 1-16 on heart masks: x, a0's heart position, is not among the first
     x ``neighbours``. Returns ``(a0, piles)``, both unchanged, on accept and None
     when a heart shows; an ``a0`` without exactly one heart raises at step 2.
-    ``where`` labels the private trail records and nothing else."""
+    ``where`` labels the tuples appended to the private trail and nothing else."""
     trail = rng.trail
 
     # Step 1: rows [indicator, a0, indicator, blank] over k columns, with
@@ -297,7 +297,7 @@ def _distance_direction(
     if trail is not None:
         x = decode(a0)
         parked = m.pile_masks()[k - 1]
-        trail.record("align_rightmost", *where, x, neighbours[x - 1], parked)
+        trail.append(("align_rightmost", *where, x, neighbours[x - 1], parked))
 
     # Steps 5-6: split off the top two rows and realign them on their own.
     m1, m2 = m.split_rows(2, "M1", "M2")
@@ -321,7 +321,7 @@ def _distance_direction(
 
     if trail is not None:
         expected = neighbours[:x] + [0] * (k - x)
-        trail.record("selection", *where, x, expected, selected)
+        trail.append(("selection", *where, x, expected, selected))
 
     # Steps 10-11: stack them under the cell's own sequence and check
     # none repeats its number.
@@ -343,7 +343,7 @@ def _distance_direction(
         m2.shift(k + 1 - m2.read_heart(2, transcript), transcript)
         removed = m2.remove_columns(k + 1, 2 * k - 1)
         if trail is not None:
-            trail.record("removed_block", *where, appended, removed.snapshot())
+            trail.append(("removed_block", *where, appended, removed.snapshot()))
 
     # Step 16: realign; the piles come back in neighbour order.
     rearrangement(m2, rng, transcript)
@@ -426,7 +426,8 @@ def run_protocol(
 
     A setup reject runs no phase and uses no auxiliary card; the room phase
     runs only when the distance phase accepts.
-    Secret draws and private snapshots go to ``rng.trail`` when it is set.
+    Secret draws and private snapshots are appended to the list ``rng.trail``
+    when it is set.
     """
     transcript = Transcript()
     try:

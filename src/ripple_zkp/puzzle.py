@@ -73,10 +73,6 @@ class Assignment(NamedTuple):
 
     values: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_rows(cls, rows) -> "Assignment":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
-
     def __getitem__(self, cell: Cell) -> int:
         r, c = cell
         if r < 1 or c < 1:  # not an index from the end

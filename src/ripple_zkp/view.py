@@ -9,11 +9,11 @@ draw shows is read off the engine: ``_sim_chunks`` replays the distance
 subprotocol ``protocol._distance_direction`` on the public configuration,
 x = 1 against k blanks, and keeps the run of events each draw value selects.
 
-The view is a bijection of the draws, so a ``Layout`` decodes a transcript:
-it reads every draw off the heart of its reveal and every room's permutation
-off its columns through ``cards._ONE_HEART``, as the verifier does, renders
-the transcript those draws make, and accepts only when the rendering equals
-the events. Whatever the draws do not explain (a shift offset, a second
+The view is a bijection of the draws, so a ``Layout`` reads a transcript
+back into them: every draw off the heart of its reveal and every room's
+permutation off its columns through ``cards._ONE_HEART``, as the verifier
+does. It renders the transcript those draws make and accepts only when the
+rendering equals the events. Whatever the draws do not explain (a shift offset, a second
 heart, a renamed mark, a missing event) fails as "event i: expected <line>,
 saw <line>". The simulator is the same renderer fed with random draws.
 
@@ -178,20 +178,6 @@ class Layout:
         if rendered != events:
             raise self._mismatch(events)
         return hearts, rooms
-
-    def decode(self, events: list) -> list[int]:
-        """The draw tape from which ``simulate_transcript``, replaying it
-        through a ``ReplaySource``, renders ``events``: every distance draw,
-        then each room's ``cards.fisher_yates`` draws. Raises like ``read``."""
-        hearts, rooms = self.read(events)
-        tape = [heart - 1 for heart in hearts]
-        for values in rooms:
-            current = list(range(len(values)))
-            for i in range(len(values) - 1, 0, -1):
-                j = current.index(values[i] - 1)
-                current[i], current[j] = current[j], current[i]
-                tape.append(j)
-        return tape
 
     def _mismatch(self, events: list) -> AuditError:
         """The first event where ``events`` leave the rendering of the draws

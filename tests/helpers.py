@@ -2,7 +2,7 @@
 from collections import Counter
 from itertools import product
 
-from ripple_zkp.view import AuditError
+from ripple_zkp.view import AuditError, Layout
 from ripple_zkp.cards import HEART, RandomSource
 from ripple_zkp.protocol import ProverInput, check_plan, run_protocol
 from ripple_zkp.puzzle import Assignment, Puzzle, max_room_size, solve, validate
@@ -72,6 +72,27 @@ def check_of(puzzle: Puzzle, cell, direction: str) -> tuple:
     return next(check for check in plan if check[6] == (cell, direction))
 
 
+def assignment(rows) -> Assignment:
+    """The assignment of the value rows ``rows``, e.g. [[1, 2], [2, 1]]."""
+    return Assignment(tuple(tuple(int(v) for v in row) for row in rows))
+
+
+def draw_tape(lay: Layout, events: list) -> list[int]:
+    """The draw tape from which ``simulate_transcript``, replaying it through a
+    ``ReplaySource``, renders the accepting transcript ``events``: every
+    distance draw, then each room's ``cards.fisher_yates`` draws, undone from
+    the room's permutation that ``Layout.read`` returns."""
+    hearts, rooms = lay.read(events)
+    tape = [heart - 1 for heart in hearts]
+    for values in rooms:
+        current = list(range(len(values)))
+        for i in range(len(values) - 1, 0, -1):
+            j = current.index(values[i] - 1)
+            current[i], current[j] = current[j], current[i]
+            tape.append(j)
+    return tape
+
+
 def make_puzzle(room_rows, fixed=None) -> Puzzle:
     """Puzzle from a list of room-label rows, e.g. ["a a", "b a"]."""
     rows = [r.split() for r in room_rows]
@@ -85,7 +106,7 @@ def all_assignments(puzzle: Puzzle, max_value: int):
     cells = puzzle.cells
     for combo in product(range(1, max_value + 1), repeat=len(cells)):
         values = {cell: v for cell, v in zip(cells, combo)}
-        yield Assignment.from_rows(
+        yield assignment(
             [
                 [values[(r, c)] for c in range(1, puzzle.cols + 1)]
                 for r in range(1, puzzle.rows + 1)
@@ -106,7 +127,7 @@ def brute_force_solutions(puzzle: Puzzle) -> list[Assignment]:
     out = []
     for combo in product(*ranges):
         values = {cell: v for cell, v in zip(cells, combo)}
-        asg = Assignment.from_rows(
+        asg = assignment(
             [
                 [values[(r, c)] for c in range(1, puzzle.cols + 1)]
                 for r in range(1, puzzle.rows + 1)

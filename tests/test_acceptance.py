@@ -13,7 +13,7 @@ from ripple_zkp.audit import (
     simulate_transcript,
     soundness_sweep,
 )
-from ripple_zkp.cards import AuditTrail, RandomSource, decode, encode
+from ripple_zkp.cards import RandomSource, decode, encode
 from ripple_zkp.protocol import (
     ProverInput,
     card_stats,
@@ -156,15 +156,15 @@ def test_criterion_7_encoding_roundtrip():
 
 
 def test_criterion_8_restoration_and_alignment(sample7x7, sample7x7_solution):
-    audit = AuditTrail()
+    trail = []
     verdict, _, _ = run_protocol(
-        sample7x7, ProverInput(sample7x7_solution), RandomSource(0, trail=audit)
+        sample7x7, ProverInput(sample7x7_solution), RandomSource(0, trail=trail)
     )
     assert verdict.accepted
-    aligned = [rec for rec in audit.records if rec[0] == "align_rightmost"]
-    selected = [rec for rec in audit.records if rec[0] == "selection"]
-    restore = [rec for rec in audit.records if rec[0] == "restore"]
-    removed = [rec for rec in audit.records if rec[0] == "removed_block"]
+    aligned = [rec for rec in trail if rec[0] == "align_rightmost"]
+    selected = [rec for rec in trail if rec[0] == "selection"]
+    restore = [rec for rec in trail if rec[0] == "restore"]
+    removed = [rec for rec in trail if rec[0] == "removed_block"]
     assert len(aligned) == len(selected) == len(restore) == len(removed) == 196
     assert all(rec[4] == rec[5] for rec in aligned)
     assert all(rec[4] == rec[5] for rec in selected)

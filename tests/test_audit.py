@@ -14,6 +14,8 @@ from helpers import (
     RecordingSource,
     ReferenceFamilyCounts,
     all_room_partitions,
+    assignment,
+    draw_tape,
     make_puzzle,
 )
 from ripple_zkp import audit, cards, protocol, view
@@ -30,10 +32,10 @@ from ripple_zkp.audit import (
 )
 from ripple_zkp.cards import HEART, RandomSource, ReplaySource, Transcript, encode, faces_of, marks
 from ripple_zkp.protocol import ProverInput, run_protocol
-from ripple_zkp.puzzle import Assignment, solve, validate
+from ripple_zkp.puzzle import solve, validate
 
 TINY = ["a a"]  # one domino room: k=2, eight direction checks per run
-TINY_SOLUTION = Assignment.from_rows([[1, 2]])
+TINY_SOLUTION = assignment([[1, 2]])
 
 
 def tiny_puzzle():
@@ -233,12 +235,12 @@ class TestSimulator:
     def test_skeleton_matches_for_degenerate_k(self):
         # k=1 drops the seam reveal; simulator must mirror that.
         puzzle = make_puzzle(["a b"])
-        board_solution = Assignment.from_rows([[1, 1]])
+        board_solution = assignment([[1, 1]])
         # No valid assignment exists for two size-1 rooms side by side, so
         # compare against a 1x1 real run plus the 1x2 simulator structure.
         single = make_puzzle(["a"])
         _, real, _ = run_protocol(
-            single, ProverInput(Assignment.from_rows([[1]])), RandomSource(1)
+            single, ProverInput(assignment([[1]])), RandomSource(1)
         )
         sim = simulate_transcript(single, RandomSource(2))
         assert sim.skeleton() == real.skeleton()
@@ -254,7 +256,7 @@ class TestSimulator:
         for rows in ([[1, 2]], [[2, 1]]):
             _, t, _ = run_protocol(
                 puzzle,
-                ProverInput(Assignment.from_rows(rows)),
+                ProverInput(assignment(rows)),
                 RandomSource(17),
             )
             skeletons.add(t.skeleton())
@@ -557,7 +559,7 @@ def doctored(*event_lists):
     return out
 
 
-BASE_BOARDS = ((TINY, TINY_SOLUTION), (["a a a"], Assignment.from_rows([[1, 2, 3]])))
+BASE_BOARDS = ((TINY, TINY_SOLUTION), (["a a a"], assignment([[1, 2, 3]])))
 
 
 @functools.cache
@@ -795,7 +797,7 @@ class TestLayouts:
             (sample7x7, sample7x7_solution, False),
             (sample7x7, sample7x7_solution, True),
             (tiny_puzzle(), TINY_SOLUTION, False),
-            (make_puzzle(["a a a"]), Assignment.from_rows([[1, 2, 3]]), False),
+            (make_puzzle(["a a a"]), assignment([[1, 2, 3]]), False),
         ]
         sides = []
         for puzzle, solution, dedupe in boards:
@@ -885,7 +887,7 @@ class TestIndistinguishability:
     def test_degenerate_families_auto_pass(self):
         # All rooms size 1: every statistical family is domain 1.
         puzzle = make_puzzle(["a"])
-        solution = Assignment.from_rows([[1]])
+        solution = assignment([[1]])
         real = real_transcripts(puzzle, solution, 1000)
         sim = sim_transcripts(puzzle, 1000, base_seed=7000)
         report = report_of(puzzle, real, sim)
@@ -926,7 +928,7 @@ class TestDecoder:
             puzzle, solution = sample7x7, sample7x7_solution
         else:
             rows, values = LEAK_BOARDS[board]
-            puzzle, solution = make_puzzle(rows), Assignment.from_rows(values)
+            puzzle, solution = make_puzzle(rows), assignment(values)
         honest = run_protocol(puzzle, ProverInput(solution), RandomSource(0)).transcript.events
         view.layout(puzzle)  # the simulator's runs come from the honest engine
         leak_x_at_step_4(monkeypatch)
@@ -956,7 +958,7 @@ class TestDecoder:
             tape = [rng.offset(w) for w in lay.widths]
             tape += [rng.offset(i + 1) for size in lay.sizes for i in range(size - 1, 0, -1)]
             transcript = simulate_transcript(puzzle, ReplaySource(tape), dedupe)
-            assert lay.decode(transcript.events) == tape
+            assert draw_tape(lay, transcript.events) == tape
             seeded = simulate_transcript(puzzle, RandomSource(seed), dedupe)
             assert seeded.events == transcript.events
 
@@ -978,7 +980,7 @@ class TestSoundnessSweep:
         assert report.mutations_tested == 2
         assert report.reject_expected == 2
         assert report.runs == 6
-        assert report.passed
+        assert report.false_accepts == report.missed_rejects == ()
 
     def test_fixed_cells_excluded_from_reject_expectation(self):
         puzzle = make_puzzle(["a a"], fixed={(1, 1): 1})
@@ -990,15 +992,15 @@ class TestSoundnessSweep:
         assert report.mutations_tested == 2
         assert report.reject_expected == 1
         assert report.still_valid == 1
-        assert report.passed
+        assert report.false_accepts == report.missed_rejects == ()
 
     def test_single_cell_vacuous(self):
         puzzle = make_puzzle(["a"])
         report = soundness_sweep(
-            puzzle, Assignment.from_rows([[1]]), RandomSource(0)
+            puzzle, assignment([[1]]), RandomSource(0)
         )
         assert report.mutations_tested == 0
-        assert report.passed
+        assert report.false_accepts == report.missed_rejects == ()
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_requires_a_seed_per_mutation(self, seeds):
@@ -1009,7 +1011,7 @@ class TestSoundnessSweep:
     def test_requires_valid_base(self):
         puzzle = tiny_puzzle()
         with pytest.raises(ValueError):
-            soundness_sweep(puzzle, Assignment.from_rows([[1, 1]]), RandomSource(0))
+            soundness_sweep(puzzle, assignment([[1, 1]]), RandomSource(0))
 
     def test_worker_split_equivalent(self, sample7x7, sample7x7_solution):
         serial = soundness_sweep(
@@ -1151,7 +1153,7 @@ class TestGathering:
         puzzle = tiny_puzzle()
         with pytest.raises(ValueError, match="honest"):
             gather_real_counts(
-                puzzle, Assignment.from_rows([[1, 1]]), 2, base_seed=0
+                puzzle, assignment([[1, 1]]), 2, base_seed=0
             )
 
     def test_solution_validated_once(self, monkeypatch):

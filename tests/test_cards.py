@@ -13,7 +13,6 @@ from ripple_zkp.cards import (
     _SKELETON_LINES,
     CLUB,
     HEART,
-    AuditTrail,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
@@ -181,9 +180,9 @@ class TestShuffles:
     def test_hidden_draws_logged_privately(self):
         m = labeled_matrix(3, 4)
         t = Transcript()
-        audit = AuditTrail()
-        pile_shift_shuffle(m, StubRng(offsets=[3], trail=audit))
-        assert audit.records == [("pile_shift", "X", 3)]
+        trail = []
+        pile_shift_shuffle(m, StubRng(offsets=[3], trail=trail))
+        assert trail == [("pile_shift", "X", 3)]
         assert t.events == []  # nothing observable happened
 
     # Every move that refuses a matrix with cards showing.
@@ -247,9 +246,9 @@ class TestReplaySource:
             assert verify_distance_direction(board, left, rng, t).accepted
             return t.events
 
-        seeded = RandomSource(5, AuditTrail())
+        seeded = RandomSource(5, [])
         events = check(seeded)
-        draws = iter([rec[2] for rec in seeded.trail.records if rec[0] == "pile_shift"])
+        draws = iter([rec[2] for rec in seeded.trail if rec[0] == "pile_shift"])
         assert len(events) > 7 and check(ReplaySource(draws)) == events
         assert next(draws, None) is None
 
@@ -562,6 +561,12 @@ class TestMatrixState:
         ),
         "reveal_segment_outside_the_matrix": (
             ValueError, r"rows 2\.\.5 not within 1\.\.4", lambda m, t: m.reveal_segment(1, 2, 5, t),
+        ),
+        "reveal_segment_column_outside_the_matrix": (
+            ValueError, "column 4 not within 1..3", lambda m, t: m.reveal_segment(4, 1, 2, t),
+        ),
+        "reveal_segment_column_left_of_the_matrix": (
+            ValueError, "column 0 not within 1..3", lambda m, t: m.reveal_segment(0, 1, 2, t),
         ),
     }
     LAYOUTS = {"permute_row_masks": ([0b101, 0b010], 0), "permute_under_an_offset": ([], 1)}

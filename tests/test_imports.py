@@ -1,7 +1,10 @@
 """Every name a package module imports is used in that module; the package's
 ``__init__.py`` is exempt, since its imports are the public re-exports. And
 every function or class the package defines is named somewhere in ``src/``
-or ``perfbench/``: a definition that only tests call is dead code."""
+or ``perfbench/``: a definition that only tests call is dead code. A method
+is named only by an attribute that is not read off another package class,
+or by a ``"Class.method"`` string, so a same-named module function or
+method of another class does not vouch for it."""
 import ast
 from pathlib import Path
 
@@ -36,49 +39,79 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def references(tree: ast.AST) -> set[str]:
-    """Every name ``tree`` refers to: names, attributes, imported names and
-    the dotted parts of string constants (``"Matrix.rotate"`` names both)."""
-    named = set()
+def references(tree: ast.AST, classes: set[str]) -> tuple[set[str], set[tuple]]:
+    """(names, methods) that ``tree`` refers to. ``names`` holds every name,
+    attribute, imported name and dotted part of a string constant; they vouch
+    for module-level definitions. ``methods`` holds a ``(class, name)`` pair
+    per attribute, the class None unless the attribute is read off one of
+    ``classes``, and per dotted pair of a string constant (``"Matrix.rotate"``
+    gives ``("Matrix", "rotate")``); only these vouch for a method."""
+    names, methods = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            named.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
+            names.add(node.attr)
+            owner = getattr(node.value, "id", None)
+            methods.add((owner if owner in classes else None, node.attr))
         elif isinstance(node, ast.alias):
-            named.update(node.name.split("."))
+            names.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            named.update(node.value.split("."))
-    return named
+            parts = node.value.split(".")
+            names.update(parts)
+            methods.update(zip(parts, parts[1:]))
+    return names, methods
 
 
 def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
     """``path:line name`` of each function or class defined in a source whose
     path starts with ``checked`` that no source under ``REFERRERS`` refers
-    to; dunders are exempt."""
+    to; dunders are exempt. A method of class C counts as referenced only by
+    an attribute of its name not read off another class defined under
+    ``checked``, or by a ``"C.name"`` string."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    named = set().union(*(references(tree) for path, tree in trees.items()
-                          if path.startswith(REFERRERS)))
-    return [
-        f"{path}:{node.lineno} {node.name}"
-        for path, tree in trees.items() if path.startswith(checked)
-        for node in ast.walk(tree)
-        if isinstance(node, DEFINITIONS) and node.name not in named
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-    ]
+    checked_trees = {path: tree for path, tree in trees.items() if path.startswith(checked)}
+    classes = {node.name for tree in checked_trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    names, methods = set(), set()
+    for path, tree in trees.items():
+        if path.startswith(REFERRERS):
+            tree_names, tree_methods = references(tree, classes)
+            names |= tree_names
+            methods |= tree_methods
+    found = []
+    for path, tree in checked_trees.items():
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, DEFINITIONS) or (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    continue
+                if isinstance(parent, ast.ClassDef) and not isinstance(node, ast.ClassDef):
+                    seen = {(None, node.name), (parent.name, node.name)} & methods
+                else:
+                    seen = node.name in names
+                if not seen:
+                    found.append((path, node.lineno, node.name))
+    return [f"{path}:{line} {name}" for path, line, name in sorted(found)]
 
 
 def test_detects_an_unreferenced_definition():
     # ``kept`` is called from src/ and ``f`` named in a perfbench/ string;
-    # ``tested`` is called only from tests/, which does not count.
+    # ``tested`` is called only from tests/, which does not count. The
+    # module function ``masked`` does not vouch for the method ``K.masked``,
+    # nor ``K.built`` for ``J.built``.
     sources = {
         "src/m.py": "class K:\n    def __init__(self): pass\n    def kept(self): pass\n"
-                    "    def lost(self): pass\n    def tested(self): pass\ndef f(): pass\n"
-                    "K().kept()\n",
+                    "    def lost(self): pass\n    def tested(self): pass\n"
+                    "    def masked(self): pass\ndef f(): pass\ndef masked(): pass\n"
+                    "class J:\n    def built(self): pass\nJ, K().kept(), masked(), K.built\n",
         "perfbench/p.py": "HOOKS = ['m.f']\n",
         "tests/t.py": "from m import K\nK().tested()\n",
     }
-    assert unreferenced(sources, "src/") == ["src/m.py:4 lost", "src/m.py:5 tested"]
+    assert unreferenced(sources, "src/") == [
+        "src/m.py:4 lost", "src/m.py:5 tested", "src/m.py:6 masked", "src/m.py:10 built",
+    ]
 
 
 def test_every_definition_is_referenced():

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_room_partitions, brute_force_solutions, close_pairs, make_puzzle
+from helpers import (
+    all_room_partitions,
+    assignment,
+    brute_force_solutions,
+    close_pairs,
+    make_puzzle,
+)
 from ripple_zkp.puzzle import (
     DISTANCE,
     FIXED_MISMATCH,
     ROOM_CONTENT,
-    Assignment,
     Puzzle,
     PuzzleFormatError,
     max_room_size,
@@ -144,41 +149,41 @@ class TestValidate:
 
     def test_single_cell(self):
         puzzle = make_puzzle(["a"])
-        assert validate(puzzle, Assignment.from_rows([[1]])) == []
+        assert validate(puzzle, assignment([[1]])) == []
 
     def test_room_content_violation(self):
         puzzle = make_puzzle(["a a"])
-        out = validate(puzzle, Assignment.from_rows([[1, 1]]))
+        out = validate(puzzle, assignment([[1, 1]]))
         assert any(v.kind == ROOM_CONTENT for v in out)
 
     def test_fixed_mismatch(self):
         puzzle = make_puzzle(["a a"], fixed={(1, 1): 2})
-        out = validate(puzzle, Assignment.from_rows([[1, 2]]))
+        out = validate(puzzle, assignment([[1, 2]]))
         assert [v.kind for v in out if v.kind == FIXED_MISMATCH] == [FIXED_MISMATCH]
 
     def test_distance_needs_x_cells_between(self):
         # Two 2s with one cell between: too close. Two cells between: fine.
         puzzle = make_puzzle(["a a b b c"])
-        too_close = Assignment.from_rows([[2, 1, 2, 1, 1]])
+        too_close = assignment([[2, 1, 2, 1, 1]])
         dist = [v for v in validate(puzzle, too_close) if v.kind == DISTANCE]
         assert any(set(v.cells) == {(1, 1), (1, 3)} for v in dist)
-        spaced = Assignment.from_rows([[2, 1, 3, 2, 1]])
+        spaced = assignment([[2, 1, 3, 2, 1]])
         dist = [v for v in validate(puzzle, spaced) if v.kind == DISTANCE]
         assert dist == []
 
     def test_column_distance(self):
         puzzle = make_puzzle(["a", "a", "b"])
         # Separation 1 >= 1 is legal for two 1s; 1 < 2 is not for two 2s.
-        legal = Assignment.from_rows([[1], [2], [1]])
+        legal = assignment([[1], [2], [1]])
         assert [v for v in validate(puzzle, legal) if v.kind == DISTANCE] == []
-        broken = Assignment.from_rows([[2], [1], [2]])
+        broken = assignment([[2], [1], [2]])
         dist = [v for v in validate(puzzle, broken) if v.kind == DISTANCE]
         assert len(dist) == 1 and set(dist[0].cells) == {(1, 1), (3, 1)}
 
     def test_pairs_reported_once(self):
         # Oracle: direct enumeration over all unordered same-line pairs.
         puzzle = make_puzzle(["a a b b"])
-        asg = Assignment.from_rows([[1, 1, 1, 1]])
+        asg = assignment([[1, 1, 1, 1]])
         assert distance_pairs(puzzle, asg) == close_pairs(puzzle, asg)
 
     @given(st.integers(0, 3**6 - 1))
@@ -190,7 +195,7 @@ class TestValidate:
             values.append(encoded % 3 + 1)
             encoded //= 3
         puzzle = make_puzzle(["a a a", "a a a"])
-        asg = Assignment.from_rows([values[:3], values[3:]])
+        asg = assignment([values[:3], values[3:]])
         assert distance_pairs(puzzle, asg) == close_pairs(puzzle, asg)
 
     def test_distance_matches_pairs_on_every_one_cell_change(self, sample7x7, sample7x7_solution):
@@ -209,7 +214,7 @@ class TestValidate:
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
-            out = validate(make_puzzle(["a b"]), Assignment.from_rows([[1, 10**12]]))
+            out = validate(make_puzzle(["a b"]), assignment([[1, 10**12]]))
         except TimeoutError:
             pytest.fail("validate scanned past the grid edge", pytrace=False)
         finally:
@@ -223,7 +228,7 @@ class TestValidate:
         # Oracle: the scan of x steps right then down from each cell,
         # unbounded by the grid edge, gives the same violations in order.
         puzzle = make_puzzle(["a a a", "b b b"])
-        asg = Assignment.from_rows([values[:3], values[3:]])
+        asg = assignment([values[:3], values[3:]])
         expected = []
         for r1, c1 in puzzle.cells:
             x = asg[(r1, c1)]
@@ -249,7 +254,7 @@ class TestWithValue:
                     got = sample7x7_solution.with_value((r, c), value)
                     rows = [list(row) for row in original]
                     rows[r - 1][c - 1] = value
-                    assert got == Assignment.from_rows(rows)
+                    assert got == assignment(rows)
                     changed = [
                         (i, j) for i in range(1, 8) for j in range(1, 8)
                         if got[(i, j)] != sample7x7_solution[(i, j)]
@@ -257,7 +262,7 @@ class TestWithValue:
                     assert changed == ([] if original[r - 1][c - 1] == value else [(r, c)])
                     assert all(type(v) is int for row in got.values for v in row)
                     assert all(type(row) is tuple for row in got.values)
-        assert sample7x7_solution == Assignment.from_rows(SAMPLE7X7_SOLUTION_ROWS)
+        assert sample7x7_solution == assignment(SAMPLE7X7_SOLUTION_ROWS)
 
     @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (-1, 3), (2, -7)])
     def test_cell_below_1_is_off_the_grid(self, sample7x7_solution, cell):
