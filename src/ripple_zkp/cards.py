@@ -77,11 +77,6 @@ def decode(mask: Sequence) -> int | None:
     return mask.bit_length()
 
 
-def mask_of(faces) -> Sequence:
-    """The heart mask of a sequence of faces; the inverse of ``faces_of``."""
-    return sum(1 << i for i, face in enumerate(faces) if face == HEART)
-
-
 # The face table: width -> offset -> stored mask -> the faces shown, so a
 # row reveal looks its faces up under its matrix's offset without rotating
 # the mask or building a key. Layer 0 holds each mask's own faces; the
@@ -285,18 +280,15 @@ class Transcript:
     ``("reveal_segment", m, col, row_lo, row_hi, faces)``,
     ``("reveal_all", m, cols)``, ``("shift", m, offset)``,
     ``("mark", name, "enter" | "exit")`` and ``("verdict", outcome, reason,
-    loc)``. ``Matrix``, the protocol's steps (with ``marks``) and the audit's
-    simulator append events to ``events`` directly, to save a call per
-    event; ``verdict`` adds the last one.
+    loc)``. ``Matrix``, the protocol's steps (with ``marks``), ``run_protocol``
+    (the verdict, last) and the audit's simulator append events to
+    ``events`` directly, to save a call per event.
     """
 
     __slots__ = ("events",)
 
     def __init__(self):
         self.events: list[tuple] = []
-
-    def verdict(self, outcome: str, reason: str | None, loc: str | None) -> None:
-        self.events.append(("verdict", outcome, reason, loc))
 
     def serialize(self) -> str:
         return "".join(map(_SERIALIZE_LINES.__getitem__, self.events))
@@ -331,19 +323,19 @@ class Matrix:
     methods, which log what was shown; the lists passed in are taken over,
     not copied.
 
-    Only the protocol's moves are made, and stored cards never rotate. A
-    row reveal reads a row mask and a segment lies within rows 1..n_rows
-    of a column in 1..n_cols; ``split_rows`` cuts among the row masks;
+    Only the protocol's moves are made, and stored cards never rotate. A row
+    reveal reads a row mask and a segment lies within rows 1..n_rows of a
+    column in 1..n_cols; ``split_rows`` cuts among the row masks;
     ``permute`` reorders a matrix of piles alone at offset 0 (the room
-    check's); a column cut or pile move lies in one storage run,
-    ``take_row`` needs offset 0 and ``append_columns`` an unrotated block.
-    Any other move raises before a card moves or an event is logged. The
-    protocol keeps to this: piles start at storage column 0 (the first
-    neighbour's) in step 1; step 7 inserts the blank block right after the
-    x-th neighbour's storage column, so step 10's k piles are storage
-    columns 0..k-1 and steps 13-15 cut x..x+k-2; and every ``take_row``
-    follows a realignment that brings the indicator, at storage column 0,
-    to column 1, which makes the offset 0.
+    check's); a column cut or pile move starts in columns 1..n_cols and lies
+    in one storage run; ``take_row`` needs offset 0 and ``append_columns``
+    an unrotated block. Any other move raises before a card moves or an
+    event is logged. The protocol keeps to this: piles start at storage
+    column 0 (the first neighbour's) in step 1; step 7 inserts the blank
+    block right after the x-th neighbour's storage column, so step 10's k
+    piles are storage columns 0..k-1 and steps 13-15 cut x..x+k-2; and every
+    ``take_row`` follows a realignment that brings the indicator, at storage
+    column 0, to column 1, which makes the offset 0.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -462,12 +454,14 @@ class Matrix:
 
         Only the top matrix is new: this matrix keeps the rows below the cut
         and is returned, renamed ``bottom_id``, as the bottom one. A cut
-        below the row masks raises.
+        below the row masks, or of a negative count, raises.
         """
         if self._face_up:
             raise _face_up_error(self)
-        if top_rows > len(self.rows):
-            raise ValueError(f"matrix {self.id}: cutting {top_rows} rows below the row masks")
+        if not 0 <= top_rows <= len(self.rows):
+            raise ValueError(
+                f"matrix {self.id}: cutting {top_rows} rows below the row masks or above the matrix"
+            )
         top = Matrix(top_id, self.n_cols, self.rows[:top_rows])
         del self.rows[:top_rows]
         top.offset = self.offset
@@ -533,12 +527,14 @@ class Matrix:
         """Take the whole piles of ``count`` columns from ``col`` rightwards.
 
         The run may wrap past the last visible column but must lie in one
-        storage run. Each pile taken leaves ``None``. A run that crosses the
-        storage seam (a count above the width does), or a spot that is
-        already ``None``, raises before any pile moves, so no card is made
-        up or lost.
+        storage run. Each pile taken leaves ``None``. A column outside
+        1..n_cols, a run that crosses the storage seam (a count above the
+        width does), or a spot that is already ``None`` raises before any
+        pile moves, so no card is made up or lost.
         """
         w = self.n_cols
+        if not 1 <= col <= w:
+            raise ValueError(f"matrix {self.id}: column {col} not within 1..{w}")
         p = (col - 1 - self.offset) % w
         end = p + count
         if end > w:
@@ -553,10 +549,12 @@ class Matrix:
         """Fill the gaps from ``col`` rightwards with ``piles``, in one storage run
         as ``take_segment`` takes them.
 
-        A pile deeper than ``depth``, a run that crosses the storage seam, or
-        a spot that is not ``None`` raises before any pile moves.
+        A column outside 1..n_cols, a pile deeper than ``depth``, a run across
+        the seam, or an occupied spot raises before any pile moves.
         """
         w, count = self.n_cols, len(piles)
+        if not 1 <= col <= w:
+            raise ValueError(f"matrix {self.id}: column {col} not within 1..{w}")
         if count and max(piles) >> self.depth:
             raise ValueError(f"matrix {self.id}: pile deeper than {self.depth} cards")
         p = (col - 1 - self.offset) % w

@@ -113,10 +113,6 @@ class Verdict(NamedTuple):
     reason: str | None = None
     location: tuple | str | None = None
 
-    @property
-    def outcome(self) -> str:
-        return "accept" if self.accepted else "reject"
-
     def loc_text(self) -> str | None:
         if self.location is None:
             return None
@@ -127,6 +123,8 @@ class Verdict(NamedTuple):
 
 
 ACCEPT = Verdict(True)
+# The last event of every accepting transcript, the one the decoder's layout renders.
+ACCEPT_EVENT = ("verdict", "accept", None, None)
 
 
 class CardStats(NamedTuple):
@@ -440,7 +438,10 @@ def run_protocol(
         if verdict.accepted:
             rooms = (verify_room(board, room, rng, transcript) for room in puzzle.room_cells)
             verdict = _phase(ROOM_PHASE, transcript, rooms)
-    transcript.verdict(verdict.outcome, verdict.reason, verdict.loc_text())
+    if verdict.accepted:
+        transcript.events.append(ACCEPT_EVENT)
+    else:
+        transcript.events.append(("verdict", "reject", verdict.reason, verdict.loc_text()))
     grid_cards = board.k * puzzle.rows * puzzle.cols
     return ProtocolResult(verdict, transcript, CardStats(grid_cards, board.aux_peak))
 

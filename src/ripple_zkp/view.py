@@ -35,7 +35,8 @@ from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .cards import _ONE_HEART, RandomSource, ReplaySource, Transcript, event_line, faces_of, marks
-from .protocol import DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP, _distance_direction, check_plan
+from .protocol import (ACCEPT_EVENT, DISTANCE_PHASE, ROOM_PHASE, ROOM_STEP, _distance_direction,
+                       check_plan)
 from .puzzle import Puzzle
 
 
@@ -79,12 +80,13 @@ class Layout:
     whole of what fixes the layout, the ``check_plan`` it reads included; a
     layout pickles as its shape. The events are a list of chunks: fixed runs
     of marks, the distance checks' taken from the ``check_plan`` entries in
-    run order, and the verdict, with a slot for each draw's run and each
-    room's reveal between them. Rendering fills the
-    slots, one strided slice per draw index, and flattens the list. Decoding
-    picks every reveal with one ``itemgetter`` at the ``reveal_row`` and
-    ``reveal_all`` events of one rendering (every draw at 0), so every run of
-    one draw must carry the same event tags, one ``reveal_row`` among them.
+    run order, with a slot for each draw's run and each room's reveal
+    between them, and last ``protocol.ACCEPT_EVENT``, which an accepting
+    ``run_protocol`` appends too. Rendering fills the slots, one strided
+    slice per draw index, and flattens the list. Decoding picks every reveal
+    with one ``itemgetter`` at the ``reveal_row`` and ``reveal_all`` events
+    of one rendering (every draw at 0), so every run of one draw must carry
+    the same event tags, one ``reveal_row`` among them.
     """
 
     def __init__(self, shape: tuple):
@@ -128,7 +130,7 @@ class Layout:
             _, enter, leave = ROOM_STEP(room)
             chunks[-1] += (enter,)
             chunks += [None, (leave,)]
-        chunks[-1] += (marks(ROOM_PHASE)[1], ("verdict", "accept", None, None))
+        chunks[-1] += (marks(ROOM_PHASE)[1], ACCEPT_EVENT)
         self._chunks = chunks
         end = n_checks * (n + 1)
         self._draw_slots = [slice(1 + i, end, n + 1) for i in range(n)]

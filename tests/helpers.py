@@ -192,6 +192,11 @@ def all_room_partitions(rows: int, cols: int) -> list[Puzzle]:
     return puzzles
 
 
+def mask_of(faces) -> int:
+    """The heart mask of a sequence of faces; the inverse of ``cards.faces_of``."""
+    return sum(1 << i for i, face in enumerate(faces) if face == HEART)
+
+
 def heart_position(faces) -> int | None:
     """1-based position of the only heart, counted; None unless there is exactly one."""
     return faces.index(HEART) + 1 if faces.count(HEART) == 1 else None

@@ -219,7 +219,7 @@ class TestSimulator:
         )
         assert dist_blocks == 196
         assert room_blocks == 12
-        assert t.events[-1] == ("verdict", "accept", None, None)
+        assert t.events[-1] is protocol.ACCEPT_EVENT
 
     def test_single_cell_room_reveal(self):
         puzzle = make_puzzle(["a"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_of
+from helpers import check_of, mask_of
 from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     _EVENT_LINES,
@@ -21,7 +21,6 @@ from ripple_zkp.cards import (
     decode,
     encode,
     faces_of,
-    mask_of,
     marks,
     pile_scramble_shuffle,
     pile_shift_shuffle,
@@ -568,6 +567,21 @@ class TestMatrixState:
         "reveal_segment_column_left_of_the_matrix": (
             ValueError, "column 0 not within 1..3", lambda m, t: m.reveal_segment(0, 1, 2, t),
         ),
+        "take_segment_column_left_of_the_matrix": (
+            ValueError, "column 0 not within 1..3", lambda m, t: m.take_segment(0, 1),
+        ),
+        "take_segment_column_right_of_the_matrix": (
+            ValueError, "column 4 not within 1..3", lambda m, t: m.take_segment(4, 1),
+        ),
+        "put_segment_column_left_of_the_matrix": (
+            ValueError, "column 0 not within 1..3", lambda m, t: m.put_segment(0, [0]),
+        ),
+        "put_segment_column_right_of_the_matrix": (
+            ValueError, "column 4 not within 1..3", lambda m, t: m.put_segment(4, [0]),
+        ),
+        "split_rows_of_a_negative_count": (
+            ValueError, "cutting -1 rows", lambda m, t: m.split_rows(-1, "T", "B"),
+        ),
     }
     LAYOUTS = {"permute_row_masks": ([0b101, 0b010], 0), "permute_under_an_offset": ([], 1)}
 
@@ -872,7 +886,7 @@ class TestTranscript:
         m.reveal_segment(2, 1, 2, t)
         m.reveal_all(t)
         t.events.append(leave)
-        t.verdict("accept", None, None)
+        t.events.append(("verdict", "accept", None, None))
         assert t.serialize() == (
             "mark name=demo kind=enter\n"
             "reveal_row m=X row=1 faces=CH\n"

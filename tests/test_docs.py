@@ -1,6 +1,6 @@
 """The README's Python examples run as written, from the repository root, the
 package's public names all import, and the CI workflow runs what ROADMAP.md and
-BENCHMARK.json name."""
+BENCHMARK.json name, every job under a time limit."""
 import json
 import re
 from pathlib import Path
@@ -56,3 +56,13 @@ def test_python_floor_is_the_same_everywhere():
     lowest = min(json.loads(f"[{versions.group(1)}]"), key=lambda v: tuple(map(int, v.split("."))))
     assert lowest == floor.group(1)
     assert f"({floor.group(1)} or later)" in (ROOT / "README.md").read_text()
+
+
+def test_every_job_has_a_time_limit():
+    # The workflow's header promises it, so a hung fork worker cannot hold a
+    # runner for GitHub's 6-hour default.
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    jobs = re.findall(r"^  ([\w-]+):$", text.partition("\njobs:\n")[2], re.M)
+    limit = re.compile(r"^    timeout-minutes: \d+$", re.M)
+    timed = [job for job in jobs if limit.search(workflow_job(job))]
+    assert jobs and timed == jobs

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module; the package's
 ``__init__.py`` is exempt, since its imports are the public re-exports. And
 every function or class the package defines is named somewhere in ``src/``
-or ``perfbench/``: a definition that only tests call is dead code. A method
+or ``perfbench/`` outside a package ``__init__.py``: a definition that only
+tests call is dead code, and a re-export does not make it live. A method
 is named only by an attribute that is not read off another package class,
 or by a ``"Class.method"`` string, so a same-named module function or
 method of another class does not vouch for it."""
@@ -66,16 +67,17 @@ def references(tree: ast.AST, classes: set[str]) -> tuple[set[str], set[tuple]]:
 def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
     """``path:line name`` of each function or class defined in a source whose
     path starts with ``checked`` that no source under ``REFERRERS`` refers
-    to; dunders are exempt. A method of class C counts as referenced only by
-    an attribute of its name not read off another class defined under
-    ``checked``, or by a ``"C.name"`` string."""
+    to, a package ``__init__.py`` not counting; dunders are exempt. A method
+    of class C counts as referenced only by an attribute of its name not
+    read off another class defined under ``checked``, or by a ``"C.name"``
+    string."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     checked_trees = {path: tree for path, tree in trees.items() if path.startswith(checked)}
     classes = {node.name for tree in checked_trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
     names, methods = set(), set()
     for path, tree in trees.items():
-        if path.startswith(REFERRERS):
+        if path.startswith(REFERRERS) and not path.endswith("__init__.py"):
             tree_names, tree_methods = references(tree, classes)
             names |= tree_names
             methods |= tree_methods
@@ -112,6 +114,17 @@ def test_detects_an_unreferenced_definition():
     assert unreferenced(sources, "src/") == [
         "src/m.py:4 lost", "src/m.py:5 tested", "src/m.py:6 masked", "src/m.py:10 built",
     ]
+
+
+def test_package_init_vouches_for_nothing():
+    # ``exported`` is imported and listed in ``__all__`` by the package's
+    # ``__init__.py`` and called only from tests/.
+    sources = {
+        "src/pkg/__init__.py": "from .m import exported, kept\n__all__ = ['exported', 'kept']\n",
+        "src/pkg/m.py": "def exported(): pass\ndef kept(): pass\nkept()\n",
+        "tests/t.py": "from pkg import exported\nexported()\n",
+    }
+    assert unreferenced(sources, "src/") == ["src/pkg/m.py:1 exported"]
 
 
 def test_every_definition_is_referenced():

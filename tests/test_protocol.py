@@ -31,6 +31,7 @@ from ripple_zkp.cards import (
 )
 from ripple_zkp.protocol import (
     ACCEPT,
+    ACCEPT_EVENT,
     DISTANCE_HEART_FOUND,
     MALFORMED_COMMITMENT,
     ROOM_MULTISET_MISMATCH,
@@ -551,7 +552,7 @@ class TestRunProtocol:
         _, transcript, _ = run_protocol(
             sample7x7, ProverInput(sample7x7_solution), RandomSource(1)
         )
-        assert transcript.events[-1] == ("verdict", "accept", None, None)
+        assert transcript.events[-1] is ACCEPT_EVENT
 
     def test_oracle_equivalence_sample(self):
         # Tiny slice of the exhaustive acceptance sweep.
