@@ -9,13 +9,13 @@ draw shows is read off the engine: ``_sim_chunks`` replays the distance
 subprotocol ``protocol._distance_direction`` on the public configuration,
 x = 1 against k blanks, and keeps the run of events each draw value selects.
 
-The view is a bijection of the draws, so a ``Layout`` reads a transcript
-back into them: every draw off the heart of its reveal and every room's
-permutation off its columns through ``cards._ONE_HEART``, as the verifier
-does. It renders the transcript those draws make and accepts only when the
-rendering equals the events. Whatever the draws do not explain (a shift offset, a second
+The view is a bijection of the draws. A ``Layout`` reads a transcript back
+into heart positions, as the verifier does: every draw's heart off its reveal
+and every room's values off its columns, through ``cards._ONE_HEART``. It
+renders what it read and accepts only when ``render(*read(events))`` equals
+the events. Whatever the hearts do not explain (a shift offset, a second
 heart, a renamed mark, a missing event) fails as "event i: expected <line>,
-saw <line>". The simulator is the same renderer fed with random draws.
+saw <line>". The simulator is the same renderer fed with random hearts.
 
 A reveal family pools one draw of a distance check across all checks of a
 run, named by draw index in ``_DRAW_FAMILIES``, plus the uniqueness segment,
@@ -85,7 +85,7 @@ class Layout:
     ``run_protocol`` appends too. Rendering fills the slots, one strided
     slice per draw index, and flattens the list. Decoding picks every reveal
     with one ``itemgetter`` at the ``reveal_row`` and ``reveal_all`` events
-    of one rendering (every draw at 0), so every run of one draw must carry
+    of one rendering (every heart at 1), so every run of one draw must carry
     the same event tags, one ``reveal_row`` among them.
     """
 
@@ -96,9 +96,9 @@ class Layout:
         checks = check_plan(rows, cols, k, dedupe)
         n, n_checks = len(steps), len(checks)
         tables = [tuple(table) for table, _ in steps]
-        # The runs of each draw of the run, by draw value and by heart position.
-        self._runs = (tables * n_checks, [(None, *table) for table in tables] * n_checks)
-        self._cols = (tuple(room_cols), (None, *room_cols))
+        # The runs of each draw of the run and the room columns, by heart position.
+        self._runs = [(None, *table) for table in tables] * n_checks
+        self._cols = (None, *room_cols)
         self.widths = [width for _, width in steps] * n_checks
         self.sizes = [size for _, size in rooms]
         self.draw_families = [name for name in _DRAW_FAMILIES if n == 7 or name != "dist.j3"]
@@ -135,7 +135,7 @@ class Layout:
         end = n_checks * (n + 1)
         self._draw_slots = [slice(1 + i, end, n + 1) for i in range(n)]
         self._room_slot = slice(end + 1, None, 2)
-        events = self.render([0] * len(self.widths), [range(size) for size in self.sizes])
+        events = self.render([1] * len(self.widths), self._permutations)
         positions = [i for i, ev in enumerate(events) if ev[0] == "reveal_row"]
         self._n_draws = len(positions)
         positions += [i for i, ev in enumerate(events) if ev[0] == "reveal_all"]
@@ -144,20 +144,19 @@ class Layout:
     def __reduce__(self):
         return _layout, (self.shape,)
 
-    def render(self, draws: list[int], perms, base: int = 0) -> list[tuple]:
-        """The events of the accepting run whose distance checks draw
-        ``draws``, in draw order, and whose rooms reveal the permutations
-        ``perms`` (``perm[i]`` is the value in column i). Draws and values
-        count from ``base``: 0 as drawn, 1 as heart positions."""
+    def render(self, hearts: list[int], rooms) -> list[tuple]:
+        """The events of the accepting run whose distance draws show their
+        hearts at ``hearts``, in draw order, and whose rooms reveal the
+        values ``rooms`` (``values[i]`` is the value in column i, from 1):
+        the pair that ``read`` returns."""
         chunks = self._chunks.copy()
-        runs = list(map(getitem, self._runs[base], draws))
+        runs = list(map(getitem, self._runs, hearts))
         n = len(self._draw_slots)
         for i, slot in enumerate(self._draw_slots):
             chunks[slot] = runs[i::n]
-        cols = self._cols[base]
         chunks[self._room_slot] = [
-            (("reveal_all", mid, tuple(map(cols.__getitem__, perm))),)
-            for mid, perm in zip(self._room_ids, perms)
+            (("reveal_all", mid, tuple(map(self._cols.__getitem__, values))),)
+            for mid, values in zip(self._room_ids, rooms)
         ]
         return list(chain.from_iterable(chunks))
 
@@ -174,7 +173,7 @@ class Layout:
             rooms = [list(map(_ONE_HEART.get, ev[2])) for ev in picked[self._n_draws :]]
             if any(sorted(values) != perm for values, perm in zip(rooms, self._permutations)):
                 raise ValueError
-            rendered = self.render(hearts, rooms, 1)
+            rendered = self.render(hearts, rooms)
         except (LookupError, TypeError, ValueError):
             raise self._mismatch(events) from None
         if rendered != events:
@@ -182,8 +181,8 @@ class Layout:
         return hearts, rooms
 
     def _mismatch(self, events: list) -> AuditError:
-        """The first event where ``events`` leave the rendering of the draws
-        read off them, a draw that cannot be read taken as 0."""
+        """The first event where ``events`` leave the rendering of the hearts
+        and rooms read off them, a heart that cannot be read taken as 1."""
 
         def heart(pos, table):
             try:
@@ -200,7 +199,7 @@ class Layout:
                 return perm
 
         rooms = map(room, self._positions[self._n_draws :], self._permutations)
-        rendered = self.render(list(map(heart, self._positions, self._runs[1])), rooms, 1)
+        rendered = self.render(list(map(heart, self._positions, self._runs)), rooms)
         i = next(
             (i for i, (want, saw) in enumerate(zip(rendered, events)) if want != saw),
             min(len(rendered), len(events)),
@@ -295,9 +294,11 @@ def simulate_transcript(
 
     Draws what an honest run draws, in its order and over its widths (every
     distance draw, then one permutation per room), and renders them through
-    the puzzle's ``Layout``.
+    the puzzle's ``Layout``: the one place where a draw r becomes heart r + 1.
     """
     lay = layout(puzzle, dedupe_directions)
+    hearts = [rng.offset(width) + 1 for width in lay.widths]
+    rooms = [[v + 1 for v in rng.permutation(size)] for size in lay.sizes]
     t = Transcript()
-    t.events = lay.render(list(map(rng.offset, lay.widths)), list(map(rng.permutation, lay.sizes)))
+    t.events = lay.render(hearts, rooms)
     return t

@@ -404,7 +404,7 @@ class TestUniformityAudit:
         assert "dist.j1" in keys and "room.a.c1" in keys
 
     def test_point_mass_family_fails(self):
-        # Every check's first draw (dist.j1) is doctored to 0 and rendered
+        # Every check's first heart (dist.j1) is doctored to 1 and rendered
         # with the shift it implies: the transcripts decode, and the family
         # is a point mass.
         puzzle = tiny_puzzle()
@@ -412,9 +412,10 @@ class TestUniformityAudit:
         doctored = []
         for seed in range(1200):
             rng = RandomSource(seed)
-            draws = [0 if i % 7 == 0 else rng.offset(w) for i, w in enumerate(lay.widths)]
+            hearts = [1 if i % 7 == 0 else rng.offset(w) + 1 for i, w in enumerate(lay.widths)]
+            rooms = [[v + 1 for v in rng.permutation(size)] for size in lay.sizes]
             d = Transcript()
-            d.events = lay.render(draws, [rng.permutation(size) for size in lay.sizes])
+            d.events = lay.render(hearts, rooms)
             doctored.append(d)
         report = uniformity_report(puzzle, doctored)
         assert not report.passed
@@ -941,17 +942,27 @@ class TestDecoder:
 
     @pytest.mark.parametrize(
         ("board", "dedupe"),
-        [("domino", False), ("room3", False), ("k1", False), ("7x7", False), ("7x7", True)],
+        [("domino", False), ("room3", False), ("k1", False), ("cell", False)]
+        + [("7x7", False), ("7x7", True)]
+        + [(board, False) for board in sorted(GOLDEN_SIM_PARTITIONS)],
     )
-    def test_decode_inverts_render(self, sample7x7, board, dedupe):
+    def test_decode_inverts_render(self, sample7x7, sample7x7_solution, board, dedupe):
         # A transcript simulated from replayed draws decodes to exactly those
         # draws: every distance draw, then each room's Fisher-Yates draws.
-        puzzle = {
-            "domino": tiny_puzzle(),
-            "room3": make_puzzle(["a a a"]),
-            "k1": make_puzzle(["a b"]),
-            "7x7": sample7x7,
-        }[board]
+        # Honest and simulated views alike render back from what they read,
+        # and replay into themselves ("k1" has no solution, so only its
+        # simulated views). The partition boards are every solvable board of
+        # the 1x2, 1x3 and 2x2 grids.
+        if board == "7x7":
+            puzzle, solution = sample7x7, sample7x7_solution
+        else:
+            puzzle = {
+                "domino": tiny_puzzle(),
+                "room3": make_puzzle(["a a a"]),
+                "k1": make_puzzle(["a b"]),
+                "cell": make_puzzle(["a"]),
+            }.get(board) or all_room_partitions(*board[0])[board[1]]
+            solution = next(iter(solve(puzzle)), None)
         lay = view.layout(puzzle, dedupe)
         for seed in range(3):
             rng = RandomSource(seed)
@@ -961,6 +972,14 @@ class TestDecoder:
             assert draw_tape(lay, transcript.events) == tape
             seeded = simulate_transcript(puzzle, RandomSource(seed), dedupe)
             assert seeded.events == transcript.events
+            views = [seeded.events]
+            if solution is not None:
+                honest = run_protocol(puzzle, ProverInput(solution), RandomSource(seed), dedupe)
+                views.append(honest.transcript.events)
+            for events in views:
+                assert lay.render(*lay.read(events)) == events
+                replayed = simulate_transcript(puzzle, ReplaySource(draw_tape(lay, events)), dedupe)
+                assert replayed.events == events
 
 
 # repr(soundness_sweep(...)) on the 7x7 sample at RandomSource(5), one seed

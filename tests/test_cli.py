@@ -285,13 +285,19 @@ def test_prove_prints_the_same_bytes_under_optimize(sample7x7_path, sample7x7_so
 
 
 def imported_modules(argv) -> set[str]:
-    """Top-level packages a fresh interpreter imports while running ``argv``."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
-    return {ln.rsplit("|", 1)[1].strip().split(".")[0] for ln in lines[1:]}
+    """Top-level packages a fresh interpreter imports while running ``argv``,
+    less those its bare start-up imports (``-c pass``: ``site`` and whatever
+    the environment's ``.pth`` files load), which the package does not choose."""
+
+    def top_level(args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+        return {ln.rsplit("|", 1)[1].strip().split(".")[0] for ln in lines[1:]}
+
+    return top_level(argv) - top_level(["-c", "pass"])
 
 
 def test_runtime_is_stdlib_only(sample7x7_path):
@@ -559,32 +565,35 @@ def interrupt_audit(sample7x7_path: str, poll: float | None):
     """(exit code, stdout, stderr, processes of its session left 10 s after
     it exits) of a two-worker audit started in its own session and sent
     SIGINT as soon as /proc lists a worker, polling every ``poll`` seconds;
-    after 2 s instead where ``poll`` is None."""
-    proc = subprocess.Popen(
+    after 2 s instead where ``poll`` is None. The audit starts with SIGINT's
+    default action, whatever this process does with it, as a shell's
+    foreground command does; its pipes close on every exit."""
+    with subprocess.Popen(
         [sys.executable, "-m", "ripple_zkp.cli", "audit", "--puzzle", sample7x7_path,
          "--trials", "100000", "--workers", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 20
-        while poll is not None and not child_pids(proc.pid) and time.monotonic() < deadline:
-            time.sleep(poll)
-        if poll is None:
-            time.sleep(2)
-        proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
-        deadline = time.monotonic() + 10
-        while (left := session_pids(proc.pid)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-    finally:
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
         try:
-            os.killpg(proc.pid, signal.SIGKILL)  # the whole session, on any failure
-        except ProcessLookupError:
-            pass
-        proc.wait()
+            deadline = time.monotonic() + 20
+            while poll is not None and not child_pids(proc.pid) and time.monotonic() < deadline:
+                time.sleep(poll)
+            if poll is None:
+                time.sleep(2)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+            deadline = time.monotonic() + 10
+            while (left := session_pids(proc.pid)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # the whole session, on any failure
+            except ProcessLookupError:
+                pass
+            proc.wait()
     return proc.returncode, out, err, left
 
 
@@ -592,8 +601,16 @@ def interrupt_audit(sample7x7_path: str, poll: float | None):
 FORKS = usable_cpus() > 1 and child_pids(os.getpid()) is not None
 
 
-def test_interrupted_audit_exits_130(sample7x7_path):
-    code, out, err, left = interrupt_audit(sample7x7_path, 0.05 if FORKS else None)
+@pytest.mark.parametrize("ignore_sigint", [False, True])
+def test_interrupted_audit_exits_130(sample7x7_path, ignore_sigint):
+    # A background job of a non-interactive shell starts with SIGINT
+    # ignored, and would pass that on to the audit.
+    old = signal.signal(signal.SIGINT, signal.SIG_IGN) if ignore_sigint else None
+    try:
+        code, out, err, left = interrupt_audit(sample7x7_path, 0.05 if FORKS else None)
+    finally:
+        if ignore_sigint:
+            signal.signal(signal.SIGINT, old)
     assert (code, out, err) == (130, "", "interrupted\n")
     assert left == set(), "a process of the audit's session is still running"
 

@@ -133,3 +133,78 @@ def test_every_definition_is_referenced():
         for top in REFERRERS for path in sorted((ROOT / top).rglob("*.py"))
     }
     assert unreferenced(sources, "src") == []
+
+
+def class_members(tree: ast.AST) -> dict[str, set[tuple[str, str]]]:
+    """``(name, kind)`` of every method, named-tuple field and ``self.``
+    attribute of each class defined in ``tree``, by class; dunders aside."""
+    members = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        named_tuple = any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)
+        found = set()
+        for node in cls.body:
+            if named_tuple and isinstance(node, ast.AnnAssign):
+                found.add((node.target.id, "field"))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add((node.name, "method"))
+                found.update(
+                    (sub.attr, "attribute") for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and getattr(sub.value, "id", None) == "self"
+                )
+        members[cls.name] = {
+            (name, kind) for name, kind in found
+            if not (name.startswith("__") and name.endswith("__"))
+        }
+    return members
+
+
+def shared_method_names(texts) -> dict[str, list[tuple[str, str]]]:
+    """Each method name that two or more classes of the sources ``texts``
+    define, as a method, a named-tuple field or a ``self.`` attribute, with
+    its ``(class, kind)`` definitions in order."""
+    definers = {}
+    for text in texts:
+        for cls, members in class_members(ast.parse(text)).items():
+            for name, kind in members:
+                definers.setdefault(name, set()).add((cls, kind))
+    return {
+        name: sorted(found) for name, found in sorted(definers.items())
+        if len({cls for cls, _ in found}) > 1 and any(kind == "method" for _, kind in found)
+    }
+
+
+def test_detects_a_shared_method_name():
+    source = (
+        "class P(NamedTuple):\n    run: int\n    def size(self): pass\n"
+        "class Q:\n    def __init__(self): self.size, self.x = 1, 2\n    def run(self): pass\n"
+        "class R:\n    def x(self): pass\n    def own(self): pass\n"
+    )
+    assert shared_method_names([source]) == {
+        "run": [("P", "field"), ("Q", "method")],
+        "size": [("P", "method"), ("Q", "attribute")],
+        "x": [("Q", "attribute"), ("R", "method")],
+    }
+
+
+def test_shared_method_names_are_inventoried():
+    # The unreferenced-definition scan cannot tell which class ``obj.name``
+    # reads, so a test-only method passes it when another package class
+    # defines the same name. These are the names that can hide one, each
+    # checked by hand for a package caller:
+    # - ``Puzzle.cells``: the protocol, the puzzle checks and the sweep;
+    # - ``RandomSource.offset`` and ``.permutation``: the card shuffles and
+    #   the simulator; ``ReplaySource.offset``: the view's run harvest;
+    # - ``ReplaySource.permutation``: no package caller. It stays on purpose:
+    #   it is how the tests replay a whole run's room draws;
+    # - ``AuditReport.serialize`` and ``Transcript.serialize``: the CLI and
+    #   perfbench.
+    # A new shared name fails here until its callers are inventoried too.
+    assert shared_method_names(path.read_text() for path in PACKAGE.glob("*.py")) == {
+        "cells": [("Puzzle", "method"), ("Violation", "field")],
+        "offset": [("Matrix", "attribute"), ("RandomSource", "method"), ("ReplaySource", "method")],
+        "permutation": [("RandomSource", "method"), ("ReplaySource", "method")],
+        "serialize": [("AuditReport", "method"), ("Transcript", "method")],
+    }
