@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import product
 
 from ripple_zkp.view import AuditError, Layout
-from ripple_zkp.cards import HEART, RandomSource
+from ripple_zkp.cards import HEART, RandomSource, ReplaySource
 from ripple_zkp.protocol import ProverInput, check_plan, run_protocol
 from ripple_zkp.puzzle import Assignment, Puzzle, max_room_size, solve, validate
 
@@ -29,6 +29,54 @@ SHIFT_RULES = {
     "dist.j3": lambda j, k: k + 1 - j,
     "dist.rearr_m2": lambda j, k: -(j - 1),
 }
+
+
+def view_costs(events) -> tuple[int, int, int, int]:
+    """(shuffles, reveals, cards revealed, rearrangements) of a run, counted
+    as in Mizuki & Shizuya 2014 from its transcript's events alone.
+
+    Every shuffle is followed at once by one reveal: a pile-shifting shuffle
+    by a row reveal, a room's pile-scrambling shuffle by its full reveal. So
+    the shuffles are the ``reveal_row`` and ``reveal_all`` events; the
+    reveals are every ``reveal_*`` event, uniqueness segments included; and
+    the rearrangements are the ``rearr:*`` enter marks.
+    """
+    shuffles = reveals = cards = rearrangements = 0
+    for ev in events:
+        tag = ev[0]
+        if tag == "reveal_row":
+            shuffles += 1
+            cards += len(ev[3])
+        elif tag == "reveal_all":
+            shuffles += 1
+            cards += sum(map(len, ev[2]))
+        elif tag == "reveal_segment":
+            cards += len(ev[5])
+        elif tag == "mark":
+            rearrangements += ev[2] == "enter" and ev[1].startswith("rearr:")
+            continue
+        else:
+            continue
+        reveals += 1
+    return shuffles, reveals, cards, rearrangements
+
+
+def zeroing_replay(*indices: int, per_check: int = 7) -> type[ReplaySource]:
+    """A ``ReplaySource`` that hands out 0 at ``indices`` of each check's
+    ``per_check`` draws (seven at k > 1), whatever the replayed draw there:
+    an engine whose shuffles at those draws take their draw and move nothing."""
+
+    class ZeroingReplay(ReplaySource):
+        def __init__(self, draws):
+            super().__init__(draws)
+            self.drawn = 0
+
+        def offset(self, n: int) -> int:
+            r = super().offset(n)
+            self.drawn += 1
+            return 0 if (self.drawn - 1) % per_check in indices else r
+
+    return ZeroingReplay
 
 
 class RecordingSource(RandomSource):

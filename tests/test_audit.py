@@ -17,6 +17,7 @@ from helpers import (
     assignment,
     draw_tape,
     make_puzzle,
+    zeroing_replay,
 )
 from ripple_zkp import audit, cards, protocol, view
 from ripple_zkp.audit import (
@@ -32,7 +33,7 @@ from ripple_zkp.audit import (
 )
 from ripple_zkp.cards import HEART, RandomSource, ReplaySource, Transcript, encode, faces_of, marks
 from ripple_zkp.protocol import ProverInput, run_protocol
-from ripple_zkp.puzzle import solve, validate
+from ripple_zkp.puzzle import max_room_size, solve, validate
 
 TINY = ["a a"]  # one domino room: k=2, eight direction checks per run
 TINY_SOLUTION = assignment([[1, 2]])
@@ -376,15 +377,12 @@ class TestSimulatorTables:
         assert repr_sha256(view._sim_chunks(k)) == GOLDEN_SIM_CHUNKS[k]
 
     def test_harvest_catches_a_constant_draw(self, monkeypatch):
-        # The shuffles of matrix N consume their draw but rotate by 0, so
-        # every value of the uniqueness draw shows the same heart position:
-        # the harvest must raise rather than build a table with holes.
-        def constant_on_n(matrix, rng):
-            r = rng.offset(matrix.n_cols)
-            matrix.rotate(0 if matrix.id == "N" else r)
-
-        monkeypatch.setattr(cards, "pile_shift_shuffle", constant_on_n)
-        monkeypatch.setattr(protocol, "pile_shift_shuffle", constant_on_n)
+        # The shuffles of matrix N (draws 4 and 5 of a check) consume their
+        # draw but move nothing, so every value of the uniqueness draw shows
+        # the same heart position: the harvest must raise rather than build
+        # a table with holes.
+        constant_on_n = zeroing_replay(3, 4)
+        monkeypatch.setattr(view, "ReplaySource", constant_on_n)
         view._sim_chunks.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="draw 4 of a k=3 check hides a heart position"):
@@ -897,16 +895,25 @@ class TestIndistinguishability:
 
 def leak_x_at_step_4(monkeypatch):
     """Make the engine log step 4's public shift as (k - j1 + x) mod k, which
-    gives away the cell's value x; the columns still move by k - j1."""
-    shift = cards.Matrix.shift
+    gives away the cell's value x; the columns still move by k - j1.
 
-    def leaky(self, offset, transcript):
-        shift(self, offset, transcript)
-        if self.id == "M":
-            x = self.rows[1].bit_length()  # a0's heart; the rotation is still lazy
-            transcript.events[-1] = ("shift", "M", (offset + x) % self.n_cols)
+    Wraps ``audit.run_protocol``: each check's first ``("shift", "M", o)``
+    event is step 4's, so the i-th one in a transcript is rewritten with the
+    value of the i-th check's cell in ``check_plan`` order."""
+    run = audit.run_protocol
 
-    monkeypatch.setattr(cards.Matrix, "shift", leaky)
+    def leaky(puzzle, prover, rng, dedupe_directions=False):
+        result = run(puzzle, prover, rng, dedupe_directions)
+        k = max_room_size(puzzle)
+        plan = protocol.check_plan(puzzle.rows, puzzle.cols, k, dedupe_directions)
+        values = (prover.assignment[puzzle.cells[check[0]]] for check in plan)
+        events = result.transcript.events
+        for i, ev in enumerate(events):
+            if ev[:2] == ("shift", "M"):
+                events[i] = ("shift", "M", (ev[2] + next(values)) % k)
+        return result
+
+    monkeypatch.setattr(audit, "run_protocol", leaky)
 
 
 # Per board: rows and solution.
@@ -933,7 +940,8 @@ class TestDecoder:
         honest = run_protocol(puzzle, ProverInput(solution), RandomSource(0)).transcript.events
         view.layout(puzzle)  # the simulator's runs come from the honest engine
         leak_x_at_step_4(monkeypatch)
-        leaked = run_protocol(puzzle, ProverInput(solution), RandomSource(0)).transcript.events
+        run = audit.run_protocol(puzzle, ProverInput(solution), RandomSource(0))
+        leaked = run.transcript.events
         differ = [i for i, (a, b) in enumerate(zip(honest, leaked)) if a != b]
         assert differ and all(honest[i][:2] == leaked[i][:2] == ("shift", "M") for i in differ)
         expected = rf"^event {differ[0] + 1}: expected shift m=M offset=\d, saw shift m=M offset=\d"

@@ -42,7 +42,7 @@ from math import factorial
 
 import pytest
 
-from helpers import make_puzzle
+from helpers import make_puzzle, zeroing_replay
 from ripple_zkp import protocol, view
 from ripple_zkp.cards import (
     _ONE_HEART,
@@ -78,13 +78,14 @@ def rule(a0: int, neighbours: list[int]):
     return a0, neighbours
 
 
-def replay(k: int, a0: int, neighbours: list[int]):
-    """(result, view) of the check on every draw tuple, in product order: the
-    result is what ``_distance_direction`` returns, or MALFORMED when it raises."""
+def replay(k: int, a0: int, neighbours: list[int], source=ReplaySource):
+    """(result, view) of the check on every draw tuple, in product order, each
+    replayed through ``source``: the result is what ``_distance_direction``
+    returns, or MALFORMED when it raises."""
     for draws in product(*map(range, draw_widths(k))):
         t = Transcript()
         try:
-            result = protocol._distance_direction(k, a0, neighbours, ReplaySource(draws), t, ())
+            result = protocol._distance_direction(k, a0, neighbours, source(draws), t, ())
         except MalformedCommitmentError:
             result = MALFORMED
         yield result, tuple(t.events)
@@ -131,25 +132,23 @@ def test_distance_check_is_exact_on_raw_masks(k, split):
     assert (kinds["accept"], kinds["reject"], kinds[MALFORMED]) == split
 
 
-def skip_step_2(matrix, rng):
-    # Step 2's shuffle is skipped; its draw is still taken, so every
-    # replayed tuple stays in range.
-    r = rng.offset(matrix.n_cols)
-    if matrix.id != "M":
-        matrix.rotate(r)
+# Mutant engines, as replays that zero chosen draws of each check (draw
+# order: M at step 2, M1's realignment, M2 at step 8, N's uniqueness, N's
+# realignment, M2 at step 13, M2's realignment). Each draw is still taken,
+# so every replayed tuple stays in range.
+# Step 2's shuffle moves nothing.
+skip_step_2 = zeroing_replay(0)
+# M2's shuffles (steps 8 and 13, and its realignment) move nothing.
+constant_on_m2 = zeroing_replay(2, 5, 6)
 
 
-def constant_on_m2(matrix, rng):
-    # M2's shuffles (steps 8 and 13) take their draw but rotate by 0.
-    r = rng.offset(matrix.n_cols)
-    matrix.rotate(0 if matrix.id == "M2" else r)
-
-
-@pytest.mark.parametrize("mutant", [skip_step_2, constant_on_m2])
-def test_exact_check_catches_mutant_engines(monkeypatch, mutant):
+@pytest.mark.parametrize(
+    "mutant", [skip_step_2, constant_on_m2], ids=["skip_step_2", "constant_on_m2"]
+)
+def test_exact_check_catches_mutant_engines(mutant):
     # Each mutant keeps every verdict and every hand-back, so only the views
     # can show it: every accepting configuration must differ from the
-    # simulator. The tables are harvested from the honest engine first.
+    # simulator. The tables are harvested from the honest engine.
     k = 2
     simulated = simulated_views(k)
     accepting = [
@@ -158,16 +157,12 @@ def test_exact_check_catches_mutant_engines(monkeypatch, mutant):
         if rule(a0, neighbours) == (a0, neighbours)
     ]
     assert len(accepting) == 12
-    monkeypatch.setattr(protocol, "pile_shift_shuffle", mutant)
-    try:
-        for a0, neighbours in accepting:
-            views = Counter()
-            for result, events in replay(k, a0, neighbours):
-                assert result == (a0, neighbours)
-                views[events] += 1
-            assert views != simulated, (a0, neighbours)
-    finally:
-        view._sim_chunks.cache_clear()
+    for a0, neighbours in accepting:
+        views = Counter()
+        for result, events in replay(k, a0, neighbours, mutant):
+            assert result == (a0, neighbours)
+            views[events] += 1
+        assert views != simulated, (a0, neighbours)
 
 
 ROOMS = make_puzzle(["a b b c c c d d d d"])  # rooms of sizes 1 to 4, so k = 4
