@@ -24,8 +24,12 @@ stored mask, filled on first use; every tuple in it is made by
 ``faces_of``, which reads the offset-0 layer, and the simulator builds its
 reveals from the same table.
 Every revealed value is read off its one-heart index, ``_ONE_HEART`` (by
-``Matrix.read_heart``, which raises for a row without exactly one heart, the
-uniqueness step, the room check and the audit's decoder). ``serialize`` and
+``Matrix.cut_and_read``, which raises for a row without exactly one heart,
+the room check and the audit's decoder). Each secret draw of the distance
+check is one ``Matrix.cut_and_read`` call: the pile-shifting shuffle, the
+row reveal and the public shift that ``pile_shift_shuffle``,
+``Matrix.reveal_row`` and ``Matrix.shift`` make one at a time, fused, with
+the same draws, events and offsets. ``serialize`` and
 ``skeleton`` look each event's line up in a table of their own that renders
 it on first use, and every step's enter and exit marks are one shared pair of
 tuples (``marks``).
@@ -324,7 +328,8 @@ class Matrix:
     not copied.
 
     Only the protocol's moves are made, and stored cards never rotate. A row
-    reveal reads a row mask and a segment lies within rows 1..n_rows of a
+    reveal, or the reveal of a secret draw (``cut_and_read``), reads a row
+    mask in 1..len(rows), and a segment lies within rows 1..n_rows of a
     column in 1..n_cols; ``split_rows`` cuts among the row masks;
     ``permute`` reorders a matrix of piles alone at offset 0 (the room
     check's); a column cut or pile move starts in columns 1..n_cols and lies
@@ -402,12 +407,11 @@ class Matrix:
         self.offset = (self.offset + o) % self.n_cols
 
     def reveal_row(self, row: int, transcript: Transcript) -> tuple:
-        """Reveal row mask ``row``; a row of the piles raises."""
+        """Reveal row mask ``row``; a row outside 1..len(rows) raises."""
+        if not 1 <= row <= len(self.rows):
+            raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
         w = self.n_cols
-        try:
-            mask = self.rows[row - 1]
-        except IndexError:
-            raise ValueError(f"matrix {self.id}: row {row} is not a row mask") from None
+        mask = self.rows[row - 1]
         o = self.offset
         faces = _FACES[w][o].get(mask) or _shown_faces(w, o, mask)
         transcript.events.append(("reveal_row", self.id, row, faces))
@@ -437,16 +441,45 @@ class Matrix:
         self._face_up += n * self.n_cols
         return cols
 
-    def read_heart(self, row: int, transcript: Transcript) -> int:
-        """Reveal ``row``, read its heart position, then turn the cards face down;
-        a row without exactly one heart raises, left face up."""
-        faces = self.reveal_row(row, transcript)
+    def cut_and_read(
+        self, rng: RandomSource, row: int, transcript: Transcript, align_to: int | None = None
+    ) -> int:
+        """One secret draw of the protocol: a pile-shifting shuffle, the reveal
+        of row mask ``row`` read for its heart, and, given ``align_to``, the
+        public shift that brings that heart to column ``align_to``. Returns
+        the heart's column as revealed, before the shift.
+
+        The same draw, trail record, events and offset as ``pile_shift_shuffle``,
+        ``reveal_row`` read through ``_ONE_HEART``, then ``shift``, in one call.
+        Cards already face up, or a row outside 1..len(rows), raise before
+        anything is drawn, moved or logged; a row without exactly one heart
+        raises after its reveal, left face up.
+        """
+        if self._face_up:
+            raise _face_up_error(self)
+        if not 1 <= row <= len(self.rows):
+            raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
+        w = self.n_cols
+        r = rng.offset(w)
+        if rng.trail is not None:
+            rng.trail.append(("pile_shift", self.id, r))
+        o = (self.offset + r) % w
+        mask = self.rows[row - 1]
+        faces = _FACES[w][o].get(mask) or _shown_faces(w, o, mask)
+        events = transcript.events
+        events.append(("reveal_row", self.id, row, faces))
         j = _ONE_HEART.get(faces)
         if j is None:
+            self.offset = o
+            self._face_up += w
             raise MalformedCommitmentError(
                 f"matrix {self.id} row {row}: expected exactly one heart, saw {faces.count(HEART)}"
             )
-        self._face_up = 0
+        if align_to is not None:
+            s = (align_to - j) % w
+            events.append(("shift", self.id, s))
+            o = (o + s) % w
+        self.offset = o
         return j
 
     def split_rows(self, top_rows: int, top_id: str, bottom_id: str) -> tuple["Matrix", "Matrix"]:
@@ -611,7 +644,6 @@ def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> 
     events = transcript.events
     events.append(enter)
     try:
-        pile_shift_shuffle(matrix, rng)
-        matrix.shift(1 - matrix.read_heart(1, transcript), transcript)
+        matrix.cut_and_read(rng, 1, transcript, 1)
     finally:
         events.append(leave)

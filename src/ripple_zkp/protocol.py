@@ -45,7 +45,6 @@ from .cards import (
     encode,
     marks,
     pile_scramble_shuffle,
-    pile_shift_shuffle,
     rearrangement,
 )
 from .puzzle import (
@@ -195,15 +194,15 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     """Steps 2-5 of the uniqueness subprotocol on an already-built matrix.
 
     Row 2 holds the reference sequence; rows 3 and below hold the sequences
-    that must not repeat its number. Returns True when the column under the
+    that must not repeat its number. The shuffle and the reveal of Row 2 are
+    one draw, with no public shift. Returns True when the column under the
     reference heart shows no heart below Row 2.
     """
-    pile_shift_shuffle(matrix, rng)
     enter, leave = UNIQUE_MARKS(matrix.id)
     events = transcript.events
     events.append(enter)
     try:
-        j = matrix.read_heart(2, transcript)
+        j = matrix.cut_and_read(rng, 2, transcript)
         ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
     finally:
         events.append(leave)
@@ -280,7 +279,10 @@ def _distance_direction(
     """Steps 1-16 on heart masks: x, a0's heart position, is not among the first
     x ``neighbours``. Returns ``(a0, piles)``, both unchanged, on accept and None
     when a heart shows; an ``a0`` without exactly one heart raises at step 2.
-    ``where`` labels the tuples appended to the private trail and nothing else."""
+    Each of the seven secret draws (steps 2, 6, 8, 11, 12, 13 and 16) is one
+    ``Matrix.cut_and_read``: a shuffle, a row reveal read for its heart and,
+    where the step realigns, its public shift. ``where`` labels the tuples
+    appended to the private trail and nothing else."""
     trail = rng.trail
 
     # Step 1: rows [indicator, a0, indicator, blank] over k columns, with
@@ -288,9 +290,9 @@ def _distance_direction(
     # encode(1, k) is the mask 1.
     m = Matrix("M", k, [1, a0, 1, 0], neighbours.copy(), k)
 
-    # Steps 2-4: shuffle, find a0's heart, park its column at the right edge.
-    pile_shift_shuffle(m, rng)
-    m.shift(k - m.read_heart(2, transcript), transcript)
+    # Steps 2-4: shuffle, find a0's heart, and shift its column to column k,
+    # the right edge.
+    m.cut_and_read(rng, 2, transcript, k)
 
     if trail is not None:
         x = decode(a0)
@@ -309,9 +311,9 @@ def _distance_direction(
             appended = block.snapshot()
         m2.append_columns(block)
 
-    # Steps 8-9: shuffle, find the first neighbour's column.
-    pile_shift_shuffle(m2, rng)
-    j2 = m2.read_heart(1, transcript)
+    # Steps 8-9: shuffle, find the first neighbour's column by Row 1's
+    # heart; no public shift follows.
+    j2 = m2.cut_and_read(rng, 1, transcript)
 
     # Step 10: select the k consecutive piles starting there, wrapping
     # past the last column.
@@ -335,10 +337,11 @@ def _distance_direction(
         piles.append(n.take_row(row))
     m2.put_segment(j2, piles)
 
-    # Steps 13-15: hide the seam again, then cut the appended columns off.
+    # Steps 13-15: hide the seam again with a shuffle, shift Row 2's heart,
+    # on the first appended column, to column k + 1, then cut the appended
+    # columns off.
     if k > 1:
-        pile_shift_shuffle(m2, rng)
-        m2.shift(k + 1 - m2.read_heart(2, transcript), transcript)
+        m2.cut_and_read(rng, 2, transcript, k + 1)
         removed = m2.remove_columns(k + 1, 2 * k - 1)
         if trail is not None:
             trail.append(("removed_block", *where, appended, removed.snapshot()))

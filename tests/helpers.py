@@ -44,27 +44,22 @@ def view_costs(events) -> tuple[int, int, int, int]:
     shuffles = reveals = cards = rearrangements = 0
     for ev in events:
         tag = ev[0]
-        if tag == "reveal_row":
-            shuffles += 1
-            cards += len(ev[3])
-        elif tag == "reveal_all":
-            shuffles += 1
-            cards += sum(map(len, ev[2]))
-        elif tag == "reveal_segment":
-            cards += len(ev[5])
-        elif tag == "mark":
+        if tag == "mark":
             rearrangements += ev[2] == "enter" and ev[1].startswith("rearr:")
-            continue
-        else:
-            continue
-        reveals += 1
+        elif tag == "reveal_segment":
+            reveals += 1
+            cards += len(ev[5])
+        elif tag in ("reveal_row", "reveal_all"):
+            shuffles += 1
+            reveals += 1
+            cards += len(ev[3]) if tag == "reveal_row" else sum(map(len, ev[2]))
     return shuffles, reveals, cards, rearrangements
 
 
-def zeroing_replay(*indices: int, per_check: int = 7) -> type[ReplaySource]:
-    """A ``ReplaySource`` that hands out 0 at ``indices`` of each check's
-    ``per_check`` draws (seven at k > 1), whatever the replayed draw there:
-    an engine whose shuffles at those draws take their draw and move nothing."""
+def zeroing_replay(*indices: int) -> type[ReplaySource]:
+    """A ``ReplaySource`` that hands out 0 at ``indices`` of each check's seven
+    draws (k > 1), whatever the replayed draw there: an engine whose shuffles
+    at those draws take their draw and move nothing."""
 
     class ZeroingReplay(ReplaySource):
         def __init__(self, draws):
@@ -74,7 +69,7 @@ def zeroing_replay(*indices: int, per_check: int = 7) -> type[ReplaySource]:
         def offset(self, n: int) -> int:
             r = super().offset(n)
             self.drawn += 1
-            return 0 if (self.drawn - 1) % per_check in indices else r
+            return 0 if (self.drawn - 1) % 7 in indices else r
 
     return ZeroingReplay
 

@@ -9,6 +9,7 @@ from helpers import check_of, mask_of
 from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     _EVENT_LINES,
+    _ONE_HEART,
     _SERIALIZE_LINES,
     _SKELETON_LINES,
     CLUB,
@@ -329,7 +330,7 @@ class TestReveal:
         m = Matrix.from_rows("X", 4, [encode(1, 4), encode(3, 4)])
         m.rotate(2)
         t = Transcript()
-        assert m.read_heart(2, t) == 1  # heart 3 moved right by 2, wrapping
+        assert m.cut_and_read(ReplaySource([0]), 2, t) == 1  # heart 3 moved right by 2, wrapping
         assert t.events == [("reveal_row", "X", 2, (H, C, C, C))]
         m.shift(1, t)  # face down again: neither raises
         pile_shift_shuffle(m, RandomSource(0))
@@ -339,9 +340,76 @@ class TestReveal:
         m = Matrix.from_rows("X", 3, [mask_of(row)])
         message = f"matrix X row 1: expected exactly one heart, saw {hearts}$"
         with pytest.raises(MalformedCommitmentError, match=message):
-            m.read_heart(1, Transcript())
+            m.cut_and_read(ReplaySource([0]), 1, Transcript())
         with pytest.raises(RuntimeError, match="cards are face-up"):
             m.shift(1, Transcript())
+
+
+def paper_draw(m: Matrix, rng, row: int, t: Transcript, align_to: int | None) -> int:
+    """The paper's steps that ``Matrix.cut_and_read`` fuses: a pile-shifting
+    shuffle, the reveal of one row read through ``_ONE_HEART``, then, given a
+    target, the public shift that brings the heart there."""
+    pile_shift_shuffle(m, rng)
+    faces = m.reveal_row(row, t)
+    j = _ONE_HEART.get(faces)
+    if j is None:
+        raise MalformedCommitmentError(
+            f"matrix {m.id} row {row}: expected exactly one heart, saw {faces.count(H)}"
+        )
+    m._face_up = 0
+    if align_to is not None:
+        m.shift(align_to - j, t)
+    return j
+
+
+@st.composite
+def draw_cases(draw):
+    """(width, row masks, offset, face up, row, target, draw) of one secret draw;
+    a row mask is as likely to hold one heart as to be any mask of the width."""
+    width = draw(st.integers(1, 7))
+    mask = st.one_of(
+        st.integers(0, width - 1).map(lambda i: 1 << i), st.integers(0, (1 << width) - 1)
+    )
+    rows = draw(st.lists(mask, min_size=1, max_size=4))
+    return (
+        width,
+        rows,
+        draw(st.integers(0, width - 1)),
+        draw(st.booleans()),
+        draw(st.integers(1, len(rows))),
+        draw(st.none() | st.integers(-width, 2 * width)),
+        draw(st.integers(0, width - 1)),
+    )
+
+
+class TestCutAndRead:
+    @staticmethod
+    def run(draw_fn, case):
+        """What one draw made by ``draw_fn`` returns or raises, logs, draws and
+        leaves behind."""
+        width, rows, offset, face_up, row, align_to, r = case
+        m = rotated(Matrix.from_rows("X", width, list(rows)), offset)
+        m._face_up = width if face_up else 0
+        rng, t = ReplaySource([r]), Transcript()
+        rng.trail = []
+        try:
+            result = draw_fn(m, rng, row, t, align_to)
+        except (MalformedCommitmentError, RuntimeError) as error:
+            result = (type(error), str(error))
+        return result, t.events, m.offset, m._face_up, rng.trail, m.rows
+
+    @given(draw_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_paper_composition(self, case):
+        assert self.run(Matrix.cut_and_read, case) == self.run(paper_draw, case)
+
+    def test_aligns_the_heart_to_the_target(self):
+        # An indicator under a draw of 3 shows its heart at 4 of 6, and the
+        # shift of 3 brings it back to 1: the realignment's draw.
+        m, t = Matrix.from_rows("X", 6, [encode(1, 6)]), Transcript()
+        assert m.cut_and_read(ReplaySource([3]), 1, t, align_to=1) == 4
+        assert t.events == [("reveal_row", "X", 1, (C, C, C, H, C, C)), ("shift", "X", 3)]
+        assert decode(m.take_row(1)) == 1
 
 
 class TestRearrangement:
@@ -548,6 +616,18 @@ class TestMatrixState:
         ),
         "reveal_row_of_a_pile": (
             ValueError, "row 3 is not a row mask", lambda m, t: m.reveal_row(3, t),
+        ),
+        "reveal_row_above_the_matrix": (
+            ValueError, "row 0 is not a row mask", lambda m, t: m.reveal_row(0, t),
+        ),
+        # An empty replay raises on any draw, so these show that nothing is drawn.
+        "cut_and_read_of_a_pile": (
+            ValueError, "row 3 is not a row mask",
+            lambda m, t: m.cut_and_read(ReplaySource([]), 3, t, 1),
+        ),
+        "cut_and_read_above_the_matrix": (
+            ValueError, "row 0 is not a row mask",
+            lambda m, t: m.cut_and_read(ReplaySource([]), 0, t, 1),
         ),
         "split_rows_below_the_row_masks": (
             ValueError, "cutting 3 rows below", lambda m, t: m.split_rows(3, "T", "B"),
@@ -881,8 +961,7 @@ class TestTranscript:
         enter, leave = marks("demo")
         t.events.append(enter)
         m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
-        m.read_heart(1, t)
-        m.shift(-1, t)
+        m.cut_and_read(ReplaySource([0]), 1, t, align_to=1)
         m.reveal_segment(2, 1, 2, t)
         m.reveal_all(t)
         t.events.append(leave)
@@ -901,7 +980,7 @@ class TestTranscript:
         t1, t2 = Transcript(), Transcript()
         for t, faces in ((t1, (H, C, C)), (t2, (C, C, H))):
             m = Matrix.from_rows("X", 3, [mask_of(faces)])
-            m.read_heart(1, t)
+            m.cut_and_read(ReplaySource([0]), 1, t)
             m.shift(faces.index(H), t)
         assert t1.serialize() != t2.serialize()
         assert t1.skeleton() == t2.skeleton()

@@ -6,6 +6,7 @@ fail here rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+from helpers import view_costs
 from ripple_zkp import audit, protocol, view
 from ripple_zkp.cards import RandomSource
 from ripple_zkp.protocol import ProverInput
@@ -38,13 +39,27 @@ def test_traced_proof_bytes_match_untraced(sample7x7, sample7x7_solution):
     assert protocol.run_protocol is original
     assert tracer.calls("protocol.run") == 1
     assert tracer.calls("protocol.distance_direction") == 196
-    # Every name the tracer patches stays on the path it times; a check
-    # makes 27 matrix moves, its k piles taken and put back in one call each.
-    assert tracer.calls("cards.matrix_moves") == 5292
-    assert tracer.calls("cards.reveal") == 1580
-    assert tracer.calls("cards.shuffle") == 1384
+    # Every name the tracer patches on the fused path stays on it: a check
+    # makes 15 matrix moves, its k piles taken and put back in one call
+    # each, and its seven secret draws are one cut_and_read each, which the
+    # tracer does not see. What it sees of shuffles and reveals is the rooms'
+    # scrambles and full reveals and one uniqueness segment per check.
+    assert tracer.calls("cards.matrix_moves") == 2940
+    assert tracer.calls("cards.reveal") == 208
+    assert tracer.calls("cards.shuffle") == 12
     assert tracer.calls("cards.rearrangement") == 588
     assert tracer.calls("cards.serialize") == 1
+
+
+def test_proof_costs_read_off_the_view(sample7x7, sample7x7_solution):
+    # The paper's costs of the seed-0 proof, counted from its transcript
+    # alone: one shuffle per draw (7 per check, 1 per room), every reveal
+    # (the segments too), the cards those reveals show, and 3 realignments
+    # per check.
+    events = protocol.run_protocol(
+        sample7x7, ProverInput(sample7x7_solution), RandomSource(0)
+    ).transcript.events
+    assert view_costs(events) == (1384, 1580, 11662, 588)
 
 
 def test_simulator_tables_stay_off_the_tracer(sample7x7):
