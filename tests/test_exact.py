@@ -138,8 +138,8 @@ def test_distance_check_is_exact_on_raw_masks(k, split):
 # so every replayed tuple stays in range.
 # Step 2's shuffle moves nothing.
 skip_step_2 = zeroing_replay(0)
-# M2's shuffles (steps 8 and 13, and its realignment) move nothing.
-constant_on_m2 = zeroing_replay(2, 5, 6)
+# M2's shuffles at steps 8 and 13 move nothing.
+constant_on_m2 = zeroing_replay(2, 5)
 
 
 @pytest.mark.parametrize(

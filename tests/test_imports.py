@@ -5,8 +5,7 @@ or ``perfbench/`` outside a package ``__init__.py``: a definition that only
 tests call is dead code, and a re-export does not make it live. A method
 is named only by an attribute that is not read off another package class,
 or by a ``"Class.method"`` string, so a same-named module function or
-method of another class does not vouch for it. The definitions that only
-the benchmark's tracer keeps alive are pinned by name."""
+method of another class does not vouch for it."""
 import ast
 from pathlib import Path
 
@@ -17,7 +16,6 @@ PACKAGE = ROOT / "src" / "ripple_zkp"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 REFERRERS = ("src/", "perfbench/")  # the sources whose references count
-TRACER = "perfbench/tracer.py"  # the benchmark's hooks, by name
 
 
 def unused_imports(source: str) -> list[str]:
@@ -66,13 +64,14 @@ def references(tree: ast.AST, classes: set[str]) -> tuple[set[str], set[tuple]]:
     return names, methods
 
 
-def dead_definitions(trees: dict, checked: str) -> list[tuple]:
-    """``(path, parent, node)`` of each function or class defined in a tree
-    whose path starts with ``checked`` that no tree under ``REFERRERS``
-    refers to, a package ``__init__.py`` not counting; dunders are exempt.
-    A method of class C counts as referenced only by an attribute of its
-    name not read off another class defined under ``checked``, or by a
-    ``"C.name"`` string."""
+def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
+    """``path:line name`` of each function or class defined in a source whose
+    path starts with ``checked`` that no source under ``REFERRERS`` refers
+    to, a package ``__init__.py`` not counting; dunders are exempt. A method
+    of class C counts as referenced only by an attribute of its name not
+    read off another class defined under ``checked``, or by a ``"C.name"``
+    string."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
     checked_trees = {path: tree for path, tree in trees.items() if path.startswith(checked)}
     classes = {node.name for tree in checked_trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
@@ -95,37 +94,8 @@ def dead_definitions(trees: dict, checked: str) -> list[tuple]:
                 else:
                     seen = node.name in names
                 if not seen:
-                    found.append((path, parent, node))
-    return found
-
-
-def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
-    """``path:line name`` of each of the ``dead_definitions`` of the sources."""
-    trees = {path: ast.parse(text) for path, text in sources.items()}
-    found = ((path, node.lineno, node.name) for path, _, node in dead_definitions(trees, checked))
+                    found.append((path, node.lineno, node.name))
     return [f"{path}:{line} {name}" for path, line, name in sorted(found)]
-
-
-def kept_by_the_tracer_alone(sources: dict[str, str]) -> set[str]:
-    """Each ``src/`` definition, as ``name`` or ``Class.name``, that only the
-    benchmark's tracer keeps: dead when it is not read, or named only from
-    inside such definitions, found by cutting each round's finds out and
-    looking again. A source that never names ``ripple_zkp`` cannot call the
-    package, so its own methods (perfbench/reference.py's ``rotate``) vouch
-    for nothing here."""
-    trees = {
-        path: ast.parse(text) for path, text in sources.items()
-        if path != TRACER and (path.startswith("src/") or "ripple_zkp" in text)
-    }
-    kept = set()
-    while found := dead_definitions(trees, "src/"):
-        for _, parent, node in found:
-            for value in vars(parent).values():
-                if isinstance(value, list) and node in value:
-                    value.remove(node)
-            owner = f"{parent.name}." if isinstance(parent, ast.ClassDef) else ""
-            kept.add(owner + node.name)
-    return kept
 
 
 def test_detects_an_unreferenced_definition():
@@ -163,37 +133,6 @@ def test_every_definition_is_referenced():
         for top in REFERRERS for path in sorted((ROOT / top).rglob("*.py"))
     }
     assert unreferenced(sources, "src") == []
-
-
-def test_detects_a_definition_kept_by_the_tracer_alone():
-    # ``traced`` is named only in a tracer string, ``K.step`` only from
-    # ``traced`` and ``K.turn`` only by a perfbench/ file that does not use
-    # the package; ``K.kept`` is called from src/ and ``benched`` from
-    # another perfbench/ file.
-    sources = {
-        "src/m.py": "class K:\n    def kept(self): pass\n    def step(self): pass\n"
-                    "    def turn(self): pass\n"
-                    "def traced(k): k.step()\ndef benched(): pass\nK().kept()\n",
-        TRACER: "TARGETS = ['m.traced', 'm.benched']\n",
-        "perfbench/worker.py": "import ripple_zkp\nfrom m import benched\nbenched()\n",
-        "perfbench/reference.py": "class P:\n    def turn(self): pass\nP().turn()\n",
-    }
-    assert kept_by_the_tracer_alone(sources) == {"traced", "K.step", "K.turn"}
-
-
-def test_definitions_kept_by_the_tracer_alone_are_pinned():
-    # The protocol draws through ``Matrix.cut_and_read``, so the paper's
-    # separate steps stay only as the reference that tests/test_cards.py
-    # checks it against and as hooks of the benchmark's tracer, which fails
-    # to install without them. Moving the tracer onto costs read off the
-    # view lets these go; a new definition that only the tracer names fails here.
-    sources = {
-        str(path.relative_to(ROOT)): path.read_text()
-        for top in REFERRERS for path in sorted((ROOT / top).rglob("*.py"))
-    }
-    assert kept_by_the_tracer_alone(sources) == {
-        "pile_shift_shuffle", "Matrix.rotate", "Matrix.shift", "Matrix.reveal_row",
-    }
 
 
 def class_members(tree: ast.AST) -> dict[str, set[tuple[str, str]]]:
