@@ -125,11 +125,14 @@ class RandomSource:
     Transcript: the shuffles append their secret draws as ``("pile_shift",
     ...)``/``("pile_scramble", ...)`` tuples, and the protocol appends
     snapshots that let tests assert what the transcript must hide: that the
-    column reaching the rightmost slot really is the x-th neighbour, that
-    the selected sequences are exactly the first x neighbours plus blanks,
-    and that every sequence returns to its cell unchanged. Each record is
-    ``(kind, *data)``, card sequences as heart masks. With no trail, each
-    record site costs one ``is None`` test; an empty list is a live trail.
+    column reaching the rightmost slot really is the x-th neighbour
+    (``"align_rightmost"``), that the selected sequences are exactly the
+    first x neighbours plus blanks (``"selection"``), that the columns cut
+    at step 15 are the blanks appended at step 7 (``"removed_block"``), and
+    that every sequence returns to its cell unchanged (``"restore"``). Each
+    record is ``(kind, *data)``, card sequences as heart masks. With no
+    trail, each record site costs one ``is None`` test; an empty list is a
+    live trail.
     """
 
     def __init__(self, seed: int, trail: list[tuple] | None = None):
@@ -323,24 +326,25 @@ class Matrix:
     out whole (``take_row``), and runs of whole piles over neighbouring
     columns are taken and put back in one call each (``take_segment``/
     ``put_segment``); a taken pile is ``None`` in ``piles``, and reading it
-    fails until it is back. Cards are readable only through the reveal
-    methods, which log what was shown; the lists passed in are taken over,
-    not copied.
+    fails until it is back. Columns cut off (``remove_columns``) are
+    discarded, as the protocol returns them to the deck. Cards are readable
+    only through the reveal methods, which log what was shown; the lists
+    passed in are taken over, not copied.
 
     Only the protocol's moves are made, and stored cards never rotate. A row
-    reveal, or the reveal of a secret draw (``cut_and_read``), reads a row
-    mask in 1..len(rows), and a segment lies within rows 1..n_rows of a
-    column in 1..n_cols; ``split_rows`` cuts among the row masks;
-    ``permute`` reorders a matrix of piles alone at offset 0 (the room
-    check's); a column cut or pile move starts in columns 1..n_cols and lies
-    in one storage run; ``take_row`` needs offset 0 and ``append_columns``
-    an unrotated block. Any other move raises before a card moves or an
-    event is logged. The protocol keeps to this: piles start at storage
-    column 0 (the first neighbour's) in step 1; step 7 inserts the blank
-    block right after the x-th neighbour's storage column, so step 10's k
-    piles are storage columns 0..k-1 and steps 13-15 cut x..x+k-2; and every
-    ``take_row`` follows a realignment that brings the indicator, at storage
-    column 0, to column 1, which makes the offset 0.
+    reveal, the reveal of a secret draw (``cut_and_read``) or ``take_row``
+    reads a row mask in 1..len(rows), and a segment lies within rows
+    1..n_rows of a column in 1..n_cols; ``split_rows`` cuts among the row
+    masks; ``permute`` reorders a matrix of piles alone at offset 0 (the
+    room check's); a column cut or pile move starts in columns 1..n_cols and
+    lies in one storage run; ``take_row`` needs offset 0 and
+    ``append_columns`` an unrotated block. Any other move raises before a
+    card moves or an event is logged. The protocol keeps to this: piles
+    start at storage column 0 (the first neighbour's) in step 1; step 7
+    inserts the blank block right after the x-th neighbour's storage column,
+    so step 10's k piles are storage columns 0..k-1 and steps 13-15 cut
+    x..x+k-2; and every ``take_row`` follows a realignment that brings the
+    indicator, at storage column 0, to column 1, which makes the offset 0.
     """
 
     __slots__ = ("id", "n_cols", "rows", "piles", "depth", "offset", "_face_up")
@@ -379,11 +383,6 @@ class Matrix:
             if row >> p & 1:
                 bits |= 1 << i
         return bits & ((1 << n) - 1)
-
-    def _order(self) -> list[int]:
-        """Storage columns in visible order."""
-        o, w = self.offset, self.n_cols
-        return [(j - o) % w for j in range(w)]
 
     def rotate(self, offset: int) -> None:
         """Move every column j to j+offset (mod width); no event logged."""
@@ -436,7 +435,7 @@ class Matrix:
 
     def reveal_all(self, transcript: Transcript) -> tuple:
         n = self.n_rows
-        cols = tuple(faces_of(n, self._column(p, 1, n)) for p in self._order())
+        cols = tuple(faces_of(n, col) for col in self.snapshot())
         transcript.events.append(("reveal_all", self.id, cols))
         self._face_up += n * self.n_cols
         return cols
@@ -519,10 +518,10 @@ class Matrix:
         self.piles[q:q] = block.piles
         self.n_cols += n
 
-    def remove_columns(self, col_lo: int, col_hi: int) -> "Matrix":
-        """Remove columns col_lo..col_hi (1-based, inclusive) and return them as a matrix.
+    def remove_columns(self, col_lo: int, col_hi: int) -> None:
+        """Remove columns col_lo..col_hi (1-based, inclusive); the cut cards are
+        discarded, back to the deck.
 
-        The returned matrix lays the columns out in visible order with offset 0.
         An empty run, one that does not lie within columns 1..n_cols, or one
         that crosses the storage seam raises before any card moves.
         """
@@ -534,22 +533,20 @@ class Matrix:
         s = (col_lo - 1 - self.offset) % w  # storage column of col_lo
         if s + n > w:
             raise ValueError(f"matrix {self.id}: columns {col_lo}..{col_hi} cross the storage seam")
-        rows, piles, cut = self.rows, self.piles, []
-        span, keep = (1 << n) - 1, (1 << s) - 1
+        rows, keep = self.rows, (1 << s) - 1
         for i, row in enumerate(rows):
-            cut.append(row >> s & span)
             rows[i] = row & keep | row >> (s + n) << s
-        block = piles[s:s + n]
-        del piles[s:s + n]
+        del self.piles[s:s + n]
         # The column shown after col_hi sits at storage column s and is now
         # shown at col_lo.
         self.n_cols = w = w - n
         self.offset = (col_lo - 1 - s) % w if w else 0
-        return Matrix(self.id, n, cut, block, self.depth)
 
     def take_row(self, row: int) -> Sequence:
         """Physically remove one laid-out row of cards, as a mask in visible order;
-        under a nonzero offset it raises, taking nothing."""
+        a row outside 1..len(rows), or a nonzero offset, raises, taking nothing."""
+        if not 1 <= row <= len(self.rows):
+            raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
         if self.offset:
             raise RuntimeError(f"matrix {self.id}: taking a row under offset {self.offset}")
         mask = self.rows[row - 1]
@@ -605,8 +602,8 @@ class Matrix:
 
     def snapshot(self) -> tuple:
         """Private peek at every column as a mask, left to right; not an observable event."""
-        n = self.n_rows
-        return tuple(self._column(p, 1, n) for p in self._order())
+        n, o, w = self.n_rows, self.offset, self.n_cols
+        return tuple(self._column((j - o) % w, 1, n) for j in range(w))
 
 
 def pile_shift_shuffle(matrix: Matrix, rng: RandomSource) -> None:

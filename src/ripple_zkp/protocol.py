@@ -339,12 +339,13 @@ def _distance_direction(
 
     # Steps 13-15: hide the seam again with a shuffle, shift Row 2's heart,
     # on the first appended column, to column k + 1, then cut the appended
-    # columns off.
+    # columns off; they go back to the deck, and the trail reads them just
+    # before the cut.
     if k > 1:
         m2.cut_and_read(rng, 2, transcript, k + 1)
-        removed = m2.remove_columns(k + 1, 2 * k - 1)
         if trail is not None:
-            trail.append(("removed_block", *where, appended, removed.snapshot()))
+            trail.append(("removed_block", *where, appended, m2.snapshot()[k:]))
+        m2.remove_columns(k + 1, 2 * k - 1)
 
     # Step 16: realign; the piles come back in neighbour order.
     rearrangement(m2, rng, transcript)

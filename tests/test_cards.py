@@ -603,12 +603,18 @@ class TestMatrixState:
     # call) on a matrix of two row masks over piles two cards deep, rotated
     # by 1: visible column 1 shows storage column 2, the last, so a run of
     # two from it crosses the storage seam. The permute cases take a matrix
-    # with row masks alone or a rotation alone, as (row masks, offset).
+    # with row masks alone or a rotation alone, and the take_row range cases
+    # a matrix at offset 0, which only the range check refuses, as (row
+    # masks, offset).
     UNROTATED_MOVES = {
         "take_segment": (RuntimeError, "storage seam", lambda m, t: m.take_segment(1, 2)),
         "put_segment": (RuntimeError, "storage seam", lambda m, t: m.put_segment(1, [0, 0])),
         "remove_columns": (ValueError, "storage seam", lambda m, t: m.remove_columns(1, 2)),
         "take_row": (RuntimeError, "under offset 1", lambda m, t: m.take_row(1)),
+        "take_row_of_row_0": (ValueError, "row 0 is not a row mask", lambda m, t: m.take_row(0)),
+        "take_row_below_the_row_masks": (
+            ValueError, "row 3 is not a row mask", lambda m, t: m.take_row(3),
+        ),
         "append_columns": (
             ValueError,
             "block Y is rotated",
@@ -663,7 +669,12 @@ class TestMatrixState:
             ValueError, "cutting -1 rows", lambda m, t: m.split_rows(-1, "T", "B"),
         ),
     }
-    LAYOUTS = {"permute_row_masks": ([0b101, 0b010], 0), "permute_under_an_offset": ([], 1)}
+    LAYOUTS = {
+        "permute_row_masks": ([0b101, 0b010], 0),
+        "permute_under_an_offset": ([], 1),
+        "take_row_of_row_0": ([0b101, 0b010], 0),
+        "take_row_below_the_row_masks": ([0b101, 0b010], 0),
+    }
 
     @pytest.mark.parametrize("move", sorted(UNROTATED_MOVES))
     def test_move_needing_a_rotated_storage_moves_nothing(self, move):
@@ -680,8 +691,10 @@ class TestMatrixState:
         assert top.snapshot() == (1, 2, 3) and bottom.snapshot() == (0, 0, 0)
         bottom.append_columns(Matrix("Y", 1, piles=[mask_of((H, H))], depth=2))
         assert bottom.n_cols == 4
-        removed = bottom.remove_columns(4, 4)
-        assert removed.snapshot() == (mask_of((H, H)),) and bottom.n_cols == 3
+        before = bottom.snapshot()
+        assert before[3:] == (mask_of((H, H)),)
+        bottom.remove_columns(4, 4)
+        assert bottom.n_cols == 3 and bottom.snapshot() == before[:3]
 
     def test_append_and_remove_under_rotation(self):
         # A rotated matrix takes an unrotated block after its last visible
@@ -704,7 +717,7 @@ class TestMatrixState:
         with pytest.raises(ValueError, match="storage seam"):
             m.remove_columns(2, 3)  # storage columns 4 and 0
         assert m.snapshot() == (*before, 0b110, 0b001)
-        assert m.remove_columns(4, 5).snapshot() == (0b110, 0b001)
+        m.remove_columns(4, 5)
         assert m.snapshot() == before
 
     def test_append_requires_matching_layout(self):
@@ -814,7 +827,8 @@ def model_cases(draw):
     cols = [[draw(face) for _ in range(height)] for _ in range(width)]
     ops = draw(st.lists(st.tuples(
         st.sampled_from(
-            ["rotate", "permute", "reveal_row", "reveal_segment", "append", "remove", "take_put"]
+            ["rotate", "permute", "reveal_row", "reveal_segment", "reveal_all", "append",
+             "remove", "take_put"]
         ),
         st.integers(0, 2**16),
     ), max_size=8))
@@ -859,6 +873,12 @@ class TestColumnModel:
                 hi = rnd.randint(lo, height)
                 assert m.reveal_segment(col, lo, hi, t) == tuple(ref.cols[col - 1][lo - 1:hi])
                 m._face_up = 0  # face down again
+            elif op == "reveal_all":
+                shown = len(t.events)
+                assert m.reveal_all(t) == ref.faces()
+                assert t.events[shown:] == [("reveal_all", "X", ref.faces())]
+                assert m._face_up == width * height
+                m._face_up = 0  # face down again
             elif op == "append":
                 block_cols = [[rnd.choice([C, H]) for _ in range(height)] for _ in range(2)]
                 block, block_ref = as_matrix(block_cols, len(m.rows)), ColumnModel(block_cols)
@@ -877,9 +897,10 @@ class TestColumnModel:
                         m, ValueError, "storage seam", lambda: m.remove_columns(lo, hi)
                     )
                 else:
-                    assert column_faces(m.remove_columns(lo, hi)) == tuple(
+                    assert column_faces(m)[lo - 1:hi] == tuple(
                         tuple(col) for col in ref.cols[lo - 1:hi]
                     )
+                    m.remove_columns(lo, hi)
                     del ref.cols[lo - 1:hi]
             elif op == "take_put":
                 # A run of whole piles from a random column, which may wrap
@@ -925,9 +946,9 @@ class TestColumnModel:
                                 m, ValueError, "storage seam", lambda: m.remove_columns(lo, hi)
                             )
                             continue
-                        block = m.remove_columns(lo, hi)
-                        assert block.offset == 0
-                        assert column_faces(block) == tuple(map(tuple, ref.cols[lo - 1:hi]))
+                        before = column_faces(m)
+                        assert before[lo - 1:hi] == tuple(map(tuple, ref.cols[lo - 1:hi]))
+                        m.remove_columns(lo, hi)
                         del ref.cols[lo - 1:hi]
                         assert m.n_cols == len(ref.cols)
                         assert column_faces(m) == ref.faces()

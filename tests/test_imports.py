@@ -1,11 +1,12 @@
 """Every name a package module imports is used in that module; the package's
 ``__init__.py`` is exempt, since its imports are the public re-exports. And
 every function or class the package defines is named somewhere in ``src/``
-or ``perfbench/`` outside a package ``__init__.py``: a definition that only
-tests call is dead code, and a re-export does not make it live. A method
-is named only by an attribute that is not read off another package class,
-or by a ``"Class.method"`` string, so a same-named module function or
-method of another class does not vouch for it."""
+or ``perfbench/`` outside a package ``__init__.py`` and the benchmark's
+speed reference: a definition that only tests call is dead code, and
+neither a re-export nor a same-named method of the reference's own classes
+makes it live. A method is named only by an attribute that is not read off
+another package class, or by a ``"Class.method"`` string, so a same-named
+module function or method of another class does not vouch for it."""
 import ast
 from pathlib import Path
 
@@ -16,6 +17,9 @@ PACKAGE = ROOT / "src" / "ripple_zkp"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 REFERRERS = ("src/", "perfbench/")  # the sources whose references count
+# perfbench's fixed speed reference, which copies engine method names onto
+# its own classes (its ``pile.rotate`` is not ``Matrix.rotate``).
+SPEED_REFERENCE = "perfbench/reference.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,17 +71,18 @@ def references(tree: ast.AST, classes: set[str]) -> tuple[set[str], set[tuple]]:
 def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
     """``path:line name`` of each function or class defined in a source whose
     path starts with ``checked`` that no source under ``REFERRERS`` refers
-    to, a package ``__init__.py`` not counting; dunders are exempt. A method
-    of class C counts as referenced only by an attribute of its name not
-    read off another class defined under ``checked``, or by a ``"C.name"``
-    string."""
+    to, a package ``__init__.py`` and ``SPEED_REFERENCE`` not counting;
+    dunders are exempt. A method of class C counts as referenced only by an
+    attribute of its name not read off another class defined under
+    ``checked``, or by a ``"C.name"`` string."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     checked_trees = {path: tree for path, tree in trees.items() if path.startswith(checked)}
     classes = {node.name for tree in checked_trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
     names, methods = set(), set()
     for path, tree in trees.items():
-        if path.startswith(REFERRERS) and not path.endswith("__init__.py"):
+        if (path.startswith(REFERRERS) and not path.endswith("__init__.py")
+                and path != SPEED_REFERENCE):
             tree_names, tree_methods = references(tree, classes)
             names |= tree_names
             methods |= tree_methods
@@ -102,13 +107,15 @@ def test_detects_an_unreferenced_definition():
     # ``kept`` is called from src/ and ``f`` named in a perfbench/ string;
     # ``tested`` is called only from tests/, which does not count. The
     # module function ``masked`` does not vouch for the method ``K.masked``,
-    # nor ``K.built`` for ``J.built``.
+    # nor ``K.built`` for ``J.built``, nor the speed reference's call of
+    # its own ``lost`` for ``K.lost``.
     sources = {
         "src/m.py": "class K:\n    def __init__(self): pass\n    def kept(self): pass\n"
                     "    def lost(self): pass\n    def tested(self): pass\n"
                     "    def masked(self): pass\ndef f(): pass\ndef masked(): pass\n"
                     "class J:\n    def built(self): pass\nJ, K().kept(), masked(), K.built\n",
         "perfbench/p.py": "HOOKS = ['m.f']\n",
+        SPEED_REFERENCE: "class Pile:\n    def lost(self): pass\nPile().lost()\n",
         "tests/t.py": "from m import K\nK().tested()\n",
     }
     assert unreferenced(sources, "src/") == [
