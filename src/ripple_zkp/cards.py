@@ -19,17 +19,19 @@ other raises (see ``Matrix``). Rows come off one at a time; piles move as
 runs of whole piles over neighbouring columns, one call per run
 (``take_segment``, ``put_segment``), a taken pile being ``None`` until it
 is put back, and a move that raises moves nothing. Revealed faces
-are tuples of CLUB/HEART taken from one table keyed by width, offset and
-stored mask, filled on first use; every tuple in it is made by
-``faces_of``, which reads the offset-0 layer, and the simulator builds its
-reveals from the same table.
-Every revealed value is read off its one-heart index, ``_ONE_HEART`` (by
-``Matrix.cut_and_read``, which raises for a row without exactly one heart,
-the room check and the audit's decoder). Each secret draw of the distance
-check is one ``Matrix.cut_and_read`` call: the pile-shifting shuffle, the
+are tuples of CLUB/HEART made by ``faces_of`` and kept in one table keyed
+by width and mask, filled on first use; the simulator builds its reveals
+from the same table. Every revealed value is read off its one-heart index,
+``_ONE_HEART`` (by the draw sites, the room check and the audit's decoder).
+
+Each secret draw of the distance check is one ``Matrix.cut_and_read`` call
+at a ``DrawSite``, one object per call site: the pile-shifting shuffle, the
 row reveal and the public shift that ``pile_shift_shuffle``,
 ``Matrix.reveal_row`` and ``Matrix.shift`` make one at a time, fused, with
-the same draws, events and offsets. ``serialize`` and
+the same draws, events and offsets. A site keeps, per width, offset and
+stored mask, the reveal and shift events a draw logs, its heart and the
+offset after it, so every draw that shows the same faces at a site logs the
+same tuples; a row without exactly one heart raises. ``serialize`` and
 ``skeleton`` look each event's line up in a table of their own that renders
 it on first use, and every step's enter and exit marks are one shared pair of
 tuples (``marks``).
@@ -81,36 +83,25 @@ def decode(mask: Sequence) -> int | None:
     return mask.bit_length()
 
 
-# The face table: width -> offset -> stored mask -> the faces shown, so a
-# row reveal looks its faces up under its matrix's offset without rotating
-# the mask or building a key. Layer 0 holds each mask's own faces; the
-# layer of offset o holds the faces of the mask rotated o columns right.
-# _ONE_HEART gives the heart position of each face tuple with exactly one
-# heart. Both are filled on first use and hold one entry per distinct
-# pattern revealed: on honest runs every revealed row has one heart, so a
-# layer holds at most width of them, and a uniqueness segment adds its
-# blank to layer 0.
-_FACES: defaultdict[int, defaultdict[int, dict[int, tuple[int, ...]]]] = defaultdict(
-    lambda: defaultdict(dict)
-)
+# The face table: width -> stored mask -> the faces it shows unrotated, and
+# _ONE_HEART, the heart position of each face tuple with exactly one heart.
+# Both are filled on first use by faces_of and hold one entry per distinct
+# pattern revealed: on honest runs every row a draw reveals has one heart,
+# so a width holds at most width of them, and a uniqueness segment adds its
+# blank. The faces a row shows under an offset are looked up by its draw
+# site (``DrawSite``), which keeps the per-offset entries.
+_FACES: defaultdict[int, dict[int, tuple[int, ...]]] = defaultdict(dict)
 _ONE_HEART: dict[tuple[int, ...], int] = {}
 
 
 def faces_of(width: int, mask: Sequence) -> tuple[int, ...]:
     """The faces of a width-card sequence, left to right."""
-    table = _FACES[width][0]
+    table = _FACES[width]
     faces = table.get(mask)
     if faces is None:
         faces = table[mask] = tuple(mask >> i & 1 for i in range(width))
         if mask and not mask & (mask - 1):
             _ONE_HEART[faces] = mask.bit_length()
-    return faces
-
-
-def _shown_faces(width: int, offset: int, mask: Sequence) -> tuple[int, ...]:
-    """The faces a stored mask shows under ``offset``, stored in its layer of ``_FACES``."""
-    shown = (mask << offset | mask >> (width - offset)) & ((1 << width) - 1)
-    faces = _FACES[width][offset][mask] = faces_of(width, shown)
     return faces
 
 
@@ -275,9 +266,56 @@ def marks(name: str) -> tuple[tuple, tuple]:
     return ("mark", name, "enter"), ("mark", name, "exit")
 
 
-# The marks of a realignment by matrix id: a step looks its pair up instead
-# of formatting its name on every call.
-REARR_MARKS = cache(lambda matrix_id: marks(f"rearr:{matrix_id}"))
+class DrawSite(dict):
+    """One call site of a secret draw (``Matrix.cut_and_read``): the reveal of
+    row ``row`` of matrix ``matrix_id`` and, given ``align_to``, the public
+    shift that brings its heart to that column.
+
+    The site is its table of entries, keyed by width, then by offset (a list
+    index), then by stored mask. An entry is ``(reveal event, heart, shift
+    event or None, offset after)``, the heart None for a row without exactly
+    one heart, built on first use by ``fill``. Every draw that shows the
+    same faces at a site logs the same tuples, so consumers of the view
+    compare them on identity.
+    """
+
+    __slots__ = ("matrix_id", "row", "align_to")
+
+    def __init__(self, matrix_id: str, row: int, align_to: int | None = None):
+        super().__init__()
+        self.matrix_id = matrix_id
+        self.row = row
+        self.align_to = align_to
+
+    def __missing__(self, width: int) -> list[dict]:
+        layers = self[width] = [{} for _ in range(width)]
+        return layers
+
+    def fill(self, width: int, offset: int, mask: Sequence) -> tuple:
+        """Store and return the entry of stored ``mask`` under ``offset``: the
+        offset-0 entry of the mask it shows, with the offset moved on. At
+        offset 0 the reveal shows ``faces_of`` the mask, whose heart is read
+        through ``_ONE_HEART``."""
+        layers = self[width]
+        if offset:
+            shown = (mask << offset | mask >> (width - offset)) & ((1 << width) - 1)
+            reveal, heart, shift, after = layers[0].get(shown) or self.fill(width, 0, shown)
+            entry = reveal, heart, shift, (offset + after) % width
+        else:
+            faces = faces_of(width, mask)
+            heart = _ONE_HEART.get(faces)
+            shift, after = None, 0
+            if heart is not None and self.align_to is not None:
+                after = (self.align_to - heart) % width
+                shift = ("shift", self.matrix_id, after)
+            entry = ("reveal_row", self.matrix_id, self.row, faces), heart, shift, after
+        layers[offset][mask] = entry
+        return entry
+
+
+# A realignment's marks and draw site by matrix id: a step looks them up
+# instead of formatting its name on every call.
+REARR_STEP = cache(lambda matrix_id: (*marks(f"rearr:{matrix_id}"), DrawSite(matrix_id, 1, 1)))
 
 
 class Transcript:
@@ -332,8 +370,9 @@ class Matrix:
     passed in are taken over, not copied.
 
     Only the protocol's moves are made, and stored cards never rotate. A row
-    reveal, the reveal of a secret draw (``cut_and_read``) or ``take_row``
-    reads a row mask in 1..len(rows), and a segment lies within rows
+    reveal, the reveal of a secret draw (``cut_and_read``, at a draw site of
+    this matrix) or ``take_row`` reads a row mask in 1..len(rows), ``take_row``
+    one not yet taken, and a segment lies within rows
     1..n_rows of a column in 1..n_cols; ``split_rows`` cuts among the row
     masks; ``permute`` reorders a matrix of piles alone at offset 0 (the
     room check's); a column cut or pile move starts in columns 1..n_cols and
@@ -409,10 +448,9 @@ class Matrix:
         """Reveal row mask ``row``; a row outside 1..len(rows) raises."""
         if not 1 <= row <= len(self.rows):
             raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
-        w = self.n_cols
+        w, o = self.n_cols, self.offset
         mask = self.rows[row - 1]
-        o = self.offset
-        faces = _FACES[w][o].get(mask) or _shown_faces(w, o, mask)
+        faces = faces_of(w, (mask << o | mask >> (w - o)) & ((1 << w) - 1))
         transcript.events.append(("reveal_row", self.id, row, faces))
         self._face_up += w
         return faces
@@ -428,7 +466,7 @@ class Matrix:
             )
         n = row_hi - row_lo + 1
         mask = self._column((col - 1 - self.offset) % w, row_lo, n)
-        faces = _FACES[n][0].get(mask) or faces_of(n, mask)
+        faces = _FACES[n].get(mask) or faces_of(n, mask)
         transcript.events.append(("reveal_segment", self.id, col, row_lo, row_hi, faces))
         self._face_up += n
         return faces
@@ -440,45 +478,43 @@ class Matrix:
         self._face_up += n * self.n_cols
         return cols
 
-    def cut_and_read(
-        self, rng: RandomSource, row: int, transcript: Transcript, align_to: int | None = None
-    ) -> int:
-        """One secret draw of the protocol: a pile-shifting shuffle, the reveal
-        of row mask ``row`` read for its heart, and, given ``align_to``, the
-        public shift that brings that heart to column ``align_to``. Returns
-        the heart's column as revealed, before the shift.
+    def cut_and_read(self, rng: RandomSource, site: "DrawSite", transcript: Transcript) -> int:
+        """One secret draw of the protocol at ``site``: a pile-shifting shuffle,
+        the reveal of row mask ``site.row`` read for its heart, and, given the
+        site's ``align_to``, the public shift that brings that heart there.
+        Returns the heart's column as revealed, before the shift.
 
         The same draw, trail record, events and offset as ``pile_shift_shuffle``,
-        ``reveal_row`` read through ``_ONE_HEART``, then ``shift``, in one call.
-        Cards already face up, or a row outside 1..len(rows), raise before
+        ``reveal_row`` read through ``_ONE_HEART``, then ``shift``, in one call;
+        the events logged are the site's shared tuples. Cards already face up,
+        a row outside 1..len(rows), or a site of another matrix raise before
         anything is drawn, moved or logged; a row without exactly one heart
         raises after its reveal, left face up.
         """
         if self._face_up:
             raise _face_up_error(self)
+        row = site.row
         if not 1 <= row <= len(self.rows):
             raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
+        if site.matrix_id != self.id:
+            raise ValueError(f"matrix {self.id}: drawing at a site of matrix {site.matrix_id}")
         w = self.n_cols
         r = rng.offset(w)
         if rng.trail is not None:
             rng.trail.append(("pile_shift", self.id, r))
         o = (self.offset + r) % w
         mask = self.rows[row - 1]
-        faces = _FACES[w][o].get(mask) or _shown_faces(w, o, mask)
+        reveal, j, shift, self.offset = site[w][o].get(mask) or site.fill(w, o, mask)
         events = transcript.events
-        events.append(("reveal_row", self.id, row, faces))
-        j = _ONE_HEART.get(faces)
+        events.append(reveal)
         if j is None:
-            self.offset = o
             self._face_up += w
             raise MalformedCommitmentError(
-                f"matrix {self.id} row {row}: expected exactly one heart, saw {faces.count(HEART)}"
+                f"matrix {self.id} row {row}: expected exactly one heart,"
+                f" saw {reveal[3].count(HEART)}"
             )
-        if align_to is not None:
-            s = (align_to - j) % w
-            events.append(("shift", self.id, s))
-            o = (o + s) % w
-        self.offset = o
+        if shift is not None:
+            events.append(shift)
         return j
 
     def split_rows(self, top_rows: int, top_id: str, bottom_id: str) -> tuple["Matrix", "Matrix"]:
@@ -544,12 +580,15 @@ class Matrix:
 
     def take_row(self, row: int) -> Sequence:
         """Physically remove one laid-out row of cards, as a mask in visible order;
-        a row outside 1..len(rows), or a nonzero offset, raises, taking nothing."""
+        a row outside 1..len(rows), a nonzero offset, or a row already taken
+        raises, taking nothing."""
         if not 1 <= row <= len(self.rows):
             raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
         if self.offset:
             raise RuntimeError(f"matrix {self.id}: taking a row under offset {self.offset}")
         mask = self.rows[row - 1]
+        if mask is None:
+            raise RuntimeError(f"matrix {self.id}: taking row {row} from an empty spot")
         self.rows[row - 1] = None  # type: ignore[call-overload]
         return mask
 
@@ -637,10 +676,10 @@ def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> 
     Shuffles first, so the revealed heart position carries no information
     about where the columns originally stood.
     """
-    enter, leave = REARR_MARKS(matrix.id)
+    enter, leave, site = REARR_STEP(matrix.id)
     events = transcript.events
     events.append(enter)
     try:
-        matrix.cut_and_read(rng, 1, transcript, 1)
+        matrix.cut_and_read(rng, site, transcript)
     finally:
         events.append(leave)

@@ -17,7 +17,8 @@ from the prover's claimed solution. Verification then runs two phases:
   inserts k-1 blank columns after the x-th neighbour under cover of
   shuffles, selects the k sequences starting at the first neighbour
   (exactly the x real neighbours plus blanks), and runs the uniqueness
-  subprotocol against the cell's own sequence.
+  subprotocol against the cell's own sequence. Each secret draw is one
+  ``Matrix.cut_and_read`` at a ``cards.DrawSite`` built once per call site.
 * room phase: per room, scramble the room's sequences and reveal them all;
   read by ``cards._ONE_HEART``, they must be a permutation of 1..size.
 
@@ -36,6 +37,7 @@ from typing import NamedTuple
 from .cards import (
     _ONE_HEART,
     HEART,
+    DrawSite,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
@@ -63,11 +65,13 @@ MALFORMED_COMMITMENT = "MalformedCommitment"
 
 # Directions each cell is checked in, keyed by dedupe_directions.
 CHECKED_DIRECTIONS = {False: DIRECTIONS, True: ("right", "down")}
-# The marks of each uniqueness step by matrix id, and each room check's
-# matrix id and marks by room: looked up rather than formatted per call, by
-# the decoder's layout too.
-UNIQUE_MARKS = cache(lambda matrix_id: marks(f"unique:{matrix_id}"))
+# The marks and draw site of each uniqueness step by matrix id, and each
+# room check's matrix id and marks by room: looked up rather than built per
+# call, by the decoder's layout too.
+UNIQUE_STEP = cache(lambda matrix_id: (*marks(f"unique:{matrix_id}"), DrawSite(matrix_id, 2)))
 ROOM_STEP = cache(lambda room: (f"R:{room}", *marks(f"room:{room}")))
+# Step 8's draw: M2's Row 1, with no public shift after it.
+STEP_8_SITE = DrawSite("M2", 1)
 DISTANCE_PHASE, ROOM_PHASE = "distance_phase", "room_phase"
 
 
@@ -198,11 +202,11 @@ def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcr
     one draw, with no public shift. Returns True when the column under the
     reference heart shows no heart below Row 2.
     """
-    enter, leave = UNIQUE_MARKS(matrix.id)
+    enter, leave, site = UNIQUE_STEP(matrix.id)
     events = transcript.events
     events.append(enter)
     try:
-        j = matrix.cut_and_read(rng, 2, transcript)
+        j = matrix.cut_and_read(rng, site, transcript)
         ok = HEART not in matrix.reveal_segment(j, 3, matrix.n_rows, transcript)
     finally:
         events.append(leave)
@@ -262,10 +266,12 @@ def verify_distance_direction(
 
 
 @cache
-def _blank_block(k: int) -> Matrix:
-    """Step 7's k-1 appended columns, built once per k and shared: ``append_columns``
-    only reads a block whose offset is 0."""
-    return Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+def _check_constants(k: int) -> tuple[DrawSite, DrawSite, Matrix]:
+    """The draw sites of steps 2 and 13, which align to columns k and k + 1,
+    and step 7's k-1 appended columns, built once per k and shared:
+    ``append_columns`` only reads a block whose offset is 0."""
+    block = Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+    return DrawSite("M", 2, k), DrawSite("M2", 2, k + 1), block
 
 
 def _distance_direction(
@@ -280,10 +286,12 @@ def _distance_direction(
     x ``neighbours``. Returns ``(a0, piles)``, both unchanged, on accept and None
     when a heart shows; an ``a0`` without exactly one heart raises at step 2.
     Each of the seven secret draws (steps 2, 6, 8, 11, 12, 13 and 16) is one
-    ``Matrix.cut_and_read``: a shuffle, a row reveal read for its heart and,
-    where the step realigns, its public shift. ``where`` labels the tuples
-    appended to the private trail and nothing else."""
+    ``Matrix.cut_and_read`` at its draw site (from ``_check_constants``, or
+    ``STEP_8_SITE``, or with its step's marks): a shuffle, a row reveal read
+    for its heart and, where the step aligns, its public shift. ``where``
+    labels the tuples appended to the private trail and nothing else."""
     trail = rng.trail
+    step_2, step_13, block = _check_constants(k)
 
     # Step 1: rows [indicator, a0, indicator, blank] over k columns, with
     # neighbour i's sequence as the pile under column i. The indicator
@@ -292,7 +300,7 @@ def _distance_direction(
 
     # Steps 2-4: shuffle, find a0's heart, and shift its column to column k,
     # the right edge.
-    m.cut_and_read(rng, 2, transcript, k)
+    m.cut_and_read(rng, step_2, transcript)
 
     if trail is not None:
         x = decode(a0)
@@ -306,14 +314,13 @@ def _distance_direction(
     # Step 7: append k-1 blank columns behind a fresh indicator pair: Row 1
     # blank, Row 2 an indicator whose heart is in the first appended column.
     if k > 1:
-        block = _blank_block(k)
         if trail is not None:
             appended = block.snapshot()
         m2.append_columns(block)
 
     # Steps 8-9: shuffle, find the first neighbour's column by Row 1's
     # heart; no public shift follows.
-    j2 = m2.cut_and_read(rng, 1, transcript)
+    j2 = m2.cut_and_read(rng, STEP_8_SITE, transcript)
 
     # Step 10: select the k consecutive piles starting there, wrapping
     # past the last column.
@@ -342,7 +349,7 @@ def _distance_direction(
     # columns off; they go back to the deck, and the trail reads them just
     # before the cut.
     if k > 1:
-        m2.cut_and_read(rng, 2, transcript, k + 1)
+        m2.cut_and_read(rng, step_13, transcript)
         if trail is not None:
             trail.append(("removed_block", *where, appended, m2.snapshot()[k:]))
         m2.remove_columns(k + 1, 2 * k - 1)

@@ -7,7 +7,9 @@ around one run of events per secret draw (seven draws, six at k = 1), then
 per room one ``reveal_all`` between the room's marks. What a
 draw shows is read off the engine: ``_sim_chunks`` replays the distance
 subprotocol ``protocol._distance_direction`` on the public configuration,
-x = 1 against k blanks, and keeps the run of events each draw value selects.
+x = 1 against k blanks, and keeps the run of events each draw value selects:
+the draw sites' shared tuples (``cards.DrawSite``), the very objects a real
+run logs, so the decoder's compare mostly meets identical events.
 
 The view is a bijection of the draws. A ``Layout`` reads a transcript back
 into heart positions, as the verifier does: every draw's heart off its reveal

@@ -3,8 +3,9 @@ from collections import Counter
 from itertools import product
 
 from ripple_zkp.view import AuditError, Layout
-from ripple_zkp.cards import HEART, RandomSource, ReplaySource
-from ripple_zkp.protocol import ProverInput, check_plan, run_protocol
+from ripple_zkp.cards import HEART, REARR_STEP, DrawSite, RandomSource, ReplaySource
+from ripple_zkp.protocol import (STEP_8_SITE, UNIQUE_STEP, ProverInput, _check_constants,
+                                 check_plan, run_protocol)
 from ripple_zkp.puzzle import Assignment, Puzzle, max_room_size, solve, validate
 
 # (open rearr:/unique: step or None, matrix id, revealed row) -> family key
@@ -29,6 +30,13 @@ SHIFT_RULES = {
     "dist.j3": lambda j, k: k + 1 - j,
     "dist.rearr_m2": lambda j, k: -(j - 1),
 }
+
+
+def draw_sites(k: int) -> list[DrawSite]:
+    """The draw sites of a card-count-k distance check, in draw order."""
+    step_2, step_13, _ = _check_constants(k)
+    m1, n, m2 = (REARR_STEP(matrix_id)[2] for matrix_id in ("M1", "N", "M2"))
+    return [step_2, m1, STEP_8_SITE, UNIQUE_STEP("N")[2], n, step_13, m2]
 
 
 def view_costs(events) -> tuple[int, int, int, int]:

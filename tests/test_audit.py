@@ -15,6 +15,7 @@ from helpers import (
     ReferenceFamilyCounts,
     all_room_partitions,
     assignment,
+    draw_sites,
     draw_tape,
     make_puzzle,
     zeroing_replay,
@@ -778,9 +779,11 @@ class TestLayouts:
         tables = (cards._ONE_HEART, cards._SERIALIZE_LINES)
 
         def table_sizes():
-            # _FACES holds one layer per width and offset: a new mask in any
-            # layer counts.
-            layers = [layer for by_offset in cards._FACES.values() for layer in by_offset.values()]
+            # _FACES holds one layer per width, and each draw site one per
+            # width and offset: a new mask in any layer counts.
+            layers = [*cards._FACES.values()]
+            layers += [layer for site in draw_sites(6) for by_offset in site.values()
+                       for layer in by_offset]
             return [sum(map(len, layers)), *map(len, tables)]
 
         sizes = table_sizes()

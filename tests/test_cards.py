@@ -14,6 +14,7 @@ from ripple_zkp.cards import (
     _SKELETON_LINES,
     CLUB,
     HEART,
+    DrawSite,
     MalformedCommitmentError,
     Matrix,
     RandomSource,
@@ -109,11 +110,17 @@ def crosses_seam(m: Matrix, col: int, count: int) -> bool:
 
 
 def assert_moves_nothing(m: Matrix, error, message: str, move) -> None:
-    """``move()`` raises ``error`` matching ``message`` and leaves ``m`` as it was."""
-    before = m.id, list(m.rows), list(m.piles), m.offset, m.n_cols, m.snapshot()
+    """``move()`` raises ``error`` matching ``message`` and leaves ``m`` as it was.
+    A matrix with a card taken out has no snapshot; its storage is compared."""
+
+    def state():
+        holes = None in m.rows or None in m.piles
+        return m.id, list(m.rows), list(m.piles), m.offset, m.n_cols, holes or m.snapshot()
+
+    before = state()
     with pytest.raises(error, match=message):
         move()
-    assert (m.id, m.rows, m.piles, m.offset, m.n_cols, m.snapshot()) == before
+    assert state() == before
 
 
 class TestShuffles:
@@ -330,7 +337,8 @@ class TestReveal:
         m = Matrix.from_rows("X", 4, [encode(1, 4), encode(3, 4)])
         m.rotate(2)
         t = Transcript()
-        assert m.cut_and_read(ReplaySource([0]), 2, t) == 1  # heart 3 moved right by 2, wrapping
+        site = DrawSite("X", 2)
+        assert m.cut_and_read(ReplaySource([0]), site, t) == 1  # heart 3 moved right by 2, wrapping
         assert t.events == [("reveal_row", "X", 2, (H, C, C, C))]
         m.shift(1, t)  # face down again: neither raises
         pile_shift_shuffle(m, RandomSource(0))
@@ -340,7 +348,7 @@ class TestReveal:
         m = Matrix.from_rows("X", 3, [mask_of(row)])
         message = f"matrix X row 1: expected exactly one heart, saw {hearts}$"
         with pytest.raises(MalformedCommitmentError, match=message):
-            m.cut_and_read(ReplaySource([0]), 1, Transcript())
+            m.cut_and_read(ReplaySource([0]), DrawSite("X", 1), Transcript())
         with pytest.raises(RuntimeError, match="cards are face-up"):
             m.shift(1, Transcript())
 
@@ -401,13 +409,31 @@ class TestCutAndRead:
     @given(draw_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_paper_composition(self, case):
-        assert self.run(Matrix.cut_and_read, case) == self.run(paper_draw, case)
+        # Twice through one site: the first draw fills the site's table (a
+        # miss), the second reads the entry back (a hit) and logs the same
+        # tuples. A draw of face-up cards raises before either.
+        _, _, _, face_up, row, align_to, _ = case
+        site = DrawSite("X", row, align_to)
+
+        def site_draw(m, rng, row, t, align_to):
+            return m.cut_and_read(rng, site, t)
+
+        def entries():
+            return sum(len(layer) for layers in site.values() for layer in layers)
+
+        expected = self.run(paper_draw, case)
+        missed = self.run(site_draw, case)
+        filled = entries()
+        hit = self.run(site_draw, case)
+        assert missed == hit == expected
+        assert (filled > 0) != face_up and entries() == filled
+        assert all(a is b for a, b in zip(missed[1], hit[1], strict=True))
 
     def test_aligns_the_heart_to_the_target(self):
         # An indicator under a draw of 3 shows its heart at 4 of 6, and the
         # shift of 3 brings it back to 1: the realignment's draw.
         m, t = Matrix.from_rows("X", 6, [encode(1, 6)]), Transcript()
-        assert m.cut_and_read(ReplaySource([3]), 1, t, align_to=1) == 4
+        assert m.cut_and_read(ReplaySource([3]), DrawSite("X", 1, 1), t) == 4
         assert t.events == [("reveal_row", "X", 1, (C, C, C, H, C, C)), ("shift", "X", 3)]
         assert decode(m.take_row(1)) == 1
 
@@ -603,8 +629,9 @@ class TestMatrixState:
     # call) on a matrix of two row masks over piles two cards deep, rotated
     # by 1: visible column 1 shows storage column 2, the last, so a run of
     # two from it crosses the storage seam. The permute cases take a matrix
-    # with row masks alone or a rotation alone, and the take_row range cases
-    # a matrix at offset 0, which only the range check refuses, as (row
+    # with row masks alone or a rotation alone, the take_row range cases a
+    # matrix at offset 0, which only the range check refuses, and the second
+    # take of a row a matrix at offset 0 whose row 1 is already out, as (row
     # masks, offset).
     UNROTATED_MOVES = {
         "take_segment": (RuntimeError, "storage seam", lambda m, t: m.take_segment(1, 2)),
@@ -614,6 +641,9 @@ class TestMatrixState:
         "take_row_of_row_0": (ValueError, "row 0 is not a row mask", lambda m, t: m.take_row(0)),
         "take_row_below_the_row_masks": (
             ValueError, "row 3 is not a row mask", lambda m, t: m.take_row(3),
+        ),
+        "take_row_already_taken": (
+            RuntimeError, "taking row 1 from an empty spot", lambda m, t: m.take_row(1),
         ),
         "append_columns": (
             ValueError,
@@ -629,11 +659,15 @@ class TestMatrixState:
         # An empty replay raises on any draw, so these show that nothing is drawn.
         "cut_and_read_of_a_pile": (
             ValueError, "row 3 is not a row mask",
-            lambda m, t: m.cut_and_read(ReplaySource([]), 3, t, 1),
+            lambda m, t: m.cut_and_read(ReplaySource([]), DrawSite("X", 3, 1), t),
         ),
         "cut_and_read_above_the_matrix": (
             ValueError, "row 0 is not a row mask",
-            lambda m, t: m.cut_and_read(ReplaySource([]), 0, t, 1),
+            lambda m, t: m.cut_and_read(ReplaySource([]), DrawSite("X", 0, 1), t),
+        ),
+        "cut_and_read_at_a_site_of_another_matrix": (
+            ValueError, "drawing at a site of matrix Y",
+            lambda m, t: m.cut_and_read(ReplaySource([]), DrawSite("Y", 1, 1), t),
         ),
         "split_rows_below_the_row_masks": (
             ValueError, "cutting 3 rows below", lambda m, t: m.split_rows(3, "T", "B"),
@@ -674,6 +708,7 @@ class TestMatrixState:
         "permute_under_an_offset": ([], 1),
         "take_row_of_row_0": ([0b101, 0b010], 0),
         "take_row_below_the_row_masks": ([0b101, 0b010], 0),
+        "take_row_already_taken": ([None, 0b010], 0),
     }
 
     @pytest.mark.parametrize("move", sorted(UNROTATED_MOVES))
@@ -982,7 +1017,7 @@ class TestTranscript:
         enter, leave = marks("demo")
         t.events.append(enter)
         m = Matrix.from_rows("X", 2, [mask_of((C, H)), mask_of((H, C))])
-        m.cut_and_read(ReplaySource([0]), 1, t, align_to=1)
+        m.cut_and_read(ReplaySource([0]), DrawSite("X", 1, 1), t)
         m.reveal_segment(2, 1, 2, t)
         m.reveal_all(t)
         t.events.append(leave)
@@ -1001,7 +1036,7 @@ class TestTranscript:
         t1, t2 = Transcript(), Transcript()
         for t, faces in ((t1, (H, C, C)), (t2, (C, C, H))):
             m = Matrix.from_rows("X", 3, [mask_of(faces)])
-            m.cut_and_read(ReplaySource([0]), 1, t)
+            m.cut_and_read(ReplaySource([0]), DrawSite("X", 1), t)
             m.shift(faces.index(H), t)
         assert t1.serialize() != t2.serialize()
         assert t1.skeleton() == t2.skeleton()

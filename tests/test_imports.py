@@ -44,15 +44,15 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def references(tree: ast.AST, classes: set[str]) -> tuple[set[str], set[tuple]]:
-    """(names, methods) that ``tree`` refers to. ``names`` holds every name,
+def references(nodes, classes: set[str]) -> tuple[set[str], set[tuple]]:
+    """(names, methods) that ``nodes`` refer to. ``names`` holds every name,
     attribute, imported name and dotted part of a string constant; they vouch
     for module-level definitions. ``methods`` holds a ``(class, name)`` pair
     per attribute, the class None unless the attribute is read off one of
     ``classes``, and per dotted pair of a string constant (``"Matrix.rotate"``
     gives ``("Matrix", "rotate")``); only these vouch for a method."""
     names, methods = set(), set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -68,38 +68,70 @@ def references(tree: ast.AST, classes: set[str]) -> tuple[set[str], set[tuple]]:
     return names, methods
 
 
+def scopes(tree: ast.AST) -> tuple[dict, dict]:
+    """(owned, parents): the nodes of ``tree`` by the innermost definition
+    that holds them (None for those outside every definition), a
+    definition's decorators and arguments included, and each definition's
+    parent definition (None at module level)."""
+    owned, parents = {None: []}, {}
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                parents[child], owned[child] = owner, []
+                stack.append((child, child))
+            else:
+                owned[owner].append(child)
+                stack.append((child, owner))
+    return owned, parents
+
+
 def unreferenced(sources: dict[str, str], checked: str) -> list[str]:
     """``path:line name`` of each function or class defined in a source whose
-    path starts with ``checked`` that no source under ``REFERRERS`` refers
-    to, a package ``__init__.py`` and ``SPEED_REFERENCE`` not counting;
-    dunders are exempt. A method of class C counts as referenced only by an
-    attribute of its name not read off another class defined under
-    ``checked``, or by a ``"C.name"`` string."""
+    path starts with ``checked`` that no live code under ``REFERRERS``
+    refers to, a package ``__init__.py`` and ``SPEED_REFERENCE`` not
+    counting; dunders are exempt. Code outside the checked definitions is
+    live, and a definition turns live once live code refers to it; only
+    then do its own references count, so a dead definition vouches for
+    nothing. A dunder is live with its class. A method of class C counts as
+    referenced only by an attribute of its name not read off another class
+    defined under ``checked``, or by a ``"C.name"`` string."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    checked_trees = {path: tree for path, tree in trees.items() if path.startswith(checked)}
-    classes = {node.name for tree in checked_trees.values() for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef)}
+    classes = {node.name for path, tree in trees.items() if path.startswith(checked)
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     names, methods = set(), set()
+    pending = {}  # definition -> (path, parent, its own references)
     for path, tree in trees.items():
-        if (path.startswith(REFERRERS) and not path.endswith("__init__.py")
-                and path != SPEED_REFERENCE):
-            tree_names, tree_methods = references(tree, classes)
-            names |= tree_names
-            methods |= tree_methods
-    found = []
-    for path, tree in checked_trees.items():
-        for parent in ast.walk(tree):
-            for node in ast.iter_child_nodes(parent):
-                if not isinstance(node, DEFINITIONS) or (
-                    node.name.startswith("__") and node.name.endswith("__")
-                ):
-                    continue
-                if isinstance(parent, ast.ClassDef) and not isinstance(node, ast.ClassDef):
-                    seen = {(None, node.name), (parent.name, node.name)} & methods
-                else:
-                    seen = node.name in names
-                if not seen:
-                    found.append((path, node.lineno, node.name))
+        counts = (path.startswith(REFERRERS) and not path.endswith("__init__.py")
+                  and path != SPEED_REFERENCE)
+        owned, parents = scopes(tree) if path.startswith(checked) else ({None: ast.walk(tree)}, {})
+        if counts:
+            live_names, live_methods = references(owned[None], classes)
+            names |= live_names
+            methods |= live_methods
+        for node, parent in parents.items():
+            pending[node] = path, parent, references(owned[node], classes) if counts else None
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for node, (path, parent, refs) in list(pending.items()):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                seen = parent is None or parent in live
+            elif isinstance(parent, ast.ClassDef) and not isinstance(node, ast.ClassDef):
+                seen = {(None, node.name), (parent.name, node.name)} & methods
+            else:
+                seen = node.name in names
+            if seen:
+                live.add(node)
+                del pending[node]
+                grew = True
+                if refs:
+                    names |= refs[0]
+                    methods |= refs[1]
+    found = [(path, node.lineno, node.name) for node, (path, *_) in pending.items()
+             if not (node.name.startswith("__") and node.name.endswith("__"))]
     return [f"{path}:{line} {name}" for path, line, name in sorted(found)]
 
 
@@ -108,18 +140,21 @@ def test_detects_an_unreferenced_definition():
     # ``tested`` is called only from tests/, which does not count. The
     # module function ``masked`` does not vouch for the method ``K.masked``,
     # nor ``K.built`` for ``J.built``, nor the speed reference's call of
-    # its own ``lost`` for ``K.lost``.
+    # its own ``lost`` for ``K.lost``. ``spun`` is dead, so its call does
+    # not vouch for ``J.turned``.
     sources = {
         "src/m.py": "class K:\n    def __init__(self): pass\n    def kept(self): pass\n"
                     "    def lost(self): pass\n    def tested(self): pass\n"
                     "    def masked(self): pass\ndef f(): pass\ndef masked(): pass\n"
-                    "class J:\n    def built(self): pass\nJ, K().kept(), masked(), K.built\n",
+                    "class J:\n    def built(self): pass\n    def turned(self): pass\n"
+                    "J, K().kept(), masked(), K.built\ndef spun(card): card.turned()\n",
         "perfbench/p.py": "HOOKS = ['m.f']\n",
         SPEED_REFERENCE: "class Pile:\n    def lost(self): pass\nPile().lost()\n",
-        "tests/t.py": "from m import K\nK().tested()\n",
+        "tests/t.py": "from m import K\nK().tested()\nspun(K())\n",
     }
     assert unreferenced(sources, "src/") == [
         "src/m.py:4 lost", "src/m.py:5 tested", "src/m.py:6 masked", "src/m.py:10 built",
+        "src/m.py:11 turned", "src/m.py:13 spun",
     ]
 
 

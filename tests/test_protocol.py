@@ -13,6 +13,7 @@ from helpers import (
     assignment,
     brute_force_solutions,
     check_of,
+    draw_sites,
     make_puzzle,
     reference_rays,
 )
@@ -39,7 +40,7 @@ from ripple_zkp.protocol import (
     CardStats,
     ProverInput,
     Verdict,
-    _blank_block,
+    _check_constants,
     _distance_direction,
     _uniqueness_on_matrix,
     card_stats,
@@ -479,7 +480,7 @@ class TestRunProtocol:
         clash = ProverInput(sample7x7_solution.with_value((1, 1), 1), honest=False)
         assert run_protocol(sample7x7, clash, RandomSource(0)).verdict.reason == DISTANCE_HEART_FOUND
         for k in sorted({max_room_size(puzzle) for puzzle, _ in runs}):
-            block, fresh = _blank_block(k), Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
+            block, fresh = _check_constants(k)[2], Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
             assert (block.rows, block.piles, block.depth, block.offset, block.n_cols) == (
                 fresh.rows, fresh.piles, fresh.depth, fresh.offset, fresh.n_cols,
             ), k
@@ -515,19 +516,32 @@ class TestRunProtocol:
                     pass
 
     def test_face_table_layers_stay_small(self, monkeypatch, sample7x7, sample7x7_solution):
-        # Honest reveals show one heart per row and none in a uniqueness
-        # segment, so each (width, offset) layer of the face table holds at
-        # most width masks besides the blank.
-        monkeypatch.setattr(cards, "_FACES", defaultdict(lambda: defaultdict(dict)))
-        prover = ProverInput(sample7x7_solution)
-        for seed in range(3):
-            assert run_protocol(sample7x7, prover, RandomSource(seed)).verdict.accepted
-        layers = [(w, o, layer) for w, by_offset in cards._FACES.items()
-                  for o, layer in by_offset.items()]
-        assert {o for w, o, _ in layers if w == 6} == set(range(6))
-        for width, offset, layer in layers:
-            assert len(layer.keys() - {0}) <= width, (width, offset)
-            assert all(decode(mask) is not None for mask in layer), (width, offset)
+        # Honest draws reveal rows with one heart, and a uniqueness segment
+        # shows none. So each (width, offset) layer of a draw site holds at
+        # most width stored masks, all of which decode, and each width of the
+        # face table holds one-heart masks and the blank alone.
+        monkeypatch.setattr(cards, "_FACES", defaultdict(dict))
+        sites = draw_sites(6)
+        saved = [dict(site) for site in sites]
+        for site in sites:
+            site.clear()
+        try:
+            prover = ProverInput(sample7x7_solution)
+            for seed in range(3):
+                assert run_protocol(sample7x7, prover, RandomSource(seed)).verdict.accepted
+            layers = [(site.matrix_id, site.row, w, o, layer) for site in sites
+                      for w, by_offset in site.items() for o, layer in enumerate(by_offset)]
+        finally:
+            for site, entries in zip(sites, saved):
+                site.clear()
+                site.update(entries)
+        assert {o for *_, w, o, layer in layers if w == 6 and layer} == set(range(6))
+        for *where, width, offset, layer in layers:
+            assert len(layer) <= width, (*where, width, offset)
+            assert all(decode(mask) for mask in layer), (*where, width, offset)
+        assert cards._FACES
+        for width, faces in cards._FACES.items():
+            assert all(decode(mask) is not None for mask in faces), width
 
     def test_transcripts_deterministic_per_seed(self, sample7x7, sample7x7_solution):
         prover = ProverInput(sample7x7_solution)
