@@ -29,12 +29,12 @@ at a ``DrawSite``, one object per call site: the pile-shifting shuffle, the
 row reveal and the public shift that ``pile_shift_shuffle``,
 ``Matrix.reveal_row`` and ``Matrix.shift`` make one at a time, fused, with
 the same draws, events and offsets. A site keeps, per width, offset and
-stored mask, the reveal and shift events a draw logs, its heart and the
-offset after it, so every draw that shows the same faces at a site logs the
-same tuples; a row without exactly one heart raises. ``serialize`` and
-``skeleton`` look each event's line up in a table of their own that renders
-it on first use, and every step's enter and exit marks are one shared pair of
-tuples (``marks``).
+stored mask, the run of events a draw logs (the reveal, the shift, and a
+realignment's marks around both), its heart and the offset after it, so
+every draw that shows the same faces at a site logs the same tuples; a row
+without exactly one heart raises. ``serialize`` and ``skeleton`` look each
+event's line up in a table of their own that renders it on first use, and
+every step's enter and exit marks are one shared pair of tuples (``marks``).
 
 Every verifier-observable action is appended to a Transcript; hidden shuffle
 draws go only to the private trail, a plain list a RandomSource may carry, so
@@ -268,24 +268,27 @@ def marks(name: str) -> tuple[tuple, tuple]:
 
 class DrawSite(dict):
     """One call site of a secret draw (``Matrix.cut_and_read``): the reveal of
-    row ``row`` of matrix ``matrix_id`` and, given ``align_to``, the public
-    shift that brings its heart to that column.
+    row ``row`` of matrix ``matrix_id``, given ``align_to`` the public shift
+    that brings its heart to that column, and given ``marks`` its step's
+    enter and exit marks around both.
 
     The site is its table of entries, keyed by width, then by offset (a list
-    index), then by stored mask. An entry is ``(reveal event, heart, shift
-    event or None, offset after)``, the heart None for a row without exactly
-    one heart, built on first use by ``fill``. Every draw that shows the
-    same faces at a site logs the same tuples, so consumers of the view
-    compare them on identity.
+    index), then by stored mask. An entry is ``(run, heart, offset after)``,
+    built on first use by ``fill``: ``run`` is the events the draw logs, and
+    the heart is None for a row without exactly one heart, whose run has no
+    shift. Draws that show the same faces at a site log the very same tuples.
     """
 
-    __slots__ = ("matrix_id", "row", "align_to")
+    __slots__ = ("matrix_id", "row", "align_to", "marks")
 
-    def __init__(self, matrix_id: str, row: int, align_to: int | None = None):
+    def __init__(
+        self, matrix_id: str, row: int, align_to: int | None = None, marks: tuple | None = None
+    ):
         super().__init__()
         self.matrix_id = matrix_id
         self.row = row
         self.align_to = align_to
+        self.marks = marks
 
     def __missing__(self, width: int) -> list[dict]:
         layers = self[width] = [{} for _ in range(width)]
@@ -299,23 +302,25 @@ class DrawSite(dict):
         layers = self[width]
         if offset:
             shown = (mask << offset | mask >> (width - offset)) & ((1 << width) - 1)
-            reveal, heart, shift, after = layers[0].get(shown) or self.fill(width, 0, shown)
-            entry = reveal, heart, shift, (offset + after) % width
+            run, heart, after = layers[0].get(shown) or self.fill(width, 0, shown)
+            entry = run, heart, (offset + after) % width
         else:
             faces = faces_of(width, mask)
             heart = _ONE_HEART.get(faces)
-            shift, after = None, 0
+            run, after = (("reveal_row", self.matrix_id, self.row, faces),), 0
             if heart is not None and self.align_to is not None:
                 after = (self.align_to - heart) % width
-                shift = ("shift", self.matrix_id, after)
-            entry = ("reveal_row", self.matrix_id, self.row, faces), heart, shift, after
+                run += (("shift", self.matrix_id, after),)
+            if self.marks is not None:
+                run = (self.marks[0], *run, self.marks[1])
+            entry = run, heart, after
         layers[offset][mask] = entry
         return entry
 
 
-# A realignment's marks and draw site by matrix id: a step looks them up
-# instead of formatting its name on every call.
-REARR_STEP = cache(lambda matrix_id: (*marks(f"rearr:{matrix_id}"), DrawSite(matrix_id, 1, 1)))
+# A realignment's draw site by matrix id, its marks included: a step looks
+# it up instead of formatting its name on every call.
+REARR_STEP = cache(lambda matrix_id: DrawSite(matrix_id, 1, 1, marks(f"rearr:{matrix_id}")))
 
 
 class Transcript:
@@ -486,10 +491,10 @@ class Matrix:
 
         The same draw, trail record, events and offset as ``pile_shift_shuffle``,
         ``reveal_row`` read through ``_ONE_HEART``, then ``shift``, in one call;
-        the events logged are the site's shared tuples. Cards already face up,
-        a row outside 1..len(rows), or a site of another matrix raise before
-        anything is drawn, moved or logged; a row without exactly one heart
-        raises after its reveal, left face up.
+        it logs the site's shared run of events. Cards already face up, a row
+        outside 1..len(rows) or already taken, or a site of another matrix
+        raise before anything is drawn, moved or logged; a row without exactly
+        one heart raises after its run, left face up.
         """
         if self._face_up:
             raise _face_up_error(self)
@@ -498,23 +503,21 @@ class Matrix:
             raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
         if site.matrix_id != self.id:
             raise ValueError(f"matrix {self.id}: drawing at a site of matrix {site.matrix_id}")
+        mask = self.rows[row - 1]
+        if mask is None:
+            raise RuntimeError(f"matrix {self.id}: drawing row {row} from an empty spot")
         w = self.n_cols
         r = rng.offset(w)
         if rng.trail is not None:
             rng.trail.append(("pile_shift", self.id, r))
         o = (self.offset + r) % w
-        mask = self.rows[row - 1]
-        reveal, j, shift, self.offset = site[w][o].get(mask) or site.fill(w, o, mask)
-        events = transcript.events
-        events.append(reveal)
+        run, j, self.offset = site[w][o].get(mask) or site.fill(w, o, mask)
+        transcript.events += run
         if j is None:
             self._face_up += w
             raise MalformedCommitmentError(
-                f"matrix {self.id} row {row}: expected exactly one heart,"
-                f" saw {reveal[3].count(HEART)}"
+                f"matrix {self.id} row {row}: expected exactly one heart, saw {mask.bit_count()}"
             )
-        if shift is not None:
-            events.append(shift)
         return j
 
     def split_rows(self, top_rows: int, top_id: str, bottom_id: str) -> tuple["Matrix", "Matrix"]:
@@ -674,12 +677,7 @@ def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> 
     """Realign columns so the Row 1 heart returns to Column 1.
 
     Shuffles first, so the revealed heart position carries no information
-    about where the columns originally stood.
+    about where the columns originally stood. One draw at ``REARR_STEP``'s
+    site, whose run holds the step's marks, so a refused draw logs nothing.
     """
-    enter, leave, site = REARR_STEP(matrix.id)
-    events = transcript.events
-    events.append(enter)
-    try:
-        matrix.cut_and_read(rng, site, transcript)
-    finally:
-        events.append(leave)
+    matrix.cut_and_read(rng, REARR_STEP(matrix.id), transcript)

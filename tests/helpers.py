@@ -35,7 +35,7 @@ SHIFT_RULES = {
 def draw_sites(k: int) -> list[DrawSite]:
     """The draw sites of a card-count-k distance check, in draw order."""
     step_2, step_13, _ = _check_constants(k)
-    m1, n, m2 = (REARR_STEP(matrix_id)[2] for matrix_id in ("M1", "N", "M2"))
+    m1, n, m2 = map(REARR_STEP, ("M1", "N", "M2"))
     return [step_2, m1, STEP_8_SITE, UNIQUE_STEP("N")[2], n, step_13, m2]
 
 

@@ -992,6 +992,21 @@ class TestDecoder:
                 replayed = simulate_transcript(puzzle, ReplaySource(draw_tape(lay, events)), dedupe)
                 assert replayed.events == events
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draws_log_the_renderings_own_events(self, sample7x7, sample7x7_solution, seed):
+        # Every event of an honest proof but its uniqueness segments and room
+        # reveals is the very object its rendering holds, so Layout.read
+        # compares them on identity: a change that rebuilt them would slow
+        # FamilyCounts.add with every byte unchanged.
+        prover = ProverInput(sample7x7_solution)
+        events = run_protocol(sample7x7, prover, RandomSource(seed)).transcript.events
+        lay = view.layout(sample7x7)
+        rendered = lay.render(*lay.read(events))
+        pairs = list(zip(rendered, events, strict=True))
+        assert sum(own is ev for own, ev in pairs) == 4341
+        built = Counter(ev[0] for own, ev in pairs if own is not ev)
+        assert built == {"reveal_segment": 196, "reveal_all": 12}
+
 
 # repr(soundness_sweep(...)) on the 7x7 sample at RandomSource(5), one seed
 # per mutation; pinned before the sweep's pool code was shared with _gather.

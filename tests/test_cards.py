@@ -406,14 +406,17 @@ class TestCutAndRead:
             result = (type(error), str(error))
         return result, t.events, m.offset, m._face_up, rng.trail, m.rows
 
-    @given(draw_cases())
+    @given(draw_cases(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_paper_composition(self, case):
+    def test_equals_the_paper_composition(self, case, marked):
         # Twice through one site: the first draw fills the site's table (a
         # miss), the second reads the entry back (a hit) and logs the same
-        # tuples. A draw of face-up cards raises before either.
+        # tuples. A draw of face-up cards raises before either. A site with
+        # marks logs the enter mark, the composition's events and the exit
+        # mark, a malformed row's reveal included.
         _, _, _, face_up, row, align_to, _ = case
-        site = DrawSite("X", row, align_to)
+        enter, leave = marks("demo")
+        site = DrawSite("X", row, align_to, (enter, leave) if marked else None)
 
         def site_draw(m, rng, row, t, align_to):
             return m.cut_and_read(rng, site, t)
@@ -422,6 +425,9 @@ class TestCutAndRead:
             return sum(len(layer) for layers in site.values() for layer in layers)
 
         expected = self.run(paper_draw, case)
+        if marked and not face_up:
+            result, events, *rest = expected
+            expected = (result, [enter, *events, leave], *rest)
         missed = self.run(site_draw, case)
         filled = entries()
         hit = self.run(site_draw, case)
@@ -485,6 +491,16 @@ class TestRearrangement:
         assert [ev[0] for ev in t.events] == ["mark", "reveal_row", "shift", "mark"]
         assert t.events[0] == ("mark", "rearr:M1", "enter")
         assert t.events[2] == ("shift", "M1", 3)  # left by (j-1)=1 on width 4
+
+    def test_refused_realignment_logs_nothing(self):
+        # Face-up cards refuse the draw before it is made: no marks, no
+        # reveal, no trail record.
+        m = Matrix.from_rows("X", 4, [encode(1, 4)])
+        m.reveal_row(1, Transcript())
+        rng, t = RandomSource(0, trail=[]), Transcript()
+        with pytest.raises(RuntimeError, match="matrix X: cards are face-up"):
+            rearrangement(m, rng, t)
+        assert t.events == [] and rng.trail == []
 
 
 class TestMatrixState:
@@ -630,9 +646,9 @@ class TestMatrixState:
     # by 1: visible column 1 shows storage column 2, the last, so a run of
     # two from it crosses the storage seam. The permute cases take a matrix
     # with row masks alone or a rotation alone, the take_row range cases a
-    # matrix at offset 0, which only the range check refuses, and the second
-    # take of a row a matrix at offset 0 whose row 1 is already out, as (row
-    # masks, offset).
+    # matrix at offset 0, which only the range check refuses, the second
+    # take of a row a matrix at offset 0 whose row 1 is already out, and a
+    # draw at that taken row the same rows rotated, as (row masks, offset).
     UNROTATED_MOVES = {
         "take_segment": (RuntimeError, "storage seam", lambda m, t: m.take_segment(1, 2)),
         "put_segment": (RuntimeError, "storage seam", lambda m, t: m.put_segment(1, [0, 0])),
@@ -668,6 +684,10 @@ class TestMatrixState:
         "cut_and_read_at_a_site_of_another_matrix": (
             ValueError, "drawing at a site of matrix Y",
             lambda m, t: m.cut_and_read(ReplaySource([]), DrawSite("Y", 1, 1), t),
+        ),
+        "cut_and_read_of_a_taken_row": (
+            RuntimeError, "drawing row 1 from an empty spot",
+            lambda m, t: m.cut_and_read(ReplaySource([]), DrawSite("X", 1, 1), t),
         ),
         "split_rows_below_the_row_masks": (
             ValueError, "cutting 3 rows below", lambda m, t: m.split_rows(3, "T", "B"),
@@ -709,6 +729,7 @@ class TestMatrixState:
         "take_row_of_row_0": ([0b101, 0b010], 0),
         "take_row_below_the_row_masks": ([0b101, 0b010], 0),
         "take_row_already_taken": ([None, 0b010], 0),
+        "cut_and_read_of_a_taken_row": ([None, 0b010], 1),
     }
 
     @pytest.mark.parametrize("move", sorted(UNROTATED_MOVES))
