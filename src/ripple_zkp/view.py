@@ -80,12 +80,13 @@ class Layout:
 
     ``shape`` is (rows, cols, ((room, size), ...), dedupe_directions), the
     whole of what fixes the layout, the ``check_plan`` it reads included; a
-    layout pickles as its shape. The events are a list of chunks: fixed runs
-    of marks, the distance checks' taken from the ``check_plan`` entries in
-    run order, with a slot for each draw's run and each room's reveal
-    between them, and last ``protocol.ACCEPT_EVENT``, which an accepting
-    ``run_protocol`` appends too. Rendering fills the slots, one strided
-    slice per draw index, and flattens the list. Decoding picks every reveal
+    layout pickles as its shape. Its fixed events are marks: per check, the
+    exit mark before its draws (the distance phase's enter mark for the
+    first) and its own enter mark; per room, its ``ROOM_STEP`` marks around
+    the room's reveal; and the phase boundary and the tail, which ends in
+    ``protocol.ACCEPT_EVENT``, as an accepting ``run_protocol`` does. Rendering
+    zips each check's mark pair with its draws' runs, one run table per draw,
+    shared by every check, and flattens them. Decoding picks every reveal
     with one ``itemgetter`` at the ``reveal_row`` and ``reveal_all`` events
     of one rendering (every heart at 1), so every run of one draw must carry
     the same event tags, one ``reveal_row`` among them.
@@ -120,23 +121,13 @@ class Layout:
             for room, size in rooms for slot in range(1, size + 1)
         ]
         self.slot_families = [family.key for family in self.families if family.kind == "room"]
-        self._room_ids = [ROOM_STEP(room)[0] for room, _ in rooms]
         self._permutations = [list(range(1, size + 1)) for size in self.sizes]
-
-        chunks = [(marks(DISTANCE_PHASE)[0],)]
-        for *_, (enter, leave) in checks:
-            chunks[-1] += (enter,)
-            chunks += [None] * n + [(leave,)]
-        chunks[-1] += (marks(DISTANCE_PHASE)[1], marks(ROOM_PHASE)[0])
-        for room, _ in rooms:
-            _, enter, leave = ROOM_STEP(room)
-            chunks[-1] += (enter,)
-            chunks += [None, (leave,)]
-        chunks[-1] += (marks(ROOM_PHASE)[1], ACCEPT_EVENT)
-        self._chunks = chunks
-        end = n_checks * (n + 1)
-        self._draw_slots = [slice(1 + i, end, n + 1) for i in range(n)]
-        self._room_slot = slice(end + 1, None, 2)
+        self._rooms = [ROOM_STEP(room) for room, _ in rooms]
+        (start, stop), (rooms_start, rooms_stop) = marks(DISTANCE_PHASE), marks(ROOM_PHASE)
+        leaves = [start, *(leave for *_, (_, leave) in checks)]
+        self._marks = [(leave, enter) for leave, (*_, (enter, _)) in zip(leaves, checks)]
+        self._boundary = (leaves[-1], stop, rooms_start)
+        self._tail = (rooms_stop, ACCEPT_EVENT)
         events = self.render([1] * len(self.widths), self._permutations)
         positions = [i for i, ev in enumerate(events) if ev[0] == "reveal_row"]
         self._n_draws = len(positions)
@@ -151,16 +142,15 @@ class Layout:
         hearts at ``hearts``, in draw order, and whose rooms reveal the
         values ``rooms`` (``values[i]`` is the value in column i, from 1):
         the pair that ``read`` returns."""
-        chunks = self._chunks.copy()
-        runs = list(map(getitem, self._runs, hearts))
-        n = len(self._draw_slots)
-        for i, slot in enumerate(self._draw_slots):
-            chunks[slot] = runs[i::n]
-        chunks[self._room_slot] = [
-            (("reveal_all", mid, tuple(map(self._cols.__getitem__, values))),)
-            for mid, values in zip(self._room_ids, rooms)
-        ]
-        return list(chain.from_iterable(chunks))
+        runs = map(getitem, self._runs, hearts)
+        # One iterator zipped n times over: each check takes its next n runs.
+        checks = zip(self._marks, *[runs] * len(self.draw_families))
+        events = list(chain.from_iterable(chain.from_iterable(checks)))
+        events += self._boundary
+        for (mid, enter, leave), values in zip(self._rooms, rooms):
+            events += enter, ("reveal_all", mid, tuple(map(self._cols.__getitem__, values))), leave
+        events += self._tail
+        return events
 
     def read(self, events: list) -> tuple[list[int], list[list[int]]]:
         """(heart position of every distance draw, values of every room's

@@ -794,6 +794,15 @@ class TestLayouts:
         assert view._layout.cache_info().currsize == layouts
         assert table_sizes() == sizes
 
+    @pytest.mark.parametrize("board, draws", [("7x7", 7), ("k1", 6)])
+    def test_run_tables_shared_by_every_check(self, sample7x7, board, draws):
+        # Every check renders from the same seven (six at k = 1) run tables,
+        # so a layout holds O(k) runs however many checks the board has.
+        puzzle = sample7x7 if board == "7x7" else make_puzzle(["a b"])
+        lay = view.layout(puzzle)
+        assert len(lay.draw_families) == draws and lay.n_checks > 1
+        assert len({id(table) for table in lay._runs}) <= draws
+
     def test_several_layouts_cached(self, sample7x7, sample7x7_solution):
         boards = [
             (sample7x7, sample7x7_solution, False),

@@ -117,6 +117,14 @@ class TestProve:
             outs.append(out.read_bytes())
         assert outs[0] != outs[1]
 
+    def test_default_seed_is_zero(self, sample7x7_path, sample7x7_solution_path, capsys):
+        argv = ["prove", "--puzzle", sample7x7_path, "--solution", sample7x7_solution_path]
+        outs = []
+        for extra in ([], ["--seed", "0"]):
+            assert cli.main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("mark name=distance_phase")
+
     def test_mutated_solution_rejected(
         self, tmp_path, sample7x7_path, sample7x7_solution_text, capsys
     ):
@@ -209,6 +217,14 @@ class TestAudit:
         with pytest.raises(SystemExit) as exc:
             cli.main(["prove", "--puzzle", path, "--solve-first", "--seed", "-3"])
         assert exc.value.code == 2
+
+    def test_default_seed_is_zero(self, tmp_path, capsys):
+        argv = ["audit", "--puzzle", write(tmp_path, "tiny.txt", TINY), "--trials", "4"]
+        outs = []
+        for extra in ([], ["--seed", "0"]):
+            assert cli.main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("audit_report trials=4")
 
     def test_report_to_file_deterministic(self, tmp_path):
         path = write(tmp_path, "tiny.txt", TINY)
@@ -458,6 +474,14 @@ def test_empty_out_is_not_stdout(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot write : not a writable file path\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_failed_write_exits_2(sample7x7_path, sample7x7_solution_path, capsys):
+    # /dev/full passes the --out check, then every write to it fails.
+    argv = ["prove", "--puzzle", sample7x7_path, "--solution", sample7x7_solution_path]
+    assert cli.main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write /dev/full")
 
 
 def test_out_check_creates_nothing(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """The README's Python examples run as written, from the repository root, the
 package's public names all import, and the CI workflow runs what ROADMAP.md and
-BENCHMARK.json name, every job under a time limit."""
+BENCHMARK.json name and tests that exist, every job under a time limit."""
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +46,22 @@ def test_tier1_job_runs_the_roadmap_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.M)
     runs = re.findall(r"^ +- run: (.+)$", workflow_job("tier1"), re.M)
     assert tier1 and f"{tier1.group(1)} --durations=10" in runs
+
+
+def test_fresh_process_step_names_tests_that_exist():
+    # The fast job runs some tests again in a process of their own, by node
+    # id; a renamed or moved test would leave that step collecting nothing.
+    step = re.search(r"^ +- run: >-\n((?: {10}.+\n)+)", workflow_job("fast"), re.M)
+    assert step
+    ids = [word for word in step.group(1).split() if word.startswith("tests/")]
+    assert ids
+    collected = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert collected.returncode == 0, collected.stdout + collected.stderr
+    found = collected.stdout.splitlines()
+    assert all(any(line.startswith(node) for line in found) for node in ids)
 
 
 def test_python_floor_is_the_same_everywhere():

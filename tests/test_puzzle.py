@@ -60,9 +60,10 @@ class TestParse:
         assert puzzle.fixed == {}
 
     def test_disconnected_room_rejected(self):
-        text = "2 2\nA B\nB A\n. .\n. .\n"
-        with pytest.raises(PuzzleFormatError, match="not edge-connected"):
-            parse_puzzle(text)
+        # Room a of the second grid is reachable only by a two-column jump.
+        for text in ("2 2\nA B\nB A\n. .\n. .\n", "2 3\nb b a\na b a\n. . .\n. . .\n"):
+            with pytest.raises(PuzzleFormatError, match="not edge-connected"):
+                parse_puzzle(text)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n1 2\n\na a\n# another\n. 2\n"
@@ -162,11 +163,15 @@ class TestValidate:
         assert [v.kind for v in out if v.kind == FIXED_MISMATCH] == [FIXED_MISMATCH]
 
     def test_distance_needs_x_cells_between(self):
-        # Two 2s with one cell between: too close. Two cells between: fine.
+        # Two 2s with one cell between: too close, as are two adjacent 1s.
+        # Two cells between: fine.
         puzzle = make_puzzle(["a a b b c"])
         too_close = assignment([[2, 1, 2, 1, 1]])
         dist = [v for v in validate(puzzle, too_close) if v.kind == DISTANCE]
-        assert any(set(v.cells) == {(1, 1), (1, 3)} for v in dist)
+        assert sorted((v.cells, v.detail) for v in dist) == [
+            (((1, 1), (1, 3)), "value 2 repeats with 1 cells between"),
+            (((1, 4), (1, 5)), "value 1 repeats with 0 cells between"),
+        ]
         spaced = assignment([[2, 1, 3, 2, 1]])
         dist = [v for v in validate(puzzle, spaced) if v.kind == DISTANCE]
         assert dist == []
