@@ -25,8 +25,9 @@ from the same table. Every revealed value is read off its one-heart index,
 ``_ONE_HEART`` (by the draw sites, the room check and the audit's decoder).
 
 Each secret draw of the distance check is one ``Matrix.cut_and_read`` call
-at a ``DrawSite``, one object per call site: the pile-shifting shuffle, the
-row reveal and the public shift that ``pile_shift_shuffle``,
+at a ``DrawSite``, one object per call site and card count, all seven of a
+check in the protocol's one table per k: the pile-shifting shuffle, the row
+reveal and the public shift that ``pile_shift_shuffle``,
 ``Matrix.reveal_row`` and ``Matrix.shift`` make one at a time, fused, with
 the same draws, events and offsets. A site keeps, per width, offset and
 stored mask, the run of events a draw logs (the reveal, the shift, and a
@@ -318,11 +319,6 @@ class DrawSite(dict):
         return entry
 
 
-# A realignment's draw site by matrix id, its marks included: a step looks
-# it up instead of formatting its name on every call.
-REARR_STEP = cache(lambda matrix_id: DrawSite(matrix_id, 1, 1, marks(f"rearr:{matrix_id}")))
-
-
 class Transcript:
     """Append-only log of verifier-observable events.
 
@@ -450,11 +446,14 @@ class Matrix:
         self.offset = (self.offset + o) % self.n_cols
 
     def reveal_row(self, row: int, transcript: Transcript) -> tuple:
-        """Reveal row mask ``row``; a row outside 1..len(rows) raises."""
+        """Reveal row mask ``row``; a row outside 1..len(rows) or already taken
+        raises before anything is logged."""
         if not 1 <= row <= len(self.rows):
             raise ValueError(f"matrix {self.id}: row {row} is not a row mask")
-        w, o = self.n_cols, self.offset
         mask = self.rows[row - 1]
+        if mask is None:
+            raise RuntimeError(f"matrix {self.id}: revealing row {row} from an empty spot")
+        w, o = self.n_cols, self.offset
         faces = faces_of(w, (mask << o | mask >> (w - o)) & ((1 << w) - 1))
         transcript.events.append(("reveal_row", self.id, row, faces))
         self._face_up += w
@@ -673,11 +672,14 @@ def pile_scramble_shuffle(matrix: Matrix, rng: RandomSource) -> None:
         rng.trail.append(("pile_scramble", matrix.id, tuple(perm)))
 
 
-def rearrangement(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> None:
+def rearrangement(
+    matrix: Matrix, rng: RandomSource, site: DrawSite, transcript: Transcript
+) -> None:
     """Realign columns so the Row 1 heart returns to Column 1.
 
     Shuffles first, so the revealed heart position carries no information
-    about where the columns originally stood. One draw at ``REARR_STEP``'s
-    site, whose run holds the step's marks, so a refused draw logs nothing.
+    about where the columns originally stood. One draw at the caller's
+    ``site``, which reveals Row 1, aligns its heart to column 1 and carries
+    the step's marks, so a refused draw logs nothing.
     """
-    matrix.cut_and_read(rng, REARR_STEP(matrix.id), transcript)
+    matrix.cut_and_read(rng, site, transcript)

@@ -2,7 +2,8 @@
 
 A board commits one length-k sequence per grid cell (k = biggest room
 size); fixed cells are placed publicly from the clues, empty cells secretly
-from the prover's claimed solution. Verification then runs two phases:
+from the prover's claimed solution. Verification (``run_protocol``) then
+runs two phases, each between its marks up to its first reject (``_phase``):
 
 * distance phase: for each cell and direction, in ``check_plan`` order,
   prove that the cell's value x does not reappear within the first x cells
@@ -18,7 +19,8 @@ from the prover's claimed solution. Verification then runs two phases:
   shuffles, selects the k sequences starting at the first neighbour
   (exactly the x real neighbours plus blanks), and runs the uniqueness
   subprotocol against the cell's own sequence. Each secret draw is one
-  ``Matrix.cut_and_read`` at a ``cards.DrawSite`` built once per call site.
+  ``Matrix.cut_and_read`` at a ``cards.DrawSite`` from one table per k,
+  ``_check_constants``, which holds a check's seven sites in draw order.
 * room phase: per room, scramble the room's sequences and reveal them all;
   read by ``cards._ONE_HEART``, they must be a permutation of 1..size.
 
@@ -65,13 +67,9 @@ MALFORMED_COMMITMENT = "MalformedCommitment"
 
 # Directions each cell is checked in, keyed by dedupe_directions.
 CHECKED_DIRECTIONS = {False: DIRECTIONS, True: ("right", "down")}
-# The marks and draw site of each uniqueness step by matrix id, and each
-# room check's matrix id and marks by room: looked up rather than built per
-# call, by the decoder's layout too.
-UNIQUE_STEP = cache(lambda matrix_id: (*marks(f"unique:{matrix_id}"), DrawSite(matrix_id, 2)))
+# Each room check's matrix id and marks by room: looked up rather than built
+# per call, by the decoder's layout too.
 ROOM_STEP = cache(lambda room: (f"R:{room}", *marks(f"room:{room}")))
-# Step 8's draw: M2's Row 1, with no public shift after it.
-STEP_8_SITE = DrawSite("M2", 1)
 DISTANCE_PHASE, ROOM_PHASE = "distance_phase", "room_phase"
 
 
@@ -194,15 +192,18 @@ def setup(puzzle: Puzzle, prover: ProverInput) -> Board:
     return Board(puzzle=puzzle, k=k, cell_seq=cell_seq)
 
 
-def _uniqueness_on_matrix(matrix: Matrix, rng: RandomSource, transcript: Transcript) -> bool:
+def _uniqueness_on_matrix(
+    matrix: Matrix, rng: RandomSource, site: DrawSite, step_marks: tuple, transcript: Transcript
+) -> bool:
     """Steps 2-5 of the uniqueness subprotocol on an already-built matrix.
 
     Row 2 holds the reference sequence; rows 3 and below hold the sequences
     that must not repeat its number. The shuffle and the reveal of Row 2 are
-    one draw, with no public shift. Returns True when the column under the
-    reference heart shows no heart below Row 2.
+    one draw at ``site``, with no public shift, between the enter and exit
+    marks ``step_marks``, whose exit follows the segment reveal. Returns
+    True when the column under the reference heart shows no heart below Row 2.
     """
-    enter, leave, site = UNIQUE_STEP(matrix.id)
+    enter, leave = step_marks
     events = transcript.events
     events.append(enter)
     try:
@@ -266,12 +267,19 @@ def verify_distance_direction(
 
 
 @cache
-def _check_constants(k: int) -> tuple[DrawSite, DrawSite, Matrix]:
-    """The draw sites of steps 2 and 13, which align to columns k and k + 1,
-    and step 7's k-1 appended columns, built once per k and shared:
-    ``append_columns`` only reads a block whose offset is 0."""
-    block = Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
-    return DrawSite("M", 2, k), DrawSite("M2", 2, k + 1), block
+def _check_constants(k: int) -> tuple[tuple[DrawSite, ...], tuple[tuple, tuple], Matrix]:
+    """A card-count-k check's ``(sites, unique_marks, block)``, built once per k
+    and shared by every check: its seven draw sites in draw order (steps 2,
+    6, 8, 11, 12, 13 and 16; the realignments' carry their marks), the
+    uniqueness step's marks, kept off its site since its exit follows the
+    segment reveal, and step 7's k-1 appended columns, which
+    ``append_columns`` only reads at offset 0."""
+    sites = (
+        DrawSite("M", 2, k), DrawSite("M1", 1, 1, marks("rearr:M1")), DrawSite("M2", 1),
+        DrawSite("N", 2), DrawSite("N", 1, 1, marks("rearr:N")), DrawSite("M2", 2, k + 1),
+        DrawSite("M2", 1, 1, marks("rearr:M2")),
+    )
+    return sites, marks("unique:N"), Matrix("M2", k - 1, [0, 1], [0] * (k - 1), k)
 
 
 def _distance_direction(
@@ -286,12 +294,13 @@ def _distance_direction(
     x ``neighbours``. Returns ``(a0, piles)``, both unchanged, on accept and None
     when a heart shows; an ``a0`` without exactly one heart raises at step 2.
     Each of the seven secret draws (steps 2, 6, 8, 11, 12, 13 and 16) is one
-    ``Matrix.cut_and_read`` at its draw site (from ``_check_constants``, or
-    ``STEP_8_SITE``, or with its step's marks): a shuffle, a row reveal read
-    for its heart and, where the step aligns, its public shift. ``where``
-    labels the tuples appended to the private trail and nothing else."""
+    ``Matrix.cut_and_read`` at its site in ``_check_constants(k)``: a
+    shuffle, a row reveal read for its heart and, where the step aligns, its
+    public shift. ``where`` labels the tuples appended to the private trail
+    and nothing else."""
     trail = rng.trail
-    step_2, step_13, block = _check_constants(k)
+    sites, unique_marks, block = _check_constants(k)
+    step_2, realign_m1, step_8, step_11, realign_n, step_13, realign_m2 = sites
 
     # Step 1: rows [indicator, a0, indicator, blank] over k columns, with
     # neighbour i's sequence as the pile under column i. The indicator
@@ -309,7 +318,7 @@ def _distance_direction(
 
     # Steps 5-6: split off the top two rows and realign them on their own.
     m1, m2 = m.split_rows(2, "M1", "M2")
-    rearrangement(m1, rng, transcript)
+    rearrangement(m1, rng, realign_m1, transcript)
 
     # Step 7: append k-1 blank columns behind a fresh indicator pair: Row 1
     # blank, Row 2 an indicator whose heart is in the first appended column.
@@ -320,7 +329,7 @@ def _distance_direction(
 
     # Steps 8-9: shuffle, find the first neighbour's column by Row 1's
     # heart; no public shift follows.
-    j2 = m2.cut_and_read(rng, STEP_8_SITE, transcript)
+    j2 = m2.cut_and_read(rng, step_8, transcript)
 
     # Step 10: select the k consecutive piles starting there, wrapping
     # past the last column.
@@ -333,11 +342,11 @@ def _distance_direction(
     # Steps 10-11: stack them under the cell's own sequence and check
     # none repeats its number.
     n = Matrix.from_rows("N", k, [m1.take_row(1), m1.take_row(2), *selected])
-    if not _uniqueness_on_matrix(n, rng, transcript):
+    if not _uniqueness_on_matrix(n, rng, step_11, unique_marks, transcript):
         return None
 
     # Step 12: realign, take a0 back and return the piles to the matrix.
-    rearrangement(n, rng, transcript)
+    rearrangement(n, rng, realign_n, transcript)
     a0 = n.take_row(2)
     piles = []
     for row in range(3, k + 3):
@@ -355,7 +364,7 @@ def _distance_direction(
         m2.remove_columns(k + 1, 2 * k - 1)
 
     # Step 16: realign; the piles come back in neighbour order.
-    rearrangement(m2, rng, transcript)
+    rearrangement(m2, rng, realign_m2, transcript)
     return a0, m2.pile_masks()
 
 
@@ -372,23 +381,6 @@ def _phase(name: str, transcript: Transcript, verdicts) -> Verdict:
     finally:
         events.append(leave)
     return ACCEPT
-
-
-def verify_distance_phase(
-    board: Board,
-    rng: RandomSource,
-    transcript: Transcript,
-    dedupe_directions: bool = False,
-) -> Verdict:
-    """Every distance check in ``check_plan`` order, stopping at the first
-    reject. With ``dedupe_directions`` only right and down run, which still
-    covers every pair once since the rule is symmetric.
-    """
-    puzzle = board.puzzle
-    return _phase(DISTANCE_PHASE, transcript, (
-        verify_distance_direction(board, check, rng, transcript)
-        for check in check_plan(puzzle.rows, puzzle.cols, board.k, dedupe_directions)
-    ))
 
 
 def verify_room(
@@ -431,10 +423,12 @@ def run_protocol(
     rng: RandomSource,
     dedupe_directions: bool = False,
 ) -> ProtocolResult:
-    """Full run: setup, distance phase, then room phase over every room.
+    """Full run: setup, every distance check in ``check_plan`` order, then the
+    room phase over every room, which runs only when the distance phase accepts.
 
-    A setup reject runs no phase and uses no auxiliary card; the room phase
-    runs only when the distance phase accepts.
+    With ``dedupe_directions`` only right and down run, which still covers
+    every pair once since the rule is symmetric. A setup reject runs no phase
+    and uses no auxiliary card.
     Secret draws and private snapshots are appended to the list ``rng.trail``
     when it is set.
     """
@@ -442,19 +436,22 @@ def run_protocol(
     try:
         board = setup(puzzle, prover)
     except MalformedCommitmentError:
-        board = Board(puzzle, max_room_size(puzzle), [None] * len(puzzle.cells))
+        k, peak = max_room_size(puzzle), 0
         verdict = Verdict(False, MALFORMED_COMMITMENT, "setup")
     else:
-        verdict = verify_distance_phase(board, rng, transcript, dedupe_directions)
+        k = board.k
+        plan = check_plan(puzzle.rows, puzzle.cols, k, dedupe_directions)
+        checks = (verify_distance_direction(board, check, rng, transcript) for check in plan)
+        verdict = _phase(DISTANCE_PHASE, transcript, checks)
         if verdict.accepted:
             rooms = (verify_room(board, room, rng, transcript) for room in puzzle.room_cells)
             verdict = _phase(ROOM_PHASE, transcript, rooms)
+        peak = board.aux_peak
     if verdict.accepted:
         transcript.events.append(ACCEPT_EVENT)
     else:
         transcript.events.append(("verdict", "reject", verdict.reason, verdict.loc_text()))
-    grid_cards = board.k * puzzle.rows * puzzle.cols
-    return ProtocolResult(verdict, transcript, CardStats(grid_cards, board.aux_peak))
+    return ProtocolResult(verdict, transcript, CardStats(k * puzzle.rows * puzzle.cols, peak))
 
 
 def card_stats(puzzle: Puzzle) -> CardStats:

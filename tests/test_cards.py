@@ -2,10 +2,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_of, mask_of
+from helpers import check_of, draw_sites, mask_of
 from ripple_zkp.audit import chi2_sf
 from ripple_zkp.cards import (
     _EVENT_LINES,
@@ -444,17 +444,22 @@ class TestCutAndRead:
         assert decode(m.take_row(1)) == 1
 
 
+# A realignment's draw site on matrix X, built as the protocol's table builds
+# its three: Row 1's heart aligned to column 1, between the step's marks.
+REALIGN_X = DrawSite("X", 1, 1, marks("rearr:X"))
+
+
 class TestRearrangement:
     def test_heart_returns_to_column_one(self):
         for seed in range(30):
             m = Matrix.from_rows("X", 6, [encode(1, 6)])
             m.rotate(seed % 6)
-            rearrangement(m, RandomSource(seed), Transcript())
+            rearrangement(m, RandomSource(seed), REALIGN_X, Transcript())
             assert decode(m.take_row(1)) == 1
 
     def test_single_column_noop(self):
         m = Matrix.from_rows("X", 1, [encode(1, 1)])
-        rearrangement(m, RandomSource(3), Transcript())
+        rearrangement(m, RandomSource(3), REALIGN_X, Transcript())
         assert decode(m.take_row(1)) == 1
 
     def test_corotated_row_restored(self):
@@ -462,14 +467,14 @@ class TestRearrangement:
         for seed in range(100):
             m = Matrix.from_rows("X", 6, [encode(1, 6), encode(4, 6)])
             m.rotate(seed % 6)
-            rearrangement(m, RandomSource(seed), Transcript())
+            rearrangement(m, RandomSource(seed), REALIGN_X, Transcript())
             assert decode(m.take_row(2)) == 4
 
     def test_malformed_rows_rejected(self):
         for bad_row in ((H, H, C, C), (C, C, C, C)):
             m = Matrix.from_rows("X", 4, [mask_of(bad_row)])
             with pytest.raises(MalformedCommitmentError):
-                rearrangement(m, RandomSource(0), Transcript())
+                rearrangement(m, RandomSource(0), REALIGN_X, Transcript())
 
     def test_reveal_position_uniform(self):
         # Transcript secrecy: the revealed heart column says nothing about
@@ -479,7 +484,7 @@ class TestRearrangement:
             m = Matrix.from_rows("X", 6, [encode(1, 6)])
             m.rotate(seed % 6)
             t = Transcript()
-            rearrangement(m, RandomSource(seed), t)
+            rearrangement(m, RandomSource(seed), REALIGN_X, t)
             faces = next(ev[3] for ev in t.events if ev[0] == "reveal_row")
             counts[faces.index(H) + 1] += 1
         assert uniform_p(counts, 6) > 1e-4
@@ -487,7 +492,8 @@ class TestRearrangement:
     def test_events_shape(self):
         m = Matrix.from_rows("M1", 4, [encode(1, 4), encode(2, 4)])
         t = Transcript()
-        rearrangement(m, StubRng(offsets=[1]), t)
+        # The protocol's own step-6 site, from its card-count-4 table.
+        rearrangement(m, StubRng(offsets=[1]), draw_sites(4)[1], t)
         assert [ev[0] for ev in t.events] == ["mark", "reveal_row", "shift", "mark"]
         assert t.events[0] == ("mark", "rearr:M1", "enter")
         assert t.events[2] == ("shift", "M1", 3)  # left by (j-1)=1 on width 4
@@ -499,7 +505,7 @@ class TestRearrangement:
         m.reveal_row(1, Transcript())
         rng, t = RandomSource(0, trail=[]), Transcript()
         with pytest.raises(RuntimeError, match="matrix X: cards are face-up"):
-            rearrangement(m, rng, t)
+            rearrangement(m, rng, REALIGN_X, t)
         assert t.events == [] and rng.trail == []
 
 
@@ -624,8 +630,10 @@ class TestMatrixState:
         m.rotate(1)
         m.rotate(2)
         assert faces_of(3, m.take_row(1)) == (C, H, C)
-        with pytest.raises(TypeError):
-            m.reveal_row(1, Transcript())
+        t = Transcript()
+        with pytest.raises(RuntimeError, match="revealing row 1 from an empty spot"):
+            m.reveal_row(1, t)
+        assert t.events == [] and m._face_up == 0
         assert m.rows[1] == mask_of((H, C, C))
 
     def test_takes_under_two_rotations_read_in_visible_order(self):
@@ -893,6 +901,9 @@ def model_cases(draw):
 
 class TestColumnModel:
     @given(model_cases())
+    # A rotated append onto a row whose heart lies past the insertion point:
+    # append_columns's mask must clear the heart from its old storage column.
+    @example(([[C, H], [C, C], [H, C]], 1, [("rotate", 1), ("append", 2)]))
     @settings(max_examples=200, deadline=None)
     def test_matrix_matches_column_model(self, case):
         # Every move and reveal of the mask Matrix agrees with the same move

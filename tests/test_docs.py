@@ -1,6 +1,7 @@
 """The README's Python examples run as written, from the repository root, the
 package's public names all import, and the CI workflow runs what ROADMAP.md and
 BENCHMARK.json name and tests that exist, every job under a time limit."""
+import importlib
 import json
 import re
 import subprocess
@@ -16,6 +17,23 @@ def test_readme_python_blocks_run(monkeypatch):
     monkeypatch.chdir(ROOT)
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_names_resolve():
+    # Every module-qualified name the README puts in backticks is bound on
+    # the package, so a rename or a deletion cannot leave the README behind.
+    pattern = r"`(?:ripple_zkp\.)?((?:cards|protocol|puzzle|view|audit|cli)(?:\.\w+)+)"
+    names = re.findall(pattern, (ROOT / "README.md").read_text())
+    assert names
+
+    def resolves(name: str) -> bool:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"ripple_zkp.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj is not None
+
+    assert [name for name in names if not resolves(name)] == []
 
 
 def test_star_import_resolves_all():

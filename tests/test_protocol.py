@@ -48,7 +48,6 @@ from ripple_zkp.protocol import (
     run_protocol,
     setup,
     verify_distance_direction,
-    verify_distance_phase,
     verify_room,
 )
 from ripple_zkp.puzzle import DISTANCE, Violation, max_room_size, validate
@@ -88,9 +87,11 @@ class TestSetup:
 
 
 def unique(s0, others, width, seed=0) -> bool:
-    """The uniqueness step on its matrix: an indicator row, then s0, then the others."""
-    matrix = Matrix.from_rows("U", width, [encode(1, width), s0, *others])
-    return _uniqueness_on_matrix(matrix, RandomSource(seed), Transcript())
+    """The uniqueness step on its matrix: an indicator row, then s0, then the
+    others, drawn at the protocol's step-11 site and between its marks."""
+    matrix = Matrix.from_rows("N", width, [encode(1, width), s0, *others])
+    sites, unique_marks, _ = _check_constants(width)
+    return _uniqueness_on_matrix(matrix, RandomSource(seed), sites[3], unique_marks, Transcript())
 
 
 class TestUniquenessVerify:
@@ -308,9 +309,7 @@ class TestRaySlices:
 
 class TestDistancePhase:
     def test_full_pass_on_solution(self, sample7x7, sample7x7_solution):
-        board = setup(sample7x7, ProverInput(sample7x7_solution))
-        t = Transcript()
-        verdict = verify_distance_phase(board, RandomSource(2), t)
+        verdict, t, _ = run_protocol(sample7x7, ProverInput(sample7x7_solution), RandomSource(2))
         assert verdict.accepted
         blocks = sum(
             1 for ev in t.events
@@ -320,16 +319,12 @@ class TestDistancePhase:
 
     def test_rejects_at_first_violating_check(self, sample7x7, sample7x7_solution):
         mutated = sample7x7_solution.with_value((1, 1), 1)  # makes (1,1)-(1,2) clash
-        board = setup(sample7x7, ProverInput(mutated, honest=False))
-        verdict = verify_distance_phase(board, RandomSource(2), Transcript())
-        assert not verdict.accepted
-        assert verdict.location == ((1, 1), "right")
+        verdict, _, _ = run_protocol(sample7x7, ProverInput(mutated, honest=False), RandomSource(2))
+        assert verdict == Verdict(False, DISTANCE_HEART_FOUND, ((1, 1), "right"))
 
     def test_single_cell_board_padded_checks(self):
         puzzle = make_puzzle(["a"])
-        board = setup(puzzle, ProverInput(assignment([[1]])))
-        t = Transcript()
-        verdict = verify_distance_phase(board, RandomSource(0), t)
+        verdict, t, _ = run_protocol(puzzle, ProverInput(assignment([[1]])), RandomSource(0))
         assert verdict.accepted
         blocks = sum(
             1 for ev in t.events
@@ -339,13 +334,9 @@ class TestDistancePhase:
 
     def test_dedupe_covers_symmetric_pairs(self):
         puzzle = make_puzzle(["a b"])
-        board = setup(
-            puzzle, ProverInput(assignment([[1, 1]]), honest=False)
-        )
-        verdict = verify_distance_phase(
-            board, RandomSource(0), Transcript(), dedupe_directions=True
-        )
-        assert not verdict.accepted
+        prover = ProverInput(assignment([[1, 1]]), honest=False)
+        verdict, _, _ = run_protocol(puzzle, prover, RandomSource(0), dedupe_directions=True)
+        assert verdict == Verdict(False, DISTANCE_HEART_FOUND, ((1, 1), "right"))
 
     @pytest.mark.parametrize("dedupe", [False, True])
     @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (7, 7)], ids=["1x3", "2x2", "7x7"])
@@ -458,6 +449,7 @@ class TestRunProtocol:
         assert not verdict.accepted
         assert verdict.reason == MALFORMED_COMMITMENT
         assert transcript.events[-1][0] == "verdict"
+        assert stats == CardStats(6 * 49, 0)
 
     def test_measured_peak_matches_closed_form(self, sample7x7, sample7x7_solution):
         verdict, _, stats = run_protocol(
@@ -542,6 +534,22 @@ class TestRunProtocol:
         assert cards._FACES
         for width, faces in cards._FACES.items():
             assert all(decode(mask) is not None for mask in faces), width
+
+    def test_draws_use_the_check_tables_sites(self, monkeypatch, sample7x7, sample7x7_solution):
+        # Every secret draw of a proof is made at a site of its k's one table,
+        # in draw order; a site built anywhere else fails the identity check.
+        drawn, cut_and_read = [], Matrix.cut_and_read
+
+        def recording(matrix, rng, site, transcript):
+            drawn.append(site)
+            return cut_and_read(matrix, rng, site, transcript)
+
+        monkeypatch.setattr(Matrix, "cut_and_read", recording)
+        prover = ProverInput(sample7x7_solution)
+        assert run_protocol(sample7x7, prover, RandomSource(0)).verdict.accepted
+        expected = draw_sites(6) * 196
+        assert len(drawn) == len(expected) == 1372
+        assert all(site is want for site, want in zip(drawn, expected))
 
     def test_transcripts_deterministic_per_seed(self, sample7x7, sample7x7_solution):
         prover = ProverInput(sample7x7_solution)
